@@ -73,19 +73,20 @@ class GlobalSpace:
         return {names[k]: self.entity_dofs[k] * nums[k] for k in _KINDS}
 
     # -- linear algebra --------------------------------------------------------
+    def cell_mass(self, ci: int) -> np.ndarray:
+        """Mass matrix of cell ci in its local DOF order."""
+        elem = self.elements[ci]
+        gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
+        G = np.kron(elem.basis.gram(), gens @ gens.T)
+        return elem.Vinv.T @ G @ elem.Vinv
+
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
-            gens = np.asarray(self.elements[0].comp_gens, dtype=float)
-            Gc = gens.reshape(len(gens), -1) @ gens.reshape(len(gens), -1).T
             rows, cols, vals = [], [], []
-            for ci, elem in enumerate(self.elements):
-                Gs = elem.basis.gram()
-                G = np.kron(Gs, Gc)
-                Mk = elem.Vinv.T @ G @ elem.Vinv
-                gmap = self.cell_maps[ci]
+            for ci, gmap in enumerate(self.cell_maps):
                 rows.append(np.repeat(gmap, len(gmap)))
                 cols.append(np.tile(gmap, len(gmap)))
-                vals.append(Mk.ravel())
+                vals.append(self.cell_mass(ci).ravel())
             self._mass = sp.csr_matrix(
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(self.ndof, self.ndof))
@@ -130,21 +131,26 @@ _OP_TABLE = {
 }
 
 
-def assemble_diff(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
-    """Sparse operator mapping src coefficients to dst coefficients."""
+def _cell_diffs(op: str, src: GlobalSpace, dst: GlobalSpace):
+    """Yield (ci, d_c): the matrix of op from the src to the dst DOFs of cell ci."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
     fam_src, fam_dst, rng_dst, fn = _OP_TABLE[op]
     if src.family != fam_src or dst.family != fam_dst:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
-    rows, cols, vals = [], [], []
-    written = np.zeros(dst.ndof, dtype=bool)
     for ci in range(src.mesh.num_cells):
         es, ed = src.elements[ci], dst.elements[ci]
         image = fn(es.generator_fields())
         gmat = poly.to_range_coords(image, rng_dst)        # (ngen_src, ngen_dst)
-        d_k = ed.V @ gmat.T @ es.Vinv                      # (ndof_dst, ndof_src)
+        yield ci, ed.V @ gmat.T @ es.Vinv                   # (ndof_dst, ndof_src)
+
+
+def assemble_diff(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
+    """Sparse operator mapping src coefficients to dst coefficients."""
+    rows, cols, vals = [], [], []
+    written = np.zeros(dst.ndof, dtype=bool)
+    for ci, d_k in _cell_diffs(op, src, dst):
         gsrc = src.cell_maps[ci]
         gdst = dst.cell_maps[ci]
         own = ~written[gdst]
@@ -153,6 +159,27 @@ def assemble_diff(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
             cols.append(gsrc)
             vals.append(d_k[li])
         written[gdst] = True
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dst.ndof, src.ndof))
+
+
+def assemble_coupling(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
+    """dst.mass() @ assemble_diff(op, src, dst), assembled cell by cell.
+
+    Conformity makes the global operator restricted to a cell the cell
+    operator d_c, so the product is the sum over cells of P_c^T (M_c d_c) P_c.
+    Formed globally it also couples each cell to the neighbours of its
+    neighbours, through entries that are rounding-level zeros; the local sum
+    keeps the one-cell stencil, and with it the LU fill of the solver.
+    """
+    rows, cols, vals = [], [], []
+    for ci, d_k in _cell_diffs(op, src, dst):
+        gsrc = src.cell_maps[ci]
+        gdst = dst.cell_maps[ci]
+        rows.append(np.repeat(gdst, len(gsrc)))
+        cols.append(np.tile(gsrc, len(gdst)))
+        vals.append((dst.cell_mass(ci) @ d_k).ravel())
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dst.ndof, src.ndof))

@@ -57,10 +57,6 @@ class GeneratorEval:
         self.vshape = self.gens.shape[1:]
         self._tabs: dict = {}
 
-    @property
-    def nbatch(self):
-        return self.basis.N * len(self.gens)
-
     def _scalar_tabs(self, pts, order: int):
         key = (id(pts), order)
         if key in self._tabs:
@@ -170,18 +166,6 @@ class Element:
         co = coeffs.reshape(*coeffs.shape[:-1], self.basis.N, C)
         full = np.tensordot(co, gens, axes=(-1, 0))
         return PolyField(self.basis, full, gens.shape[1:])
-
-    def nodal_tabulation(self, pts, op: str = "value") -> np.ndarray:
-        """Values of the nodal basis functions at points: (p, ndof, *vshape...)."""
-        gen = GeneratorEval(self.basis, self.comp_gens)
-        if op == "value":
-            tab = gen.values(pts)
-        elif op == "grad":
-            tab = gen.grads(pts)
-        else:
-            raise ValueError(op)
-        out = np.tensordot(self.Vinv, tab, axes=(0, 0))  # (ndof, p, ...)
-        return np.moveaxis(out, 0, 1)
 
 
 # ---------------------------------------------------------------------------

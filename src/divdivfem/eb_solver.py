@@ -18,10 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import GlobalSpace, assemble_diff
+from .complex_asm import GlobalSpace, assemble_coupling, assemble_diff
 from .fe3d import EntityCache
 from .mesh import TetMesh, load as load_mesh
 from .quadrature import rule
+
+
+INITS = ("zero", "random", "mms")
+MMS_CHOICES = ("none", "trig", "poly")
+FORCINGS = ("auto", "on", "off")
 
 
 @dataclass
@@ -56,8 +61,18 @@ class EBConfig:
         return cfg
 
     def validate(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
+        if not (np.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError("t_final must be non-negative and finite")
+        if self.k < 3:
+            raise ValueError("k must be >= 3")
+        for key, allowed in (("init", INITS), ("mms", MMS_CHOICES),
+                             ("forcing", FORCINGS)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}")
+        if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError("solver_tol must be positive and finite")
         n = self.t_final / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("t_final must be an integral multiple of dt")
@@ -95,6 +110,7 @@ class EBSystem:
         self.nq, self.nE, self.nB = self.space_q.dim, self.space_E.dim, self.space_B.dim
         self.ntot = self.nq + self.nE + self.nB
         self._qrule = rule("tet", 2 * k + 6)
+        self._S = None
         self._cn = {}
 
     # -- block structure -------------------------------------------------------
@@ -108,17 +124,21 @@ class EBSystem:
         return sp.block_diag([self.Mq, self.ME, self.MB], format="csr")
 
     def skew_block(self) -> sp.csr_matrix:
-        """Coupling S with y' A = S y: skew-symmetric by construction."""
-        MqD3 = (self.Mq @ self.D3).tocsr()
-        MED2 = (self.ME @ self.D2).tocsr()
-        z = None
-        S = sp.bmat([
-            [z, MqD3, None],
-            [-MqD3.T, None, -MED2],
-            [None, MED2.T, None]], format="csr")
-        return S
+        """Coupling S with y' A = S y: skew-symmetric by construction.
+
+        Its blocks Mq D3 and ME D2 are assembled cell by cell, once.
+        """
+        if self._S is None:
+            C3 = assemble_coupling("divdiv", self.space_E, self.space_q)
+            C2 = assemble_coupling("symcurl", self.space_B, self.space_E)
+            self._S = sp.bmat([
+                [None, C3, None],
+                [-C3.T, None, -C2],
+                [None, C2.T, None]], format="csr")
+        return self._S
 
     def projection_matrix(self) -> sp.csr_matrix:
+        """A - S, the CN left-hand side at dt = 2: projecting is one CN solve."""
         return (self.mass_block() - self.skew_block()).tocsr()
 
     def energy(self, y) -> float:
@@ -175,19 +195,6 @@ class EBSystem:
         out = np.tensordot(elem.Vinv, vals, axes=(0, 0))
         return np.moveaxis(out, 0, 1)
 
-    def l2_norm_sq(self, fld, shape: str) -> float:
-        """Exact-quadrature squared L2 norm of a cellwise field."""
-        total = 0.0
-        for ci in range(self.mesh.num_cells):
-            cell = self.space_E.elements[ci].simplex
-            pts, w = self._qrule.on(cell)
-            vals = fld(ci, pts)
-            if shape == "scalar":
-                total += float(np.einsum("p,p->", vals ** 2, w))
-            else:
-                total += float(np.einsum("pij,pij,p->", vals, vals, w))
-        return total
-
     # -- solvers ---------------------------------------------------------------
     def _equilibration(self) -> np.ndarray:
         """Symmetric diagonal scaling from the mass diagonal.
@@ -201,46 +208,46 @@ class EBSystem:
             self._scale = 1.0 / np.sqrt(d)
         return self._scale
 
-    def _scaled_solve(self, mat: sp.spmatrix, rhs: np.ndarray, tol: float,
-                      what: str) -> np.ndarray:
+    def _equilibrate(self, mat: sp.spmatrix) -> sp.csc_matrix:
+        D = sp.diags(self._equilibration())
+        return (D @ mat @ D).tocsc()
+
+    def _factorize(self, lhs: sp.spmatrix):
+        """Sparse LU of the equilibrated matrix."""
+        return spla.splu(self._equilibrate(lhs))
+
+    def _solve(self, lu, lhs: sp.spmatrix, b: np.ndarray, tol: float,
+               what: str) -> np.ndarray:
+        """Solve lhs y = b with its _factorize() LU and check the residual."""
         s = self._equilibration()
-        As = (sp.diags(s) @ mat @ sp.diags(s)).tocsc()
-        lu = spla.splu(As)
-        z = lu.solve(s * rhs)
-        y = s * z
-        resid = np.linalg.norm(mat @ y - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        y = s * lu.solve(s * b)
+        resid = np.linalg.norm(lhs @ y - b) / max(np.linalg.norm(b), 1e-300)
         if resid > tol:
             raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
         return y
 
     def project(self, rhs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return self._scaled_solve(self.projection_matrix(), rhs, tol, "projection")
+        # the dt = 2 factor is not cached: it would hold a second LU next to
+        # the CN one, and the projection runs once per MMS run
+        lhs = self.projection_matrix()
+        return self._solve(self._factorize(lhs), lhs, rhs, tol, "projection")
 
     def cn_factorization(self, dt: float):
         if dt not in self._cn:
-            A = self.mass_block()
-            S = self.skew_block()
-            s = self._equilibration()
-            Dinv = sp.diags(s)
+            A, S = self.mass_block(), self.skew_block()
             lhs = (A - 0.5 * dt * S).tocsr()
             rhs = (A + 0.5 * dt * S).tocsr()
-            lu = spla.splu((Dinv @ lhs @ Dinv).tocsc())
-            self._cn[dt] = (lu, rhs, lhs)
+            self._cn[dt] = (self._factorize(lhs), rhs, lhs)
         return self._cn[dt]
 
     def cn_step(self, y: np.ndarray, dt: float, forcing_hat: np.ndarray | None = None,
                 tol: float = 1e-8) -> np.ndarray:
         """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load."""
         lu, rhs_mat, lhs_mat = self.cn_factorization(dt)
-        s = self._equilibration()
         b = rhs_mat @ y
         if forcing_hat is not None:
             b = b + dt * forcing_hat
-        y1 = s * lu.solve(s * b)
-        resid = np.linalg.norm(lhs_mat @ y1 - b) / max(np.linalg.norm(b), 1e-300)
-        if resid > tol:
-            raise RuntimeError(f"CN solve residual {resid:.3e} exceeds {tol}")
-        return y1
+        return self._solve(lu, lhs_mat, b, tol, "CN")
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +396,6 @@ class MMSDriver:
 # driver operations
 # ---------------------------------------------------------------------------
 
-def project_Pi_h(sys: EBSystem, mms_driver: MMSDriver, t: float = 0.0,
-                 tol: float = 1e-9) -> np.ndarray:
-    """A-projection of the manufactured fields at time t."""
-    return sys.project(mms_driver.projection_rhs(t), tol)
-
-
 @dataclass
 class RunRecord:
     t: list = dc_field(default_factory=list)
@@ -415,10 +416,8 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
         y = np.zeros(sys.ntot)
     elif config.init == "random":
         y = rng.standard_normal(sys.ntot)
-    elif config.init == "mms":
+    else:  # mms
         y = sys.project(driver.projection_rhs(0.0), config.solver_tol)
-    else:
-        raise ValueError(f"unknown init {config.init!r}")
     forcing_on = (config.forcing == "on"
                   or (config.forcing == "auto" and driver is not None))
     rec = RunRecord()
@@ -530,17 +529,15 @@ def infsup_estimate(sys: EBSystem, dense_limit: int = 4000) -> float:
     original one, so the value is unchanged while the factorizations stay
     well conditioned.
     """
-    s = sys._equilibration()
-    D = sp.diags(s)
-    A = (D @ sys.projection_matrix() @ D).tocsc()
-    N = (D @ vnorm_block(sys) @ D).tocsr()
+    P = sys.projection_matrix()
+    N = sys._equilibrate(vnorm_block(sys)).tocsr()
     if sys.ntot <= dense_limit:
         import scipy.linalg as sla
         Ln = np.linalg.cholesky(N.toarray())
-        X = sla.solve_triangular(Ln, A.toarray(), lower=True)
+        X = sla.solve_triangular(Ln, sys._equilibrate(P).toarray(), lower=True)
         C = sla.solve_triangular(Ln, X.T, lower=True).T
         return float(np.linalg.svd(C, compute_uv=False)[-1])
-    lu = spla.splu(A)
+    lu = sys._factorize(P)
 
     def op(X):
         out = np.empty_like(X)

@@ -83,10 +83,6 @@ class Simplex:
     def facet(self, local_vertices) -> "Simplex":
         return Simplex(self.vertices[list(local_vertices)])
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
 
 class BernsteinBasis:
     """Bernstein generating set of fixed degree on one simplex."""
@@ -152,9 +148,6 @@ class BernsteinBasis:
         """Multiplication by the affine function with the given vertex values."""
         vals = np.asarray(vertex_values, dtype=float)
         return sum(v * op for v, op in zip(vals, self.lambda_ops))
-
-    def coord_mult_op(self, axis: int) -> np.ndarray:
-        return self.affine_mult_op(self.simplex.vertices[:, axis])
 
     def integrals(self) -> np.ndarray:
         n, d = self.degree, self.simplex.dim

@@ -119,9 +119,6 @@ class TetMesh:
     def barycentric(self, cell: int, point) -> np.ndarray:
         return self.cell_simplices[cell].barycentric(point)[0]
 
-    def cell_volume(self, cell: int) -> float:
-        return self.cell_simplices[cell].measure
-
     def save(self, path):
         with open(path, "w") as fh:
             fh.write(f"tetmesh {self.num_vertices} {self.num_cells}\n")

@@ -132,14 +132,6 @@ def make_face_frame(global_ids, coords) -> FaceFrame:
     return FaceFrame(n=n, t1=t1, t2=t2, t_bdy=tuple(tb), n_bdy=tuple(nb))
 
 
-def make_frames(kind: str, global_ids, coords):
-    if kind == "edge":
-        return make_edge_frame(global_ids, coords)
-    if kind == "face":
-        return make_face_frame(global_ids, coords)
-    raise ValueError(f"unknown entity kind {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # pointwise linear maps lifted to polynomial fields
 # --------------------------------------------------------------------------
@@ -236,9 +228,6 @@ def eps_f(f: PolyField, n) -> PolyField:
     g = grad_f(proj_f(f, n), n)
     return field_sym(g)
 
-def normal_derivative(f: PolyField, n) -> PolyField:
-    return f.directional(n)
-
 
 _SURFACE_OPS = {
     "proj_f": proj_f,
@@ -273,9 +262,6 @@ def surface_op(op: str, field: PolyField, frame) -> PolyField:
 # when n = e_z
 # --------------------------------------------------------------------------
 
-def grad2(f: PolyField) -> PolyField:
-    return f.grad()
-
 def curl2(f: PolyField) -> PolyField:
     """q -> (-dy q, dx q); applied componentwise it appends the rotated axis."""
     g = f.grad()
@@ -289,9 +275,6 @@ def rot2(f: PolyField) -> PolyField:
     px, py = f.partial(0), f.partial(1)
     return PolyField(px.basis, px.coeffs[..., 1] - py.coeffs[..., 0], f.vshape[:-1])
 
-def div2(f: PolyField) -> PolyField:
-    return f.div()
-
 def eps2(f: PolyField) -> PolyField:
     if f.vshape != (2,):
         raise ValueError("eps2 acts on 2-vector fields")
@@ -300,9 +283,6 @@ def eps2(f: PolyField) -> PolyField:
 def rotrot2(f: PolyField) -> PolyField:
     """S2 field -> rot2(rot2 rows): the 2-D rot rot operator."""
     return rot2(rot2(f))
-
-def hess2(f: PolyField) -> PolyField:
-    return f.hess()
 
 
 # --------------------------------------------------------------------------

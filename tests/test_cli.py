@@ -64,6 +64,13 @@ def test_bad_config_exit_two(tmp_path):
     assert main(["eb", "run", "--config", str(cfg)]) == 2
 
 
+def test_eb_run_rejects_bad_config_values(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for line in ("forcing = yes", "t_final = -0.5", "k = 2", "solver_tol = 0"):
+        cfg.write_text(f"mesh = two_tets\ndt = 0.05\n{line}\n")
+        assert main(["eb", "run", "--config", str(cfg)]) == 2, line
+
+
 def test_infsup_command(capsys):
     assert main(["infsup", "--mesh", "single_tet", "--k", "3"]) == 0
     assert "inf-sup" in capsys.readouterr().out

@@ -18,6 +18,27 @@ def test_config_parsing(tmp_path):
         eb_solver.EBConfig.from_file(p)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("forcing", "yes"),
+    ("t_final", -0.5),
+    ("dt", float("inf")),
+    ("t_final", float("inf")),
+    ("dt", float("nan")),
+    ("k", 2),
+    ("init", "ones"),
+    ("mms", "sine"),
+    ("solver_tol", 0.0),
+    ("solver_tol", -1e-9),
+    ("solver_tol", float("nan")),
+])
+def test_config_rejects_bad_value(field, value):
+    cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.05)
+    cfg.validate()
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+
+
 def test_zero_initial_data_stays_zero(eb_systems):
     sys = eb_systems("two_tets")
     cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.02, init="zero")
@@ -31,6 +52,36 @@ def test_skew_coupling_block(eb_systems):
     S = sys.skew_block()
     asym = abs((S + S.T)).max()
     assert asym <= 1e-12 * abs(S).max()
+
+
+def _coupling_blocks(sys):
+    S = sys.skew_block()
+    q, E = slice(0, sys.nq), slice(sys.nq, sys.nq + sys.nE)
+    B = slice(sys.nq + sys.nE, sys.ntot)
+    return S[q, E], -S[E, B]
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_cell_assembled_coupling_equals_global_products(eb_systems, spec):
+    sys = eb_systems(spec)
+    C3, C2 = _coupling_blocks(sys)
+    for local, glob in ((C3, sys.Mq @ sys.D3), (C2, sys.ME @ sys.D2)):
+        assert abs(local - glob).max() <= 1e-12 * abs(glob).max()
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_skew_coupling_block_exact(eb_systems, spec):
+    S = eb_systems(spec).skew_block()
+    assert (S + S.T).count_nonzero() == 0
+
+
+def test_skew_coupling_block_one_cell_stencil(eb_systems):
+    """Each coupling entry joins DOFs of one cell: 2880 + 167328 per sign on
+    kuhn_cube(1), against 2880 + 265512 for the global product ME @ D2."""
+    sys = eb_systems("kuhn_cube(1)")
+    C3, C2 = _coupling_blocks(sys)
+    assert (C3.nnz, C2.nnz) == (2880, 167328)
+    assert sys.skew_block().nnz == 2 * (2880 + 167328)
 
 
 def test_energy_conservation_100_steps(eb_systems):
@@ -111,7 +162,7 @@ def test_poly_mms_degrees_reproduced_exactly(eb_systems):
     sys = eb_systems("kuhn_cube(1)")
     pm = mms.poly_mms(3, time_degree=2)
     drv = eb_solver.MMSDriver(sys, pm)
-    y0 = eb_solver.project_Pi_h(sys, drv, 0.0)
+    y0 = sys.project(drv.projection_rhs(0.0))
     errs = drv.pointwise_errors(y0, 0.0)
     assert max(errs) <= 1e-9
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.5, dt=0.125,
