@@ -201,7 +201,8 @@ def main(argv=None) -> int:
             n0 = int(mref.group(1))
             specs = [f"kuhn_cube({n0 * 2**i})" for i in range(args.levels)]
             rows = eb_solver.mms_convergence(
-                specs, cfg.k, lambda: mms.make_mms(cfg.mms or "trig", cfg.k),
+                specs, cfg.k, lambda: mms.make_mms(
+                    "trig" if cfg.mms == "none" else cfg.mms, cfg.k),
                 t_final=cfg.t_final,
                 dt_for_level=lambda lvl: cfg.dt / 4**lvl, seed=args.seed)
             checks = []

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import poly
 from . import tensor_calc as tc
-from .dofcommon import Element, PolyEval
+from .dofcommon import Element
 from .fe3d import EntityCache, build_element, per_entity_counts
 from .fields import PolyField
 from .linalg import qr_rank, svd_rank
@@ -98,10 +98,7 @@ class GlobalSpace:
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
         out = np.zeros(self.ndof)
-        per_cell = []
-        for ci, elem in enumerate(self.elements):
-            vals = elem.dof_values(PolyEval(field))
-            per_cell.append(vals)
+        per_cell = [elem.dof_values(field) for elem in self.elements]
         for g in range(self.ndof):
             out[g] = per_cell[self.owner[g]][self.owner_local[g]]
         if check_shared:

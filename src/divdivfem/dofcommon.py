@@ -1,14 +1,17 @@
 """Shared DOF-functional machinery for the 2-D and 3-D element families.
 
-A finite element is an ordered list of blocks; every block evaluates a batch
-of functionals on anything that can report values / gradients / Hessians at
-points.  The same block code builds Vandermonde matrices (generator batch) and
-evaluates DOFs of concrete polynomial fields, so there is exactly one
-definition of every functional.
+A finite element is an ordered list of blocks; every block maps a
+GeneratorEval (a Bernstein basis times component generators) to the values of
+a batch of functionals on every generator.  The same block code builds
+Vandermonde matrices (the element's generators) and evaluates DOFs of
+concrete polynomial fields (unit generators contracted with the field's
+coefficients), so there is exactly one definition and one evaluation path of
+every functional.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,26 +29,43 @@ def curl_from_grads(G):
     return out
 
 
-class PolyEval:
-    """Evaluator protocol wrapper for a (possibly batched) PolyField."""
+class _Probe:
+    """Evaluator whose batch is every component generator G_c times every
+    derivative direction e_d, read at a single point.
 
-    def __init__(self, field: PolyField):
-        self.field = field
-        self._grad = None
-        self._hess = None
+    A moment integrand is a pointwise linear map with constant coefficients
+    of one derivative order at one point set, so its value on B_a G_c at x_p
+    is sum_d T[p, a, d] L(G_c e_d), with T the scalar tabulation.  The probe
+    returns G_c (x) e_d with batch axes (c, d) and one point, and records
+    which (points, order) the integrand read.
+    """
+
+    def __init__(self, gens: np.ndarray, gdim: int):
+        self.gens = gens
+        self.gdim = gdim
+        self.read = None
+
+    def _unit(self, pts, order: int):
+        if self.read is None:
+            self.read = (pts, order)
+        elif self.read[0] is not pts or self.read[1] != order:
+            raise ValueError("a moment integrand must read one derivative order "
+                             "at one point set")
+        g, nv = self.gdim, self.gens.ndim - 1
+        D = g ** order
+        e = np.eye(D).reshape(1, D, 1, *([1] * nv), *([g] * order))
+        G = self.gens.reshape(len(self.gens), 1, 1, *self.gens.shape[1:],
+                              *([1] * order))
+        return G * e                      # (C, D, 1, *vshape, [g]*order)
 
     def values(self, pts):
-        return self.field.eval(pts)
+        return self._unit(pts, 0)
 
     def grads(self, pts):
-        if self._grad is None:
-            self._grad = self.field.grad()
-        return self._grad.eval(pts)
+        return self._unit(pts, 1)
 
     def hessians(self, pts):
-        if self._hess is None:
-            self._hess = self.field.hess()
-        return self._hess.eval(pts)
+        return self._unit(pts, 2)
 
 
 class GeneratorEval:
@@ -99,13 +119,41 @@ class GeneratorEval:
     def hessians(self, pts):
         return self._expand(self._scalar_tabs(pts, 2), 2)
 
+    def moments(self, integrand, tw):
+        """Moments (N*C, m) of integrand(generator) against weighted tests tw.
+
+        tw: (m, p, *ishape) test values times quadrature weights.  The
+        integrand runs once, on a _Probe; then U = F . tw over the value axes
+        and T . U over (point, derivative), T the cached scalar tabulation.
+        """
+        C = len(self.gens)
+        probe = _Probe(self.gens, self.basis.simplex.gdim)
+        F = np.asarray(integrand(probe))
+        pts, order = probe.read
+        nin = tw.ndim - 2
+        if F.ndim != 3 + nin or F.shape[:3] != (C, probe.gdim ** order, 1):
+            raise ValueError("a moment integrand must give exactly one point "
+                             "per probe: its coefficients may not depend on position")
+        ax = list(range(2, 2 + nin))
+        U = np.tensordot(F[:, :, 0], tw, axes=(ax, ax))           # (C, D, m, p)
+        T = self._scalar_tabs(pts, order)
+        T = T.reshape(T.shape[0], self.basis.N, -1)               # (p, N, D)
+        out = np.tensordot(T, U, axes=([0, 2], [3, 1]))           # (N, C, m)
+        return out.reshape(self.basis.N * C, -1)
+
 
 @dataclass
 class DofBlock:
     entity: tuple          # ("v"|"e"|"f"|"c", local index)
     n: int
-    fn: object             # callable(evaluator) -> (..., n)
+    fn: object             # callable(GeneratorEval) -> (N*C, n)
     label: str = ""
+
+
+def functional_matrix(blocks, gen: GeneratorEval) -> np.ndarray:
+    """Every functional of the blocks on every generator: (N*C, ndof)."""
+    return np.concatenate([np.atleast_2d(blk.fn(gen)) for blk in blocks if blk.n],
+                          axis=-1)
 
 
 @dataclass
@@ -128,9 +176,7 @@ class Element:
             for j in range(blk.n):
                 self.tags.append((*blk.entity, base + j))
             counters[blk.entity] = base + blk.n
-        gen = GeneratorEval(self.basis, self.comp_gens)
-        cols = [np.atleast_2d(blk.fn(gen)) for blk in self.blocks if blk.n]
-        V = np.concatenate(cols, axis=-1).T  # (ndof, ngen)
+        V = functional_matrix(self.blocks, GeneratorEval(self.basis, self.comp_gens)).T
         if V.shape[0] != V.shape[1]:
             raise ValueError(
                 f"{self.family}: {V.shape[0]} DOFs for a {V.shape[1]}-dim shape space")
@@ -149,11 +195,16 @@ class Element:
     def sv_ratio(self) -> float:
         return min_max_singular_ratio(self.V)
 
-    def dof_values(self, field) -> np.ndarray:
-        """Evaluate all DOF functionals on a PolyField or evaluator."""
-        ev = PolyEval(field) if isinstance(field, PolyField) else field
-        parts = [blk.fn(ev) for blk in self.blocks if blk.n]
-        return np.concatenate([np.atleast_1d(p) for p in parts], axis=-1)
+    def dof_values(self, field: PolyField) -> np.ndarray:
+        """All DOF functionals on a (possibly batched) PolyField: (*batch, ndof).
+
+        The functionals are tabulated on the field's basis times unit
+        component generators, then contracted with its coefficients.
+        """
+        C = math.prod(field.vshape)
+        units = np.eye(C).reshape(C, *field.vshape)
+        F = functional_matrix(self.blocks, GeneratorEval(field.basis, units))
+        return field.coeffs.reshape(*field.batch, -1) @ F
 
     def generator_fields(self) -> PolyField:
         return PolyField.generators(self.basis, self.comp_gens)
@@ -221,19 +272,12 @@ def hess_dofs_block(entity, pt, dual, nv, gdim, label="hess"):
     return DofBlock(entity, dual.shape[1] * len(pairs), fn, label)
 
 
-_MOMENT_SUBS = {2: "...p,mp->...m", 3: "...pi,mpi->...m", 4: "...pij,mpij->...m"}
-
-
 def moment_block(entity, integrand, tests, weights, label=""):
     """Moments of a pointwise integrand against stored test fields.
 
-    tests: (m, p, ...) values; weights folded in here once.
+    tests: (m, p, ...) values; weights folded in here once.  The integrand
+    must be linear with constant coefficients and read one derivative order
+    at one point set (see GeneratorEval.moments).
     """
     tw = tests * weights.reshape((1, -1) + (1,) * (tests.ndim - 2))
-    sub = _MOMENT_SUBS[tests.ndim]
-
-    def fn(ev):
-        vals = integrand(ev)
-        return np.einsum(sub, vals, tw)
-
-    return DofBlock(entity, tests.shape[0], fn, label)
+    return DofBlock(entity, tests.shape[0], lambda ev: ev.moments(integrand, tw), label)

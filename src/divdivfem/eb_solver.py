@@ -305,6 +305,7 @@ class MMSDriver:
         self.ip_s = self._pair_ips(mms.sigma_terms, "scalar")
         self.ip_E = self._pair_ips(mms.E_terms, "matrix")
         self.ip_B = self._pair_ips(mms.B_terms, "matrix")
+        self._y0: dict = {}
 
     def _pair_ips(self, terms, shape):
         n = len(terms)
@@ -346,6 +347,12 @@ class MMSDriver:
             rz += gv * fz
             rxi += term.g(t) * hxi
         return sys.stack(rq, rxi, rz)
+
+    def initial_state(self, tol: float) -> np.ndarray:
+        """Projection of the manufactured triple at t = 0, solved once per tol."""
+        if tol not in self._y0:
+            self._y0[tol] = self.sys.project(self.projection_rhs(0.0), tol)
+        return self._y0[tol].copy()
 
     def forcing(self, t: float) -> np.ndarray:
         """Weak residual loads so the manufactured triple solves the system."""
@@ -416,8 +423,10 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
         y = np.zeros(sys.ntot)
     elif config.init == "random":
         y = rng.standard_normal(sys.ntot)
-    else:  # mms
-        y = sys.project(driver.projection_rhs(0.0), config.solver_tol)
+    elif driver is None:
+        raise ValueError("init=mms needs a manufactured solution (mms or driver)")
+    else:
+        y = driver.initial_state(config.solver_tol)
     forcing_on = (config.forcing == "on"
                   or (config.forcing == "auto" and driver is not None))
     rec = RunRecord()

@@ -193,7 +193,7 @@ def dof_eval(elem: Element, field: PolyField) -> np.ndarray:
         raise ValueError("field degree exceeds the shape space degree")
     if field.vshape != elem.vshape:
         raise ValueError("field range does not match the element range")
-    return elem.dof_values(field.raise_to(elem.basis.degree))
+    return elem.dof_values(field)
 
 
 def _boundary_rows(elem: Element) -> np.ndarray:

@@ -12,8 +12,9 @@ import numpy as np
 
 from . import fe2d, poly
 from . import tensor_calc as tc
-from .dofcommon import (DofBlock, Element, curl_from_grads, grad_dofs_block,
-                        hess_dofs_block, moment_block, value_dofs_block)
+from .dofcommon import (DofBlock, Element, GeneratorEval, curl_from_grads,
+                        functional_matrix, grad_dofs_block, hess_dofs_block,
+                        moment_block, value_dofs_block)
 from .fields import PolyField, Simplex
 from .linalg import nullspace, rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
@@ -626,14 +627,10 @@ def frame_rotation_span_check(k: int, seed: int = 0) -> bool:
     cache = EntityCache(mesh, k)
     ed = cache.edge(0)
     elem = build_element("hsymcurl_T", k, mesh, 0, cache)
-    gen = elem.generator_fields()
-    from .dofcommon import PolyEval
+    gen = GeneratorEval(elem.basis, elem.comp_gens)
 
     def rows_for(frame):
-        blocks = _edge_blocks_symcurl(("e", 0), ed, k, frame)
-        ev = PolyEval(gen)
-        return np.concatenate([np.atleast_2d(b.fn(ev)) for b in blocks if b.n],
-                              axis=-1).T
+        return functional_matrix(_edge_blocks_symcurl(("e", 0), ed, k, frame), gen).T
 
     c, s = np.cos(0.7), np.sin(0.7)
     fr = ed.frame

@@ -74,3 +74,10 @@ def test_eb_run_rejects_bad_config_values(tmp_path):
 def test_infsup_command(capsys):
     assert main(["infsup", "--mesh", "single_tet", "--k", "3"]) == 0
     assert "inf-sup" in capsys.readouterr().out
+
+
+def test_eb_convergence_without_mms_line_uses_trig(tmp_path, capsys):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nk = 3\nt_final = 0.1\ndt = 0.05\n")
+    assert main(["eb", "convergence", "--config", str(cfg), "--levels", "1"]) == 0
+    assert "errors on kuhn_cube(1)" in capsys.readouterr().out

@@ -243,3 +243,26 @@ def test_mms_forcing_consistency(eb_systems):
     r = sys.mass_block() @ ydot - sys.skew_block() @ y0 - drv.forcing(0.0)
     scale = max(np.abs(drv.forcing(0.0)).max(), 1.0)
     assert np.abs(r).max() <= 1e-7 * scale
+
+
+def test_run_mms_init_without_solution_is_rejected(eb_systems):
+    cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.05, init="mms", mms="trig")
+    with pytest.raises(ValueError, match="manufactured solution"):
+        eb_solver.run(eb_systems("two_tets"), cfg)
+
+
+def test_temporal_convergence_projects_initial_state_once(monkeypatch):
+    """Three dt share one projection: 1 factor of A - S plus 3 CN factors."""
+    calls = []
+    splu = eb_solver.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eb_solver.spla, "splu", counting)
+    rows = eb_solver.temporal_convergence(
+        "two_tets", 3, lambda: mms.poly_mms(3, time_degree=3), t_final=0.1,
+        dts=[0.05, 0.025, 0.0125])
+    assert len(rows) == 3 and all(np.isfinite(r["err_total"]) for r in rows)
+    assert len(calls) == 4

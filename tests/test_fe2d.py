@@ -149,3 +149,12 @@ def test_eps_f_of_rigid_motions_excluded_from_bubbles():
     e4 = fe2d.element_2d("h1_vec", 3, tri)
     vals = e4.dof_values(rm.fields().raise_to(5))
     assert np.abs(vals).max() > 1e-3
+
+
+@pytest.mark.parametrize("family", sorted(K3_COUNTS))
+def test_dof_values_of_generators_equal_vandermonde(family):
+    """Unit-generator path (dof_values) against element-generator path (V)."""
+    cell = random_cells(2, 1, seed=17)[0]
+    e = fe2d.element_2d(family, 3, cell)
+    vals = e.dof_values(e.generator_fields())
+    assert np.abs(vals - e.V.T).max() <= 1e-12 * np.abs(e.V).max()

@@ -5,9 +5,11 @@ from divdivfem import fe3d, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.cli import random_cells
 from divdivfem.complex_asm import GlobalSpace
+from divdivfem.dofcommon import GeneratorEval, moment_block
 from divdivfem.fields import PolyField
 from divdivfem.linalg import svd_rank
 from divdivfem.mesh import two_tets
+from divdivfem.quadrature import rule
 
 K3 = {"hsymcurl_T": 280, "hdivdiv_S": 120, "h1_vec3": 168, "dg_scalar": 4}
 
@@ -158,3 +160,72 @@ def test_closed_form_symcurl_bubble_members_are_bubbles():
     boundary = [i for i, tag in enumerate(e.tags) if tag[0] != "c"]
     scale = max(np.abs(rows).max(), 1.0)
     assert np.abs(vals[:, boundary]).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("family", fe3d.FAMILIES)
+def test_dof_values_of_generators_equal_vandermonde(family):
+    """Unit-generator path (dof_values) against element-generator path (V)."""
+    cell = random_cells(3, 1, seed=23)[0]
+    e = fe3d.element_3d(family, 3, cell)
+    vals = e.dof_values(e.generator_fields())
+    assert np.abs(vals - e.V.T).max() <= 1e-12 * np.abs(e.V).max()
+
+
+def _scalar_moment_setup():
+    cell = random_cells(3, 1, seed=29)[0]
+    basis = cell.basis(3)
+    q = rule("tet", 8)
+    pts, w = q.on(cell)
+    tests = cell.basis(1).eval(q.bary).T
+    return GeneratorEval(basis, np.ones(1)), pts, tests * w
+
+
+def test_moments_match_expanded_quadrature():
+    """Factorised moments equal integrands of the expanded generator values."""
+    cell = random_cells(3, 1, seed=31)[0]
+    gen = GeneratorEval(cell.basis(4), poly.RANGE_GENERATORS["T"])
+    q = rule("tet", 10)
+    pts, w = q.on(cell)
+    tw = np.random.default_rng(3).standard_normal((7, len(w), 3, 3)) * w[:, None, None]
+    n = np.array([0.3, -0.5, 0.8])
+    cases = [
+        (lambda ev: ev.values(pts), tw),
+        (lambda ev: fe3d._symcurl_vals(ev, pts), tw),
+        (lambda ev: np.einsum("...pij,j->...pi", ev.values(pts), n), tw[..., 0]),
+        (lambda ev: np.einsum("...pijdd->...pij", ev.hessians(pts)), tw),
+    ]
+    for integrand, t in cases:
+        ref = np.tensordot(integrand(gen), t, axes=(list(range(1, t.ndim)),) * 2)
+        got = gen.moments(integrand, t)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_moment_probe_rejects_two_point_sets():
+    gen, pts, tw = _scalar_moment_setup()
+    other = pts.copy()
+    with pytest.raises(ValueError, match="one point set"):
+        gen.moments(lambda ev: ev.values(pts) + ev.values(other), tw)
+    with pytest.raises(ValueError, match="one derivative order"):
+        gen.moments(lambda ev: ev.values(pts) + ev.grads(pts)[..., 0], tw)
+
+
+def test_moment_probe_rejects_position_dependent_coefficients():
+    gen, pts, tw = _scalar_moment_setup()
+    blk = moment_block(("c", 0), lambda ev: ev.values(pts) * pts[:, 0], tw, np.ones(len(pts)))
+    with pytest.raises(ValueError, match="position"):
+        blk.fn(gen)
+
+
+def test_moment_blocks_never_expand_generators(monkeypatch):
+    """Only the point blocks tabulate the full generator batch: 4 vertices x
+    (value, gradient) for hsymcurl_T."""
+    calls = []
+    expand = GeneratorEval._expand
+
+    def counting(self, tab, extra):
+        calls.append(extra)
+        return expand(self, tab, extra)
+
+    monkeypatch.setattr(GeneratorEval, "_expand", counting)
+    fe3d.element_3d("hsymcurl_T", 3)
+    assert sorted(calls) == [0] * 4 + [1] * 4
