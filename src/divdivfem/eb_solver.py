@@ -55,6 +55,8 @@ class EBConfig:
                 key, val = key.strip(), val.strip()
                 if key not in cls.__dataclass_fields__:
                     raise ValueError(f"unknown config key {key!r}")
+                if key in kw:
+                    raise ValueError(f"repeated config key {key!r}")
                 kw[key] = casts.get(key, str)(val)
         cfg = cls(**kw)
         cfg.validate()
@@ -531,50 +533,37 @@ def vnorm_block(sys: EBSystem) -> sp.csr_matrix:
     return sp.block_diag([sys.Mq, sys.ME + Ks, sys.MB + Kl], format="csr")
 
 
-def infsup_estimate(sys: EBSystem, dense_limit: int = 4000) -> float:
+def infsup_estimate(sys: EBSystem) -> float:
     """Smallest singular value of the coupled form in the graph norm.
 
-    Computed from the diagonally equilibrated pencil, a congruence of the
-    original one, so the value is unchanged while the factorizations stay
-    well conditioned.
+    Because D3 D2 = 0, the form splits in mass inner products into one 2x2
+    block per singular value d of D3 or D2 (the Hodge decomposition), whose
+    smallest graph-norm singular value g(d) falls from 1 to (sqrt5 - 1)/2 as
+    d grows; so beta = g(d_max).  d_max^2 is the largest eigenvalue of
+    K v = lam A v, K = blockdiag(0, D3' Mq D3, D2' ME D2) applied matrix-free:
+    one factorisation of the mass block A and one ARPACK call.
     """
-    P = sys.projection_matrix()
-    N = sys._equilibrate(vnorm_block(sys)).tocsr()
-    if sys.ntot <= dense_limit:
-        import scipy.linalg as sla
-        Ln = np.linalg.cholesky(N.toarray())
-        X = sla.solve_triangular(Ln, sys._equilibrate(P).toarray(), lower=True)
-        C = sla.solve_triangular(Ln, X.T, lower=True).T
-        return float(np.linalg.svd(C, compute_uv=False)[-1])
-    lu = sys._factorize(P)
+    A = sys.mass_block()
+    lu = sys._factorize(A)
+    s = sys._equilibration()
 
-    def op(X):
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = lu.solve(N @ lu.solve(N @ X[:, j], trans="T"))
-        return out
+    def stiff(y):
+        _, e, b = sys.split(y)
+        return sys.stack(np.zeros(sys.nq), sys.D3.T @ (sys.Mq @ (sys.D3 @ e)),
+                         sys.D2.T @ (sys.ME @ (sys.D2 @ b)))
 
-    # subspace iteration with Rayleigh-Ritz in the N inner product; the top of
-    # the spectrum of A^{-1} N A^{-T} N clusters (beta is h-robust), and any
-    # Ritz value inside the cluster determines beta to the accuracy needed
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((sys.ntot, 8))
-    lam_max, prev = 0.0, -1.0
-    for _ in range(60):
-        Y = op(X)
-        Asmall = X.T @ (N @ Y)
-        Bsmall = X.T @ (N @ X)
-        import scipy.linalg as sla
-        theta = sla.eigvalsh(0.5 * (Asmall + Asmall.T), 0.5 * (Bsmall + Bsmall.T))
-        lam_max = float(theta[-1])
-        Q, _ = np.linalg.qr(Y)
-        X = Q
-        if prev > 0 and abs(lam_max - prev) <= 1e-6 * lam_max:
-            break
-        prev = lam_max
-    if lam_max <= 0:
-        raise RuntimeError("inf-sup eigen-solve returned a nonpositive value")
-    return 1.0 / np.sqrt(lam_max)
+    op = spla.LinearOperator((sys.ntot, sys.ntot), dtype=float,
+                             matvec=lambda y: s * lu.solve(s * stiff(y)))
+    lam, vec = spla.eigs(op, k=1, which="LR", v0=np.ones(sys.ntot))
+    lam, v = float(lam[0].real), vec[:, 0].real
+    Av = A @ v
+    resid = np.linalg.norm(stiff(v) - lam * Av)
+    if not (np.isfinite(lam) and lam >= 0 and resid <= 1e-6 * lam * np.linalg.norm(Av)):
+        raise RuntimeError(f"inf-sup eigen-solve failed: lambda {lam:.6e}, "
+                           f"residual {resid:.3e}")
+    u = 1.0 / (1.0 + lam)
+    F2 = (1.0 - u) ** 2 + 2.0
+    return float(np.sqrt((F2 - np.sqrt(F2 * F2 - 4.0)) / 2.0))
 
 
 def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:

@@ -38,6 +38,22 @@ def _multinomial(alpha) -> int:
     return c
 
 
+@lru_cache(maxsize=None)
+def _unit_gram(dim: int, n: int, m: int) -> np.ndarray:
+    """Bernstein Gram matrix of degrees n, m over a dim-simplex of unit measure."""
+    A, B = multiindices(dim + 1, n), multiindices(dim + 1, m)
+    fac = math.factorial(dim) / math.factorial(n + m + dim)
+    G = np.empty((len(A), len(B)))
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            prod = 1.0
+            for ai, bi in zip(a, b):
+                prod *= math.factorial(ai + bi)
+            G[i, j] = _multinomial(a) * _multinomial(b) * fac * prod
+    G.flags.writeable = False
+    return G
+
+
 class Simplex:
     """Affine d-simplex embedded in R^g, d <= g.
 
@@ -98,7 +114,6 @@ class BernsteinBasis:
         self._index = {tuple(a): i for i, a in enumerate(self.alphas)}
         self._diff_ops = None
         self._lambda_ops = None
-        self._grams: dict[int, np.ndarray] = {}
 
     def eval(self, bary) -> np.ndarray:
         """Tabulate all members at barycentric points: (npts, N)."""
@@ -157,21 +172,7 @@ class BernsteinBasis:
     def gram(self, other: "BernsteinBasis | None" = None) -> np.ndarray:
         """Exact L2 products int B^n_a B^m_b over the simplex."""
         other = other if other is not None else self
-        key = other.degree
-        if other is self and key in self._grams:
-            return self._grams[key]
-        d = self.simplex.dim
-        fac = self.simplex.measure * math.factorial(d) / math.factorial(self.degree + other.degree + d)
-        G = np.empty((self.N, other.N))
-        for i, a in enumerate(self.alphas):
-            for j, b in enumerate(other.alphas):
-                prod = 1.0
-                for s in a + b:
-                    prod *= math.factorial(int(s))
-                G[i, j] = self.scale[i] * other.scale[j] * fac * prod
-        if other is self:
-            self._grams[key] = G
-        return G
+        return self.simplex.measure * _unit_gram(self.simplex.dim, self.degree, other.degree)
 
     def restriction(self, local_vertices) -> tuple["BernsteinBasis", np.ndarray]:
         """Restrict to the sub-simplex spanned by local_vertices (in that order).

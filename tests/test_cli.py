@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from divdivfem.cli import main
 
 
@@ -21,12 +23,14 @@ def test_audit_complex_single_tet(capsys):
     assert "164" in out and "116" in out
 
 
-def test_json_reports_byte_identical(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["audit", "lemmas", "--k", "3", "--trials", "3"],
+    ["infsup", "--mesh", "single_tet", "--k", "3"],
+], ids=["audit-lemmas", "infsup"])
+def test_json_reports_byte_identical(tmp_path, argv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["audit", "lemmas", "--k", "3", "--trials", "3",
-                 "--json", str(a)]) == 0
-    assert main(["audit", "lemmas", "--k", "3", "--trials", "3",
-                 "--json", str(b)]) == 0
+    assert main(argv + ["--json", str(a)]) == 0
+    assert main(argv + ["--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert all("source" in c for c in payload["checks"])
@@ -58,10 +62,13 @@ def test_io_error_exit_two(capsys):
                  "--k", "3"]) == 2
 
 
-def test_bad_config_exit_two(tmp_path):
+def test_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mesh = two_tets\ndt = 0.3\nt_final = 1.0\n")
     assert main(["eb", "run", "--config", str(cfg)]) == 2
+    cfg.write_text("mesh = two_tets\ndt = 0.05\nt_final = 0.1\ndt = 0.025\n")
+    assert main(["eb", "run", "--config", str(cfg)]) == 2
+    assert "repeated config key 'dt'" in capsys.readouterr().err
 
 
 def test_eb_run_rejects_bad_config_values(tmp_path):

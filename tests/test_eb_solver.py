@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from divdivfem import eb_solver, mms
 
@@ -226,9 +227,32 @@ def test_infsup_identity_on_random_triples(eb_systems):
     assert worst >= -1e-12
 
 
-def test_infsup_positive_single_tet(eb_systems):
-    beta = eb_solver.infsup_estimate(eb_systems("single_tet"))
-    assert beta > 0
+def _dense_infsup(sys):
+    """Smallest singular value of A - S in the graph norm, by dense linear
+    algebra: the Cholesky factor L of the equilibrated vnorm_block gives
+    beta = sigma_min(L^{-1} P L^{-T}) for the equilibrated A - S = P."""
+    N = sys._equilibrate(eb_solver.vnorm_block(sys)).toarray()
+    P = sys._equilibrate(sys.projection_matrix()).toarray()
+    L = np.linalg.cholesky(N)
+    X = sla.solve_triangular(L, P, lower=True)
+    C = sla.solve_triangular(L, X.T, lower=True).T
+    return float(np.linalg.svd(C, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("spec", ["single_tet", "two_tets", "kuhn_cube(1)"])
+def test_infsup_matches_dense_reference(eb_systems, spec):
+    sys = eb_systems(spec)
+    beta = eb_solver.infsup_estimate(sys)
+    assert abs(beta - _dense_infsup(sys)) <= 1e-10
+    assert (np.sqrt(5) - 1) / 2 < beta <= 1
+
+
+def test_infsup_rejects_unconverged_eigenpair(eb_systems, monkeypatch):
+    sys = eb_systems("single_tet")
+    fake = lambda op, **kw: (np.array([2.0 + 0j]), np.ones((sys.ntot, 1), dtype=complex))
+    monkeypatch.setattr(eb_solver.spla, "eigs", fake)
+    with pytest.raises(RuntimeError, match="eigen-solve"):
+        eb_solver.infsup_estimate(sys)
 
 
 def test_mms_forcing_consistency(eb_systems):

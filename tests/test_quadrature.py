@@ -72,3 +72,19 @@ def test_physical_scaling(rng):
     q = rule("triangle", 2)
     pts, w = q.on(tri)
     assert abs(w.sum() - tri.measure) <= 1e-13 * tri.measure
+
+
+@pytest.mark.parametrize("verts", [
+    [[0.3, 0.1], [2.1, 0.4], [0.2, 1.7]],
+    [[0.0, 0.0, 0.0], [1.3, 0.1, 0.2], [0.2, 0.9, 0.1], [0.1, 0.3, 1.4]],
+])
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 1), (0, 2)])
+def test_bernstein_gram_matches_quadrature(verts, n, m):
+    """The cached measure-free Gram matrix, scaled per simplex, is the L2 product."""
+    s = Simplex(verts)
+    q = rule(s.dim, n + m)
+    _, w = q.on(s)
+    Bn, Bm = s.basis(n).eval(q.bary), s.basis(m).eval(q.bary)
+    ref = Bn.T @ (w[:, None] * Bm)
+    G = s.basis(n).gram(s.basis(m))
+    assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
