@@ -192,6 +192,11 @@ def main(argv=None) -> int:
                 write_run_csv(args.csv, rec)
                 args.csv = None
         elif args.cmd == "eb" and args.what == "convergence":
+            if args.levels < 1:
+                return _fail_io("--levels must be >= 1")
+            if args.temporal < 0 or args.temporal == 1:
+                return _fail_io("--temporal must be 0 (no study) or >= 2: "
+                                "an order needs two levels")
             cfg = eb_solver.EBConfig.from_file(args.config)
             base = cfg.mesh
             import re

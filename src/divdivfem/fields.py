@@ -164,11 +164,6 @@ class BernsteinBasis:
         vals = np.asarray(vertex_values, dtype=float)
         return sum(v * op for v, op in zip(vals, self.lambda_ops))
 
-    def integrals(self) -> np.ndarray:
-        n, d = self.degree, self.simplex.dim
-        val = self.simplex.measure * math.factorial(n) * math.factorial(d) / math.factorial(n + d)
-        return np.full(self.N, val)
-
     def gram(self, other: "BernsteinBasis | None" = None) -> np.ndarray:
         """Exact L2 products int B^n_a B^m_b over the simplex."""
         other = other if other is not None else self

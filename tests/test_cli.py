@@ -88,3 +88,28 @@ def test_eb_convergence_without_mms_line_uses_trig(tmp_path, capsys):
     cfg.write_text("mesh = kuhn_cube(1)\nk = 3\nt_final = 0.1\ndt = 0.05\n")
     assert main(["eb", "convergence", "--config", str(cfg), "--levels", "1"]) == 0
     assert "errors on kuhn_cube(1)" in capsys.readouterr().out
+
+
+def test_eb_run_poly_mms_csv_errors_at_solver_precision(tmp_path):
+    """The per-step error columns of a space-exact run are direct quadrature."""
+    cfg = tmp_path / "poly.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nk = 3\nt_final = 0.5\ndt = 0.125\n"
+                   "init = mms\nmms = poly\n")
+    csv_out = tmp_path / "series.csv"
+    assert main(["eb", "run", "--config", str(cfg), "--csv", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "t,energy,err_sigma,err_E,err_B"
+    assert len(lines) == 6  # header + 5 states
+    for row in lines[1:]:
+        errs = [float(x) for x in row.split(",")[2:]]
+        assert len(errs) == 3 and max(errs) <= 1e-8, row
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--levels", "0"), ("--levels", "-1"), ("--temporal", "1"), ("--temporal", "-2"),
+])
+def test_convergence_rejects_bad_level_counts(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\n")
+    assert main(["eb", "convergence", "--config", str(cfg), flag, value]) == 2
+    assert flag in capsys.readouterr().err

@@ -173,6 +173,77 @@ def test_poly_mms_degrees_reproduced_exactly(eb_systems):
     assert max(errs) <= 1e-8
 
 
+def test_poly_mms_per_step_errors_are_direct_quadrature(eb_systems):
+    """Every recorded error of the space-exact run sits at solver precision,
+    and the last one is the error of the final state."""
+    sys = eb_systems("kuhn_cube(1)")
+    drv = eb_solver.MMSDriver(sys, mms.poly_mms(3, time_degree=2))
+    cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.5, dt=0.125,
+                             init="mms", mms="poly")
+    rec, state, _ = eb_solver.run(sys, cfg, driver=drv)
+    assert len(rec.err_B) == cfg.nsteps + 1
+    assert max(rec.err_sigma + rec.err_E + rec.err_B) <= 1e-8
+    final = drv.pointwise_errors(sys.stack(state.sigma, state.E, state.B), state.t)
+    assert final == (rec.err_sigma[-1], rec.err_E[-1], rec.err_B[-1])
+
+
+def _nodal_reference(space, ci, pts, op=None):
+    """Nodal basis (or its divdiv / symcurl) of cell ci at pts: (p, ndof, ...),
+    from the generators as PolyFields and their exact coefficient calculus."""
+    from divdivfem import tensor_calc as tc
+    elem = space.elements[ci]
+    gens = elem.generator_fields()
+    if op == "divdiv":
+        gens = gens.div().div()
+    elif op == "symcurl":
+        gens = tc.field_sym(gens.curl())
+    return np.moveaxis(np.tensordot(elem.Vinv, gens.eval(pts), axes=(0, 0)), 0, 1)
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
+    """Moment loads equal quadrature against the tabulated nodal basis."""
+    sys = eb_systems(spec)
+    m = mms.trig_mms()
+    s, e, b = m.sigma_terms[0], m.E_terms[0], m.B_terms[0]
+    reqs = [("q", s.shape), ("q", e.dshape), ("divxi", s.shape), ("xi", e.shape),
+            ("xi", b.dshape), ("z", b.shape), ("scz", e.shape)]
+    slots = {"q": (sys.space_q, None), "divxi": (sys.space_E, "divdiv"),
+             "xi": (sys.space_E, None), "z": (sys.space_B, None),
+             "scz": (sys.space_B, "symcurl")}
+    ref = [np.zeros(slots[slot][0].dim) for slot, _ in reqs]
+    for ci in range(sys.mesh.num_cells):
+        pts, w = sys._qrule.on(sys.space_E.elements[ci].simplex)
+        for out, (slot, fld) in zip(ref, reqs):
+            space, op = slots[slot]
+            tab = _nodal_reference(space, ci, pts, op)
+            vals = fld(ci, pts).reshape(len(w), -1)
+            out[space.cell_maps[ci]] += np.einsum(
+                "pv,pmv,p->m", vals, tab.reshape(*tab.shape[:2], -1), w)
+    for (slot, _), got, want in zip(reqs, sys.assemble_forms(reqs), ref):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), slot
+
+
+def test_errors_match_cellwise_evaluation(eb_systems, rng):
+    """errors() equals quadrature of GlobalSpace.eval_cells values, cell by cell."""
+    sys = eb_systems("kuhn_cube(1)")
+    m = mms.trig_mms()
+    drv = eb_solver.MMSDriver(sys, m)
+    y, t = rng.standard_normal(sys.ntot), 0.3
+    ref = np.zeros(3)
+    for ci in range(sys.mesh.num_cells):
+        pts, w = sys._qrule.on(sys.space_E.elements[ci].simplex)
+        for j, (space, coeffs, terms) in enumerate(zip(
+                (sys.space_q, sys.space_E, sys.space_B), sys.split(y),
+                (m.sigma_terms, m.E_terms, m.B_terms))):
+            d = space.eval_cells(coeffs, ci, pts) - sum(
+                tm.g(t) * tm.shape(ci, pts) for tm in terms)
+            ref[j] += np.sum(w * (d * d).reshape(len(w), -1).sum(axis=1))
+    got = drv.errors(y, t)
+    assert all(type(v) is float for v in got)
+    np.testing.assert_allclose(got, np.sqrt(ref), rtol=1e-12, atol=0)
+
+
 def test_zero_triple_projects_to_zero(eb_systems):
     sys = eb_systems("two_tets")
     y = sys.project(np.zeros(sys.ntot))
