@@ -24,6 +24,19 @@ from .mesh import TetMesh
 _KINDS = ("v", "e", "f", "c")
 
 
+def assemble_cells(rmaps: np.ndarray, cmaps: np.ndarray, blocks: np.ndarray,
+                   shape) -> sp.csr_matrix:
+    """Sum over cells c of P_r^T X_c P_s: the dense cell blocks X_c, stacked
+    as blocks (ncells, r, s), scattered to the global rows rmaps (ncells, r)
+    and columns cmaps (ncells, s); entries that meet in one slot are added.
+    """
+    # 32-bit indices halve the memory of the scatter (the Schur complement
+    # update of kuhn_cube(2) has 5 M entries before duplicates are summed)
+    rows = np.broadcast_to(rmaps[:, :, None], blocks.shape).astype(np.int32)
+    cols = np.broadcast_to(cmaps[:, None, :], blocks.shape).astype(np.int32)
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+
+
 class GlobalSpace:
     def __init__(self, mesh: TetMesh, family: str, k: int,
                  cache: EntityCache | None = None):
@@ -44,14 +57,13 @@ class GlobalSpace:
             base += counts[kind] * nums[kind]
         self.ndof = base
         self._offsets = offsets
-        self.cell_maps = []
+        # global numbers of each cell's local DOFs: (ncells, ndof per cell)
+        self.cell_maps = np.empty((mesh.num_cells, self.elements[0].ndof), dtype=int)
         for ci in range(mesh.num_cells):
             ent_ids = {"v": mesh.cells[ci], "e": mesh.cell_edges[ci],
                        "f": mesh.cell_faces[ci], "c": [ci]}
-            gmap = np.empty(self.elements[ci].ndof, dtype=int)
             for li, (kind, idx, j) in enumerate(self.elements[ci].tags):
-                gmap[li] = offsets[kind] + ent_ids[kind][idx] * counts[kind] + j
-            self.cell_maps.append(gmap)
+                self.cell_maps[ci, li] = offsets[kind] + ent_ids[kind][idx] * counts[kind] + j
         self.owner = np.full(self.ndof, -1, dtype=int)
         self.owner_local = np.full(self.ndof, -1, dtype=int)
         for ci in range(mesh.num_cells):
@@ -82,15 +94,16 @@ class GlobalSpace:
 
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
-            rows, cols, vals = [], [], []
-            for ci, gmap in enumerate(self.cell_maps):
-                rows.append(np.repeat(gmap, len(gmap)))
-                cols.append(np.tile(gmap, len(gmap)))
-                vals.append(self.cell_mass(ci).ravel())
-            self._mass = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.ndof, self.ndof))
+            masses = np.stack([self.cell_mass(ci) for ci in range(self.mesh.num_cells)])
+            self._mass = assemble_cells(self.cell_maps, self.cell_maps, masses,
+                                        (self.ndof, self.ndof))
         return self._mass
+
+    def cell_interiors(self) -> np.ndarray:
+        """Global numbers of each cell's interior ("c" entity) DOFs: (ncells, nc)."""
+        nc = self.entity_dofs["c"]
+        ncells = self.mesh.num_cells
+        return self._offsets["c"] + np.arange(ncells * nc).reshape(ncells, nc)
 
     def interpolate(self, field: PolyField, check_shared: bool = False) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated once on its owner cell."""
@@ -170,16 +183,8 @@ def assemble_coupling(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_mat
     neighbours, through entries that are rounding-level zeros; the local sum
     keeps the one-cell stencil, and with it the LU fill of the solver.
     """
-    rows, cols, vals = [], [], []
-    for ci, d_k in _cell_diffs(op, src, dst):
-        gsrc = src.cell_maps[ci]
-        gdst = dst.cell_maps[ci]
-        rows.append(np.repeat(gdst, len(gsrc)))
-        cols.append(np.tile(gsrc, len(gdst)))
-        vals.append((dst.cell_mass(ci) @ d_k).ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dst.ndof, src.ndof))
+    blocks = np.stack([dst.cell_mass(ci) @ d_k for ci, d_k in _cell_diffs(op, src, dst)])
+    return assemble_cells(dst.cell_maps, src.cell_maps, blocks, (dst.ndof, src.ndof))
 
 
 def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9, cross_check: bool = True) -> int:

@@ -13,12 +13,14 @@ level, which absorbs all boundary terms consistently.  See README.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import GlobalSpace, assemble_coupling, assemble_diff
+from .complex_asm import GlobalSpace, assemble_cells, assemble_coupling, assemble_diff
 from .dofcommon import GeneratorEval
 from .fe3d import EntityCache, _symcurl_vals
 from .mesh import TetMesh, load as load_mesh
@@ -104,6 +106,47 @@ class EBState:
     B: np.ndarray
 
 
+class CellInteriors:
+    """Static condensation of the cell interiors of a sparse K.
+
+    The interior unknowns I of a cell couple only within that cell, so K_II is
+    block diagonal, one dense block K_ii per cell, factorised by LU (an
+    explicit inverse loses digits that the residual checks need).  With
+    X_c = K_ii^-1 K_iF, the Schur complement on the interface unknowns F is
+    K_FF - sum_c P_c^T K_Fi X_c P_c, and given a factor of it, solve returns
+    K^-1 b: w = K_II^-1 b_I, x_F = Schur^-1 (b_F - K_FI w), x_I = w - X x_F.
+    """
+
+    def __init__(self, K: sp.csr_matrix, interior: np.ndarray, cell_iface: np.ndarray):
+        self.interior = interior
+        self.iface = np.setdiff1d(np.arange(K.shape[0]), interior)
+        number = np.empty(K.shape[0], dtype=int)
+        number[self.iface] = np.arange(len(self.iface))
+        self.cell_iface = number[cell_iface]
+        Kii = np.stack([K[np.ix_(i, i)].toarray() for i in interior])
+        KiF = np.stack([K[np.ix_(i, f)].toarray() for i, f in zip(interior, cell_iface)])
+        self.lu_ii = sla.lu_factor(Kii, check_finite=False)
+        self.X = sla.lu_solve(self.lu_ii, KiF, check_finite=False)
+        self.KFI = K[self.iface][:, interior.ravel()]
+
+    def schur_complement(self, K: sp.csr_matrix) -> sp.csc_matrix:
+        """K_FF - sum_c P_c^T K_Fi X_c P_c, in the interface numbering."""
+        nF = len(self.iface)
+        KFi = np.stack([K[np.ix_(self.iface[f], i)].toarray()
+                        for i, f in zip(self.interior, self.cell_iface)])
+        update = assemble_cells(self.cell_iface, self.cell_iface, KFi @ self.X, (nF, nF))
+        return (K[self.iface][:, self.iface] - update).tocsc()
+
+    def solve(self, lu, b: np.ndarray) -> np.ndarray:
+        """K^-1 b, with lu a factor of schur_complement(K)."""
+        w = sla.lu_solve(self.lu_ii, b[self.interior][..., None], check_finite=False)[..., 0]
+        xF = lu.solve(b[self.iface] - self.KFI @ w.ravel())
+        x = np.empty_like(b)
+        x[self.iface] = xF
+        x[self.interior] = w - (self.X @ xF[self.cell_iface][..., None])[..., 0]
+        return x
+
+
 class EBSystem:
     """Assembled spaces, mass matrices and discrete differentials for one mesh."""
 
@@ -126,6 +169,7 @@ class EBSystem:
         self._tabs: dict = {}
         self._S = None
         self._cn = {}
+        self._split = None
 
     # -- block structure -------------------------------------------------------
     def stack(self, sig, e, b) -> np.ndarray:
@@ -227,19 +271,49 @@ class EBSystem:
             self._scale = 1.0 / np.sqrt(d)
         return self._scale
 
-    def _equilibrate(self, mat: sp.spmatrix) -> sp.csc_matrix:
+    def _equilibrate(self, mat: sp.spmatrix) -> sp.csr_matrix:
         D = sp.diags(self._equilibration())
-        return (D @ mat @ D).tocsc()
+        return (D @ mat @ D).tocsr()
+
+    def _cell_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked unknowns of each cell's interior, (ncells, ni), and of each
+        cell's interface, (ncells, nf); every unknown not interior is interface."""
+        if self._split is None:
+            offs = (0, self.nq, self.nq + self.nE)
+            spaces = (self.space_q, self.space_E, self.space_B)
+            interior = np.hstack([o + s.cell_interiors() for o, s in zip(offs, spaces)])
+            cells = np.hstack([o + s.cell_maps for o, s in zip(offs, spaces)])
+            is_interior = np.zeros(self.ntot, dtype=bool)
+            is_interior[interior] = True
+            iface = cells[~is_interior[cells]].reshape(len(cells), -1)
+            self._split = (interior, iface)
+        return self._split
 
     def _factorize(self, lhs: sp.spmatrix):
-        """Sparse LU of the equilibrated matrix."""
-        return spla.splu(self._equilibrate(lhs))
+        """(lu, cells): the equilibrated lhs with its cell interiors condensed
+        out (cells, a CellInteriors) and the sparse LU of the Schur complement.
 
-    def _solve(self, lu, lhs: sp.spmatrix, b: np.ndarray, tol: float,
-               what: str) -> np.ndarray:
-        """Solve lhs y = b with its _factorize() LU and check the residual."""
+        Every matrix factorised here is A - theta S (theta = dt/2 for CN, 1 for
+        the projection, 0 for the mass block).  A_ii is SPD and S skew, so each
+        cell's interior block (A - theta S)_ii has a positive-definite
+        symmetric part and is nonsingular for every theta.  The Schur
+        complement inherits the symmetric pattern and the positive-definite
+        symmetric part, so diagonal pivots exist: the ordering is minimum
+        degree on its (symmetric) pattern, and a pivot leaves the diagonal
+        only where a multiplier would exceed 100.
+        """
+        K = self._equilibrate(lhs)
+        cells = CellInteriors(K, *self._cell_split())
+        lu = spla.splu(cells.schur_complement(K), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.01)
+        return lu, cells
+
+    def _solve(self, lu, cells: CellInteriors, lhs: sp.spmatrix, b: np.ndarray,
+               tol: float, what: str) -> np.ndarray:
+        """Solve lhs y = b with its _factorize() pair; the residual is checked
+        on the full lhs, interiors included."""
         s = self._equilibration()
-        y = s * lu.solve(s * b)
+        y = s * cells.solve(lu, s * b)
         resid = np.linalg.norm(lhs @ y - b) / max(np.linalg.norm(b), 1e-300)
         if resid > tol:
             raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
@@ -249,24 +323,29 @@ class EBSystem:
         # the dt = 2 factor is not cached: it would hold a second LU next to
         # the CN one, and the projection runs once per MMS run
         lhs = self.projection_matrix()
-        return self._solve(self._factorize(lhs), lhs, rhs, tol, "projection")
+        return self._solve(*self._factorize(lhs), lhs, rhs, tol, "projection")
 
     def cn_factorization(self, dt: float):
+        """(lu, cells, rhs, lhs) of the CN step at dt, factorised once per dt.
+
+        The sparse LU comes first: perfbench/tracing.py reads the factor's
+        L+U size from the first entry.
+        """
         if dt not in self._cn:
             A, S = self.mass_block(), self.skew_block()
             lhs = (A - 0.5 * dt * S).tocsr()
             rhs = (A + 0.5 * dt * S).tocsr()
-            self._cn[dt] = (self._factorize(lhs), rhs, lhs)
+            self._cn[dt] = (*self._factorize(lhs), rhs, lhs)
         return self._cn[dt]
 
     def cn_step(self, y: np.ndarray, dt: float, forcing_hat: np.ndarray | None = None,
                 tol: float = 1e-8) -> np.ndarray:
         """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load."""
-        lu, rhs_mat, lhs_mat = self.cn_factorization(dt)
+        lu, cells, rhs_mat, lhs_mat = self.cn_factorization(dt)
         b = rhs_mat @ y
         if forcing_hat is not None:
             b = b + dt * forcing_hat
-        return self._solve(lu, lhs_mat, b, tol, "CN")
+        return self._solve(lu, cells, lhs_mat, b, tol, "CN")
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +465,22 @@ class MMSDriver:
 
 @dataclass
 class RunRecord:
+    """Time and energy of every state; with a manufactured solution, also the
+    states, whose L2 errors are computed on first read of err_sigma, err_E or
+    err_B (the convergence studies read only the final state's errors)."""
     t: list = dc_field(default_factory=list)
     energy: list = dc_field(default_factory=list)
-    err_sigma: list = dc_field(default_factory=list)
-    err_E: list = dc_field(default_factory=list)
-    err_B: list = dc_field(default_factory=list)
+    states: list = dc_field(default_factory=list, repr=False)
+    driver: MMSDriver | None = dc_field(default=None, repr=False)
+
+    @cached_property
+    def _errors(self) -> tuple[list, list, list]:
+        errs = [self.driver.errors(y, t) for t, y in zip(self.t, self.states)]
+        return tuple(list(col) for col in zip(*errs)) if errs else ([], [], [])
+
+    err_sigma = property(lambda self: self._errors[0])
+    err_E = property(lambda self: self._errors[1])
+    err_B = property(lambda self: self._errors[2])
 
 
 def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
@@ -410,16 +500,13 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
         y = driver.initial_state(config.solver_tol)
     forcing_on = (config.forcing == "on"
                   or (config.forcing == "auto" and driver is not None))
-    rec = RunRecord()
+    rec = RunRecord(driver=driver)
 
     def record(t, y):
         rec.t.append(t)
         rec.energy.append(sys.energy(y))
         if driver is not None:
-            es, eE, eB = driver.errors(y, t)
-            rec.err_sigma.append(es)
-            rec.err_E.append(eE)
-            rec.err_B.append(eB)
+            rec.states.append(y)
 
     record(0.0, y)
     dt = config.dt
@@ -523,7 +610,7 @@ def infsup_estimate(sys: EBSystem) -> float:
     one factorisation of the mass block A and one ARPACK call.
     """
     A = sys.mass_block()
-    lu = sys._factorize(A)
+    lu, cells = sys._factorize(A)
     s = sys._equilibration()
 
     def stiff(y):
@@ -532,7 +619,7 @@ def infsup_estimate(sys: EBSystem) -> float:
                          sys.D2.T @ (sys.ME @ (sys.D2 @ b)))
 
     op = spla.LinearOperator((sys.ntot, sys.ntot), dtype=float,
-                             matvec=lambda y: s * lu.solve(s * stiff(y)))
+                             matvec=lambda y: s * cells.solve(lu, s * stiff(y)))
     lam, vec = spla.eigs(op, k=1, which="LR", v0=np.ones(sys.ntot))
     lam, v = float(lam[0].real), vec[:, 0].real
     Av = A @ v

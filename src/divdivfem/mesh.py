@@ -6,7 +6,7 @@ function of global data only (shared-entity DOFs then match across cells by
 construction).
 
 ASCII format: header "tetmesh <#V> <#T>", then #V lines "x y z", then #T
-lines "v0 v1 v2 v3" (0-based).
+lines "v0 v1 v2 v3" (0-based); only blank lines may follow.
 """
 
 from __future__ import annotations
@@ -190,6 +190,9 @@ def load_file(path) -> TetMesh:
         nv, nt = int(header[1]), int(header[2])
         verts = [list(map(float, fh.readline().split())) for _ in range(nv)]
         cells = [list(map(int, fh.readline().split())) for _ in range(nt)]
+        if any(line.strip() for line in fh):
+            raise MeshError(f"{path}: lines beyond the {nv} vertices and {nt} cells "
+                            "of the header")
     if any(len(v) != 3 for v in verts) or any(len(c) != 4 for c in cells):
         raise MeshError(f"{path}: malformed vertex or cell line")
     return TetMesh(verts, cells)

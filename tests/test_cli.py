@@ -62,6 +62,14 @@ def test_io_error_exit_two(capsys):
                  "--k", "3"]) == 2
 
 
+def test_mesh_file_with_surplus_lines_exit_two(tmp_path, capsys):
+    path = tmp_path / "surplus.mesh"
+    path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "0 1 2 3\n0 1 3 2\n9 9 9 9\n")
+    assert main(["audit", "complex", "--mesh", str(path), "--k", "3"]) == 2
+    assert "beyond" in capsys.readouterr().err
+
+
 def test_bad_config_exit_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mesh = two_tets\ndt = 0.3\nt_final = 1.0\n")

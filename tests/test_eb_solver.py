@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from divdivfem import eb_solver, mms
+from divdivfem.complex_asm import assemble_cells
 
 
 def test_config_parsing(tmp_path):
@@ -83,6 +85,57 @@ def test_skew_coupling_block_one_cell_stencil(eb_systems):
     C3, C2 = _coupling_blocks(sys)
     assert (C3.nnz, C2.nnz) == (2880, 167328)
     assert sys.skew_block().nnz == 2 * (2880 + 167328)
+
+
+def _factored_matrices(sys):
+    A, S = sys.mass_block(), sys.skew_block()
+    return {"cn": (A - 0.5 * 0.0125 * S).tocsr(), "projection": sys.projection_matrix(),
+            "mass": A}
+
+
+@pytest.mark.parametrize("which", ["cn", "projection", "mass"])
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
+    sys = eb_systems(spec)
+    lhs = _factored_matrices(sys)[which]
+    K = sys._equilibrate(lhs)
+    b = K @ rng.standard_normal(sys.ntot)
+    lu, cells = sys._factorize(lhs)
+    x = cells.solve(lu, b)
+    ref = spla.splu(K.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_condensed_interface_kuhn_cube_1(eb_systems):
+    """Each cell has 80 interior unknowns (sigma 4, E 32, B 44); the interface
+    keeps the rest, and sigma (all interior) leaves the global solve."""
+    sys = eb_systems("kuhn_cube(1)")
+    lu, cells = sys._factorize(sys.mass_block())
+    assert cells.interior.shape == (6, 80)
+    assert len(cells.iface) == lu.shape[0] == 950 == sys.ntot - 6 * 80
+    assert cells.iface.min() >= sys.nq
+
+
+def test_schur_complement_one_cell_stencil(eb_systems):
+    sys = eb_systems("kuhn_cube(1)")
+    K = sys._equilibrate(_factored_matrices(sys)["cn"])
+    cells = eb_solver.CellInteriors(K, *sys._cell_split())
+    schur = cells.schur_complement(K)
+    ncells, nf = cells.cell_iface.shape
+    stencil = assemble_cells(cells.cell_iface, cells.cell_iface, np.ones((ncells, nf, nf)),
+                             schur.shape)
+    rows, cols = schur.nonzero()
+    assert len(rows) > 0 and np.all(stencil[rows, cols] > 0)
+
+
+def test_cn_step_rejects_wrong_condensed_solve(eb_systems, rng, monkeypatch):
+    sys = eb_systems("two_tets")
+    solve = eb_solver.CellInteriors.solve
+    monkeypatch.setattr(eb_solver.CellInteriors, "solve",
+                        lambda self, lu, b: (1 + 1e-6) * solve(self, lu, b))
+    with pytest.raises(RuntimeError, match="CN solve residual"):
+        sys.cn_step(rng.standard_normal(sys.ntot), 0.05)
 
 
 def test_energy_conservation_100_steps(eb_systems):
@@ -361,3 +414,20 @@ def test_temporal_convergence_projects_initial_state_once(monkeypatch):
         dts=[0.05, 0.025, 0.0125])
     assert len(rows) == 3 and all(np.isfinite(r["err_total"]) for r in rows)
     assert len(calls) == 4
+
+
+def test_convergence_study_computes_final_errors_only(monkeypatch):
+    """The studies read the final state's errors; no per-step series is formed."""
+    calls = []
+    errors = eb_solver.MMSDriver.errors
+
+    def counting(self, y, t):
+        calls.append(t)
+        return errors(self, y, t)
+
+    monkeypatch.setattr(eb_solver.MMSDriver, "errors", counting)
+    monkeypatch.setattr(eb_solver.MMSDriver, "pointwise_errors", counting)
+    rows = eb_solver.temporal_convergence(
+        "two_tets", 3, lambda: mms.poly_mms(3, time_degree=3), t_final=0.1,
+        dts=[0.05, 0.025])
+    assert len(rows) == 2 and calls == [0.1, 0.1]

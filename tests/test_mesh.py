@@ -75,6 +75,19 @@ def test_bad_header_rejected(tmp_path):
         mesh.load(str(p))
 
 
+_SINGLE_TET_FILE = "tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n"
+
+
+def test_surplus_lines_rejected(tmp_path):
+    """Lines past the header's counts are an error, not silently dropped."""
+    p = tmp_path / "surplus.mesh"
+    p.write_text(_SINGLE_TET_FILE + "0 1 3 2\n9 9 9 9\n")
+    with pytest.raises(mesh.MeshError, match="beyond"):
+        mesh.load(str(p))
+    p.write_text(_SINGLE_TET_FILE + "\n  \n")
+    assert mesh.load(str(p)).num_cells == 1
+
+
 def test_shared_entity_frames_identical_across_cells():
     m = mesh.two_tets()
     # every edge/face frame is a function of global data: rebuilding from the
