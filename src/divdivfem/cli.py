@@ -172,8 +172,7 @@ def main(argv=None) -> int:
                       {"name": "space dimensions (sigma, E, B)", "expected": "-",
                        "computed": [system.nq, system.nE, system.nB],
                        "source": "derived", "pass": True}]
-            forcing_on = driver is not None and cfg.forcing in ("on", "auto")
-            if not forcing_on:
+            if driver is None:
                 e0 = rec.energy[0]
                 drift = max(abs(e - e0) for e in rec.energy) / max(e0, 1e-300)
                 checks.append({"name": "energy drift (zero forcing)",

@@ -56,7 +56,6 @@ class GlobalSpace:
             offsets[kind] = base
             base += counts[kind] * nums[kind]
         self.ndof = base
-        self._offsets = offsets
         # global numbers of each cell's local DOFs: (ncells, ndof per cell)
         self.cell_maps = np.empty((mesh.num_cells, self.elements[0].ndof), dtype=int)
         for ci in range(mesh.num_cells):
@@ -64,14 +63,11 @@ class GlobalSpace:
                        "f": mesh.cell_faces[ci], "c": [ci]}
             for li, (kind, idx, j) in enumerate(self.elements[ci].tags):
                 self.cell_maps[ci, li] = offsets[kind] + ent_ids[kind][idx] * counts[kind] + j
-        self.owner = np.full(self.ndof, -1, dtype=int)
-        self.owner_local = np.full(self.ndof, -1, dtype=int)
-        for ci in range(mesh.num_cells):
-            gmap = self.cell_maps[ci]
-            fresh = self.owner[gmap] == -1
-            self.owner[gmap[fresh]] = ci
-            self.owner_local[gmap[fresh]] = np.nonzero(fresh)[0]
-        assert (self.owner >= 0).all()
+        # the first cell that lists a DOF owns it, at its place in that cell
+        dofs, first = np.unique(self.cell_maps.ravel(), return_index=True)
+        if len(dofs) != self.ndof:
+            raise ValueError(f"{self.ndof - len(dofs)} DOFs are listed by no cell")
+        self.owner, self.owner_local = np.divmod(first, self.cell_maps.shape[1])
         self._mass = None
 
     @property
@@ -85,40 +81,30 @@ class GlobalSpace:
         return {names[k]: self.entity_dofs[k] * nums[k] for k in _KINDS}
 
     # -- linear algebra --------------------------------------------------------
-    def cell_mass(self, ci: int) -> np.ndarray:
-        """Mass matrix of cell ci in its local DOF order."""
-        elem = self.elements[ci]
-        gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
-        G = np.kron(elem.basis.gram(), gens @ gens.T)
-        return elem.Vinv.T @ G @ elem.Vinv
+    def cell_masses(self) -> np.ndarray:
+        """Mass matrix of every cell in its local DOF order: (ncells, ndof, ndof)."""
+        out = []
+        for elem in self.elements:
+            gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
+            G = np.kron(elem.basis.gram(), gens @ gens.T)
+            out.append(elem.Vinv.T @ G @ elem.Vinv)
+        return np.stack(out)
 
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
-            masses = np.stack([self.cell_mass(ci) for ci in range(self.mesh.num_cells)])
-            self._mass = assemble_cells(self.cell_maps, self.cell_maps, masses,
+            self._mass = assemble_cells(self.cell_maps, self.cell_maps, self.cell_masses(),
                                         (self.ndof, self.ndof))
         return self._mass
-
-    def cell_interiors(self) -> np.ndarray:
-        """Global numbers of each cell's interior ("c" entity) DOFs: (ncells, nc)."""
-        nc = self.entity_dofs["c"]
-        ncells = self.mesh.num_cells
-        return self._offsets["c"] + np.arange(ncells * nc).reshape(ncells, nc)
 
     def interpolate(self, field: PolyField, check_shared: bool = False) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated once on its owner cell."""
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
-        out = np.zeros(self.ndof)
-        per_cell = [elem.dof_values(field) for elem in self.elements]
-        for g in range(self.ndof):
-            out[g] = per_cell[self.owner[g]][self.owner_local[g]]
+        per_cell = np.stack([elem.dof_values(field) for elem in self.elements])
+        out = per_cell[self.owner, self.owner_local]
         if check_shared:
-            worst = 0.0
-            for ci in range(self.mesh.num_cells):
-                diff = per_cell[ci] - out[self.cell_maps[ci]]
-                worst = max(worst, float(np.abs(diff).max(initial=0.0)))
+            worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
             scale = max(float(np.abs(out).max(initial=0.0)), 1.0)
             if worst > 1e-8 * scale:
                 raise ValueError(f"shared DOFs disagree across cells: {worst:.3e}")
@@ -141,41 +127,36 @@ _OP_TABLE = {
 }
 
 
-def _cell_diffs(op: str, src: GlobalSpace, dst: GlobalSpace):
-    """Yield (ci, d_c): the matrix of op from the src to the dst DOFs of cell ci."""
+def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
+    """The matrix d_c of op from the src to the dst DOFs of each cell c,
+    stacked (ncells, ndof_dst, ndof_src)."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
     fam_src, fam_dst, rng_dst, fn = _OP_TABLE[op]
     if src.family != fam_src or dst.family != fam_dst:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
-    for ci in range(src.mesh.num_cells):
-        es, ed = src.elements[ci], dst.elements[ci]
+    out = []
+    for es, ed in zip(src.elements, dst.elements):
         image = fn(es.generator_fields())
         gmat = poly.to_range_coords(image, rng_dst)        # (ngen_src, ngen_dst)
-        yield ci, ed.V @ gmat.T @ es.Vinv                   # (ndof_dst, ndof_src)
+        out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
+    return np.stack(out)
 
 
-def assemble_diff(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
-    """Sparse operator mapping src coefficients to dst coefficients."""
-    rows, cols, vals = [], [], []
-    written = np.zeros(dst.ndof, dtype=bool)
-    for ci, d_k in _cell_diffs(op, src, dst):
-        gsrc = src.cell_maps[ci]
-        gdst = dst.cell_maps[ci]
-        own = ~written[gdst]
-        for li in np.nonzero(own)[0]:
-            rows.append(np.full(len(gsrc), gdst[li]))
-            cols.append(gsrc)
-            vals.append(d_k[li])
-        written[gdst] = True
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dst.ndof, src.ndof))
+def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
+    """Sparse operator mapping src coefficients to dst coefficients, from the
+    cell operators ops of cell_operators: the row of each dst DOF is the one
+    of its owner cell (conformity makes every cell that lists it agree)."""
+    vals = ops[dst.owner, dst.owner_local]                  # (dst.ndof, ndof_src)
+    cols = src.cell_maps[dst.owner]
+    rows = np.broadcast_to(np.arange(dst.ndof)[:, None], cols.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(dst.ndof, src.ndof))
 
 
-def assemble_coupling(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
-    """dst.mass() @ assemble_diff(op, src, dst), assembled cell by cell.
+def assemble_coupling(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
+    """dst.mass() @ assemble_diff(ops, src, dst), assembled cell by cell.
 
     Conformity makes the global operator restricted to a cell the cell
     operator d_c, so the product is the sum over cells of P_c^T (M_c d_c) P_c.
@@ -183,8 +164,8 @@ def assemble_coupling(op: str, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_mat
     neighbours, through entries that are rounding-level zeros; the local sum
     keeps the one-cell stencil, and with it the LU fill of the solver.
     """
-    blocks = np.stack([dst.cell_mass(ci) @ d_k for ci, d_k in _cell_diffs(op, src, dst)])
-    return assemble_cells(dst.cell_maps, src.cell_maps, blocks, (dst.ndof, src.ndof))
+    return assemble_cells(dst.cell_maps, src.cell_maps, dst.cell_masses() @ ops,
+                          (dst.ndof, src.ndof))
 
 
 def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9, cross_check: bool = True) -> int:
@@ -205,9 +186,9 @@ def build_complex(mesh: TetMesh, k: int):
     L = GlobalSpace(mesh, "hsymcurl_T", k, cache)
     S = GlobalSpace(mesh, "hdivdiv_S", k, cache)
     Q = GlobalSpace(mesh, "dg_scalar", k, cache)
-    d1 = assemble_diff("devgrad", V, L)
-    d2 = assemble_diff("symcurl", L, S)
-    d3 = assemble_diff("divdiv", S, Q)
+    d1 = assemble_diff(cell_operators("devgrad", V, L), V, L)
+    d2 = assemble_diff(cell_operators("symcurl", L, S), L, S)
+    d3 = assemble_diff(cell_operators("divdiv", S, Q), S, Q)
     return (V, L, S, Q), (d1, d2, d3)
 
 

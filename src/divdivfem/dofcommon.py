@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import BernsteinBasis, PolyField
-from .linalg import min_max_singular_ratio
+from .linalg import min_max_singular_ratio, nullspace
 
 
 def curl_from_grads(G):
@@ -189,6 +189,11 @@ class Element:
         return len(self.tags)
 
     @property
+    def interior(self) -> np.ndarray:
+        """Mask of the DOFs attached to the cell itself (the "c" entity)."""
+        return np.array([tag[0] == "c" for tag in self.tags])
+
+    @property
     def vshape(self):
         return np.asarray(self.comp_gens).shape[1:]
 
@@ -222,6 +227,12 @@ class Element:
 # ---------------------------------------------------------------------------
 # generic block builders
 # ---------------------------------------------------------------------------
+
+def bubble_space(elem: Element) -> np.ndarray:
+    """Generator coordinates of the shape functions killed by the DOFs that
+    are not interior (those attached to the boundary entities)."""
+    return nullspace(elem.V[~elem.interior])
+
 
 def _dual_coords(v, dual, nv):
     """Coordinates of tensor values in a range basis: v (..., *vshape) -> (..., C).

@@ -20,7 +20,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import GlobalSpace, assemble_cells, assemble_coupling, assemble_diff
+from .complex_asm import (GlobalSpace, assemble_cells, assemble_coupling, assemble_diff,
+                          cell_operators)
 from .dofcommon import GeneratorEval
 from .fe3d import EntityCache, _symcurl_vals
 from .mesh import TetMesh, load as load_mesh
@@ -29,7 +30,6 @@ from .quadrature import rule
 
 INITS = ("zero", "random", "mms")
 MMS_CHOICES = ("none", "trig", "poly")
-FORCINGS = ("auto", "on", "off")
 
 # load slot -> (space attribute of EBSystem, integrand on a GeneratorEval)
 _SLOTS = {
@@ -49,15 +49,12 @@ class EBConfig:
     dt: float = 0.03125
     init: str = "zero"          # zero | random | mms
     mms: str = "none"           # none | trig | poly
-    forcing: str = "auto"       # auto: on iff mms
     seed: int = 0
-    solver_tol: float = 1e-9
 
     @classmethod
     def from_file(cls, path) -> "EBConfig":
         kw = {}
-        casts = {"k": int, "seed": int, "t_final": float, "dt": float,
-                 "solver_tol": float}
+        casts = {"k": int, "seed": int, "t_final": float, "dt": float}
         with open(path) as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
@@ -81,12 +78,9 @@ class EBConfig:
             raise ValueError("t_final must be non-negative and finite")
         if self.k < 3:
             raise ValueError("k must be >= 3")
-        for key, allowed in (("init", INITS), ("mms", MMS_CHOICES),
-                             ("forcing", FORCINGS)):
+        for key, allowed in (("init", INITS), ("mms", MMS_CHOICES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}")
-        if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError("solver_tol must be positive and finite")
         n = self.t_final / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("t_final must be an integral multiple of dt")
@@ -157,17 +151,25 @@ class EBSystem:
         self.space_q = GlobalSpace(mesh, "dg_scalar", k, cache)
         self.space_E = GlobalSpace(mesh, "hdivdiv_S", k, cache)
         self.space_B = GlobalSpace(mesh, "hsymcurl_T", k, cache)
-        self.D3 = assemble_diff("divdiv", self.space_E, self.space_q)
-        self.D2 = assemble_diff("symcurl", self.space_B, self.space_E)
+        d3 = cell_operators("divdiv", self.space_E, self.space_q)
+        d2 = cell_operators("symcurl", self.space_B, self.space_E)
+        self.D3 = assemble_diff(d3, self.space_E, self.space_q)
+        self.D2 = assemble_diff(d2, self.space_B, self.space_E)
         self.Mq = self.space_q.mass()
         self.ME = self.space_E.mass()
         self.MB = self.space_B.mass()
+        # the coupling blocks Mq D3 and ME D2, assembled cell by cell
+        C3 = assemble_coupling(d3, self.space_E, self.space_q)
+        C2 = assemble_coupling(d2, self.space_B, self.space_E)
+        self._S = sp.bmat([
+            [None, C3, None],
+            [-C3.T, None, -C2],
+            [None, C2.T, None]], format="csr")
         self.nq, self.nE, self.nB = self.space_q.dim, self.space_E.dim, self.space_B.dim
         self.ntot = self.nq + self.nE + self.nB
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
-        self._S = None
         self._cn = {}
         self._split = None
 
@@ -182,17 +184,7 @@ class EBSystem:
         return sp.block_diag([self.Mq, self.ME, self.MB], format="csr")
 
     def skew_block(self) -> sp.csr_matrix:
-        """Coupling S with y' A = S y: skew-symmetric by construction.
-
-        Its blocks Mq D3 and ME D2 are assembled cell by cell, once.
-        """
-        if self._S is None:
-            C3 = assemble_coupling("divdiv", self.space_E, self.space_q)
-            C2 = assemble_coupling("symcurl", self.space_B, self.space_E)
-            self._S = sp.bmat([
-                [None, C3, None],
-                [-C3.T, None, -C2],
-                [None, C2.T, None]], format="csr")
+        """Coupling S with y' A = S y: skew-symmetric by construction."""
         return self._S
 
     def projection_matrix(self) -> sp.csr_matrix:
@@ -281,12 +273,12 @@ class EBSystem:
         if self._split is None:
             offs = (0, self.nq, self.nq + self.nE)
             spaces = (self.space_q, self.space_E, self.space_B)
-            interior = np.hstack([o + s.cell_interiors() for o, s in zip(offs, spaces)])
-            cells = np.hstack([o + s.cell_maps for o, s in zip(offs, spaces)])
-            is_interior = np.zeros(self.ntot, dtype=bool)
-            is_interior[interior] = True
-            iface = cells[~is_interior[cells]].reshape(len(cells), -1)
-            self._split = (interior, iface)
+            interior, iface = [], []
+            for o, s in zip(offs, spaces):
+                inner = s.elements[0].interior
+                interior.append(o + s.cell_maps[:, inner])
+                iface.append(o + s.cell_maps[:, ~inner])
+            self._split = (np.hstack(interior), np.hstack(iface))
         return self._split
 
     def _factorize(self, lhs: sp.spmatrix):
@@ -319,11 +311,11 @@ class EBSystem:
             raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
         return y
 
-    def project(self, rhs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def project(self, rhs: np.ndarray) -> np.ndarray:
         # the dt = 2 factor is not cached: it would hold a second LU next to
         # the CN one, and the projection runs once per MMS run
         lhs = self.projection_matrix()
-        return self._solve(*self._factorize(lhs), lhs, rhs, tol, "projection")
+        return self._solve(*self._factorize(lhs), lhs, rhs, 1e-9, "projection")
 
     def cn_factorization(self, dt: float):
         """(lu, cells, rhs, lhs) of the CN step at dt, factorised once per dt.
@@ -404,7 +396,7 @@ class MMSDriver:
         self._exact = [[np.stack([tm.shape(ci, p) for ci, p in enumerate(pts)])
                         for tm in terms]
                        for terms in (mms.sigma_terms, mms.E_terms, mms.B_terms)]
-        self._y0: dict = {}
+        self._y0 = None
 
     def _combo(self, t: float, use_dot: bool) -> np.ndarray:
         sys = self.sys
@@ -426,11 +418,11 @@ class MMSDriver:
             rxi += term.g(t) * hxi
         return sys.stack(rq, rxi, rz)
 
-    def initial_state(self, tol: float) -> np.ndarray:
-        """Projection of the manufactured triple at t = 0, solved once per tol."""
-        if tol not in self._y0:
-            self._y0[tol] = self.sys.project(self.projection_rhs(0.0), tol)
-        return self._y0[tol].copy()
+    def initial_state(self) -> np.ndarray:
+        """Projection of the manufactured triple at t = 0, solved once."""
+        if self._y0 is None:
+            self._y0 = self.sys.project(self.projection_rhs(0.0))
+        return self._y0.copy()
 
     def forcing(self, t: float) -> np.ndarray:
         """Weak residual loads so the manufactured triple solves the system."""
@@ -497,9 +489,7 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
     elif driver is None:
         raise ValueError("init=mms needs a manufactured solution (mms or driver)")
     else:
-        y = driver.initial_state(config.solver_tol)
-    forcing_on = (config.forcing == "on"
-                  or (config.forcing == "auto" and driver is not None))
+        y = driver.initial_state()
     rec = RunRecord(driver=driver)
 
     def record(t, y):
@@ -510,7 +500,7 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
 
     record(0.0, y)
     dt = config.dt
-    f_j = driver.forcing(0.0) if (driver is not None and forcing_on) else None
+    f_j = driver.forcing(0.0) if driver is not None else None
     for j in range(config.nsteps):
         t1 = (j + 1) * dt
         if f_j is not None:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import poly
-from .dofcommon import (DofBlock, Element, grad_dofs_block, hess_dofs_block,
-                        moment_block, value_dofs_block)
+from .dofcommon import (DofBlock, Element, bubble_space, grad_dofs_block,
+                        hess_dofs_block, moment_block, value_dofs_block)
 from .fields import PolyField, Simplex
-from .linalg import nullspace, svd_rank
+from .linalg import svd_rank
 from .quadrature import rule
 
 FAMILIES = ("h1_scalar", "hrot_vec", "l2_lagrange", "h1_vec", "hrotrot_s2")
@@ -194,16 +194,6 @@ def dof_eval(elem: Element, field: PolyField) -> np.ndarray:
     if field.vshape != elem.vshape:
         raise ValueError("field range does not match the element range")
     return elem.dof_values(field)
-
-
-def _boundary_rows(elem: Element) -> np.ndarray:
-    rows = [i for i, tag in enumerate(elem.tags) if tag[0] != "c"]
-    return elem.V[rows]
-
-
-def bubble_space(elem: Element) -> np.ndarray:
-    """Generator coordinates of the shape functions killed by boundary DOFs."""
-    return nullspace(_boundary_rows(elem))
 
 
 def bubble_audit_2d(k: int, simplex: Simplex | None = None) -> list[dict]:

@@ -12,11 +12,11 @@ import numpy as np
 
 from . import fe2d, poly
 from . import tensor_calc as tc
-from .dofcommon import (DofBlock, Element, GeneratorEval, curl_from_grads,
-                        functional_matrix, grad_dofs_block, hess_dofs_block,
-                        moment_block, value_dofs_block)
+from .dofcommon import (DofBlock, Element, GeneratorEval, bubble_space,
+                        curl_from_grads, functional_matrix, grad_dofs_block,
+                        hess_dofs_block, moment_block, value_dofs_block)
 from .fields import PolyField, Simplex
-from .linalg import nullspace, rowspace, svd_rank
+from .linalg import rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
 from .quadrature import rule
 
@@ -451,16 +451,6 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
 
     return [{"name": nm, "expected": 0.0, "computed": worst[nm],
              "source": "paper", "pass": worst[nm] <= 1e-10} for nm in names]
-
-
-def _boundary_rows(elem: Element) -> np.ndarray:
-    rows = [i for i, tag in enumerate(elem.tags) if tag[0] != "c"]
-    return elem.V[rows]
-
-
-def bubble_space(elem: Element) -> np.ndarray:
-    """Generator coordinates of shape functions killed by boundary-attached DOFs."""
-    return nullspace(_boundary_rows(elem))
 
 
 def _field_from_rows(elem: Element, rows: np.ndarray) -> PolyField:

@@ -3,8 +3,10 @@ import pytest
 
 from divdivfem import mesh, poly
 from divdivfem import tensor_calc as tc
-from divdivfem.complex_asm import (GlobalSpace, assemble_diff, complex_audit,
-                                   sparse_rank)
+from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
+                                   cell_operators, complex_audit, sparse_rank)
+from divdivfem.dofcommon import Element
+from divdivfem.eb_solver import EBSystem
 from divdivfem.fields import PolyField
 
 
@@ -45,7 +47,6 @@ def test_complex_audit(spec, complexes):
 
 
 def test_compositions_zero_k4_two_tets():
-    from divdivfem.complex_asm import build_complex
     (V, L, S, Q), (d1, d2, d3) = build_complex(mesh.two_tets(), 4)
     s21 = abs(d1).max() * abs(d2).max()
     assert np.abs((d2 @ d1).toarray()).max() <= 1e-11 * s21
@@ -57,9 +58,9 @@ def test_compositions_zero_k4_two_tets():
 def test_assemble_diff_rejects_wrong_pair(complexes):
     (V, L, S, Q), _ = complexes("single_tet")
     with pytest.raises(ValueError):
-        assemble_diff("devgrad", L, S)
+        assemble_diff(cell_operators("devgrad", L, S), L, S)
     with pytest.raises(ValueError):
-        assemble_diff("unknown", V, L)
+        assemble_diff(cell_operators("unknown", V, L), V, L)
 
 
 def test_interpolation_reproduces_in_space_fields(rng, complexes):
@@ -137,6 +138,36 @@ def test_deterministic_assembly(complexes):
     m = mesh.load("two_tets")
     a = GlobalSpace(m, "hdivdiv_S", 3)
     b = GlobalSpace(m, "hdivdiv_S", 3)
-    da = assemble_diff("divdiv", a, GlobalSpace(m, "dg_scalar", 3))
-    db = assemble_diff("divdiv", b, GlobalSpace(m, "dg_scalar", 3))
+    q = GlobalSpace(m, "dg_scalar", 3)
+    da = assemble_diff(cell_operators("divdiv", a, q), a, q)
+    db = assemble_diff(cell_operators("divdiv", b, q), b, q)
     assert (da != db).nnz == 0
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_global_operator_restricts_to_every_cell_operator(spec, complexes):
+    """Each row of D comes from its owner cell; conformity makes every other
+    cell that lists the DOF agree, so D restricted to any cell is d_c."""
+    spaces, diffs = complexes(spec)
+    for op, src, dst, D in zip(("devgrad", "symcurl", "divdiv"), spaces, spaces[1:], diffs):
+        ops = cell_operators(op, src, dst)
+        for c, d_c in enumerate(ops):
+            local = D[dst.cell_maps[c]][:, src.cell_maps[c]].toarray()
+            assert np.abs(local - d_c).max() <= 1e-10 * np.abs(d_c).max(), (op, c)
+
+
+def test_each_cell_operator_computed_once(monkeypatch):
+    """cell_operators forms each cell's generator fields once per operator."""
+    calls = []
+    generator_fields = Element.generator_fields
+
+    def counting(self):
+        calls.append(1)
+        return generator_fields(self)
+
+    monkeypatch.setattr(Element, "generator_fields", counting)
+    EBSystem(mesh.two_tets(), 3).skew_block()
+    assert len(calls) == 2 * 2          # divdiv and symcurl on two cells
+    calls.clear()
+    build_complex(mesh.two_tets(), 3)
+    assert len(calls) == 3 * 2          # devgrad, symcurl and divdiv
