@@ -68,7 +68,6 @@ class GlobalSpace:
         if len(dofs) != self.ndof:
             raise ValueError(f"{self.ndof - len(dofs)} DOFs are listed by no cell")
         self.owner, self.owner_local = np.divmod(first, self.cell_maps.shape[1])
-        self._mass = None
 
     @property
     def dim(self) -> int:
@@ -90,11 +89,13 @@ class GlobalSpace:
             out.append(elem.Vinv.T @ G @ elem.Vinv)
         return np.stack(out)
 
-    def mass(self) -> sp.csr_matrix:
-        if self._mass is None:
-            self._mass = assemble_cells(self.cell_maps, self.cell_maps, self.cell_masses(),
-                                        (self.ndof, self.ndof))
-        return self._mass
+    def mass(self, cell_masses: np.ndarray | None = None) -> sp.csr_matrix:
+        """The global mass matrix, from the stack of cell_masses() (computed
+        here unless given)."""
+        if cell_masses is None:
+            cell_masses = self.cell_masses()
+        return assemble_cells(self.cell_maps, self.cell_maps, cell_masses,
+                              (self.ndof, self.ndof))
 
     def interpolate(self, field: PolyField, check_shared: bool = False) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated once on its owner cell."""
@@ -155,8 +156,10 @@ def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr
                          shape=(dst.ndof, src.ndof))
 
 
-def assemble_coupling(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
-    """dst.mass() @ assemble_diff(ops, src, dst), assembled cell by cell.
+def assemble_coupling(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace,
+                      masses: np.ndarray) -> sp.csr_matrix:
+    """dst.mass() @ assemble_diff(ops, src, dst), assembled cell by cell from
+    masses = dst.cell_masses().
 
     Conformity makes the global operator restricted to a cell the cell
     operator d_c, so the product is the sum over cells of P_c^T (M_c d_c) P_c.
@@ -164,19 +167,63 @@ def assemble_coupling(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp
     neighbours, through entries that are rounding-level zeros; the local sum
     keeps the one-cell stencil, and with it the LU fill of the solver.
     """
-    return assemble_cells(dst.cell_maps, src.cell_maps, dst.cell_masses() @ ops,
+    return assemble_cells(dst.cell_maps, src.cell_maps, masses @ ops,
                           (dst.ndof, src.ndof))
 
 
-def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9, cross_check: bool = True) -> int:
+def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9) -> int:
     """Rank by dense column-pivoted QR; SVD cross-check on small matrices."""
     dense = np.asarray(A.todense()) if sp.issparse(A) else np.asarray(A)
     r = qr_rank(dense, rtol)
-    if cross_check and max(dense.shape) <= 1200:
+    if max(dense.shape) <= 1200:
         r2 = svd_rank(dense, rtol=1e-10)
         if r2 != r:
             raise ValueError(f"rank oracle disagreement: QR {r} vs SVD {r2}")
     return r
+
+
+def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
+                   rtol: float = 1e-9) -> int:
+    """rank d = sum_c rank B_c + rank R, with the cell interiors condensed out.
+
+    The differential of a bubble is a bubble of the next space, so the columns
+    I_c of the interior source DOFs of cell c vanish outside the interior
+    target rows R_c of that cell, and the cell block B_c = d[R_c, I_c] is
+    decoupled from the rest.  With U_c an orthonormal basis of range(B_c)^perp,
+    the reduced matrix R holds, on the interface source columns F, the rows of
+    d outside every R_c and the rows U_c^T d[R_c, F]; only R takes the dense
+    QR.  The entries the identity drops (d[:, I_c] outside R_c) must be
+    rounding: ValueError if their Frobenius norm exceeds rtol max|d|.
+    """
+    ncells = src.cell_maps.shape[0]
+    inner = src.cell_maps[:, src.elements[0].interior]          # I_c: (ncells, ni)
+    rows = dst.cell_maps[:, dst.elements[0].interior]           # R_c: (ncells, nr)
+    ni, nr = inner.shape[1], rows.shape[1]
+    row_cell = np.full(dst.ndof, -1)
+    row_cell[rows] = np.arange(ncells)[:, None]
+    row_local = np.zeros(dst.ndof, dtype=int)
+    row_local[rows] = np.arange(nr)
+    dI = d[:, inner.ravel()].tocoo()
+    cell = dI.col // ni
+    kept = row_cell[dI.row] == cell
+    dropped, scale = float(np.linalg.norm(dI.data[~kept])), abs(d).max()
+    if dropped > rtol * scale:
+        raise ValueError(f"interior columns leave their cells: |E|_F = {dropped:.3e}, "
+                         f"max|d| = {scale:.3e}")
+    B = np.zeros((ncells, nr, ni))
+    B[cell[kept], row_local[dI.row[kept]], dI.col[kept] % ni] = dI.data[kept]
+    U, s, _ = np.linalg.svd(B)
+    ranks = np.sum(s > rtol * s.max(initial=0.0), axis=1)
+    perp = np.arange(nr) >= ranks[:, None]                      # columns of U_c
+    cells, j = np.nonzero(perp)
+    P = sp.csr_matrix((U[cells, :, j].ravel(),
+                       (np.repeat(np.arange(len(cells)), nr),
+                        (cells[:, None] * nr + np.arange(nr)).ravel())),
+                      shape=(len(cells), ncells * nr))
+    F = np.setdiff1d(np.arange(src.ndof), inner)
+    other = np.setdiff1d(np.arange(dst.ndof), rows)
+    R = sp.vstack([d[other][:, F], P @ d[rows.ravel()][:, F]], format="csr")
+    return int(ranks.sum()) + sparse_rank(R, rtol)
 
 
 def build_complex(mesh: TetMesh, k: int):
@@ -220,17 +267,17 @@ def complex_audit(mesh: TetMesh, k: int) -> list[dict]:
     comp21 = (d2 @ d1)
     scale21 = max(abs(d1).max() * abs(d2).max(), 1e-300)
     add("symcurl o devgrad = 0", 0.0,
-        float(np.abs(comp21.toarray()).max() / scale21) if comp21.nnz else 0.0,
+        float(abs(comp21).max() / scale21) if comp21.nnz else 0.0,
         "trivial", tol=1e-11)
     comp32 = (d3 @ d2)
     scale32 = max(abs(d2).max() * abs(d3).max(), 1e-300)
     add("divdiv o symcurl = 0", 0.0,
-        float(np.abs(comp32.toarray()).max() / scale32) if comp32.nnz else 0.0,
+        float(abs(comp32).max() / scale32) if comp32.nnz else 0.0,
         "trivial", tol=1e-11)
 
-    r1 = sparse_rank(d1)
-    r2 = sparse_rank(d2)
-    r3 = sparse_rank(d3)
+    r1 = condensed_rank(d1, V, L)
+    r2 = condensed_rank(d2, L, S)
+    r3 = condensed_rank(d3, S, Q)
     add("rank devgrad = dim V - 4 (kernel RT)", V.dim - 4, r1, "paper")
     add("exactness at symcurl space", r1, L.dim - r2, "derived")
     add("exactness at divdiv space", r2, S.dim - r3, "derived")

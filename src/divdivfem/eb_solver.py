@@ -155,17 +155,21 @@ class EBSystem:
         d2 = cell_operators("symcurl", self.space_B, self.space_E)
         self.D3 = assemble_diff(d3, self.space_E, self.space_q)
         self.D2 = assemble_diff(d2, self.space_B, self.space_E)
-        self.Mq = self.space_q.mass()
-        self.ME = self.space_E.mass()
         self.MB = self.space_B.mass()
+        mq, mE = self.space_q.cell_masses(), self.space_E.cell_masses()
+        self.Mq = self.space_q.mass(mq)
+        self.ME = self.space_E.mass(mE)
         # the coupling blocks Mq D3 and ME D2, assembled cell by cell
-        C3 = assemble_coupling(d3, self.space_E, self.space_q)
-        C2 = assemble_coupling(d2, self.space_B, self.space_E)
-        self._S = sp.bmat([
-            [None, C3, None],
-            [-C3.T, None, -C2],
-            [None, C2.T, None]], format="csr")
+        C3 = assemble_coupling(d3, self.space_E, self.space_q, mq)
+        C2 = assemble_coupling(d2, self.space_B, self.space_E, mE)
+        del mq, mE, d3, d2           # freed before S is stacked
         self.nq, self.nE, self.nB = self.space_q.dim, self.space_E.dim, self.space_B.dim
+        nq, nE, nB = self.nq, self.nE, self.nB
+        # every block CSR, so that bmat stacks them without a COO round trip
+        self._S = sp.bmat([
+            [sp.csr_matrix((nq, nq)), C3, sp.csr_matrix((nq, nB))],
+            [-C3.T.tocsr(), sp.csr_matrix((nE, nE)), -C2],
+            [sp.csr_matrix((nB, nq)), C2.T.tocsr(), sp.csr_matrix((nB, nB))]], format="csr")
         self.ntot = self.nq + self.nE + self.nB
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from divdivfem import mesh, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
-                                   cell_operators, complex_audit, sparse_rank)
+                                   cell_operators, complex_audit, condensed_rank,
+                                   sparse_rank)
 from divdivfem.dofcommon import Element
 from divdivfem.eb_solver import EBSystem
 from divdivfem.fields import PolyField
+from divdivfem.linalg import qr_rank, svd_rank
 
 
 def test_single_tet_dims(complexes):
@@ -44,6 +47,34 @@ def test_complex_audit(spec, complexes):
     rows = complex_audit(m, 3)
     for r in rows:
         assert r["pass"], (spec, r)
+
+
+def test_complex_audit_k4_two_tets():
+    rows = complex_audit(mesh.two_tets(), 4)
+    for r in rows:
+        assert r["pass"], r
+
+
+@pytest.mark.parametrize("spec", ["single_tet", "two_tets", "kuhn_cube(1)"])
+def test_condensed_ranks_match_dense_oracles(spec, complexes):
+    """Cell blocks plus the reduced interface matrix give the rank of the
+    whole matrix, as decided by dense QR and by dense SVD."""
+    (V, L, S, Q), (d1, d2, d3) = complexes(spec)
+    for d, src, dst in ((d1, V, L), (d2, L, S), (d3, S, Q)):
+        dense = d.toarray()
+        assert condensed_rank(d, src, dst) == qr_rank(dense) == svd_rank(dense)
+
+
+@pytest.mark.parametrize("where", ["interface row", "other cell's interior row"])
+def test_condensed_rank_rejects_interior_column_leaving_its_cell(where, complexes):
+    (V, L, S, Q), (d1, _, _) = complexes("two_tets")
+    col = V.cell_maps[0, V.elements[0].interior][0]
+    row = (L.cell_maps[0, ~L.elements[0].interior][0] if where == "interface row"
+           else L.cell_maps[1, L.elements[0].interior][0])
+    planted = d1 + sp.csr_matrix(([1e-6 * abs(d1).max()], ([row], [col])), shape=d1.shape)
+    with pytest.raises(ValueError, match="leave their cells"):
+        condensed_rank(planted, V, L)
+    assert condensed_rank(d1, V, L) == V.dim - 4
 
 
 def test_compositions_zero_k4_two_tets():
