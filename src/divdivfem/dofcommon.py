@@ -216,12 +216,8 @@ class Element:
 
     def field_from_dofs(self, dofvals) -> PolyField:
         """The shape function with prescribed DOF values, as a PolyField."""
-        coeffs = np.asarray(dofvals) @ self.Vinv.T  # (..., ngen)
-        gens = np.asarray(self.comp_gens, dtype=float)
-        C = len(gens)
-        co = coeffs.reshape(*coeffs.shape[:-1], self.basis.N, C)
-        full = np.tensordot(co, gens, axes=(-1, 0))
-        return PolyField(self.basis, full, gens.shape[1:])
+        return PolyField.from_coords(self.basis, np.asarray(dofvals) @ self.Vinv.T,
+                                     self.comp_gens)
 
 
 # ---------------------------------------------------------------------------

@@ -101,17 +101,27 @@ class EBState:
 
 
 class CellInteriors:
-    """Static condensation of the cell interiors of a sparse K.
+    """The factor of lhs = A - theta S: equilibrated, its cell interiors
+    condensed out, and the sparse LU of the Schur complement.
 
-    The interior unknowns I of a cell couple only within that cell, so K_II is
-    block diagonal, one dense block K_ii per cell, factorised by LU (an
-    explicit inverse loses digits that the residual checks need).  With
-    X_c = K_ii^-1 K_iF, the Schur complement on the interface unknowns F is
-    K_FF - sum_c P_c^T K_Fi X_c P_c, and given a factor of it, solve returns
-    K^-1 b: w = K_II^-1 b_I, x_F = Schur^-1 (b_F - K_FI w), x_I = w - X x_F.
+    K = D lhs D, with D the diagonal of scale.  The interior unknowns I of a
+    cell couple only within that cell, so K_II is block diagonal, one dense
+    block K_ii per cell, factorised by LU (an explicit inverse loses digits
+    that the residual checks need).  With X_c = K_ii^-1 K_iF, the Schur
+    complement on the interface unknowns F is K_FF - sum_c P_c^T K_Fi X_c P_c.
+    A_ii is SPD and S skew, so each K_ii has a positive-definite symmetric
+    part and is nonsingular for every theta.  The Schur complement inherits
+    the symmetric pattern and the positive-definite symmetric part, so
+    diagonal pivots exist: the ordering is minimum degree on its (symmetric)
+    pattern, and a pivot leaves the diagonal only where a multiplier would
+    exceed 100.
     """
 
-    def __init__(self, K: sp.csr_matrix, interior: np.ndarray, cell_iface: np.ndarray):
+    def __init__(self, lhs: sp.spmatrix, scale: np.ndarray, interior: np.ndarray,
+                 cell_iface: np.ndarray):
+        self.scale = scale
+        D = sp.diags(scale)
+        K = (D @ lhs @ D).tocsr()
         self.interior = interior
         self.iface = np.setdiff1d(np.arange(K.shape[0]), interior)
         number = np.empty(K.shape[0], dtype=int)
@@ -121,24 +131,29 @@ class CellInteriors:
         KiF = np.stack([K[np.ix_(i, f)].toarray() for i, f in zip(interior, cell_iface)])
         self.lu_ii = sla.lu_factor(Kii, check_finite=False)
         self.X = sla.lu_solve(self.lu_ii, KiF, check_finite=False)
-        self.KFI = K[self.iface][:, interior.ravel()]
-
-    def schur_complement(self, K: sp.csr_matrix) -> sp.csc_matrix:
-        """K_FF - sum_c P_c^T K_Fi X_c P_c, in the interface numbering."""
+        del Kii, KiF                 # freed before K_Fi and K[F] are formed: peak memory
         nF = len(self.iface)
         KFi = np.stack([K[np.ix_(self.iface[f], i)].toarray()
-                        for i, f in zip(self.interior, self.cell_iface)])
+                        for i, f in zip(interior, self.cell_iface)])
         update = assemble_cells(self.cell_iface, self.cell_iface, KFi @ self.X, (nF, nF))
-        return (K[self.iface][:, self.iface] - update).tocsc()
+        del KFi
+        KF = K[self.iface]
+        del K
+        self.KFI = KF[:, interior.ravel()]
+        schur = (KF[:, self.iface] - update).tocsc()
+        del KF, update
+        self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
 
-    def solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """K^-1 b, with lu a factor of schur_complement(K)."""
-        w = sla.lu_solve(self.lu_ii, b[self.interior][..., None], check_finite=False)[..., 0]
-        xF = lu.solve(b[self.iface] - self.KFI @ w.ravel())
-        x = np.empty_like(b)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """lhs^-1 b = D K^-1 D b: w = K_II^-1 c_I, x_F = Schur^-1 (c_F - K_FI w)
+        and x_I = w - X x_F, for c = D b."""
+        c = self.scale * b
+        w = sla.lu_solve(self.lu_ii, c[self.interior][..., None], check_finite=False)[..., 0]
+        xF = self.lu.solve(c[self.iface] - self.KFI @ w.ravel())
+        x = np.empty_like(c)
         x[self.iface] = xF
         x[self.interior] = w - (self.X @ xF[self.cell_iface][..., None])[..., 0]
-        return x
+        return self.scale * x
 
 
 class EBSystem:
@@ -171,11 +186,24 @@ class EBSystem:
             [-C3.T.tocsr(), sp.csr_matrix((nE, nE)), -C2],
             [sp.csr_matrix((nB, nq)), C2.T.tocsr(), sp.csr_matrix((nB, nB))]], format="csr")
         self.ntot = self.nq + self.nE + self.nB
+        # symmetric diagonal equilibration from the mass diagonal: DOF
+        # functionals mix point derivatives and moments, so raw systems are
+        # badly conditioned, and the scaling changes nothing about the
+        # discretisation
+        self.scale = 1.0 / np.sqrt(np.concatenate(
+            [self.Mq.diagonal(), self.ME.diagonal(), self.MB.diagonal()]))
+        # each cell's interior unknowns, (ncells, ni), and interface unknowns,
+        # (ncells, nf); every unknown not interior is interface
+        interior, iface = [], []
+        for o, space in zip((0, nq, nq + nE), (self.space_q, self.space_E, self.space_B)):
+            inner = space.elements[0].interior
+            interior.append(o + space.cell_maps[:, inner])
+            iface.append(o + space.cell_maps[:, ~inner])
+        self._cells = (np.hstack(interior), np.hstack(iface))
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
         self._cn = {}
-        self._split = None
 
     # -- block structure -------------------------------------------------------
     def stack(self, sig, e, b) -> np.ndarray:
@@ -255,61 +283,16 @@ class EBSystem:
         return out
 
     # -- solvers ---------------------------------------------------------------
-    def _equilibration(self) -> np.ndarray:
-        """Symmetric diagonal scaling from the mass diagonal.
+    def _factorize(self, lhs: sp.spmatrix) -> CellInteriors:
+        """The condensed factor of lhs = A - theta S (theta = dt/2 for CN, 1 for
+        the projection, 0 for the mass block)."""
+        return CellInteriors(lhs, self.scale, *self._cells)
 
-        DOF functionals mix point derivatives and moments, so raw systems are
-        badly conditioned; equilibration is pure linear algebra and changes
-        nothing about the discretization.
-        """
-        if not hasattr(self, "_scale"):
-            d = self.mass_block().diagonal()
-            self._scale = 1.0 / np.sqrt(d)
-        return self._scale
-
-    def _equilibrate(self, mat: sp.spmatrix) -> sp.csr_matrix:
-        D = sp.diags(self._equilibration())
-        return (D @ mat @ D).tocsr()
-
-    def _cell_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked unknowns of each cell's interior, (ncells, ni), and of each
-        cell's interface, (ncells, nf); every unknown not interior is interface."""
-        if self._split is None:
-            offs = (0, self.nq, self.nq + self.nE)
-            spaces = (self.space_q, self.space_E, self.space_B)
-            interior, iface = [], []
-            for o, s in zip(offs, spaces):
-                inner = s.elements[0].interior
-                interior.append(o + s.cell_maps[:, inner])
-                iface.append(o + s.cell_maps[:, ~inner])
-            self._split = (np.hstack(interior), np.hstack(iface))
-        return self._split
-
-    def _factorize(self, lhs: sp.spmatrix):
-        """(lu, cells): the equilibrated lhs with its cell interiors condensed
-        out (cells, a CellInteriors) and the sparse LU of the Schur complement.
-
-        Every matrix factorised here is A - theta S (theta = dt/2 for CN, 1 for
-        the projection, 0 for the mass block).  A_ii is SPD and S skew, so each
-        cell's interior block (A - theta S)_ii has a positive-definite
-        symmetric part and is nonsingular for every theta.  The Schur
-        complement inherits the symmetric pattern and the positive-definite
-        symmetric part, so diagonal pivots exist: the ordering is minimum
-        degree on its (symmetric) pattern, and a pivot leaves the diagonal
-        only where a multiplier would exceed 100.
-        """
-        K = self._equilibrate(lhs)
-        cells = CellInteriors(K, *self._cell_split())
-        lu = spla.splu(cells.schur_complement(K), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.01)
-        return lu, cells
-
-    def _solve(self, lu, cells: CellInteriors, lhs: sp.spmatrix, b: np.ndarray,
+    def _solve(self, cells: CellInteriors, lhs: sp.spmatrix, b: np.ndarray,
                tol: float, what: str) -> np.ndarray:
-        """Solve lhs y = b with its _factorize() pair; the residual is checked
+        """Solve lhs y = b with its _factorize() factor; the residual is checked
         on the full lhs, interiors included."""
-        s = self._equilibration()
-        y = s * cells.solve(lu, s * b)
+        y = cells.solve(b)
         resid = np.linalg.norm(lhs @ y - b) / max(np.linalg.norm(b), 1e-300)
         if resid > tol:
             raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
@@ -319,10 +302,11 @@ class EBSystem:
         # the dt = 2 factor is not cached: it would hold a second LU next to
         # the CN one, and the projection runs once per MMS run
         lhs = self.projection_matrix()
-        return self._solve(*self._factorize(lhs), lhs, rhs, 1e-9, "projection")
+        return self._solve(self._factorize(lhs), lhs, rhs, 1e-9, "projection")
 
     def cn_factorization(self, dt: float):
-        """(lu, cells, rhs, lhs) of the CN step at dt, factorised once per dt.
+        """(cells.lu, cells, rhs, lhs) of the CN step at dt, factorised once
+        per dt, with cells the CellInteriors factor of lhs.
 
         The sparse LU comes first: perfbench/tracing.py reads the factor's
         L+U size from the first entry.
@@ -331,17 +315,18 @@ class EBSystem:
             A, S = self.mass_block(), self.skew_block()
             lhs = (A - 0.5 * dt * S).tocsr()
             rhs = (A + 0.5 * dt * S).tocsr()
-            self._cn[dt] = (*self._factorize(lhs), rhs, lhs)
+            cells = self._factorize(lhs)
+            self._cn[dt] = (cells.lu, cells, rhs, lhs)
         return self._cn[dt]
 
     def cn_step(self, y: np.ndarray, dt: float, forcing_hat: np.ndarray | None = None,
                 tol: float = 1e-8) -> np.ndarray:
         """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load."""
-        lu, cells, rhs_mat, lhs_mat = self.cn_factorization(dt)
+        _, cells, rhs_mat, lhs_mat = self.cn_factorization(dt)
         b = rhs_mat @ y
         if forcing_hat is not None:
             b = b + dt * forcing_hat
-        return self._solve(lu, cells, lhs_mat, b, tol, "CN")
+        return self._solve(cells, lhs_mat, b, tol, "CN")
 
 
 # ---------------------------------------------------------------------------
@@ -366,35 +351,32 @@ class ManufacturedEB:
     label: str = "mms"
 
 
+# the weak-form loads of a manufactured solution, in assembly order: for each
+# term list, one row per load of each term: (load slot, spatial factor of the
+# term, block it loads (0 sigma, 1 E, 2 B), time factor, sign).  The time
+# factor "rate" is g'(t) in the forcing and g(t) in the projection; "value" is
+# g(t) in both.
+_LOADS = (
+    ("sigma_terms", (("q", "shape", 0, "rate", 1.0), ("divxi", "shape", 1, "value", 1.0))),
+    ("E_terms", (("xi", "shape", 1, "rate", 1.0), ("q", "dshape", 0, "value", -1.0),
+                 ("scz", "shape", 2, "value", -1.0))),
+    ("B_terms", (("z", "shape", 2, "rate", 1.0), ("xi", "dshape", 1, "value", 1.0))),
+)
+
+
 class MMSDriver:
     """Precomputed spatial vectors so per-step forcing is a small dense combo."""
 
     def __init__(self, sys: EBSystem, mms: ManufacturedEB):
         self.sys = sys
         self.mms = mms
-        req = []
-        for t in mms.sigma_terms:
-            req.append(("q", t.shape))
-            req.append(("divxi", t.shape))
-        for t in mms.E_terms:
-            req.append(("xi", t.shape))
-            req.append(("q", t.dshape))
-            req.append(("scz", t.shape))
-        for t in mms.B_terms:
-            req.append(("z", t.shape))
-            req.append(("xi", t.dshape))
-        vecs = sys.assemble_forms(req)
-        i = 0
-        self.sig_vecs, self.E_vecs, self.B_vecs = [], [], []
-        for t in mms.sigma_terms:
-            self.sig_vecs.append((vecs[i], vecs[i + 1]))
-            i += 2
-        for t in mms.E_terms:
-            self.E_vecs.append((vecs[i], vecs[i + 1], vecs[i + 2]))
-            i += 3
-        for t in mms.B_terms:
-            self.B_vecs.append((vecs[i], vecs[i + 1]))
-            i += 2
+        loads = [(term, row) for terms, rows in _LOADS
+                 for term in getattr(mms, terms) for row in rows]
+        vecs = sys.assemble_forms([(slot, getattr(term, factor))
+                                   for term, (slot, factor, *_) in loads])
+        # (term, block, time factor, sign, load vector), summed in _LOADS order
+        self._loads = [(term, block, kind, sign, vec)
+                       for (term, (_, _, block, kind, sign)), vec in zip(loads, vecs)]
         # exact values at the quadrature points, per field and term
         pts, _ = sys.cell_quadrature()
         self._exact = [[np.stack([tm.shape(ci, p) for ci, p in enumerate(pts)])
@@ -404,23 +386,11 @@ class MMSDriver:
 
     def _combo(self, t: float, use_dot: bool) -> np.ndarray:
         sys = self.sys
-        rq = np.zeros(sys.nq)
-        rxi = np.zeros(sys.nE)
-        rz = np.zeros(sys.nB)
-        for term, (aq, bdiv) in zip(self.mms.sigma_terms, self.sig_vecs):
-            gv = term.gdot(t) if use_dot else term.g(t)
-            rq += gv * aq
-            rxi += term.g(t) * bdiv
-        for term, (cxi, dq, escz) in zip(self.mms.E_terms, self.E_vecs):
-            gv = term.gdot(t) if use_dot else term.g(t)
-            rxi += gv * cxi
-            rq -= term.g(t) * dq
-            rz -= term.g(t) * escz
-        for term, (fz, hxi) in zip(self.mms.B_terms, self.B_vecs):
-            gv = term.gdot(t) if use_dot else term.g(t)
-            rz += gv * fz
-            rxi += term.g(t) * hxi
-        return sys.stack(rq, rxi, rz)
+        r = [np.zeros(sys.nq), np.zeros(sys.nE), np.zeros(sys.nB)]
+        for term, block, kind, sign, vec in self._loads:
+            g = term.gdot(t) if use_dot and kind == "rate" else term.g(t)
+            r[block] += (sign * g) * vec
+        return sys.stack(*r)
 
     def initial_state(self) -> np.ndarray:
         """Projection of the manufactured triple at t = 0, solved once."""
@@ -604,8 +574,7 @@ def infsup_estimate(sys: EBSystem) -> float:
     one factorisation of the mass block A and one ARPACK call.
     """
     A = sys.mass_block()
-    lu, cells = sys._factorize(A)
-    s = sys._equilibration()
+    cells = sys._factorize(A)
 
     def stiff(y):
         _, e, b = sys.split(y)
@@ -613,7 +582,7 @@ def infsup_estimate(sys: EBSystem) -> float:
                          sys.D2.T @ (sys.ME @ (sys.D2 @ b)))
 
     op = spla.LinearOperator((sys.ntot, sys.ntot), dtype=float,
-                             matvec=lambda y: s * cells.solve(lu, s * stiff(y)))
+                             matvec=lambda y: cells.solve(stiff(y)))
     lam, vec = spla.eigs(op, k=1, which="LR", v0=np.ones(sys.ntot))
     lam, v = float(lam[0].real), vec[:, 0].real
     Av = A @ v

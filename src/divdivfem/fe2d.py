@@ -257,8 +257,4 @@ def _rot_of(tri, rows, deg):
 
 def _rotrot_of(tri, rows, deg):
     from . import tensor_calc as tc
-    gens = poly.RANGE_GENERATORS["S2"]
-    co = rows.reshape(len(rows), tri.basis(deg).N, 3)
-    full = np.tensordot(co, gens, axes=(2, 0))
-    f = PolyField(tri.basis(deg), full, (2, 2))
-    return tc.rotrot2(f)
+    return tc.rotrot2(PolyField.from_coords(tri.basis(deg), rows, poly.RANGE_GENERATORS["S2"]))

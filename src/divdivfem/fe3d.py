@@ -335,15 +335,6 @@ def per_entity_counts(elem: Element) -> dict[str, int]:
 # audits
 # ---------------------------------------------------------------------------
 
-def _rand_field(rng, cell, deg, range_name) -> PolyField:
-    sp = poly.space(cell, deg, range_name)
-    coords = rng.standard_normal(sp.coeff.shape[1])
-    f = sp.fields()
-    return PolyField(f.basis, np.tensordot(coords.reshape(f.basis.N, -1),
-                                           np.asarray(sp.comp_gens, dtype=float),
-                                           axes=(1, 0)), f.vshape)
-
-
 def _rand_frame(rng):
     a = rng.standard_normal(3)
     t1 = a / np.linalg.norm(a)
@@ -378,9 +369,12 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
         "n1' curl devgrad v n2 - dt(t' devgrad v t) = -dtt(v.t)",
     ]
     worst = {nm: 0.0 for nm in names}
+    # tau in P_{k+1}(T) and v in P_{k+2}(R3), from random generator coordinates
+    spaces = ((cell.basis(k + 1), poly.RANGE_GENERATORS["T"]),
+              (cell.basis(k + 2), poly.RANGE_GENERATORS["V3"]))
     for _ in range(trials):
-        tau = _rand_field(rng, cell, k + 1, "T")
-        v = _rand_field(rng, cell, k + 2, "V3")
+        tau, v = (PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+                  for basis, gens in spaces)
         t1, t2, n = _rand_frame(rng)
         pts = rng.random((8, 3))
 
@@ -451,13 +445,6 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
 
     return [{"name": nm, "expected": 0.0, "computed": worst[nm],
              "source": "paper", "pass": worst[nm] <= 1e-10} for nm in names]
-
-
-def _field_from_rows(elem: Element, rows: np.ndarray) -> PolyField:
-    gens = np.asarray(elem.comp_gens, dtype=float)
-    co = rows.reshape(len(rows), elem.basis.N, len(gens))
-    full = np.tensordot(co, gens, axes=(2, 0))
-    return PolyField(elem.basis, full, gens.shape[1:])
 
 
 def _span_contains(span_rows: np.ndarray, vecs: np.ndarray, tol: float = 1e-8) -> bool:
@@ -546,7 +533,7 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
                    "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
 
     # chain ranks
-    fV = _field_from_rows(eV, bV)
+    fV = PolyField.from_coords(eV.basis, bV, eV.comp_gens)
     dg = tc.field_dev(fV.grad())
     dg_coords = poly.to_range_coords(dg, "T")
     scale_dg = np.linalg.norm(poly.diff("devgrad", poly.space(cell, k + 2, "V3")).mat, 2)
@@ -557,7 +544,7 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
     checks.append({"name": "devgrad bubbles inside symcurl bubbles",
                    "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
 
-    fL = _field_from_rows(eL, bL)
+    fL = PolyField.from_coords(eL.basis, bL, eL.comp_gens)
     sc = tc.field_sym(fL.curl())
     sc_coords = poly.to_range_coords(sc, "S")
     scale_sc = np.linalg.norm(poly.diff("symcurl", poly.space(cell, k + 1, "T")).mat, 2)
@@ -571,7 +558,7 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
     checks.append({"name": "symcurl bubbles inside divdiv bubbles",
                    "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
 
-    fS = _field_from_rows(eS, bS)
+    fS = PolyField.from_coords(eS.basis, bS, eS.comp_gens)
     dd = fS.div().div()
     dd_coords = poly.to_range_coords(dd, "scalar")
     scale_dd = np.linalg.norm(poly.diff("divdiv", poly.space(cell, k, "S")).mat, 2)

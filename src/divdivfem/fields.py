@@ -219,16 +219,17 @@ class PolyField:
         return cls(basis, np.zeros((*batch, basis.N, *vshape)), vshape)
 
     @classmethod
+    def from_coords(cls, basis, coords, comp_gens) -> "PolyField":
+        """The field with generator coordinates coords (*batch, N * C), column
+        a * C + c the coefficient of B_a G_c: the inverse of poly.to_range_coords."""
+        gens = np.asarray(comp_gens, dtype=float)
+        co = coords.reshape(*coords.shape[:-1], basis.N, len(gens))
+        return cls(basis, np.tensordot(co, gens, axes=(-1, 0)), gens.shape[1:])
+
+    @classmethod
     def generators(cls, basis, comp_gens) -> "PolyField":
         """Batched field of all N*C generators B_a * G_c, batch index a*C + c."""
-        gens = np.asarray(comp_gens, dtype=float)
-        C = gens.shape[0]
-        vshape = gens.shape[1:]
-        coeffs = np.zeros((basis.N * C, basis.N, *vshape))
-        for a in range(basis.N):
-            for c in range(C):
-                coeffs[a * C + c, a] = gens[c]
-        return cls(basis, coeffs, vshape)
+        return cls.from_coords(basis, np.eye(basis.N * len(comp_gens)), comp_gens)
 
     @property
     def nax(self) -> int:

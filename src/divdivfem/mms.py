@@ -108,17 +108,10 @@ def poly_mms(k: int = 3, seed: int = 7, time_degree: int = 2) -> ManufacturedEB:
     rng = np.random.default_rng(seed)
     cell = poly.reference_cell("tet")
 
-    def rand_field(deg, range_name):
-        sp_ = poly.space(cell, deg, range_name)
-        f = sp_.fields()
-        coords = rng.standard_normal(sp_.dim)
-        gens = np.asarray(sp_.comp_gens, dtype=float)
-        co = coords.reshape(f.basis.N, len(gens))
-        return PolyField(f.basis, np.tensordot(co, gens, axes=(1, 0)), f.vshape)
-
-    s_f = rand_field(k - 2, "scalar")
-    e_f = rand_field(k, "S")
-    b_f = rand_field(k + 1, "T")
+    s_f, e_f, b_f = (PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+                     for basis, gens in ((cell.basis(k - 2), poly.RANGE_GENERATORS["scalar"]),
+                                         (cell.basis(k), poly.RANGE_GENERATORS["S"]),
+                                         (cell.basis(k + 1), poly.RANGE_GENERATORS["T"])))
     e_dd = e_f.div().div()
     b_sc = tc.field_sym(b_f.curl())
 

@@ -91,13 +91,7 @@ class PolySpace:
 
     def fields(self) -> PolyField:
         """All members as one batched PolyField."""
-        basis = self.cell.basis(self.degree)
-        gens = np.asarray(self.comp_gens, dtype=float)
-        C = len(gens)
-        co = self.coeff.reshape(self.dim, basis.N, C)
-        vals = np.tensordot(co, gens, axes=(2, 0))
-        vshape = gens.shape[1:]
-        return PolyField(basis, vals.reshape(self.dim, basis.N, *vshape), vshape)
+        return PolyField.from_coords(self.cell.basis(self.degree), self.coeff, self.comp_gens)
 
     def member(self, i: int) -> PolyField:
         f = self.fields()

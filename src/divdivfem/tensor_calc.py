@@ -23,22 +23,6 @@ FRAME_TOL = 1e-14
 # pointwise algebra on plain arrays (trailing axes are the matrix axes)
 # --------------------------------------------------------------------------
 
-def sym(A):
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-def skw(A):
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A - np.swapaxes(A, -1, -2))
-
-def tr(A):
-    return np.trace(np.asarray(A, dtype=float), axis1=-2, axis2=-1)
-
-def dev(A):
-    A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
-    return A - (tr(A) / n)[..., None, None] * np.eye(n)
-
 def mspn(v):
     """Skew matrix with (mspn v) w = v x w."""
     v = np.asarray(v, dtype=float)
@@ -227,34 +211,6 @@ def eps_f(f: PolyField, n) -> PolyField:
         raise ValueError("eps_f acts on 3-vector fields")
     g = grad_f(proj_f(f, n), n)
     return field_sym(g)
-
-
-_SURFACE_OPS = {
-    "proj_f": proj_f,
-    "proj_f_sym": proj_f_sym,
-    "grad_f": grad_f,
-    "curl_f": curl_f,
-    "rot_f": rot_f,
-    "div_f": div_f,
-    "eps_f": eps_f,
-}
-
-
-def surface_op(op: str, field: PolyField, frame) -> PolyField:
-    """Apply a surface operator relative to a FaceFrame (or plain normal)."""
-    if op not in _SURFACE_OPS:
-        raise ValueError(f"unknown surface operator {op!r}")
-    n = frame.n if hasattr(frame, "n") else np.asarray(frame, dtype=float)
-    fn = _SURFACE_OPS[op]
-    if op in ("rot_f", "div_f") and len(field.vshape) not in (1, 2):
-        raise ValueError(f"{op} needs a vector or matrix field")
-    if op == "eps_f" and field.vshape != (3,):
-        raise ValueError("eps_f needs a vector field")
-    if op == "curl_f" and field.vshape != ():
-        raise ValueError("curl_f needs a scalar field")
-    if op in ("grad_f",) and len(field.vshape) > 1:
-        raise ValueError("grad_f needs a scalar or vector field")
-    return fn(field, n)
 
 
 # --------------------------------------------------------------------------

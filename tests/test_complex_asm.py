@@ -98,17 +98,10 @@ def test_interpolation_reproduces_in_space_fields(rng, complexes):
     (V, L, S, Q), (d1, d2, d3) = complexes("kuhn_cube(1)")
     cell = poly.reference_cell("tet")
 
-    def rand_field(deg, range_name):
-        sp = poly.space(cell, deg, range_name)
-        f = sp.fields()
-        coords = rng.standard_normal(sp.dim)
-        gens = np.asarray(sp.comp_gens, dtype=float)
-        co = coords.reshape(f.basis.N, len(gens))
-        return PolyField(f.basis, np.tensordot(co, gens, axes=(1, 0)), f.vshape)
-
     pts = rng.random((8, 3))
     for space, deg, rng_name in ((V, 5, "V3"), (L, 4, "T"), (S, 3, "S"), (Q, 1, "scalar")):
-        fld = rand_field(deg, rng_name)
+        basis, gens = cell.basis(deg), poly.RANGE_GENERATORS[rng_name]
+        fld = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
         coeffs = space.interpolate(fld, check_shared=True)
         for ci in (0, 3):
             vals = space.eval_cells(coeffs, ci, pts)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from divdivfem import eb_solver, mms
@@ -84,6 +85,12 @@ def test_skew_coupling_block_one_cell_stencil(eb_systems):
     assert sys.skew_block().nnz == 2 * (2880 + 167328)
 
 
+def _equilibrated(sys, mat):
+    """D mat D, with D the diagonal of sys.scale."""
+    D = sp.diags(sys.scale)
+    return (D @ mat @ D).tocsr()
+
+
 def _factored_matrices(sys):
     A, S = sys.mass_block(), sys.skew_block()
     return {"cn": (A - 0.5 * 0.0125 * S).tocsr(), "projection": sys.projection_matrix(),
@@ -95,10 +102,10 @@ def _factored_matrices(sys):
 def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
     sys = eb_systems(spec)
     lhs = _factored_matrices(sys)[which]
-    K = sys._equilibrate(lhs)
+    K, s = _equilibrated(sys, lhs), sys.scale
     b = K @ rng.standard_normal(sys.ntot)
-    lu, cells = sys._factorize(lhs)
-    x = cells.solve(lu, b)
+    # lhs = D^-1 K D^-1, so K^-1 b = D^-1 lhs^-1 D^-1 b
+    x = sys._factorize(lhs).solve(b / s) / s
     ref = spla.splu(K.tocsc()).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -108,17 +115,20 @@ def test_condensed_interface_kuhn_cube_1(eb_systems):
     """Each cell has 80 interior unknowns (sigma 4, E 32, B 44); the interface
     keeps the rest, and sigma (all interior) leaves the global solve."""
     sys = eb_systems("kuhn_cube(1)")
-    lu, cells = sys._factorize(sys.mass_block())
+    cells = sys._factorize(sys.mass_block())
     assert cells.interior.shape == (6, 80)
-    assert len(cells.iface) == lu.shape[0] == 950 == sys.ntot - 6 * 80
+    assert len(cells.iface) == cells.lu.shape[0] == 950 == sys.ntot - 6 * 80
     assert cells.iface.min() >= sys.nq
 
 
-def test_schur_complement_one_cell_stencil(eb_systems):
+def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
     sys = eb_systems("kuhn_cube(1)")
-    K = sys._equilibrate(_factored_matrices(sys)["cn"])
-    cells = eb_solver.CellInteriors(K, *sys._cell_split())
-    schur = cells.schur_complement(K)
+    factored = []
+    splu = eb_solver.spla.splu
+    monkeypatch.setattr(eb_solver.spla, "splu",
+                        lambda A, **kw: factored.append(A) or splu(A, **kw))
+    cells = sys._factorize(_factored_matrices(sys)["cn"])
+    (schur,) = factored
     ncells, nf = cells.cell_iface.shape
     stencil = assemble_cells(cells.cell_iface, cells.cell_iface, np.ones((ncells, nf, nf)),
                              schur.shape)
@@ -130,7 +140,7 @@ def test_cn_step_rejects_wrong_condensed_solve(eb_systems, rng, monkeypatch):
     sys = eb_systems("two_tets")
     solve = eb_solver.CellInteriors.solve
     monkeypatch.setattr(eb_solver.CellInteriors, "solve",
-                        lambda self, lu, b: (1 + 1e-6) * solve(self, lu, b))
+                        lambda self, b: (1 + 1e-6) * solve(self, b))
     with pytest.raises(RuntimeError, match="CN solve residual"):
         sys.cn_step(rng.standard_normal(sys.ntot), 0.05)
 
@@ -352,8 +362,8 @@ def _dense_infsup(sys):
     """Smallest singular value of A - S in the graph norm, by dense linear
     algebra: the Cholesky factor L of the equilibrated vnorm_block gives
     beta = sigma_min(L^{-1} P L^{-T}) for the equilibrated A - S = P."""
-    N = sys._equilibrate(eb_solver.vnorm_block(sys)).toarray()
-    P = sys._equilibrate(sys.projection_matrix()).toarray()
+    N = _equilibrated(sys, eb_solver.vnorm_block(sys)).toarray()
+    P = _equilibrated(sys, sys.projection_matrix()).toarray()
     L = np.linalg.cholesky(N)
     X = sla.solve_triangular(L, P, lower=True)
     C = sla.solve_triangular(L, X.T, lower=True).T

@@ -94,8 +94,8 @@ def test_derivative_edge_dof_matches_exact_integral(rng):
     k = 3
     e = fe2d.element_2d("hrotrot_s2", k)
     tri = e.simplex
-    tau = PolyField(tri.basis(k + 1),
-                    tc.sym(rng.standard_normal((tri.basis(k + 1).N, 2, 2))), (2, 2))
+    tau = tc.field_sym(PolyField(tri.basis(k + 1),
+                                 rng.standard_normal((tri.basis(k + 1).N, 2, 2)), (2, 2)))
     vals = fe2d.dof_eval(e, tau)
     for ei, edge in enumerate(fe2d.LOCAL_EDGES_2D):
         t, n = fe2d._edge_frame_2d(tri, edge)

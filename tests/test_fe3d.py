@@ -96,7 +96,7 @@ def test_hdivdiv_bubbles_kill_trace_machinery(rng):
     e = fe3d.element_3d("hdivdiv_S", k)
     B = fe3d.bubble_space(e)
     assert len(B) == 32
-    f = fe3d._field_from_rows(e, B)
+    f = PolyField.from_coords(e.basis, B, e.comp_gens)
     # trace machinery on each face at sample points
     from divdivfem.mesh import TetMesh
     mesh = TetMesh(e.simplex.vertices, [[0, 1, 2, 3]])
@@ -155,7 +155,7 @@ def test_closed_form_symcurl_bubble_members_are_bubbles():
     e = fe3d.build_element("hsymcurl_T", k, mesh, 0, cache)
     rows = fe3d.closed_form_symcurl_bubbles(mesh, k)
     assert svd_rank(rows) == 44
-    f = fe3d._field_from_rows(e, rows)
+    f = PolyField.from_coords(e.basis, rows, e.comp_gens)
     vals = e.dof_values(f)
     boundary = [i for i, tag in enumerate(e.tags) if tag[0] != "c"]
     scale = max(np.abs(rows).max(), 1.0)
