@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import poly
-from . import tensor_calc as tc
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element, per_entity_counts
 from .fields import PolyField
@@ -118,13 +117,12 @@ class GlobalSpace:
         return f.eval(pts)
 
 
+# operator -> (source family, target family, source range); the operator
+# itself is poly.diff's
 _OP_TABLE = {
-    "devgrad": ("h1_vec3", "hsymcurl_T", "T",
-                lambda f: tc.field_dev(f.grad())),
-    "symcurl": ("hsymcurl_T", "hdivdiv_S", "S",
-                lambda f: tc.field_sym(f.curl())),
-    "divdiv": ("hdivdiv_S", "dg_scalar", "scalar",
-               lambda f: f.div().div()),
+    "devgrad": ("h1_vec3", "hsymcurl_T", "V3"),
+    "symcurl": ("hsymcurl_T", "hdivdiv_S", "T"),
+    "divdiv": ("hdivdiv_S", "dg_scalar", "S"),
 }
 
 
@@ -133,14 +131,13 @@ def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
     stacked (ncells, ndof_dst, ndof_src)."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
-    fam_src, fam_dst, rng_dst, fn = _OP_TABLE[op]
+    fam_src, fam_dst, rng_src = _OP_TABLE[op]
     if src.family != fam_src or dst.family != fam_dst:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
     out = []
     for es, ed in zip(src.elements, dst.elements):
-        image = fn(es.generator_fields())
-        gmat = poly.to_range_coords(image, rng_dst)        # (ngen_src, ngen_dst)
+        gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
         out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
     return np.stack(out)
 

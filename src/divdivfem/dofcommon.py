@@ -2,15 +2,17 @@
 
 A finite element is an ordered list of blocks; every block maps a
 GeneratorEval (a Bernstein basis times component generators) to the values of
-a batch of functionals on every generator.  The same block code builds
-Vandermonde matrices (the element's generators) and evaluates DOFs of
-concrete polynomial fields (unit generators contracted with the field's
-coefficients), so there is exactly one definition and one evaluation path of
-every functional.
+a batch of functionals on every generator, by one GeneratorEval.moments call
+(point values and derivatives are moments against a Dirac).  The same block
+code builds Vandermonde matrices (the element's generators) and evaluates
+DOFs of concrete polynomial fields (unit generators contracted with the
+field's coefficients), so there is exactly one definition and one evaluation
+path of every functional.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -69,12 +71,11 @@ class _Probe:
 
 
 class GeneratorEval:
-    """Evaluator for all N*C shape generators at once; batch index a*C + c."""
+    """Moments of all N*C shape generators B_a G_c at once; batch index a*C + c."""
 
     def __init__(self, basis: BernsteinBasis, comp_gens):
         self.basis = basis
         self.gens = np.asarray(comp_gens, dtype=float)
-        self.vshape = self.gens.shape[1:]
         self._tabs: dict = {}
 
     def _scalar_tabs(self, pts, order: int):
@@ -100,24 +101,6 @@ class GeneratorEval:
                     tab[:, :, d1, d2] = E @ (lo.diff_ops[d2] @ b.diff_ops[d1])
         self._tabs[key] = tab
         return tab
-
-    def _expand(self, tab, extra: int):
-        # tab: (p, N, [g]*extra) -> (N*C, p, *vshape, [g]*extra)
-        t = np.moveaxis(tab, 1, 0)  # (N, p, ...)
-        nv = len(self.vshape)
-        t = t.reshape(t.shape[0], 1, t.shape[1], *([1] * nv), *t.shape[2:])
-        gexp = self.gens.reshape(1, len(self.gens), 1, *self.vshape, *([1] * extra))
-        out = t * gexp
-        return out.reshape(-1, tab.shape[0], *self.vshape, *tab.shape[2:])
-
-    def values(self, pts):
-        return self._expand(self._scalar_tabs(pts, 0), 0)
-
-    def grads(self, pts):
-        return self._expand(self._scalar_tabs(pts, 1), 1)
-
-    def hessians(self, pts):
-        return self._expand(self._scalar_tabs(pts, 2), 2)
 
     def moments(self, integrand, tw):
         """Moments (N*C, m) of integrand(generator) against weighted tests tw.
@@ -230,53 +213,42 @@ def bubble_space(elem: Element) -> np.ndarray:
     return nullspace(elem.V[~elem.interior])
 
 
-def _dual_coords(v, dual, nv):
-    """Coordinates of tensor values in a range basis: v (..., *vshape) -> (..., C).
+def point_blocks(entity, pt, dual, order: int) -> list[DofBlock]:
+    """Value and derivatives of orders 1..order at the point pt, one block each.
 
-    dual has shape (prod(vshape), C), i.e. pinv of the flattened generators.
+    A point functional is the moment against the Dirac at pt: one point,
+    weight 1.  Block o holds the o-th derivative in each direction
+    a_1 <= ... <= a_o (the upper-triangular pairs for o = 2) in range
+    coordinates, component-major.  The tests are unit value tensors times
+    unit direction tensors, so each moment is one product of the tabulation
+    with a generator entry, exactly the derivative; dual (pinv of the
+    flattened generators) then maps the values to range coordinates.  (Dual
+    columns as tests would multiply the tabulation by generators . dual,
+    which is the identity only to 4e-16, and move the Vandermondes.)
     """
-    flat = v.reshape(*v.shape[: v.ndim - nv], -1)
-    return flat @ dual
-
-
-def value_dofs_block(entity, pt, dual, nv, label="value"):
     pts = np.atleast_2d(np.asarray(pt, dtype=float))
+    g = pts.shape[1]
+    nv = dual.shape[0]
+    blocks = []
+    for o, read in enumerate(("values", "grads", "hessians")[: order + 1]):
+        dirs = [sum(a * g ** (o - 1 - i) for i, a in enumerate(t))
+                for t in itertools.combinations_with_replacement(range(g), o)]
+        # test (v, d): the unit tensor e_v (x) e_d, flattened like the integrand
+        rows = [v * g ** o + d for v in range(nv) for d in dirs]
 
-    def fn(ev):
-        v = ev.values(pts)
-        v = np.take(v, 0, axis=v.ndim - nv - 1)
-        return _dual_coords(v, dual, nv)
+        def integrand(ev, read=read):
+            F = getattr(ev, read)(pts)
+            return F.reshape(*F.shape[:3], -1)
 
-    return DofBlock(entity, dual.shape[1], fn, label)
+        def fn(ev, integrand=integrand, rows=rows, nd=len(dirs), size=nv * g ** o):
+            # built per call, so that an element does not keep them per vertex
+            tests = np.eye(size)[rows][:, None]             # (nv * nd, 1, size)
+            vals = ev.moments(integrand, tests).reshape(-1, nv, nd)
+            out = np.stack([vals[:, :, i] @ dual for i in range(nd)], axis=-1)
+            return out.reshape(len(out), -1)
 
-
-def grad_dofs_block(entity, pt, dual, nv, gdim, label="grad"):
-    """First derivatives at a point, component-major then derivative index."""
-    pts = np.atleast_2d(np.asarray(pt, dtype=float))
-
-    def fn(ev):
-        g = ev.grads(pts)
-        g = np.take(g, 0, axis=g.ndim - nv - 2)
-        cols = [_dual_coords(g[..., d], dual, nv) for d in range(gdim)]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(*out.shape[:-2], -1)
-
-    return DofBlock(entity, dual.shape[1] * gdim, fn, label)
-
-
-def hess_dofs_block(entity, pt, dual, nv, gdim, label="hess"):
-    """Independent second derivatives (upper-triangular pairs), component-major."""
-    pts = np.atleast_2d(np.asarray(pt, dtype=float))
-    pairs = [(a, b) for a in range(gdim) for b in range(a, gdim)]
-
-    def fn(ev):
-        h = ev.hessians(pts)
-        h = np.take(h, 0, axis=h.ndim - nv - 3)
-        cols = [_dual_coords(h[..., a, b], dual, nv) for a, b in pairs]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(*out.shape[:-2], -1)
-
-    return DofBlock(entity, dual.shape[1] * len(pairs), fn, label)
+        blocks.append(DofBlock(entity, dual.shape[1] * len(dirs), fn, read))
+    return blocks
 
 
 def moment_block(entity, integrand, tests, weights, label=""):

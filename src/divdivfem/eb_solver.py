@@ -31,7 +31,8 @@ from .quadrature import rule
 INITS = ("zero", "random", "mms")
 MMS_CHOICES = ("none", "trig", "poly")
 
-# load slot -> (space attribute of EBSystem, integrand on a GeneratorEval)
+# load slot -> (space attribute of EBSystem, moment integrand: it runs on
+# the _Probe of GeneratorEval.moments)
 _SLOTS = {
     "q": ("space_q", lambda ev, P: ev.values(P)),
     "xi": ("space_E", lambda ev, P: ev.values(P)),
@@ -90,14 +91,6 @@ class EBConfig:
     @property
     def nsteps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-@dataclass
-class EBState:
-    t: float
-    sigma: np.ndarray
-    E: np.ndarray
-    B: np.ndarray
 
 
 class CellInteriors:
@@ -451,7 +444,8 @@ class RunRecord:
 
 def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
         driver: MMSDriver | None = None):
-    """Time-step the fully discrete system; returns (record, final_state)."""
+    """Time-step the fully discrete system; returns (record, final state
+    vector, MMS driver or None)."""
     config.validate()
     if driver is None and mms is not None:
         driver = MMSDriver(sys, mms)
@@ -485,7 +479,7 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
             fhat = None
         y = sys.cn_step(y, dt, fhat)
         record(t1, y)
-    return rec, EBState(config.nsteps * dt, *sys.split(y)), driver
+    return rec, y, driver
 
 
 def get_system(spec: str, k: int, systems: dict | None = None) -> "EBSystem":
@@ -513,9 +507,8 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
         dt = dt_for_level(lvl)
         cfg = EBConfig(mesh=spec, k=k, t_final=t_final, dt=dt, init="mms",
                        mms=mms.label, seed=seed)
-        rec, state, driver = run(sys, cfg, mms)
-        es, eE, eB = driver.pointwise_errors(
-            sys.stack(state.sigma, state.E, state.B), state.t)
+        rec, y, driver = run(sys, cfg, mms)
+        es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
         err = es + eE + eB
         h = float(np.max(np.linalg.norm(
             mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]], axis=1)))
@@ -539,9 +532,8 @@ def temporal_convergence(mesh_spec: str, k: int, mms_factory, t_final: float,
     for dt in dts:
         cfg = EBConfig(mesh=mesh_spec, k=k, t_final=t_final, dt=dt,
                        init="mms", mms=driver.mms.label)
-        rec, state, _ = run(sys, cfg, driver=driver)
-        es, eE, eB = driver.pointwise_errors(
-            sys.stack(state.sigma, state.E, state.B), state.t)
+        rec, y, _ = run(sys, cfg, driver=driver)
+        es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
         err = es + eE + eB
         row = {"dt": dt, "err_total": err}
         if prev is not None and err > 0:

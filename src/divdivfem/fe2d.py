@@ -10,20 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import poly
-from .dofcommon import (DofBlock, Element, bubble_space, grad_dofs_block,
-                        hess_dofs_block, moment_block, value_dofs_block)
+from .dofcommon import DofBlock, Element, bubble_space, moment_block, point_blocks
 from .fields import PolyField, Simplex
 from .linalg import svd_rank
 from .quadrature import rule
 
 FAMILIES = ("h1_scalar", "hrot_vec", "l2_lagrange", "h1_vec", "hrotrot_s2")
 
+# family -> (degree offset from k, range, derivative order of the vertex DOFs)
 _SHAPE = {
-    "h1_scalar": (2, "scalar"),   # degree offset from k, range
-    "hrot_vec": (1, "V2"),
-    "l2_lagrange": (0, "scalar"),
-    "h1_vec": (2, "V2"),
-    "hrotrot_s2": (1, "S2"),
+    "h1_scalar": (2, "scalar", 2),
+    "hrot_vec": (1, "V2", 1),
+    "l2_lagrange": (0, "scalar", 0),
+    "h1_vec": (2, "V2", 2),
+    "hrotrot_s2": (1, "S2", 1),
 }
 
 LOCAL_EDGES_2D = ((0, 1), (0, 2), (1, 2))
@@ -62,30 +62,13 @@ def element_2d(family: str, k: int, simplex: Simplex | None = None) -> Element:
     if k < 3:
         raise ValueError("elements require k >= 3")
     tri = simplex if simplex is not None else poly.reference_cell("triangle")
-    off, rng = _SHAPE[family]
-    deg = k + off
-    basis = tri.basis(deg)
+    off, rng, vorder = _SHAPE[family]
+    basis = tri.basis(k + off)
     gens = poly.RANGE_GENERATORS[rng]
-    dual = poly.range_dual(rng)
-    nv = np.asarray(gens).ndim - 1
     qdeg = 2 * k + 6
     blocks: list[DofBlock] = []
-
     for v in range(3):
-        pt = tri.vertices[v]
-        if family == "h1_scalar":
-            blocks.append(value_dofs_block(("v", v), pt, dual, nv))
-            blocks.append(grad_dofs_block(("v", v), pt, dual, nv, 2))
-            blocks.append(hess_dofs_block(("v", v), pt, dual, nv, 2))
-        elif family in ("hrot_vec", "hrotrot_s2"):
-            blocks.append(value_dofs_block(("v", v), pt, dual, nv))
-            blocks.append(grad_dofs_block(("v", v), pt, dual, nv, 2))
-        elif family == "h1_vec":
-            blocks.append(value_dofs_block(("v", v), pt, dual, nv))
-            blocks.append(grad_dofs_block(("v", v), pt, dual, nv, 2))
-            blocks.append(hess_dofs_block(("v", v), pt, dual, nv, 2))
-        else:  # l2_lagrange
-            blocks.append(value_dofs_block(("v", v), pt, dual, nv))
+        blocks += point_blocks(("v", v), tri.vertices[v], poly.range_dual(rng), vorder)
 
     for ei, edge in enumerate(LOCAL_EDGES_2D):
         t, n = _edge_frame_2d(tri, edge)

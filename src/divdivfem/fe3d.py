@@ -13,8 +13,8 @@ import numpy as np
 from . import fe2d, poly
 from . import tensor_calc as tc
 from .dofcommon import (DofBlock, Element, GeneratorEval, bubble_space,
-                        curl_from_grads, functional_matrix, grad_dofs_block,
-                        hess_dofs_block, moment_block, value_dofs_block)
+                        curl_from_grads, functional_matrix, moment_block,
+                        point_blocks)
 from .fields import PolyField, Simplex
 from .linalg import rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
@@ -22,11 +22,12 @@ from .quadrature import rule
 
 FAMILIES = ("hsymcurl_T", "hdivdiv_S", "h1_vec3", "dg_scalar")
 
+# family -> (degree offset from k, range, derivative order of the vertex DOFs)
 _SHAPE = {
-    "hsymcurl_T": (1, "T"),
-    "hdivdiv_S": (0, "S"),
-    "h1_vec3": (2, "V3"),
-    "dg_scalar": (-2, "scalar"),
+    "hsymcurl_T": (1, "T", 1),
+    "hdivdiv_S": (0, "S", 0),
+    "h1_vec3": (2, "V3", 2),
+    "dg_scalar": (-2, "scalar", -1),
 }
 
 
@@ -168,18 +169,15 @@ def _edge_blocks_symcurl(entity, ed: EdgeData, k: int, frame) -> list[DofBlock]:
 def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache):
     cell = Simplex(mesh.vertices[mesh.cells[ci]])
     gids = mesh.cells[ci]
-    off, rng = _SHAPE[family]
-    dual = poly.range_dual(rng)
-    nv = np.asarray(poly.RANGE_GENERATORS[rng]).ndim - 1
+    _, rng, vorder = _SHAPE[family]
     blocks: list[DofBlock] = []
+    for v in range(4):
+        blocks += point_blocks(("v", v), cell.vertices[v], poly.range_dual(rng), vorder)
 
     q = rule("tet", cache.qdeg)
     cpts, cw = q.on(cell)
 
     if family == "hsymcurl_T":
-        for v in range(4):
-            blocks.append(value_dofs_block(("v", v), cell.vertices[v], dual, nv))
-            blocks.append(grad_dofs_block(("v", v), cell.vertices[v], dual, nv, 3))
         for le in range(6):
             ed = cache.edge(mesh.cell_edges[ci][le])
             blocks += _edge_blocks_symcurl(("e", le), ed, k, ed.frame)
@@ -215,8 +213,6 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
             ("c", 0), lambda ev, P=cpts: ev.values(P), devx, cw, "dev moments"))
 
     elif family == "hdivdiv_S":
-        for v in range(4):
-            blocks.append(value_dofs_block(("v", v), cell.vertices[v], dual, nv))
         for le in range(6):
             ed = cache.edge(mesh.cell_edges[ci][le])
             n1, n2 = ed.frame.n1, ed.frame.n2
@@ -260,10 +256,6 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
         blocks.append(moment_block(("c", 0), taun1, nxx, fd1.w, "fixed-face normal"))
 
     elif family == "h1_vec3":
-        for v in range(4):
-            blocks.append(value_dofs_block(("v", v), cell.vertices[v], dual, nv))
-            blocks.append(grad_dofs_block(("v", v), cell.vertices[v], dual, nv, 3))
-            blocks.append(hess_dofs_block(("v", v), cell.vertices[v], dual, nv, 3))
         for le in range(6):
             ed = cache.edge(mesh.cell_edges[ci][le])
             tests = ed.tests(k - 4)
@@ -301,7 +293,7 @@ def build_element(family: str, k: int, mesh: TetMesh, ci: int,
         raise ValueError(f"unknown 3-D family {family!r}")
     if k < 3:
         raise ValueError("elements require k >= 3")
-    off, rng = _SHAPE[family]
+    off, rng, _ = _SHAPE[family]
     cell, blocks = _build_blocks(family, k, mesh, ci, cache)
     basis = cell.basis(k + off)
     return Element(family, k, cell, basis, poly.RANGE_GENERATORS[rng], blocks).finalize()
@@ -571,7 +563,7 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
     checks.append({"name": "tail is P_{k-2}/P_1 (not P_{k-1}/P_1)",
                    "expected": f"dim {tail_km2}",
                    "computed": f"dim {r_dd} (P_{{k-1}}/P_1 would be {tail_km1})",
-                   "source": "derived", "pass": r_dd == tail_km2 and r_dd != tail_km1 or k == 3})
+                   "source": "derived", "pass": r_dd == tail_km2 and r_dd != tail_km1})
     checks.append({"name": "exactness at divdiv bubbles", "expected": r_sc,
                    "computed": len(bS) - r_dd, "source": "derived",
                    "pass": len(bS) - r_dd == r_sc})

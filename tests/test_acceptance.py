@@ -119,9 +119,8 @@ def test_criterion_7_convergence(eb_systems):
     drv = eb_solver.MMSDriver(sys, pm)
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.5, dt=0.125,
                              init="mms", mms="poly")
-    _, state, _ = eb_solver.run(sys, cfg, driver=drv)
-    exact_err = max(drv.pointwise_errors(
-        sys.stack(state.sigma, state.E, state.B), state.t))
+    rec, y, _ = eb_solver.run(sys, cfg, driver=drv)
+    exact_err = max(drv.pointwise_errors(y, rec.t[-1]))
     ok = (abs(spatial - 2.0) <= 0.3 and abs(temporal - 2.0) <= 0.2
           and exact_err <= 1e-8)
     _line(7, "MMS rates: spatial h^2, temporal dt^2, exact reproduction",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from divdivfem import eb_solver
 from divdivfem.cli import main
 
 
@@ -121,3 +122,15 @@ def test_convergence_rejects_bad_level_counts(tmp_path, capsys, flag, value):
     cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\n")
     assert main(["eb", "convergence", "--config", str(cfg), flag, value]) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_convergence_rejects_poly_mms_before_assembly(tmp_path, capsys, monkeypatch):
+    """The poly solution lies in the discrete spaces: no spatial order to observe."""
+    def no_system(*args, **kwargs):
+        raise AssertionError("a system was assembled")
+
+    monkeypatch.setattr(eb_solver, "EBSystem", no_system)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\nmms = poly\n")
+    assert main(["eb", "convergence", "--config", str(cfg)]) == 2
+    assert "poly" in capsys.readouterr().err

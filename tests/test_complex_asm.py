@@ -7,7 +7,6 @@ from divdivfem import tensor_calc as tc
 from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
                                    cell_operators, complex_audit, condensed_rank,
                                    sparse_rank)
-from divdivfem.dofcommon import Element
 from divdivfem.eb_solver import EBSystem
 from divdivfem.fields import PolyField
 from divdivfem.linalg import qr_rank, svd_rank
@@ -181,15 +180,15 @@ def test_global_operator_restricts_to_every_cell_operator(spec, complexes):
 
 
 def test_each_cell_operator_computed_once(monkeypatch):
-    """cell_operators forms each cell's generator fields once per operator."""
+    """cell_operators differentiates each cell's generators once per operator."""
     calls = []
-    generator_fields = Element.generator_fields
+    diff = poly.diff
 
-    def counting(self):
-        calls.append(1)
-        return generator_fields(self)
+    def counting(op, src):
+        calls.append(op)
+        return diff(op, src)
 
-    monkeypatch.setattr(Element, "generator_fields", counting)
+    monkeypatch.setattr(poly, "diff", counting)
     EBSystem(mesh.two_tets(), 3).skew_block()
     assert len(calls) == 2 * 2          # divdiv and symcurl on two cells
     calls.clear()

@@ -43,9 +43,9 @@ def test_config_rejects_bad_value(field, value):
 def test_zero_initial_data_stays_zero(eb_systems):
     sys = eb_systems("two_tets")
     cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.02, init="zero")
-    rec, state, _ = eb_solver.run(sys, cfg)
+    rec, y, _ = eb_solver.run(sys, cfg)
     assert max(rec.energy) == 0.0
-    assert np.abs(state.E).max() == 0.0
+    assert np.abs(y).max() == 0.0
 
 
 def test_skew_coupling_block(eb_systems):
@@ -228,8 +228,8 @@ def test_poly_mms_degrees_reproduced_exactly(eb_systems):
     assert max(errs) <= 1e-9
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.5, dt=0.125,
                              init="mms", mms="poly")
-    rec, state, _ = eb_solver.run(sys, cfg, driver=drv)
-    errs = drv.pointwise_errors(sys.stack(state.sigma, state.E, state.B), state.t)
+    rec, y, _ = eb_solver.run(sys, cfg, driver=drv)
+    errs = drv.pointwise_errors(y, rec.t[-1])
     assert max(errs) <= 1e-8
 
 
@@ -240,10 +240,10 @@ def test_poly_mms_per_step_errors_are_direct_quadrature(eb_systems):
     drv = eb_solver.MMSDriver(sys, mms.poly_mms(3, time_degree=2))
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.5, dt=0.125,
                              init="mms", mms="poly")
-    rec, state, _ = eb_solver.run(sys, cfg, driver=drv)
+    rec, y, _ = eb_solver.run(sys, cfg, driver=drv)
     assert len(rec.err_B) == cfg.nsteps + 1
     assert max(rec.err_sigma + rec.err_E + rec.err_B) <= 1e-8
-    final = drv.pointwise_errors(sys.stack(state.sigma, state.E, state.B), state.t)
+    final = drv.pointwise_errors(y, rec.t[-1])
     assert final == (rec.err_sigma[-1], rec.err_E[-1], rec.err_B[-1])
 
 

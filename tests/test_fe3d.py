@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divdivfem import fe3d, poly
+from divdivfem import fe2d, fe3d, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.cli import random_cells
 from divdivfem.complex_asm import GlobalSpace
@@ -56,6 +56,21 @@ def test_trace_identity_audit_50_trials():
 def test_bubble_audit_3d(k):
     for r in fe3d.bubble_audit_3d(k):
         assert r["pass"], r
+
+
+def test_bubble_tail_row_fails_on_wrong_divdiv_rank(monkeypatch):
+    """At k = 3 the tail P_{k-2}/P_1 is 0-dimensional: a divdiv rank of
+    dim P_{k-1}/P_1 = 6 on the bubbles must fail the tail row."""
+    cell = poly.reference_cell("tet")
+    scale_dd = np.linalg.norm(poly.diff("divdiv", poly.space(cell, 3, "S")).mat, 2)
+    real = fe3d.svd_rank
+
+    def rank(A, **kw):
+        return 6 if kw.get("scale") == scale_dd else real(A, **kw)
+
+    monkeypatch.setattr(fe3d, "svd_rank", rank)
+    rows = {r["name"]: r for r in fe3d.bubble_audit_3d(3)}
+    assert not rows["tail is P_{k-2}/P_1 (not P_{k-1}/P_1)"]["pass"]
 
 
 def test_frame_rotation_span_invariance():
@@ -181,21 +196,25 @@ def _scalar_moment_setup():
 
 
 def test_moments_match_expanded_quadrature():
-    """Factorised moments equal integrands of the expanded generator values."""
+    """Factorised moments equal quadrature of the generator fields' values."""
     cell = random_cells(3, 1, seed=31)[0]
-    gen = GeneratorEval(cell.basis(4), poly.RANGE_GENERATORS["T"])
+    basis, gens = cell.basis(4), poly.RANGE_GENERATORS["T"]
+    gen = GeneratorEval(basis, gens)
+    fields = PolyField.generators(basis, gens)
     q = rule("tet", 10)
     pts, w = q.on(cell)
     tw = np.random.default_rng(3).standard_normal((7, len(w), 3, 3)) * w[:, None, None]
     n = np.array([0.3, -0.5, 0.8])
     cases = [
-        (lambda ev: ev.values(pts), tw),
-        (lambda ev: fe3d._symcurl_vals(ev, pts), tw),
-        (lambda ev: np.einsum("...pij,j->...pi", ev.values(pts), n), tw[..., 0]),
-        (lambda ev: np.einsum("...pijdd->...pij", ev.hessians(pts)), tw),
+        (lambda ev: ev.values(pts), fields.eval(pts), tw),
+        (lambda ev: fe3d._symcurl_vals(ev, pts), tc.field_sym(fields.curl()).eval(pts), tw),
+        (lambda ev: np.einsum("...pij,j->...pi", ev.values(pts), n),
+         np.einsum("...pij,j->...pi", fields.eval(pts), n), tw[..., 0]),
+        (lambda ev: np.einsum("...pijdd->...pij", ev.hessians(pts)),
+         np.einsum("...pijdd->...pij", fields.hess().eval(pts)), tw),
     ]
-    for integrand, t in cases:
-        ref = np.tensordot(integrand(gen), t, axes=(list(range(1, t.ndim)),) * 2)
+    for integrand, vals, t in cases:
+        ref = np.tensordot(vals, t, axes=(list(range(1, t.ndim)),) * 2)
         got = gen.moments(integrand, t)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -216,16 +235,32 @@ def test_moment_probe_rejects_position_dependent_coefficients():
         blk.fn(gen)
 
 
-def test_moment_blocks_never_expand_generators(monkeypatch):
-    """Only the point blocks tabulate the full generator batch: 4 vertices x
-    (value, gradient) for hsymcurl_T."""
-    calls = []
-    expand = GeneratorEval._expand
-
-    def counting(self, tab, extra):
-        calls.append(extra)
-        return expand(self, tab, extra)
-
-    monkeypatch.setattr(GeneratorEval, "_expand", counting)
-    fe3d.element_3d("hsymcurl_T", 3)
-    assert sorted(calls) == [0] * 4 + [1] * 4
+@pytest.mark.parametrize("family, rng_name, order", [
+    ("h1_vec3", "V3", 2), ("hsymcurl_T", "T", 1), ("h1_scalar", "scalar", 2),
+    ("hrotrot_s2", "S2", 1),
+])
+def test_vertex_dofs_are_range_coordinates_of_point_derivatives(family, rng_name,
+                                                                 order, rng):
+    """The DOFs of each vertex are the range_dual coordinates of the value,
+    then of every partial derivative d_a, then of every d_a d_b with a <= b,
+    each component-major."""
+    is2d = family in fe2d.FAMILIES
+    cell = random_cells(2 if is2d else 3, 1, seed=37)[0]
+    e = fe2d.element_2d(family, 3, cell) if is2d else fe3d.element_3d(family, 3, cell)
+    f = PolyField.from_coords(e.basis, rng.standard_normal(e.basis.N * len(e.comp_gens)),
+                              e.comp_gens)
+    dofs = e.dof_values(f)
+    dual = poly.range_dual(rng_name)
+    g = cell.gdim
+    dirs = [[()], [(a,) for a in range(g)],
+            [(a, b) for a in range(g) for b in range(a, g)]]
+    for v, x in enumerate(cell.vertices):
+        want = []
+        for o, deriv in enumerate([f, f.grad(), f.hess()][: order + 1]):
+            vals = deriv.eval(x[None])[0]                      # (*vshape, [g]*o)
+            cols = [vals[(..., *a)].reshape(-1) @ dual for a in dirs[o]]
+            want.append(np.stack(cols, axis=-1).ravel())
+        want = np.concatenate(want)
+        got = dofs[[i for i, tag in enumerate(e.tags) if tag[:2] == ("v", v)]]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
