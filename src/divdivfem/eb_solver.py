@@ -97,10 +97,11 @@ class CellInteriors:
     """The factor of lhs = A - theta S: equilibrated, its cell interiors
     condensed out, and the sparse LU of the Schur complement.
 
-    K = D lhs D, with D the diagonal of scale.  The interior unknowns I of a
-    cell couple only within that cell, so K_II is block diagonal, one dense
-    block K_ii per cell, factorised by LU (an explicit inverse loses digits
-    that the residual checks need).  With X_c = K_ii^-1 K_iF, the Schur
+    K = D lhs D, with D the diagonal of scale; lhs is formed here and not
+    kept, so it is freed before the Schur complement is factorised.  The
+    interior unknowns I of a cell couple only within that cell, so K_II is
+    block diagonal, one dense block K_ii per cell, factorised by LU (an
+    explicit inverse loses digits that the residual checks need).  With X_c = K_ii^-1 K_iF, the Schur
     complement on the interface unknowns F is K_FF - sum_c P_c^T K_Fi X_c P_c.
     A_ii is SPD and S skew, so each K_ii has a positive-definite symmetric
     part and is nonsingular for every theta.  The Schur complement inherits
@@ -110,11 +111,11 @@ class CellInteriors:
     exceed 100.
     """
 
-    def __init__(self, lhs: sp.spmatrix, scale: np.ndarray, interior: np.ndarray,
-                 cell_iface: np.ndarray):
+    def __init__(self, A: sp.csr_matrix, S: sp.csr_matrix, theta: float, scale: np.ndarray,
+                 interior: np.ndarray, cell_iface: np.ndarray):
         self.scale = scale
         D = sp.diags(scale)
-        K = (D @ lhs @ D).tocsr()
+        K = (D @ (A - theta * S if theta else A) @ D).tocsr()
         self.interior = interior
         self.iface = np.setdiff1d(np.arange(K.shape[0]), interior)
         number = np.empty(K.shape[0], dtype=int)
@@ -196,6 +197,7 @@ class EBSystem:
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
+        self._A = None
         self._cn = {}
 
     # -- block structure -------------------------------------------------------
@@ -206,19 +208,21 @@ class EBSystem:
         return (y[: self.nq], y[self.nq: self.nq + self.nE], y[self.nq + self.nE:])
 
     def mass_block(self) -> sp.csr_matrix:
-        return sp.block_diag([self.Mq, self.ME, self.MB], format="csr")
+        """A = blockdiag(Mq, ME, MB), assembled on first use."""
+        if self._A is None:
+            self._A = sp.block_diag([self.Mq, self.ME, self.MB], format="csr")
+        return self._A
 
     def skew_block(self) -> sp.csr_matrix:
         """Coupling S with y' A = S y: skew-symmetric by construction."""
         return self._S
 
-    def projection_matrix(self) -> sp.csr_matrix:
-        """A - S, the CN left-hand side at dt = 2: projecting is one CN solve."""
-        return (self.mass_block() - self.skew_block()).tocsr()
-
     def energy(self, y) -> float:
-        s, e, b = self.split(y)
-        return float(s @ (self.Mq @ s) + e @ (self.ME @ e) + b @ (self.MB @ b))
+        return float(y @ (self.mass_block() @ y))
+
+    def products(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(A y, S y): every CN quantity of the state y is a combination of these."""
+        return self.mass_block() @ y, self._S @ y
 
     # -- quadrature: one rule, one tabulation per space --------------------------
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -276,50 +280,62 @@ class EBSystem:
         return out
 
     # -- solvers ---------------------------------------------------------------
-    def _factorize(self, lhs: sp.spmatrix) -> CellInteriors:
-        """The condensed factor of lhs = A - theta S (theta = dt/2 for CN, 1 for
-        the projection, 0 for the mass block)."""
-        return CellInteriors(lhs, self.scale, *self._cells)
-
-    def _solve(self, cells: CellInteriors, lhs: sp.spmatrix, b: np.ndarray,
-               tol: float, what: str) -> np.ndarray:
-        """Solve lhs y = b with its _factorize() factor; the residual is checked
-        on the full lhs, interiors included."""
-        y = cells.solve(b)
-        resid = np.linalg.norm(lhs @ y - b) / max(np.linalg.norm(b), 1e-300)
-        if resid > tol:
-            raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
-        return y
+    def _factorize(self, theta: float) -> CellInteriors:
+        """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
+        projection, 0 for the mass block)."""
+        return CellInteriors(self.mass_block(), self._S, theta, self.scale, *self._cells)
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
+        """The A-projection: (A - S) y = rhs, the CN solve at dt = 2."""
         # the dt = 2 factor is not cached: it would hold a second LU next to
         # the CN one, and the projection runs once per MMS run
-        lhs = self.projection_matrix()
-        return self._solve(self._factorize(lhs), lhs, rhs, 1e-9, "projection")
+        y = self._factorize(1.0).solve(rhs)
+        Ay, Sy = self.products(y)
+        _check_residual(Ay - Sy - rhs, rhs, 1e-9, "projection")
+        return y
 
     def cn_factorization(self, dt: float):
-        """(cells.lu, cells, rhs, lhs) of the CN step at dt, factorised once
-        per dt, with cells the CellInteriors factor of lhs.
+        """(cells.lu, cells) of the CN step at dt, factorised once per dt, with
+        cells the CellInteriors factor of A - (dt/2) S.
 
         The sparse LU comes first: perfbench/tracing.py reads the factor's
-        L+U size from the first entry.
+        L+U size from the first entry.  Neither side's matrix is kept: a step
+        applies A and S to vectors instead.
         """
         if dt not in self._cn:
-            A, S = self.mass_block(), self.skew_block()
-            lhs = (A - 0.5 * dt * S).tocsr()
-            rhs = (A + 0.5 * dt * S).tocsr()
-            cells = self._factorize(lhs)
-            self._cn[dt] = (cells.lu, cells, rhs, lhs)
+            cells = self._factorize(0.5 * dt)
+            self._cn[dt] = (cells.lu, cells)
         return self._cn[dt]
 
     def cn_step(self, y: np.ndarray, dt: float, forcing_hat: np.ndarray | None = None,
-                tol: float = 1e-8) -> np.ndarray:
-        """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load."""
-        _, cells, rhs_mat, lhs_mat = self.cn_factorization(dt)
-        b = rhs_mat @ y
+                tol: float = 1e-8, products=None):
+        """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load.
+
+        (A - theta S) y1 = (A + theta S) y + dt forcing_hat, theta = dt/2; the
+        residual is checked on the full system, interiors included.  A y1 and
+        S y1 give that residual and are also the next step's right-hand side,
+        so a caller that passes products = (A y, S y) of y gets
+        (y1, (A y1, S y1)) back and never applies A or S twice to one state;
+        without products the step returns y1 alone.
+        """
+        _, cells = self.cn_factorization(dt)
+        Ay, Sy = self.products(y) if products is None else products
+        theta = 0.5 * dt
+        b = Ay + theta * Sy
         if forcing_hat is not None:
-            b = b + dt * forcing_hat
-        return self._solve(cells, lhs_mat, b, tol, "CN")
+            b += dt * forcing_hat
+        y1 = cells.solve(b)
+        Ay1, Sy1 = self.products(y1)
+        _check_residual(Ay1 - theta * Sy1 - b, b, tol, "CN")
+        return y1 if products is None else (y1, (Ay1, Sy1))
+
+
+def _check_residual(r: np.ndarray, b: np.ndarray, tol: float, what: str):
+    """Raise unless the residual r of a solve with right-hand side b has
+    ||r|| <= tol ||b||."""
+    resid = np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300)
+    if resid > tol:
+        raise RuntimeError(f"{what} solve residual {resid:.3e} exceeds {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +476,16 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
         y = driver.initial_state()
     rec = RunRecord(driver=driver)
 
-    def record(t, y):
+    # (A y, S y) of the current state, carried from step to step: A y gives
+    # the energy y . A y, and both give the next right-hand side
+    def record(t, y, products):
         rec.t.append(t)
-        rec.energy.append(sys.energy(y))
+        rec.energy.append(float(y @ products[0]))
         if driver is not None:
             rec.states.append(y)
 
-    record(0.0, y)
+    products = sys.products(y)
+    record(0.0, y, products)
     dt = config.dt
     f_j = driver.forcing(0.0) if driver is not None else None
     for j in range(config.nsteps):
@@ -477,8 +496,8 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
             f_j = f_next
         else:
             fhat = None
-        y = sys.cn_step(y, dt, fhat)
-        record(t1, y)
+        y, products = sys.cn_step(y, dt, fhat, products=products)
+        record(t1, y, products)
     return rec, y, driver
 
 
@@ -566,7 +585,7 @@ def infsup_estimate(sys: EBSystem) -> float:
     one factorisation of the mass block A and one ARPACK call.
     """
     A = sys.mass_block()
-    cells = sys._factorize(A)
+    cells = sys._factorize(0.0)
 
     def stiff(y):
         _, e, b = sys.split(y)
@@ -591,7 +610,6 @@ def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:
     """The proof's test choice bounds the form below by half the squared norms;
     returns the worst slack (negative = violation)."""
     rng = np.random.default_rng(seed)
-    A = sys.projection_matrix()
     worst = np.inf
     for _ in range(trials):
         y = rng.standard_normal(sys.ntot)
@@ -599,8 +617,8 @@ def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:
         dde = sys.D3 @ e
         scb = sys.D2 @ b
         test = sys.stack(sig - dde, e + scb, b)
-        lhs = float(test @ (A @ y))
-        rhs = 0.5 * float(sig @ (sys.Mq @ sig) + e @ (sys.ME @ e) + b @ (sys.MB @ b)
-                          + dde @ (sys.Mq @ dde) + scb @ (sys.ME @ scb))
+        Ay, Sy = sys.products(y)
+        lhs = float(test @ (Ay - Sy))
+        rhs = 0.5 * float(y @ Ay + dde @ (sys.Mq @ dde) + scb @ (sys.ME @ scb))
         worst = min(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
     return worst

@@ -91,21 +91,22 @@ def _equilibrated(sys, mat):
     return (D @ mat @ D).tocsr()
 
 
-def _factored_matrices(sys):
-    A, S = sys.mass_block(), sys.skew_block()
-    return {"cn": (A - 0.5 * 0.0125 * S).tocsr(), "projection": sys.projection_matrix(),
-            "mass": A}
+# theta of each factorised lhs = A - theta S
+_THETAS = {"cn": 0.5 * 0.0125, "projection": 1.0, "mass": 0.0}
+
+
+def _lhs(sys, theta):
+    return (sys.mass_block() - theta * sys.skew_block()).tocsr()
 
 
 @pytest.mark.parametrize("which", ["cn", "projection", "mass"])
 @pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
 def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
     sys = eb_systems(spec)
-    lhs = _factored_matrices(sys)[which]
-    K, s = _equilibrated(sys, lhs), sys.scale
+    K, s = _equilibrated(sys, _lhs(sys, _THETAS[which])), sys.scale
     b = K @ rng.standard_normal(sys.ntot)
     # lhs = D^-1 K D^-1, so K^-1 b = D^-1 lhs^-1 D^-1 b
-    x = sys._factorize(lhs).solve(b / s) / s
+    x = sys._factorize(_THETAS[which]).solve(b / s) / s
     ref = spla.splu(K.tocsc()).solve(b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -115,7 +116,7 @@ def test_condensed_interface_kuhn_cube_1(eb_systems):
     """Each cell has 80 interior unknowns (sigma 4, E 32, B 44); the interface
     keeps the rest, and sigma (all interior) leaves the global solve."""
     sys = eb_systems("kuhn_cube(1)")
-    cells = sys._factorize(sys.mass_block())
+    cells = sys._factorize(0.0)
     assert cells.interior.shape == (6, 80)
     assert len(cells.iface) == cells.lu.shape[0] == 950 == sys.ntot - 6 * 80
     assert cells.iface.min() >= sys.nq
@@ -127,7 +128,7 @@ def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
     splu = eb_solver.spla.splu
     monkeypatch.setattr(eb_solver.spla, "splu",
                         lambda A, **kw: factored.append(A) or splu(A, **kw))
-    cells = sys._factorize(_factored_matrices(sys)["cn"])
+    cells = sys._factorize(_THETAS["cn"])
     (schur,) = factored
     ncells, nf = cells.cell_iface.shape
     stencil = assemble_cells(cells.cell_iface, cells.cell_iface, np.ones((ncells, nf, nf)),
@@ -143,6 +144,82 @@ def test_cn_step_rejects_wrong_condensed_solve(eb_systems, rng, monkeypatch):
                         lambda self, b: (1 + 1e-6) * solve(self, b))
     with pytest.raises(RuntimeError, match="CN solve residual"):
         sys.cn_step(rng.standard_normal(sys.ntot), 0.05)
+
+
+def test_run_rejects_wrong_condensed_solve(eb_systems, monkeypatch):
+    """The residual check fires on run's carried-products path too."""
+    sys = eb_systems("two_tets")
+    solve = eb_solver.CellInteriors.solve
+    monkeypatch.setattr(eb_solver.CellInteriors, "solve",
+                        lambda self, b: (1 + 1e-6) * solve(self, b))
+    cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.05, init="random")
+    with pytest.raises(RuntimeError, match="CN solve residual"):
+        eb_solver.run(sys, cfg)
+
+
+@pytest.mark.parametrize("spec, mms_name, nsteps", [
+    ("kuhn_cube(1)", "none", 20),
+    ("two_tets", "trig", 8),
+])
+def test_run_matches_plain_cn_steps(eb_systems, spec, mms_name, nsteps):
+    """run, which carries (A y, S y) from step to step, against plain
+    cn_step(y, dt, forcing_hat) calls and against steps whose right-hand side
+    is the assembled (A + dt/2 S) y; every recorded energy is y . A y."""
+    sys = eb_systems(spec)
+    dt = 0.01
+    drv = eb_solver.MMSDriver(sys, mms.make_mms(mms_name)) if mms_name != "none" else None
+    cfg = eb_solver.EBConfig(mesh=spec, t_final=nsteps * dt, dt=dt, mms=mms_name, seed=5,
+                             init="random" if drv is None else "mms")
+    rec, y, _ = eb_solver.run(sys, cfg, driver=drv)
+    if drv is None:
+        y0 = np.random.default_rng(cfg.seed).standard_normal(sys.ntot)
+    else:
+        y0 = drv.initial_state()
+    _, cells = sys.cn_factorization(dt)
+    rhs_mat = (sys.mass_block() + 0.5 * dt * sys.skew_block()).tocsr()
+    states, assembled = [y0], y0
+    for j in range(nsteps):
+        fhat = (np.zeros(sys.ntot) if drv is None
+                else 0.5 * (drv.forcing(j * dt) + drv.forcing((j + 1) * dt)))
+        states.append(sys.cn_step(states[-1], dt, fhat))
+        assembled = cells.solve(rhs_mat @ assembled + dt * fhat)
+    assert len(rec.energy) == nsteps + 1
+    assert np.linalg.norm(y - states[-1]) <= 1e-12 * np.linalg.norm(states[-1])
+    # the two right-hand sides differ in rounding only, which the solves
+    # amplify to about 3e-12 in the energy norm
+    d = y - assembled
+    assert np.sqrt(sys.energy(d) / sys.energy(assembled)) <= 1e-10
+    if drv is not None:
+        states = rec.states
+        assert states[-1] is y
+    for e, state in zip(rec.energy, states):
+        assert abs(e - sys.energy(state)) <= 1e-13 * sys.energy(state)
+
+
+class _Counting:
+    """A sparse matrix that counts its applications to a vector."""
+
+    def __init__(self, mat):
+        self.mat, self.calls = mat, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.mat @ x
+
+
+def test_run_applies_A_and_S_once_per_state(eb_systems, monkeypatch):
+    """An N-step run applies each of A and S N + 1 times, and the CN cache
+    keeps the factor but no assembled global matrix."""
+    sys = eb_systems("kuhn_cube(1)")
+    cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.1, dt=0.02, init="random")
+    sys.cn_factorization(cfg.dt)    # built from the plain matrices before they are wrapped
+    A, S = _Counting(sys.mass_block()), _Counting(sys.skew_block())
+    monkeypatch.setattr(sys, "_A", A)
+    monkeypatch.setattr(sys, "_S", S)
+    rec, _, _ = eb_solver.run(sys, cfg)
+    assert A.calls == S.calls == cfg.nsteps + 1 == len(rec.t)
+    assert not any(sp.issparse(v) or getattr(v, "shape", None) == (sys.ntot, sys.ntot)
+                   for v in sys._cn[cfg.dt])
 
 
 def test_energy_conservation_100_steps(eb_systems):
@@ -363,7 +440,7 @@ def _dense_infsup(sys):
     algebra: the Cholesky factor L of the equilibrated vnorm_block gives
     beta = sigma_min(L^{-1} P L^{-T}) for the equilibrated A - S = P."""
     N = _equilibrated(sys, eb_solver.vnorm_block(sys)).toarray()
-    P = _equilibrated(sys, sys.projection_matrix()).toarray()
+    P = _equilibrated(sys, _lhs(sys, 1.0)).toarray()
     L = np.linalg.cholesky(N)
     X = sla.solve_triangular(L, P, lower=True)
     C = sla.solve_triangular(L, X.T, lower=True).T
