@@ -29,8 +29,8 @@ def assemble_cells(rmaps: np.ndarray, cmaps: np.ndarray, blocks: np.ndarray,
     as blocks (ncells, r, s), scattered to the global rows rmaps (ncells, r)
     and columns cmaps (ncells, s); entries that meet in one slot are added.
     """
-    # 32-bit indices halve the memory of the scatter (the Schur complement
-    # update of kuhn_cube(2) has 5 M entries before duplicates are summed)
+    # 32-bit indices halve the memory of the scatter (the B mass of
+    # kuhn_cube(2) has 3.8 M entries before duplicates are summed)
     rows = np.broadcast_to(rmaps[:, :, None], blocks.shape).astype(np.int32)
     cols = np.broadcast_to(cmaps[:, None, :], blocks.shape).astype(np.int32)
     return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
@@ -153,27 +153,11 @@ def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr
                          shape=(dst.ndof, src.ndof))
 
 
-def assemble_coupling(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace,
-                      masses: np.ndarray) -> sp.csr_matrix:
-    """dst.mass() @ assemble_diff(ops, src, dst), assembled cell by cell from
-    masses = dst.cell_masses().
-
-    Conformity makes the global operator restricted to a cell the cell
-    operator d_c, so the product is the sum over cells of P_c^T (M_c d_c) P_c.
-    Formed globally it also couples each cell to the neighbours of its
-    neighbours, through entries that are rounding-level zeros; the local sum
-    keeps the one-cell stencil, and with it the LU fill of the solver.
-    """
-    return assemble_cells(dst.cell_maps, src.cell_maps, masses @ ops,
-                          (dst.ndof, src.ndof))
-
-
 def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9) -> int:
     """Rank by dense column-pivoted QR; SVD cross-check on small matrices."""
-    dense = np.asarray(A.todense()) if sp.issparse(A) else np.asarray(A)
-    r = qr_rank(dense, rtol)
-    if max(dense.shape) <= 1200:
-        r2 = svd_rank(dense, rtol=1e-10)
+    r = qr_rank(A, rtol)
+    if max(A.shape) <= 1200:
+        r2 = svd_rank(A.toarray() if sp.issparse(A) else A, rtol=1e-10)
         if r2 != r:
             raise ValueError(f"rank oracle disagreement: QR {r} vs SVD {r2}")
     return r

@@ -20,8 +20,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import (GlobalSpace, assemble_cells, assemble_coupling, assemble_diff,
-                          cell_operators)
+from .complex_asm import GlobalSpace, assemble_cells, assemble_diff, cell_operators
 from .dofcommon import GeneratorEval
 from .fe3d import EntityCache, _symcurl_vals
 from .mesh import TetMesh, load as load_mesh
@@ -95,58 +94,91 @@ class EBConfig:
 
 class CellInteriors:
     """The factor of lhs = A - theta S: equilibrated, its cell interiors
-    condensed out, and the sparse LU of the Schur complement.
+    condensed out cell by cell, and the sparse LU of the Schur complement.
 
-    K = D lhs D, with D the diagonal of scale; lhs is formed here and not
-    kept, so it is freed before the Schur complement is factorised.  The
-    interior unknowns I of a cell couple only within that cell, so K_II is
-    block diagonal, one dense block K_ii per cell, factorised by LU (an
-    explicit inverse loses digits that the residual checks need).  With X_c = K_ii^-1 K_iF, the Schur
-    complement on the interface unknowns F is K_FF - sum_c P_c^T K_Fi X_c P_c.
-    A_ii is SPD and S skew, so each K_ii has a positive-definite symmetric
-    part and is nonsingular for every theta.  The Schur complement inherits
-    the symmetric pattern and the positive-definite symmetric part, so
-    diagonal pivots exist: the ordering is minimum degree on its (symmetric)
-    pattern, and a pivot leaves the diagonal only where a multiplier would
-    exceed 100.
+    K = D lhs D, with D the diagonal of scale, is the sum over cells of
+    P_c^T K_c P_c, K_c = D_c (A_c - theta S_c) D_c.  The interior unknowns I
+    of a cell belong to that cell alone, so its rows and columns of K are
+    those of K_c: each cell's K_ii, K_iF and K_Fi come from K_c, and K_ii is
+    factorised by dense LU (an explicit inverse loses digits that the
+    residual checks need).  With X_c = K_ii^-1 K_iF, the Schur complement on
+    the interface unknowns F is the sum of the cell blocks K_c,FF - K_Fi X_c,
+    scattered once by the interface incidence P; no global matrix is formed.
+    The K_c are built CHUNK cells at a time (cell_lhs), so the dense
+    transients stay small.
+
+    Pivots: A is SPD and S skew, so K has a positive-definite symmetric part,
+    and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
+    z = (-K_ii^-1 K_iF x, x)).  Every symmetric permutation of it then has
+    nonsingular leading blocks, so LU on diagonal pivots exists in the
+    minimum-degree order of its (symmetric) pattern, and its growth is
+    bounded by the size of the skew part relative to the symmetric one
+    (Golub & Van Loan, "Unsymmetric positive definite linear systems", Linear
+    Algebra Appl. 1979).  So the pivot threshold is 0: no pivot leaves the
+    diagonal, and the ordering's fill estimate is the fill.  Past theta = 1
+    the largest multiplier grows like theta, but || |L| |U| || / || L U ||
+    does not (1.72 at theta = 1, 1.66 at 4, 1.63 at 10^4 on kuhn_cube(1)).
     """
 
-    def __init__(self, A: sp.csr_matrix, S: sp.csr_matrix, theta: float, scale: np.ndarray,
-                 interior: np.ndarray, cell_iface: np.ndarray):
+    # cells whose K_c are formed at once: 10 MB of dense transients at k = 3
+    CHUNK = 8
+
+    def __init__(self, cell_lhs, scale: np.ndarray, maps: np.ndarray, inner: np.ndarray):
+        """cell_lhs(cells) gives A_c - theta S_c of a slice of the cells,
+        stacked (cells, n, n) in the local order of maps (ncells, n), the
+        global numbers of each cell's unknowns; inner marks the local interior
+        ones."""
         self.scale = scale
-        D = sp.diags(scale)
-        K = (D @ (A - theta * S if theta else A) @ D).tocsr()
-        self.interior = interior
-        self.iface = np.setdiff1d(np.arange(K.shape[0]), interior)
-        number = np.empty(K.shape[0], dtype=int)
+        self.interior = maps[:, inner]
+        self.iface = np.setdiff1d(np.arange(len(scale)), self.interior)
+        number = np.empty(len(scale), dtype=int)
         number[self.iface] = np.arange(len(self.iface))
-        self.cell_iface = number[cell_iface]
-        Kii = np.stack([K[np.ix_(i, i)].toarray() for i in interior])
-        KiF = np.stack([K[np.ix_(i, f)].toarray() for i, f in zip(interior, cell_iface)])
-        self.lu_ii = sla.lu_factor(Kii, check_finite=False)
-        self.X = sla.lu_solve(self.lu_ii, KiF, check_finite=False)
-        del Kii, KiF                 # freed before K_Fi and K[F] are formed: peak memory
-        nF = len(self.iface)
-        KFi = np.stack([K[np.ix_(self.iface[f], i)].toarray()
-                        for i, f in zip(interior, self.cell_iface)])
-        update = assemble_cells(self.cell_iface, self.cell_iface, KFi @ self.X, (nF, nF))
-        del KFi
-        KF = K[self.iface]
-        del K
-        self.KFI = KF[:, interior.ravel()]
-        schur = (KF[:, self.iface] - update).tocsc()
-        del KF, update
-        self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+        self.cell_iface = number[maps[:, ~inner]]
+        ncells, (ni, nf) = len(maps), (self.interior.shape[1], self.cell_iface.shape[1])
+        # P = [P_1F^T ... P_nF^T], the interface incidence: it adds the cells'
+        # interface vectors v_c, stacked (ncells * nf), into one interface vector
+        self.P = sp.csr_matrix((np.ones(ncells * nf), (self.cell_iface.ravel(),
+                                                       np.arange(ncells * nf))),
+                               shape=(len(self.iface), ncells * nf))
+        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+        lu, piv = np.empty((ncells, ni, ni)), np.empty((ncells, ni), dtype=np.int32)
+        self.X, self.KFi = np.empty((ncells, ni, nf)), np.empty((ncells, nf, ni))
+        blocks = np.empty((ncells, nf, nf))         # each cell's Schur block
+        for start in range(0, ncells, self.CHUNK):
+            c = slice(start, start + self.CHUNK)
+            d = scale[maps[c][:, order]]
+            K = cell_lhs(c)[:, order[:, None], order]          # [interior | interface]
+            K *= d[:, :, None]
+            K *= d[:, None, :]
+            Kii, KiF, KFi, KFF = K[:, :ni, :ni], K[:, :ni, ni:], K[:, ni:, :ni], K[:, ni:, ni:]
+            lu[c], piv[c] = sla.lu_factor(Kii, check_finite=False)
+            # numpy's batched solve: scipy's lu_solve loops over the cells in Python
+            self.X[c] = np.linalg.solve(Kii, KiF)
+            self.KFi[c] = KFi
+            np.subtract(KFF, KFi @ self.X[c], out=blocks[c])
+        self.lu_ii = (lu, piv)
+        # the Schur complement P blockdiag(blocks) P^T, scattered by one sparse
+        # product, which sums the duplicates without sorting them and drops
+        # exact zeros (the E-B blocks at theta = 0); tocsc then sorts by counting
+        cols = np.broadcast_to(self.cell_iface[:, None, :], blocks.shape).astype(np.int32)
+        cells = sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1),
+                               np.arange(0, blocks.size + 1, nf, dtype=np.int32)),
+                              shape=(ncells * nf, len(self.iface)))
+        del blocks, cols             # owned by cells now
+        schur = self.P @ cells
+        del cells                    # freed before the CSC copy: peak memory
+        schur = schur.tocsc()        # and the CSR before the LU
+        self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """lhs^-1 b = D K^-1 D b: w = K_II^-1 c_I, x_F = Schur^-1 (c_F - K_FI w)
         and x_I = w - X x_F, for c = D b."""
         c = self.scale * b
-        w = sla.lu_solve(self.lu_ii, c[self.interior][..., None], check_finite=False)[..., 0]
-        xF = self.lu.solve(c[self.iface] - self.KFI @ w.ravel())
+        w = sla.lu_solve(self.lu_ii, c[self.interior][..., None], check_finite=False)
+        xF = self.lu.solve(c[self.iface] - self.P @ (self.KFi @ w).ravel())
         x = np.empty_like(c)
         x[self.iface] = xF
-        x[self.interior] = w - (self.X @ xF[self.cell_iface][..., None])[..., 0]
+        x[self.interior] = (w - self.X @ xF[self.cell_iface][..., None])[..., 0]
         return self.scale * x
 
 
@@ -160,40 +192,46 @@ class EBSystem:
         self.space_q = GlobalSpace(mesh, "dg_scalar", k, cache)
         self.space_E = GlobalSpace(mesh, "hdivdiv_S", k, cache)
         self.space_B = GlobalSpace(mesh, "hsymcurl_T", k, cache)
+        spaces = (self.space_q, self.space_E, self.space_B)
         d3 = cell_operators("divdiv", self.space_E, self.space_q)
         d2 = cell_operators("symcurl", self.space_B, self.space_E)
         self.D3 = assemble_diff(d3, self.space_E, self.space_q)
         self.D2 = assemble_diff(d2, self.space_B, self.space_E)
-        self.MB = self.space_B.mass()
-        mq, mE = self.space_q.cell_masses(), self.space_E.cell_masses()
-        self.Mq = self.space_q.mass(mq)
-        self.ME = self.space_E.mass(mE)
-        # the coupling blocks Mq D3 and ME D2, assembled cell by cell
-        C3 = assemble_coupling(d3, self.space_E, self.space_q, mq)
-        C2 = assemble_coupling(d2, self.space_B, self.space_E, mE)
-        del mq, mE, d3, d2           # freed before S is stacked
-        self.nq, self.nE, self.nB = self.space_q.dim, self.space_E.dim, self.space_B.dim
+        # the cell stacks that A, S and every condensed factor are assembled
+        # from: the cell masses of q, E and B, and the cell couplings
+        # M_q,c d3_c and M_E,c d2_c
+        mq, mE, mB = (space.cell_masses() for space in spaces)
+        self._cell_mass = (mq, mE, mB)
+        self._cell_coupling = (mq @ d3, mE @ d2)
+        del d3, d2
+        self.nq, self.nE, self.nB = (space.dim for space in spaces)
         nq, nE, nB = self.nq, self.nE, self.nB
-        # every block CSR, so that bmat stacks them without a COO round trip
+        self.ntot = nq + nE + nB
+        # the coupling blocks Mq D3 and ME D2, assembled cell by cell (the
+        # global products would add rounding-level entries between neighbours
+        # of neighbours), and every block CSR, so that bmat stacks them
+        # without a COO round trip
+        C3 = assemble_cells(self.space_q.cell_maps, self.space_E.cell_maps,
+                            self._cell_coupling[0], (nq, nE))
+        C2 = assemble_cells(self.space_E.cell_maps, self.space_B.cell_maps,
+                            self._cell_coupling[1], (nE, nB))
         self._S = sp.bmat([
             [sp.csr_matrix((nq, nq)), C3, sp.csr_matrix((nq, nB))],
             [-C3.T.tocsr(), sp.csr_matrix((nE, nE)), -C2],
             [sp.csr_matrix((nB, nq)), C2.T.tocsr(), sp.csr_matrix((nB, nB))]], format="csr")
-        self.ntot = self.nq + self.nE + self.nB
+        # the global numbers of each cell's unknowns, (ncells, n) in local
+        # order [q | E | B], and the local interior ones: every unknown not
+        # interior is interface
+        self._maps = np.hstack([o + space.cell_maps
+                                for o, space in zip((0, nq, nq + nE), spaces)])
+        self._inner = np.concatenate([space.elements[0].interior for space in spaces])
         # symmetric diagonal equilibration from the mass diagonal: DOF
         # functionals mix point derivatives and moments, so raw systems are
         # badly conditioned, and the scaling changes nothing about the
         # discretisation
-        self.scale = 1.0 / np.sqrt(np.concatenate(
-            [self.Mq.diagonal(), self.ME.diagonal(), self.MB.diagonal()]))
-        # each cell's interior unknowns, (ncells, ni), and interface unknowns,
-        # (ncells, nf); every unknown not interior is interface
-        interior, iface = [], []
-        for o, space in zip((0, nq, nq + nE), (self.space_q, self.space_E, self.space_B)):
-            inner = space.elements[0].interior
-            interior.append(o + space.cell_maps[:, inner])
-            iface.append(o + space.cell_maps[:, ~inner])
-        self._cells = (np.hstack(interior), np.hstack(iface))
+        diag = np.hstack([np.diagonal(m, axis1=1, axis2=2) for m in self._cell_mass])
+        self.scale = 1.0 / np.sqrt(np.bincount(self._maps.ravel(), diag.ravel(),
+                                               minlength=self.ntot))
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
@@ -208,10 +246,17 @@ class EBSystem:
         return (y[: self.nq], y[self.nq: self.nq + self.nE], y[self.nq + self.nE:])
 
     def mass_block(self) -> sp.csr_matrix:
-        """A = blockdiag(Mq, ME, MB), assembled on first use."""
+        """A = blockdiag(Mq, ME, MB), assembled on first use: the one global
+        mass matrix the system keeps."""
         if self._A is None:
-            self._A = sp.block_diag([self.Mq, self.ME, self.MB], format="csr")
+            self._A = sp.block_diag([space.mass(m) for space, m in zip(
+                (self.space_q, self.space_E, self.space_B), self._cell_mass)], format="csr")
         return self._A
+
+    def mass_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(Mq, ME, MB), sliced out of A: copies, which the system does not keep."""
+        A, o = self.mass_block(), np.cumsum([0, self.nq, self.nE, self.nB])
+        return tuple(A[a:b, a:b] for a, b in zip(o[:-1], o[1:]))
 
     def skew_block(self) -> sp.csr_matrix:
         """Coupling S with y' A = S y: skew-symmetric by construction."""
@@ -280,10 +325,25 @@ class EBSystem:
         return out
 
     # -- solvers ---------------------------------------------------------------
+    def cell_lhs(self, cells: slice, theta: float) -> np.ndarray:
+        """A_c - theta S_c of a slice of the cells, from the cell stacks:
+        (cells, n, n) in the local order [q | E | B] of the cell's unknowns."""
+        (mq, mE, mB), (c3, c2) = self._cell_mass, self._cell_coupling
+        mq, mE, mB = mq[cells], mE[cells], mB[cells]
+        a, b = mq.shape[1], mq.shape[1] + mE.shape[1]
+        K = np.zeros((len(mq),) + (self._maps.shape[1],) * 2)
+        K[:, :a, :a], K[:, a:b, a:b], K[:, b:, b:] = mq, mE, mB
+        if theta:
+            c3, c2 = theta * c3[cells], theta * c2[cells]
+            K[:, :a, a:b], K[:, a:b, :a] = -c3, c3.transpose(0, 2, 1)
+            K[:, a:b, b:], K[:, b:, a:b] = c2, -c2.transpose(0, 2, 1)
+        return K
+
     def _factorize(self, theta: float) -> CellInteriors:
         """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
-        projection, 0 for the mass block)."""
-        return CellInteriors(self.mass_block(), self._S, theta, self.scale, *self._cells)
+        projection, 0 for the mass block), from the cell stacks alone."""
+        return CellInteriors(lambda cells: self.cell_lhs(cells, theta), self.scale,
+                             self._maps, self._inner)
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """The A-projection: (A - S) y = rhs, the CN solve at dt = 2."""
@@ -569,9 +629,10 @@ def temporal_convergence(mesh_spec: str, k: int, mms_factory, t_final: float,
 
 def vnorm_block(sys: EBSystem) -> sp.csr_matrix:
     """Gram matrix of the graph norm: mass + divdiv- and symcurl-stiffness."""
-    Ks = (sys.D3.T @ sys.Mq @ sys.D3).tocsr()
-    Kl = (sys.D2.T @ sys.ME @ sys.D2).tocsr()
-    return sp.block_diag([sys.Mq, sys.ME + Ks, sys.MB + Kl], format="csr")
+    Mq, ME, MB = sys.mass_blocks()
+    Ks = (sys.D3.T @ Mq @ sys.D3).tocsr()
+    Kl = (sys.D2.T @ ME @ sys.D2).tocsr()
+    return sp.block_diag([Mq, ME + Ks, MB + Kl], format="csr")
 
 
 def infsup_estimate(sys: EBSystem) -> float:
@@ -585,12 +646,13 @@ def infsup_estimate(sys: EBSystem) -> float:
     one factorisation of the mass block A and one ARPACK call.
     """
     A = sys.mass_block()
+    Mq, ME, _ = sys.mass_blocks()
     cells = sys._factorize(0.0)
 
     def stiff(y):
         _, e, b = sys.split(y)
-        return sys.stack(np.zeros(sys.nq), sys.D3.T @ (sys.Mq @ (sys.D3 @ e)),
-                         sys.D2.T @ (sys.ME @ (sys.D2 @ b)))
+        return sys.stack(np.zeros(sys.nq), sys.D3.T @ (Mq @ (sys.D3 @ e)),
+                         sys.D2.T @ (ME @ (sys.D2 @ b)))
 
     op = spla.LinearOperator((sys.ntot, sys.ntot), dtype=float,
                              matvec=lambda y: cells.solve(stiff(y)))
@@ -610,6 +672,7 @@ def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:
     """The proof's test choice bounds the form below by half the squared norms;
     returns the worst slack (negative = violation)."""
     rng = np.random.default_rng(seed)
+    Mq, ME, _ = sys.mass_blocks()
     worst = np.inf
     for _ in range(trials):
         y = rng.standard_normal(sys.ntot)
@@ -619,6 +682,6 @@ def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:
         test = sys.stack(sig - dde, e + scb, b)
         Ay, Sy = sys.products(y)
         lhs = float(test @ (Ay - Sy))
-        rhs = 0.5 * float(y @ Ay + dde @ (sys.Mq @ dde) + scb @ (sys.ME @ scb))
+        rhs = 0.5 * float(y @ Ay + dde @ (Mq @ dde) + scb @ (ME @ scb))
         worst = min(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
     return worst

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 DEFAULT_RTOL = 1e-10
 
@@ -34,19 +35,22 @@ def svd_rank(M, rtol: float = DEFAULT_RTOL, scale: float | None = None) -> int:
 def qr_rank(M, rtol: float = 1e-9) -> int:
     """Rank via column-pivoted QR; suited to the larger audit matrices.
 
-    A tall m x n input is first reduced to its n x n triangle by unpivoted
-    blocked QR (BLAS-3), and the column-pivoted QR runs on that triangle: Q is
+    M may be dense or scipy-sparse. The QR factors its own copy of M, made
+    tall and in Fortran order (the layout LAPACK factors in place), so a
+    sparse M is densified once and a dense M is left untouched. A tall
+    m x n copy is first reduced to its n x n triangle by unpivoted blocked
+    QR (BLAS-3), and the column-pivoted QR runs on that triangle: Q is
     orthogonal, so in exact arithmetic the pivots and |diag R| are the same.
     """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0
     if M.shape[0] < M.shape[1]:
         M = M.T
+    M = M.toarray(order="F") if sp.issparse(M) else np.array(M, dtype=float, order="F")
+    if M.size == 0:
+        return 0
     if M.shape[0] > M.shape[1]:
         # mode "raw" returns the n x n triangle, without an m x n copy of it
-        M = scipy.linalg.qr(M, mode="raw")[1]
-    R = scipy.linalg.qr(M, mode="r", pivoting=True)[0]
+        M = scipy.linalg.qr(M, mode="raw", overwrite_a=True)[1]
+    R = scipy.linalg.qr(M, mode="r", pivoting=True, overwrite_a=True)[0]
     d = np.abs(np.diag(R))
     if d.size == 0 or d[0] == 0.0:
         return 0

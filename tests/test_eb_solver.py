@@ -66,7 +66,8 @@ def _coupling_blocks(sys):
 def test_cell_assembled_coupling_equals_global_products(eb_systems, spec):
     sys = eb_systems(spec)
     C3, C2 = _coupling_blocks(sys)
-    for local, glob in ((C3, sys.Mq @ sys.D3), (C2, sys.ME @ sys.D2)):
+    Mq, ME, _ = sys.mass_blocks()
+    for local, glob in ((C3, Mq @ sys.D3), (C2, ME @ sys.D2)):
         assert abs(local - glob).max() <= 1e-12 * abs(glob).max()
 
 
@@ -122,19 +123,115 @@ def test_condensed_interface_kuhn_cube_1(eb_systems):
     assert cells.iface.min() >= sys.nq
 
 
-def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
-    sys = eb_systems("kuhn_cube(1)")
+def _factored_schur(sys, theta, monkeypatch):
+    """(CellInteriors factor of A - theta S, the Schur matrix it handed to splu)."""
     factored = []
     splu = eb_solver.spla.splu
-    monkeypatch.setattr(eb_solver.spla, "splu",
-                        lambda A, **kw: factored.append(A) or splu(A, **kw))
-    cells = sys._factorize(_THETAS["cn"])
+    with monkeypatch.context() as m:
+        m.setattr(eb_solver.spla, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
+        cells = sys._factorize(theta)
     (schur,) = factored
+    return cells, schur
+
+
+def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
+    sys = eb_systems("kuhn_cube(1)")
+    cells, schur = _factored_schur(sys, _THETAS["cn"], monkeypatch)
     ncells, nf = cells.cell_iface.shape
     stencil = assemble_cells(cells.cell_iface, cells.cell_iface, np.ones((ncells, nf, nf)),
                              schur.shape)
     rows, cols = schur.nonzero()
     assert len(rows) > 0 and np.all(stencil[rows, cols] > 0)
+
+
+def _global_schur(sys, cells, theta):
+    """The Schur complement of the cell interiors, sliced out of the global
+    K = D (A - theta S) D: the construction that the cell-local one replaced,
+    kept as its oracle."""
+    K = _equilibrated(sys, _lhs(sys, theta))
+    interior, iface, cell_iface = cells.interior, cells.iface, cells.cell_iface
+    Kii = np.stack([K[np.ix_(i, i)].toarray() for i in interior])
+    KiF = np.stack([K[np.ix_(i, iface[f])].toarray() for i, f in zip(interior, cell_iface)])
+    KFi = np.stack([K[np.ix_(iface[f], i)].toarray() for i, f in zip(interior, cell_iface)])
+    X = sla.lu_solve(sla.lu_factor(Kii), KiF)
+    update = assemble_cells(cell_iface, cell_iface, KFi @ X, (len(iface),) * 2)
+    return (K[iface][:, iface] - update).tocsc()
+
+
+def _pattern(M):
+    """The entries of M above rounding level, as a set of (row, column)."""
+    M = M.tocoo()
+    big = np.abs(M.data) > 1e-14 * np.abs(M.data).max()
+    return set(zip(M.row[big].tolist(), M.col[big].tolist()))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5 * 0.0125, 1.0])
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_cell_local_schur_matches_global_slicing(eb_systems, spec, theta, monkeypatch):
+    """The Schur complement scattered from the cell stacks equals the one
+    sliced out of the global matrix: the same entries above rounding level,
+    and the same values to 1e-12 in the Frobenius norm.  The summation order
+    differs, so entries that cancel can differ at the rounding level."""
+    sys = eb_systems(spec)
+    cells, schur = _factored_schur(sys, theta, monkeypatch)
+    ref = _global_schur(sys, cells, theta)
+    assert _pattern(schur) == _pattern(ref)
+    assert sp.linalg.norm(schur - ref) <= 1e-12 * sp.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("theta", [*_THETAS.values(), 4.0], ids=[*_THETAS, "cn_dt8"])
+def test_schur_factor_pivots_on_the_diagonal_with_small_growth(eb_systems, theta):
+    """No pivot leaves the diagonal (perm_r = perm_c), and the growth
+    || |L| |U| ||_F / || L U ||_F stays below 2 (1.72 projection, 1.46 CN),
+    also past theta = 1, where the largest multiplier grows like theta (204
+    at dt = 8) but the growth does not (1.66)."""
+    lu = eb_systems("kuhn_cube(1)")._factorize(theta).lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    L, U = lu.L, lu.U
+    growth = sp.linalg.norm(abs(L) @ abs(U)) / sp.linalg.norm(L @ U)
+    assert growth <= 2.0
+
+
+@pytest.mark.parametrize("dt", [8.0, 200.0])
+def test_cn_step_at_large_dt_passes_its_residual_check(eb_systems, rng, dt):
+    """Diagonal pivots hold up at theta = dt/2 > 1: the CN step's 1e-8
+    residual check passes."""
+    sys = eb_systems("kuhn_cube(1)")
+    y = sys.cn_step(rng.standard_normal(sys.ntot), dt)
+    assert np.all(np.isfinite(y))
+
+
+def test_projection_factor_kuhn_cube_2_fill(eb_systems):
+    """The kuhn_cube(2) projection factor: diagonal pivots and at most 5.1 M
+    entries in L + U (7.47 M, with 889 off-diagonal pivots, at a threshold
+    of 0.01)."""
+    lu = eb_systems("kuhn_cube(2)")._factorize(1.0).lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.L.nnz + lu.U.nnz <= 5_100_000
+
+
+class _Unusable:
+    """Stands in for a global matrix that must not be read."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("a global ntot x ntot matrix was used")
+
+    __getattr__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = _fail
+    __add__ = __radd__ = __sub__ = __rsub__ = __neg__ = __getitem__ = __array__ = _fail
+
+
+def test_factor_reads_only_the_cell_stacks(eb_systems, monkeypatch, rng):
+    """_factorize never touches the global A or S: with both replaced by
+    objects that raise on any use it still builds every factor from the cell
+    stacks, and the factors solve the full system."""
+    sys = eb_systems("kuhn_cube(1)")
+    monkeypatch.setattr(sys, "_A", _Unusable())
+    monkeypatch.setattr(sys, "_S", _Unusable())
+    b = rng.standard_normal(sys.ntot)
+    solved = {theta: sys._factorize(theta).solve(b) for theta in _THETAS.values()}
+    monkeypatch.undo()
+    for theta, x in solved.items():
+        assert np.linalg.norm(_lhs(sys, theta) @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_cn_step_rejects_wrong_condensed_solve(eb_systems, rng, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from divdivfem.linalg import qr_rank, svd_rank
 
@@ -21,3 +22,14 @@ def test_qr_rank_matches_svd_rank_on_prescribed_spectra(rng, shape, rank):
     M = _with_spectrum(rng, *shape, np.logspace(0, -6, rank))
     assert qr_rank(M) == svd_rank(M) == rank
 
+
+@pytest.mark.parametrize("shape", [(120, 40), (40, 120), (80, 80)])
+def test_qr_rank_takes_sparse_input_and_leaves_dense_input_intact(rng, shape):
+    """qr_rank factors its own copy: a sparse input gives the dense rank, and
+    a dense input, in either memory order, is not modified."""
+    M = _with_spectrum(rng, *shape, np.logspace(0, -6, 30))
+    for dense in (M, np.asfortranarray(M)):
+        kept = dense.copy()
+        assert qr_rank(dense) == 30
+        assert np.array_equal(dense, kept)
+    assert qr_rank(sp.csr_matrix(M)) == qr_rank(sp.csc_matrix(M)) == 30
