@@ -199,18 +199,21 @@ def main(argv=None) -> int:
             if cfg.mms == "poly":
                 return _fail_io("mms = poly lies in the discrete spaces: its errors "
                                 "are rounding and show no spatial order; use trig")
-            base = cfg.mesh
             import re
-            mref = re.match(r"^kuhn_cube\((\d+)\)$", base)
+            mref = re.match(r"^kuhn_cube\((\d+)\)$", cfg.mesh)
             if not mref:
                 return _fail_io("convergence study needs a kuhn_cube(n) base mesh")
             n0 = int(mref.group(1))
             specs = [f"kuhn_cube({n0 * 2**i})" for i in range(args.levels)]
+            # one system per level, shared by both studies: the temporal
+            # study runs on the base level, which the spatial study built
+            systems: dict = {}
             rows = eb_solver.mms_convergence(
                 specs, cfg.k, lambda: mms.make_mms(
                     "trig" if cfg.mms == "none" else cfg.mms, cfg.k),
                 t_final=cfg.t_final,
-                dt_for_level=lambda lvl: cfg.dt / 4**lvl, seed=args.seed)
+                dt_for_level=lambda lvl: cfg.dt / 4**lvl, seed=args.seed,
+                systems=systems)
             checks = []
             for r in rows:
                 checks.append({"name": f"errors on {r['mesh']}", "expected": "finite",
@@ -227,8 +230,8 @@ def main(argv=None) -> int:
             if args.temporal:
                 dts = [cfg.dt / 2**i for i in range(args.temporal)]
                 trows = eb_solver.temporal_convergence(
-                    base, cfg.k, lambda: mms.poly_mms(cfg.k, time_degree=3),
-                    t_final=cfg.t_final, dts=dts)
+                    specs[0], cfg.k, lambda: mms.poly_mms(cfg.k, time_degree=3),
+                    t_final=cfg.t_final, dts=dts, systems=systems)
                 if len(trows) >= 2 and "order" in trows[-1]:
                     order = trows[-1]["order"]
                     checks.append({"name": "observed temporal order",

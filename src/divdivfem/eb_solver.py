@@ -21,24 +21,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .complex_asm import GlobalSpace, assemble_cells, assemble_diff, cell_operators
-from .dofcommon import GeneratorEval
-from .fe3d import EntityCache, _symcurl_vals
+from .fe3d import EntityCache
 from .mesh import TetMesh, load as load_mesh
 from .quadrature import rule
 
 
 INITS = ("zero", "random", "mms")
 MMS_CHOICES = ("none", "trig", "poly")
-
-# load slot -> (space attribute of EBSystem, moment integrand: it runs on
-# the _Probe of GeneratorEval.moments)
-_SLOTS = {
-    "q": ("space_q", lambda ev, P: ev.values(P)),
-    "xi": ("space_E", lambda ev, P: ev.values(P)),
-    "divxi": ("space_E", lambda ev, P: np.einsum("...pijij->...p", ev.hessians(P))),
-    "z": ("space_B", lambda ev, P: ev.values(P)),
-    "scz": ("space_B", _symcurl_vals),
-}
 
 
 @dataclass
@@ -277,52 +266,43 @@ class EBSystem:
             self._cellq = (np.stack([p for p, _ in pw]), np.stack([w for _, w in pw]))
         return self._cellq
 
-    def cell_values(self, space: GlobalSpace, coeffs: np.ndarray) -> np.ndarray:
-        """A discrete field at every cell's quadrature points: (ncells, p, *vshape).
-
-        The rule is barycentric, so one scalar Bernstein tabulation serves every
-        cell: u_h = T . reshape(Vinv . y_c) . generators.
-        """
+    def _tabulation(self, space: GlobalSpace) -> tuple[np.ndarray, np.ndarray]:
+        """(T, G): the scalar Bernstein tabulation T (p, N) at the barycentric
+        points of the rule, the same on every cell, and the generators G (C, V)."""
         if space.family not in self._tabs:
-            self._tabs[space.family] = space.elements[0].basis.eval(self._qrule.bary)
-        T = self._tabs[space.family]
-        gens = np.asarray(space.elements[0].comp_gens, dtype=float)
+            elem = space.elements[0]
+            gens = np.asarray(elem.comp_gens, dtype=float)
+            self._tabs[space.family] = (elem.basis.eval(self._qrule.bary),
+                                        gens.reshape(len(gens), -1))
+        return self._tabs[space.family]
+
+    def cell_values(self, space: GlobalSpace, coeffs: np.ndarray) -> np.ndarray:
+        """A discrete field at every cell's quadrature points: (ncells, p, *vshape),
+        u_h = T . reshape(Vinv . y_c) . G."""
+        T, G = self._tabulation(space)
         co = np.stack([elem.Vinv @ coeffs[gmap]
                        for elem, gmap in zip(space.elements, space.cell_maps)])
-        co = co.reshape(len(co), T.shape[1], len(gens))           # (c, N, C)
-        vals = (T @ co) @ gens.reshape(len(gens), -1)             # (c, p, V)
-        return vals.reshape(*vals.shape[:2], *gens.shape[1:])
+        co = co.reshape(len(co), T.shape[1], len(G))              # (c, N, C)
+        vals = (T @ co) @ G                                       # (c, p, V)
+        return vals.reshape(*vals.shape[:2], *space.elements[0].vshape)
 
-    def assemble_forms(self, requests) -> list[np.ndarray]:
-        """requests: list of (slot, field) with slot in
-        q | divxi | xi | z | scz and field(ci, pts) -> values.
+    def assemble_forms(self, space: GlobalSpace, values: np.ndarray) -> np.ndarray:
+        """The loads (m, dim) against the nodal basis of space of m fields given
+        at every cell's quadrature points, values (m, ncells, p, *vshape).
 
-        Each load is the moment of the field against the nodal basis (or its
-        divdiv / symcurl), by sum factorisation; the requests of one slot form
-        the batch axis of one GeneratorEval.moments call per cell.
+        The transpose of cell_values: the weights, G^T and T^T over all cells
+        at once, then each cell's Vinv^T, then the scatter by cell_maps.  So
+        assemble_forms(space, v) . y is the quadrature of v . cell_values(space, y).
         """
-        by_slot: dict = {}
-        for idx, (slot, _) in enumerate(requests):
-            if slot not in _SLOTS:
-                raise ValueError(f"unknown load slot {slot!r}")
-            by_slot.setdefault(slot, []).append(idx)
-        spaces = {slot: getattr(self, _SLOTS[slot][0]) for slot in by_slot}
-        out = [np.zeros(spaces[slot].dim) for slot, _ in requests]
-        allpts, allw = self.cell_quadrature()
-        for ci in range(self.mesh.num_cells):
-            pts, w = allpts[ci], allw[ci]
-            for slot, idxs in by_slot.items():
-                space, integrand = spaces[slot], _SLOTS[slot][1]
-                elem = space.elements[ci]
-                tw = np.stack([requests[i][1](ci, pts) for i in idxs])
-                tw = tw * w.reshape(1, -1, *([1] * (tw.ndim - 2)))
-                mom = GeneratorEval(elem.basis, elem.comp_gens).moments(
-                    lambda ev: integrand(ev, pts), tw)
-                loads = elem.Vinv.T @ mom                         # (ndof, m)
-                gmap = space.cell_maps[ci]
-                for j, i in enumerate(idxs):
-                    out[i][gmap] += loads[:, j]
-        return out
+        T, G = self._tabulation(space)
+        _, w = self.cell_quadrature()
+        m = len(values)
+        wv = values.reshape(m, *w.shape, -1) * w[:, :, None]      # (m, c, p, V)
+        mom = (T.T @ (wv @ G.T)).reshape(m, len(w), -1)           # (m, c, N C)
+        out = np.zeros((space.dim, m))
+        np.add.at(out, space.cell_maps, np.stack(
+            [elem.Vinv.T @ mom[:, ci].T for ci, elem in enumerate(space.elements)]))
+        return out.T
 
     # -- solvers ---------------------------------------------------------------
     def cell_lhs(self, cells: slice, theta: float) -> np.ndarray:
@@ -420,16 +400,20 @@ class ManufacturedEB:
     label: str = "mms"
 
 
-# the weak-form loads of a manufactured solution, in assembly order: for each
-# term list, one row per load of each term: (load slot, spatial factor of the
-# term, block it loads (0 sigma, 1 E, 2 B), time factor, sign).  The time
-# factor "rate" is g'(t) in the forcing and g(t) in the projection; "value" is
-# g(t) in both.
+# the weak-form loads of a manufactured solution.  For each term list, one row
+# per spatial factor of a term: (factor, space it is tested against (0 q, 1 E,
+# 2 B), its loads).  A load is (block it loads, differential or None, time
+# factor, sign); with a differential D it is D^T times the factor's plain load:
+# the divdiv load of a sigma shape is D3^T of its q load, because divdiv maps
+# the E space into Q, and the symcurl load of an E shape is D2^T of its E load,
+# because symcurl maps the B space into the E space.  The time factor "rate"
+# is g'(t) in the forcing and g(t) in the projection; "value" is g(t) in both.
 _LOADS = (
-    ("sigma_terms", (("q", "shape", 0, "rate", 1.0), ("divxi", "shape", 1, "value", 1.0))),
-    ("E_terms", (("xi", "shape", 1, "rate", 1.0), ("q", "dshape", 0, "value", -1.0),
-                 ("scz", "shape", 2, "value", -1.0))),
-    ("B_terms", (("z", "shape", 2, "rate", 1.0), ("xi", "dshape", 1, "value", 1.0))),
+    ("sigma_terms", (("shape", 0, ((0, None, "rate", 1.0), (1, "D3", "value", 1.0))),)),
+    ("E_terms", (("shape", 1, ((1, None, "rate", 1.0), (2, "D2", "value", -1.0))),
+                 ("dshape", 0, ((0, None, "value", -1.0),)))),
+    ("B_terms", (("shape", 2, ((2, None, "rate", 1.0),)),
+                 ("dshape", 1, ((1, None, "value", 1.0),)))),
 )
 
 
@@ -439,18 +423,28 @@ class MMSDriver:
     def __init__(self, sys: EBSystem, mms: ManufacturedEB):
         self.sys = sys
         self.mms = mms
-        loads = [(term, row) for terms, rows in _LOADS
-                 for term in getattr(mms, terms) for row in rows]
-        vecs = sys.assemble_forms([(slot, getattr(term, factor))
-                                   for term, (slot, factor, *_) in loads])
-        # (term, block, time factor, sign, load vector), summed in _LOADS order
-        self._loads = [(term, block, kind, sign, vec)
-                       for (term, (_, _, block, kind, sign)), vec in zip(loads, vecs)]
-        # exact values at the quadrature points, per field and term
         pts, _ = sys.cell_quadrature()
-        self._exact = [[np.stack([tm.shape(ci, p) for ci, p in enumerate(pts)])
-                        for tm in terms]
-                       for terms in (mms.sigma_terms, mms.E_terms, mms.B_terms)]
+        # every spatial factor at every cell's quadrature points, evaluated
+        # once: per test space, (term, loads, values); the shapes' values are
+        # also the exact fields of the errors, per field and term
+        tested, self._exact = [[], [], []], [[], [], []]
+        for f, (terms, factors) in enumerate(_LOADS):
+            for term in getattr(mms, terms):
+                for factor, space, loads in factors:
+                    vals = np.stack([getattr(term, factor)(ci, p) for ci, p in enumerate(pts)])
+                    tested[space].append((term, loads, vals))
+                    if factor == "shape":
+                        self._exact[f].append(vals)
+        # (term, block, time factor, sign, load vector): the plain loads of one
+        # test space from one assemble_forms call, and D^T of them
+        self._loads = []
+        for space, rows in zip((sys.space_q, sys.space_E, sys.space_B), tested):
+            if rows:
+                vecs = sys.assemble_forms(space, np.stack([vals for *_, vals in rows]))
+                self._loads += [(term, block, kind, sign,
+                                 vec if op is None else getattr(sys, op).T @ vec)
+                                for (term, loads, _), vec in zip(rows, vecs)
+                                for block, op, kind, sign in loads]
         self._y0 = None
 
     def _combo(self, t: float, use_dot: bool) -> np.ndarray:

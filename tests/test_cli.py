@@ -134,3 +134,21 @@ def test_convergence_rejects_poly_mms_before_assembly(tmp_path, capsys, monkeypa
     cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\nmms = poly\n")
     assert main(["eb", "convergence", "--config", str(cfg)]) == 2
     assert "poly" in capsys.readouterr().err
+
+
+def test_convergence_builds_the_base_system_once(tmp_path, capsys, monkeypatch):
+    """The spatial and the temporal study share the base level's system."""
+    built = []
+    init = eb_solver.EBSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(eb_solver.EBSystem, "__init__", counting)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nk = 3\nt_final = 0.1\ndt = 0.05\n")
+    assert main(["eb", "convergence", "--config", str(cfg),
+                 "--levels", "1", "--temporal", "2"]) == 0
+    assert "observed temporal order" in capsys.readouterr().out
+    assert len(built) == 1

@@ -365,24 +365,23 @@ def test_projection_idempotent_on_discrete_fields(eb_systems, rng):
     sys = eb_systems("two_tets")
     y = rng.standard_normal(sys.ntot)
     sig, e, b = sys.split(y)
+    pts, _ = sys.cell_quadrature()
 
     def fld(space, coeffs, op=None):
-        def ev(ci, pts):
+        vals = []
+        for ci, p in enumerate(pts):
             f = space.elements[ci].field_from_dofs(coeffs[space.cell_maps[ci]])
-            if op is not None:
-                f = op(f)
-            return f.eval(pts)
-        return ev
+            vals.append((f if op is None else op(f)).eval(p))
+        return np.stack(vals)
 
     from divdivfem import tensor_calc as tc
-    reqs = [("q", fld(sys.space_q, sig)),
-            ("q", fld(sys.space_E, e, lambda f: f.div().div())),
-            ("xi", fld(sys.space_E, e)),
-            ("divxi", fld(sys.space_q, sig)),
-            ("xi", fld(sys.space_B, b, lambda f: tc.field_sym(f.curl()))),
-            ("z", fld(sys.space_B, b)),
-            ("scz", fld(sys.space_E, e))]
-    aq, addq, axi, adivxi, ascxi, az, ascz = sys.assemble_forms(reqs)
+    aq, addq = sys.assemble_forms(sys.space_q, np.stack([
+        fld(sys.space_q, sig), fld(sys.space_E, e, lambda f: f.div().div())]))
+    axi, ascxi = sys.assemble_forms(sys.space_E, np.stack([
+        fld(sys.space_E, e), fld(sys.space_B, b, lambda f: tc.field_sym(f.curl()))]))
+    (az,) = sys.assemble_forms(sys.space_B, fld(sys.space_B, b)[None])
+    # the divdiv and symcurl loads: D3^T and D2^T of the value loads
+    adivxi, ascz = sys.D3.T @ aq, sys.D2.T @ axi
     rhs = sys.stack(aq - addq, axi + adivxi + ascxi, az - ascz)
     y2 = sys.project(rhs)
     # compare in the energy norm (coefficients mix scales)
@@ -436,7 +435,9 @@ def _nodal_reference(space, ci, pts, op=None):
 
 @pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
 def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
-    """Moment loads equal quadrature against the tabulated nodal basis."""
+    """The seven MMS loads equal quadrature against the nodal basis (or its
+    divdiv / symcurl) from exact coefficient calculus; the divdiv and symcurl
+    loads are D3^T and D2^T of value loads."""
     sys = eb_systems(spec)
     m = mms.trig_mms()
     s, e, b = m.sigma_terms[0], m.E_terms[0], m.B_terms[0]
@@ -454,8 +455,54 @@ def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
             vals = fld(ci, pts).reshape(len(w), -1)
             out[space.cell_maps[ci]] += np.einsum(
                 "pv,pmv,p->m", vals, tab.reshape(*tab.shape[:2], -1), w)
-    for (slot, _), got, want in zip(reqs, sys.assemble_forms(reqs), ref):
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), slot
+    qpts, _ = sys.cell_quadrature()
+
+    def at_points(*flds):
+        return np.stack([np.stack([f(ci, p) for ci, p in enumerate(qpts)]) for f in flds])
+
+    aq, addq = sys.assemble_forms(sys.space_q, at_points(s.shape, e.dshape))
+    axi, ascxi = sys.assemble_forms(sys.space_E, at_points(e.shape, b.dshape))
+    (az,) = sys.assemble_forms(sys.space_B, at_points(b.shape))
+    got = [aq, addq, sys.D3.T @ aq, axi, ascxi, az, sys.D2.T @ axi]
+    for (slot, _), g, want in zip(reqs, got, ref):
+        assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), slot
+
+
+def test_assemble_forms_is_the_transpose_of_cell_values(eb_systems, rng):
+    """assemble_forms(space, v) . y is the quadrature of v . cell_values(space, y)."""
+    sys = eb_systems("kuhn_cube(1)")
+    _, w = sys.cell_quadrature()
+    for space in (sys.space_q, sys.space_E, sys.space_B):
+        y = rng.standard_normal(space.dim)
+        u = sys.cell_values(space, y)
+        v = rng.standard_normal((2,) + u.shape)
+        got = sys.assemble_forms(space, v) @ y
+        want = np.einsum("cp,mcpv,cpv->m", w, v.reshape(2, *w.shape, -1),
+                         u.reshape(*w.shape, -1))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_mms_driver_evaluates_each_field_once_per_cell(eb_systems):
+    """The shape values serve both the loads and the errors: MMSDriver calls
+    every shape and dshape once per cell."""
+    sys = eb_systems("kuhn_cube(1)")
+    m = mms.trig_mms()
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(ci, pts):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(ci, pts)
+        return wrapped
+
+    for terms in ("sigma_terms", "E_terms", "B_terms"):
+        for term in getattr(m, terms):
+            for factor in ("shape", "dshape"):
+                if getattr(term, factor) is not None:
+                    setattr(term, factor, counted((terms, factor), getattr(term, factor)))
+    eb_solver.MMSDriver(sys, m)
+    assert len(calls) == 5
+    assert set(calls.values()) == {sys.mesh.num_cells}
 
 
 def test_errors_match_cellwise_evaluation(eb_systems, rng):
