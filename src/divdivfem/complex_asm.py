@@ -96,18 +96,18 @@ class GlobalSpace:
         return assemble_cells(self.cell_maps, self.cell_maps, cell_masses,
                               (self.ndof, self.ndof))
 
-    def interpolate(self, field: PolyField, check_shared: bool = False) -> np.ndarray:
-        """Canonical interpolation: each DOF evaluated once on its owner cell."""
+    def interpolate(self, field: PolyField) -> np.ndarray:
+        """Canonical interpolation: each DOF evaluated on every cell that holds
+        it, its owner cell's value taken, and the others checked against it."""
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
         per_cell = np.stack([elem.dof_values(field) for elem in self.elements])
         out = per_cell[self.owner, self.owner_local]
-        if check_shared:
-            worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
-            scale = max(float(np.abs(out).max(initial=0.0)), 1.0)
-            if worst > 1e-8 * scale:
-                raise ValueError(f"shared DOFs disagree across cells: {worst:.3e}")
+        worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
+        scale = max(float(np.abs(out).max(initial=0.0)), 1.0)
+        if worst > 1e-8 * scale:
+            raise ValueError(f"shared DOFs disagree across cells: {worst:.3e}")
         return out
 
     def eval_cells(self, coeffs: np.ndarray, ci: int, pts) -> np.ndarray:

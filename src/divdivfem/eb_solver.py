@@ -82,13 +82,16 @@ class EBConfig:
 
 
 class CellInteriors:
-    """The factor of lhs = A - theta S: equilibrated, its cell interiors
-    condensed out cell by cell, and the sparse LU of the Schur complement.
+    """The factor of a matrix lhs with a positive-definite symmetric part,
+    assembled from cell blocks lhs_c: A - theta S of the CN step and the
+    projection, or a mass matrix alone in the inf-sup estimate.  Equilibrated,
+    its cell interiors condensed out cell by cell, and the sparse LU of the
+    Schur complement.
 
     K = D lhs D, with D the diagonal of scale, is the sum over cells of
-    P_c^T K_c P_c, K_c = D_c (A_c - theta S_c) D_c.  The interior unknowns I
-    of a cell belong to that cell alone, so its rows and columns of K are
-    those of K_c: each cell's K_ii, K_iF and K_Fi come from K_c, and K_ii is
+    P_c^T K_c P_c, K_c = D_c lhs_c D_c.  The interior unknowns I of a cell
+    belong to that cell alone, so its rows and columns of K are those of
+    K_c: each cell's K_ii, K_iF and K_Fi come from K_c, and K_ii is
     factorised by dense LU (an explicit inverse loses digits that the
     residual checks need).  With X_c = K_ii^-1 K_iF, the Schur complement on
     the interface unknowns F is the sum of the cell blocks K_c,FF - K_Fi X_c,
@@ -96,7 +99,7 @@ class CellInteriors:
     The K_c are built CHUNK cells at a time (cell_lhs), so the dense
     transients stay small.
 
-    Pivots: A is SPD and S skew, so K has a positive-definite symmetric part,
+    Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
     and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
     z = (-K_ii^-1 K_iF x, x)).  Every symmetric permutation of it then has
     nonsingular leading blocks, so LU on diagonal pivots exists in the
@@ -113,10 +116,9 @@ class CellInteriors:
     CHUNK = 8
 
     def __init__(self, cell_lhs, scale: np.ndarray, maps: np.ndarray, inner: np.ndarray):
-        """cell_lhs(cells) gives A_c - theta S_c of a slice of the cells,
-        stacked (cells, n, n) in the local order of maps (ncells, n), the
-        global numbers of each cell's unknowns; inner marks the local interior
-        ones."""
+        """cell_lhs(cells) gives lhs_c of a slice of the cells, stacked
+        (cells, n, n) in the local order of maps (ncells, n), the global
+        numbers of each cell's unknowns; inner marks the local interior ones."""
         self.scale = scale
         self.interior = maps[:, inner]
         self.iface = np.setdiff1d(np.arange(len(scale)), self.interior)
@@ -321,7 +323,7 @@ class EBSystem:
 
     def _factorize(self, theta: float) -> CellInteriors:
         """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
-        projection, 0 for the mass block), from the cell stacks alone."""
+        projection), from the cell stacks alone."""
         return CellInteriors(lambda cells: self.cell_lhs(cells, theta), self.scale,
                              self._maps, self._inner)
 
@@ -348,15 +350,15 @@ class EBSystem:
         return self._cn[dt]
 
     def cn_step(self, y: np.ndarray, dt: float, forcing_hat: np.ndarray | None = None,
-                tol: float = 1e-8, products=None):
+                products=None):
         """One Crank-Nicolson step; forcing_hat is the endpoint-averaged load.
 
         (A - theta S) y1 = (A + theta S) y + dt forcing_hat, theta = dt/2; the
-        residual is checked on the full system, interiors included.  A y1 and
-        S y1 give that residual and are also the next step's right-hand side,
-        so a caller that passes products = (A y, S y) of y gets
-        (y1, (A y1, S y1)) back and never applies A or S twice to one state;
-        without products the step returns y1 alone.
+        residual is checked to 1e-8 relative on the full system, interiors
+        included.  A y1 and S y1 give that residual and are also the next
+        step's right-hand side, so a caller that passes products = (A y, S y)
+        of y gets (y1, (A y1, S y1)) back and never applies A or S twice to
+        one state; without products the step returns y1 alone.
         """
         _, cells = self.cn_factorization(dt)
         Ay, Sy = self.products(y) if products is None else products
@@ -366,7 +368,7 @@ class EBSystem:
             b += dt * forcing_hat
         y1 = cells.solve(b)
         Ay1, Sy1 = self.products(y1)
-        _check_residual(Ay1 - theta * Sy1 - b, b, tol, "CN")
+        _check_residual(Ay1 - theta * Sy1 - b, b, 1e-8, "CN")
         return y1 if products is None else (y1, (Ay1, Sy1))
 
 
@@ -629,34 +631,52 @@ def vnorm_block(sys: EBSystem) -> sp.csr_matrix:
     return sp.block_diag([Mq, ME + Ks, MB + Kl], format="csr")
 
 
+def _pencil_top(C: sp.csr_matrix, X: sp.csr_matrix, cells: CellInteriors,
+                M: sp.csr_matrix) -> float:
+    """Largest eigenvalue of the pencil (C X^-1 C^T, M), X factored by cells,
+    from H = C Y, Y = X^-1 C^T solved column by column.  RuntimeError if the
+    componentwise (Oettli-Prager) backward error |X y_j - c_j| / (|X| |y_j| +
+    |c_j|) exceeds 1e-12: unlike the raw residual, it is scale-free."""
+    absX, H, err = abs(X), np.empty((C.shape[0], C.shape[0])), 0.0
+    for j in range(C.shape[0]):
+        c = C[j].toarray().ravel()
+        y = cells.solve(c)
+        r, den = np.abs(X @ y - c), absX @ np.abs(y) + np.abs(c)
+        err = np.maximum(err, np.divide(r, den, out=np.zeros_like(r), where=den > 0).max())
+        H[:, j] = C @ y
+    if not err <= 1e-12:
+        raise RuntimeError(f"inf-sup: backward error {err:.3e} of the mass solves > 1e-12")
+    return float(sla.eigh(H, M.toarray(), eigvals_only=True)[-1])
+
+
 def infsup_estimate(sys: EBSystem) -> float:
     """Smallest singular value of the coupled form in the graph norm.
 
     Because D3 D2 = 0, the form splits in mass inner products into one 2x2
     block per singular value d of D3 or D2 (the Hodge decomposition), whose
     smallest graph-norm singular value g(d) falls from 1 to (sqrt5 - 1)/2 as
-    d grows; so beta = g(d_max).  d_max^2 is the largest eigenvalue of
-    K v = lam A v, K = blockdiag(0, D3' Mq D3, D2' ME D2) applied matrix-free:
-    one factorisation of the mass block A and one ARPACK call.
+    d grows; so beta = g(d_max).  Divdiv's squared singular values are the
+    eigenvalues of the nq x nq pencil (C3 ME^-1 C3^T, Mq), C3 = Mq D3.
+    Symcurl's are at most max_c ||R_c^-1 C2_c L_c^-T||_2^2 (C2_c = ME_c d2_c,
+    ME_c = R_c R_c^T, MB_c = L_c L_c^T), as both its norms are sums over the
+    cells (the element eigenvalue theorem).  Divdiv's scale as h^-4 and
+    symcurl's as h^-2; on cells so large that the bound is not below divdiv's
+    top, symcurl's nE x nE pencil (C2 MB^-1 C2^T, ME), C2 = ME D2, is solved too.
     """
-    A = sys.mass_block()
-    Mq, ME, _ = sys.mass_blocks()
-    cells = sys._factorize(0.0)
+    (_, mE, mB), (_, c2) = sys._cell_mass, sys._cell_coupling
+    R, L = np.linalg.cholesky(mE), np.linalg.cholesky(mB)
+    X = np.linalg.solve(L, np.linalg.solve(R, c2).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
+    bound = float(np.max(np.linalg.norm(X, 2, axis=(1, 2)))) ** 2
 
-    def stiff(y):
-        _, e, b = sys.split(y)
-        return sys.stack(np.zeros(sys.nq), sys.D3.T @ (Mq @ (sys.D3 @ e)),
-                         sys.D2.T @ (ME @ (sys.D2 @ b)))
-
-    op = spla.LinearOperator((sys.ntot, sys.ntot), dtype=float,
-                             matvec=lambda y: cells.solve(stiff(y)))
-    lam, vec = spla.eigs(op, k=1, which="LR", v0=np.ones(sys.ntot))
-    lam, v = float(lam[0].real), vec[:, 0].real
-    Av = A @ v
-    resid = np.linalg.norm(stiff(v) - lam * Av)
-    if not (np.isfinite(lam) and lam >= 0 and resid <= 1e-6 * lam * np.linalg.norm(Av)):
-        raise RuntimeError(f"inf-sup eigen-solve failed: lambda {lam:.6e}, "
-                           f"residual {resid:.3e}")
+    E, B = slice(sys.nq, sys.nq + sys.nE), slice(sys.nq + sys.nE, sys.ntot)
+    (Mq, ME, MB), S = sys.mass_blocks(), sys.skew_block()
+    lam = _pencil_top(S[:sys.nq, E], ME, CellInteriors(
+        lambda c: mE[c], sys.scale[E], sys.space_E.cell_maps,
+        sys.space_E.elements[0].interior), Mq)
+    if not bound < lam:
+        lam = max(lam, _pencil_top(S[E, B], MB, CellInteriors(
+            lambda c: mB[c], sys.scale[B], sys.space_B.cell_maps,
+            sys.space_B.elements[0].interior), ME))
     u = 1.0 / (1.0 + lam)
     F2 = (1.0 - u) ** 2 + 2.0
     return float(np.sqrt((F2 - np.sqrt(F2 * F2 - 4.0)) / 2.0))

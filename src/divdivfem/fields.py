@@ -93,9 +93,6 @@ class Simplex:
         lam[:, 0] += 1.0
         return lam
 
-    def points(self, bary) -> np.ndarray:
-        return np.asarray(bary, dtype=float) @ self.vertices
-
     def facet(self, local_vertices) -> "Simplex":
         return Simplex(self.vertices[list(local_vertices)])
 
@@ -214,10 +211,6 @@ class PolyField:
             raise ValueError("coefficient array does not match basis/vshape")
 
     # -- construction helpers -------------------------------------------------
-    @classmethod
-    def zero(cls, basis, vshape=(), batch=()):
-        return cls(basis, np.zeros((*batch, basis.N, *vshape)), vshape)
-
     @classmethod
     def from_coords(cls, basis, coords, comp_gens) -> "PolyField":
         """The field with generator coordinates coords (*batch, N * C), column
@@ -342,7 +335,3 @@ class PolyField:
         return PolyField(self.basis, scalar * self.coeffs, self.vshape)
 
     __rmul__ = __mul__
-
-    def flat(self) -> np.ndarray:
-        """Coefficients flattened to (*batch, N * prod(vshape))."""
-        return self.coeffs.reshape(*self.batch, -1)

@@ -82,12 +82,6 @@ class TetMesh:
         over = [fi for fi, cs in enumerate(self.face_cells) if len(cs) > 2]
         if over:
             raise MeshError(f"non-manifold faces (more than 2 incident cells): {over}")
-        self.boundary_faces = np.array(
-            [fi for fi, cs in enumerate(self.face_cells) if len(cs) == 1], dtype=int)
-        self.edge_cells = [[] for _ in range(len(self.edges))]
-        for ci, ce in enumerate(self.cell_edges):
-            for ei in set(ce):
-                self.edge_cells[ei].append(ci)
 
     def _build_frames(self):
         self.edge_frames: list[EdgeFrame] = [

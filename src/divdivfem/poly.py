@@ -258,10 +258,7 @@ def _corner_constraint_subspace(src: PolySpace, image: PolyField, image_rng: str
 def div_position_vanishing(cell, deg: int) -> PolySpace:
     """{q in P_deg : div_f(q x) vanishes at the vertices} on a 2-D cell."""
     src = space(_as_cell(cell), deg, "scalar")
-    f = src.fields()
-    qx = PolyField(f.basis.simplex.basis(deg + 1),
-                   np.stack([f.times_coord(j).coeffs for j in range(2)], axis=-1), (2,))
-    image = qx.div()
+    image = times_position(src).div()
     assert image.basis.degree == deg
     return _corner_constraint_subspace(src, image, "scalar")
 

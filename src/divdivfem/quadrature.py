@@ -24,10 +24,6 @@ class QuadRule:
     bary: np.ndarray      # (npts, cell_dim + 1)
     weights: np.ndarray   # (npts,), sums to the reference measure
 
-    @property
-    def npts(self) -> int:
-        return len(self.weights)
-
     def on(self, simplex) -> tuple[np.ndarray, np.ndarray]:
         """Physical points and weights on a simplex of matching dimension."""
         if simplex.dim != self.cell_dim:

@@ -135,6 +135,6 @@ def test_criterion_8_infsup(eb_systems):
     # 0.6180365770479402: the dense SVD reference on kuhn_cube(1)
     # (test_eb_solver.test_infsup_matches_dense_reference computes it)
     ok = (abs(b1 - 0.6180365770479402) <= 1e-10 and b2 <= b1
-          and abs(b2 - 0.6180341778) <= 1e-9 and min(b1, b2) > golden)
+          and abs(b2 - 0.6180341778323778) <= 1e-12 and min(b1, b2) > golden)
     _line(8, "inf-sup constants: dense reference, non-increasing, above (sqrt5-1)/2",
           ok, f"beta {b1:.10f} vs {b2:.10f}")

@@ -101,7 +101,7 @@ def test_interpolation_reproduces_in_space_fields(rng, complexes):
     for space, deg, rng_name in ((V, 5, "V3"), (L, 4, "T"), (S, 3, "S"), (Q, 1, "scalar")):
         basis, gens = cell.basis(deg), poly.RANGE_GENERATORS[rng_name]
         fld = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
-        coeffs = space.interpolate(fld, check_shared=True)
+        coeffs = space.interpolate(fld)
         for ci in (0, 3):
             vals = space.eval_cells(coeffs, ci, pts)
             scale = max(np.abs(fld.eval(pts)).max(), 1.0)
@@ -114,7 +114,7 @@ def test_interpolate_constant_symmetric_matrix(complexes):
     const = PolyField(cell.basis(0), np.array([[[2.0, 1.0, 0.0],
                                                 [1.0, 3.0, 0.5],
                                                 [0.0, 0.5, 1.0]]]), (3, 3))
-    coeffs = S.interpolate(const, check_shared=True)
+    coeffs = S.interpolate(const)
     vals = S.eval_cells(coeffs, 1, np.array([[0.4, 0.3, 0.2]]))
     assert np.abs(vals[0] - const.coeffs[0]).max() <= 1e-11
 
@@ -129,8 +129,8 @@ def test_interpolated_devgrad_satisfies_operator_relation(rng, complexes):
     v = PolyField(f.basis, np.tensordot(coords.reshape(f.basis.N, 3), np.eye(3),
                                         axes=(1, 0)), (3,))
     dv = tc.field_dev(v.grad())
-    lhs = L.interpolate(dv, check_shared=True)
-    rhs = d1 @ V.interpolate(v, check_shared=True)
+    lhs = L.interpolate(dv)
+    rhs = d1 @ V.interpolate(v)
     assert np.abs(lhs - rhs).max() <= 1e-9 * max(np.abs(lhs).max(), 1.0)
 
 

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from divdivfem import eb_solver, mms
+from divdivfem import eb_solver, mesh, mms
 from divdivfem.complex_asm import assemble_cells
 
 
@@ -591,19 +591,43 @@ def _dense_infsup(sys):
     return float(np.linalg.svd(C, compute_uv=False)[-1])
 
 
-@pytest.mark.parametrize("spec", ["single_tet", "two_tets", "kuhn_cube(1)"])
-def test_infsup_matches_dense_reference(eb_systems, spec):
-    sys = eb_systems(spec)
+@pytest.mark.parametrize("spec, k, size", [("single_tet", 3, 1), ("two_tets", 3, 1),
+                                           ("kuhn_cube(1)", 3, 1), ("two_tets", 4, 1),
+                                           ("two_tets", 3, 20)],
+                         ids=["single_tet", "two_tets", "kuhn_cube(1)", "two_tets-k4",
+                              "two_tets-x20"])
+def test_infsup_matches_dense_reference(eb_systems, monkeypatch, spec, k, size):
+    """With no ARPACK call.  On unit-size cells divdiv dominates and its
+    pencil gives d_max with the E mass factored alone; on two_tets scaled by
+    20 symcurl does (its singular values scale as 1/h, divdiv's as 1/h^2),
+    its cell bound lies above divdiv's value, and the B mass is factored too."""
+    if size == 1:
+        sys = eb_systems(spec, k)
+    else:
+        m = mesh.load(spec)
+        sys = eb_solver.EBSystem(mesh.TetMesh(size * m.vertices, m.cells), k)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+
+    monkeypatch.setattr(eb_solver.spla, "eigs", boom)
+    monkeypatch.setattr(eb_solver.spla, "eigsh", boom)
+    factors = []
+    cell_interiors = eb_solver.CellInteriors
+    monkeypatch.setattr(eb_solver, "CellInteriors",
+                        lambda *args: factors.append(args) or cell_interiors(*args))
     beta = eb_solver.infsup_estimate(sys)
     assert abs(beta - _dense_infsup(sys)) <= 1e-10
     assert (np.sqrt(5) - 1) / 2 < beta <= 1
+    assert len(factors) == (1 if size == 1 else 2)
 
 
-def test_infsup_rejects_unconverged_eigenpair(eb_systems, monkeypatch):
+def test_infsup_rejects_inaccurate_mass_solves(eb_systems, monkeypatch):
     sys = eb_systems("single_tet")
-    fake = lambda op, **kw: (np.array([2.0 + 0j]), np.ones((sys.ntot, 1), dtype=complex))
-    monkeypatch.setattr(eb_solver.spla, "eigs", fake)
-    with pytest.raises(RuntimeError, match="eigen-solve"):
+    solve = eb_solver.CellInteriors.solve
+    monkeypatch.setattr(eb_solver.CellInteriors, "solve",
+                        lambda self, b: (1 + 1e-6) * solve(self, b))
+    with pytest.raises(RuntimeError, match="backward error"):
         eb_solver.infsup_estimate(sys)
 
 
