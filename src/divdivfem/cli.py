@@ -253,6 +253,11 @@ def main(argv=None) -> int:
             return _fail_io("unknown command")
     except (OSError, ValueError) as exc:
         return _fail_io(str(exc))
+    except RuntimeError as exc:
+        # a solve check failed (projection or CN residual, inf-sup backward
+        # error): the inputs were valid, the computation was not accurate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     rep.wall_time_s = time.time() - t0
     return _emit(rep, args)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import poly
 from .dofcommon import Element
-from .fe3d import EntityCache, build_element, per_entity_counts
+from .fe3d import EntityCache, build_element, cell_element, per_entity_counts
 from .fields import PolyField
 from .linalg import qr_rank, svd_rank
 from .mesh import TetMesh
@@ -43,9 +43,14 @@ class GlobalSpace:
         self.family = family
         self.k = k
         self.cache = cache if cache is not None else EntityCache(mesh, k)
+        # one element built per translation class; the other cells of a class
+        # keep their own blocks (points) and share its V, Vinv and tags
+        self.cell_class, self.class_reps = self.cache.cell_class, self.cache.class_reps
+        shared = [build_element(family, k, mesh, ci, self.cache) for ci in self.class_reps]
         self.elements: list[Element] = [
-            build_element(family, k, mesh, ci, self.cache)
-            for ci in range(mesh.num_cells)]
+            shared[c] if ci == self.class_reps[c]
+            else cell_element(family, k, mesh, ci, self.cache).share(shared[c])
+            for ci, c in enumerate(self.cell_class)]
         counts = per_entity_counts(self.elements[0])
         self.entity_dofs = counts
         nums = {"v": mesh.num_vertices, "e": mesh.num_edges,
@@ -80,13 +85,15 @@ class GlobalSpace:
 
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
-        """Mass matrix of every cell in its local DOF order: (ncells, ndof, ndof)."""
+        """Mass matrix of every cell in its local DOF order: (ncells, ndof, ndof),
+        computed once per translation class."""
         out = []
-        for elem in self.elements:
+        for ci in self.class_reps:
+            elem = self.elements[ci]
             gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
             G = np.kron(elem.basis.gram(), gens @ gens.T)
             out.append(elem.Vinv.T @ G @ elem.Vinv)
-        return np.stack(out)
+        return np.stack(out)[self.cell_class]
 
     def mass(self, cell_masses: np.ndarray | None = None) -> sp.csr_matrix:
         """The global mass matrix, from the stack of cell_masses() (computed
@@ -128,7 +135,7 @@ _OP_TABLE = {
 
 def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
     """The matrix d_c of op from the src to the dst DOFs of each cell c,
-    stacked (ncells, ndof_dst, ndof_src)."""
+    stacked (ncells, ndof_dst, ndof_src), computed once per translation class."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
     fam_src, fam_dst, rng_src = _OP_TABLE[op]
@@ -136,10 +143,11 @@ def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
     out = []
-    for es, ed in zip(src.elements, dst.elements):
+    for ci in src.class_reps:
+        es, ed = src.elements[ci], dst.elements[ci]
         gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
         out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
-    return np.stack(out)
+    return np.stack(out)[src.cell_class]
 
 
 def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:

@@ -167,6 +167,14 @@ class Element:
         self.Vinv = np.linalg.inv(V)
         return self
 
+    def share(self, other: "Element"):
+        """Take the tags, V and Vinv of other, an element of the same family on
+        a translate of this cell with the same global-id order: every
+        functional is translation-covariant, so its Vandermonde is this
+        one's (to rounding)."""
+        self.tags, self.V, self.Vinv = other.tags, other.V, other.Vinv
+        return self
+
     @property
     def ndof(self) -> int:
         return len(self.tags)
@@ -254,9 +262,11 @@ def point_blocks(entity, pt, dual, order: int) -> list[DofBlock]:
 def moment_block(entity, integrand, tests, weights, label=""):
     """Moments of a pointwise integrand against stored test fields.
 
-    tests: (m, p, ...) values; weights folded in here once.  The integrand
-    must be linear with constant coefficients and read one derivative order
-    at one point set (see GeneratorEval.moments).
+    tests: (m, p, ...) values; weights folded in at each evaluation, so that
+    the cells of a translation class hold one copy of the tests between them.
+    The integrand must be linear with constant coefficients and read one
+    derivative order at one point set (see GeneratorEval.moments).
     """
-    tw = tests * weights.reshape((1, -1) + (1,) * (tests.ndim - 2))
-    return DofBlock(entity, tests.shape[0], lambda ev: ev.moments(integrand, tw), label)
+    w = weights.reshape((1, -1) + (1,) * (tests.ndim - 2))
+    return DofBlock(entity, tests.shape[0], lambda ev: ev.moments(integrand, tests * w),
+                    label)

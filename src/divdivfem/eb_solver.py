@@ -163,14 +163,18 @@ class CellInteriors:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """lhs^-1 b = D K^-1 D b: w = K_II^-1 c_I, x_F = Schur^-1 (c_F - K_FI w)
-        and x_I = w - X x_F, for c = D b."""
-        c = self.scale * b
-        w = sla.lu_solve(self.lu_ii, c[self.interior][..., None], check_finite=False)
-        xF = self.lu.solve(c[self.iface] - self.P @ (self.KFi @ w).ravel())
+        and x_I = w - X x_F, for c = D b.  b is one right-hand side (n,) or a
+        block of them (n, m), solved together."""
+        cols = b.shape[1:]                                          # () or (m,)
+        c = (self.scale * b.T).T
+        w = sla.lu_solve(self.lu_ii, c[self.interior].reshape(*self.interior.shape, -1),
+                         check_finite=False)                        # (ncells, ni, m)
+        xF = self.lu.solve(c[self.iface] - self.P @ (self.KFi @ w).reshape(-1, *cols))
         x = np.empty_like(c)
         x[self.iface] = xF
-        x[self.interior] = (w - self.X @ xF[self.cell_iface][..., None])[..., 0]
-        return self.scale * x
+        xF = xF[self.cell_iface].reshape(*self.cell_iface.shape, -1)
+        x[self.interior] = (w - self.X @ xF).reshape(*self.interior.shape, *cols)
+        return (self.scale * x.T).T
 
 
 class EBSystem:
@@ -631,19 +635,25 @@ def vnorm_block(sys: EBSystem) -> sp.csr_matrix:
     return sp.block_diag([Mq, ME + Ks, MB + Kl], format="csr")
 
 
+# right-hand sides of _pencil_top solved at once: 5 MB a dense block of
+# kuhn_cube(3)'s E space, and one pass of each sparse product per block
+PENCIL_BLOCK = 64
+
+
 def _pencil_top(C: sp.csr_matrix, X: sp.csr_matrix, cells: CellInteriors,
                 M: sp.csr_matrix) -> float:
     """Largest eigenvalue of the pencil (C X^-1 C^T, M), X factored by cells,
-    from H = C Y, Y = X^-1 C^T solved column by column.  RuntimeError if the
-    componentwise (Oettli-Prager) backward error |X y_j - c_j| / (|X| |y_j| +
-    |c_j|) exceeds 1e-12: unlike the raw residual, it is scale-free."""
+    from H = C Y, Y = X^-1 C^T solved PENCIL_BLOCK columns at a time.
+    RuntimeError if the componentwise (Oettli-Prager) backward error of a
+    column, |X y_j - c_j| / (|X| |y_j| + |c_j|), exceeds 1e-12: unlike the raw
+    residual, it is scale-free."""
     absX, H, err = abs(X), np.empty((C.shape[0], C.shape[0])), 0.0
-    for j in range(C.shape[0]):
-        c = C[j].toarray().ravel()
+    for j in range(0, C.shape[0], PENCIL_BLOCK):
+        c = C[j:j + PENCIL_BLOCK].toarray().T                      # (n, m)
         y = cells.solve(c)
         r, den = np.abs(X @ y - c), absX @ np.abs(y) + np.abs(c)
         err = np.maximum(err, np.divide(r, den, out=np.zeros_like(r), where=den > 0).max())
-        H[:, j] = C @ y
+        H[:, j:j + PENCIL_BLOCK] = C @ y
     if not err <= 1e-12:
         raise RuntimeError(f"inf-sup: backward error {err:.3e} of the mass solves > 1e-12")
     return float(sla.eigh(H, M.toarray(), eigvals_only=True)[-1])
@@ -664,8 +674,10 @@ def infsup_estimate(sys: EBSystem) -> float:
     top, symcurl's nE x nE pencil (C2 MB^-1 C2^T, ME), C2 = ME D2, is solved too.
     """
     (_, mE, mB), (_, c2) = sys._cell_mass, sys._cell_coupling
-    R, L = np.linalg.cholesky(mE), np.linalg.cholesky(mB)
-    X = np.linalg.solve(L, np.linalg.solve(R, c2).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
+    # the cell stacks repeat within a translation class: one cell per class
+    reps = sys.space_E.class_reps
+    R, L = np.linalg.cholesky(mE[reps]), np.linalg.cholesky(mB[reps])
+    X = np.linalg.solve(L, np.linalg.solve(R, c2[reps]).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
     bound = float(np.max(np.linalg.norm(X, 2, axis=(1, 2)))) ** 2
 
     E, B = slice(sys.nq, sys.nq + sys.nE), slice(sys.nq + sys.nE, sys.ntot)

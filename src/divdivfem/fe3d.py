@@ -4,6 +4,12 @@ and discontinuous scalars; plus trace-identity and bubble audits.
 Every functional is defined through global entity data (frames from ascending
 global vertex ids, test bases on ascending-id entity simplices), so a DOF
 shared between cells is literally the same functional from both sides.
+
+Every functional is also translation-covariant: the tests that depend on the
+position are built on the entity translated so that its lowest-id vertex is
+the origin.  Cells that are translates of each other, with the same global-id
+order, then have the same Vandermonde, and EntityCache groups them into
+translation classes, so that a space builds one element per class.
 """
 
 from __future__ import annotations
@@ -50,18 +56,27 @@ class EdgeData:
         return self._tests[deg]
 
 
+def shape_key(vertices: np.ndarray) -> bytes:
+    """The exact bytes of the vertex differences from the first vertex: equal
+    on entities that are translates of each other."""
+    return (vertices[1:] - vertices[0]).tobytes()
+
+
 class FaceData:
-    def __init__(self, mesh: TetMesh, fid: int, qdeg: int):
+    """A face's frame, quadrature and test arrays.  The tests are functions
+    of the face's shape alone (the position enters relative to the origin,
+    the lowest-id vertex), so faces of one shape share the dict tests."""
+
+    def __init__(self, mesh: TetMesh, fid: int, qdeg: int, tests: dict):
         self.frame = mesh.face_frames[fid]
         ids = mesh.faces[fid]  # ascending
         self.tri3 = Simplex(mesh.vertices[ids])
         q = rule("triangle", qdeg)
         self.rule = q
         self.pts, self.w = q.on(self.tri3)
+        self.origin = self.tri3.vertices[0]
         self.TT = np.stack([self.frame.t1, self.frame.t2])      # (2, 3)
-        self.tri2 = Simplex(mesh.vertices[ids] @ self.TT.T)
-        self.pts2 = self.pts @ self.TT.T
-        self._tests: dict = {}
+        self._tests = tests
 
     def scalar_tests(self, deg: int) -> np.ndarray:
         key = ("scalar", deg)
@@ -80,34 +95,51 @@ class FaceData:
             self._tests[key] = basis.eval(self.rule.bary)[:, keep].T
         return self._tests[key]
 
+    def _plane(self):
+        """The face and its points in the in-plane coordinates (t1, t2) of
+        the frame, relative to the origin."""
+        tri2 = Simplex((self.tri3.vertices - self.origin) @ self.TT.T)
+        return tri2, (self.pts - self.origin) @ self.TT.T
+
     def tangential_vec_tests(self, k: int) -> np.ndarray:
         key = ("tanvec", k)
         if key not in self._tests:
-            space = fe2d.interior_test_space_hrot(self.tri2, k)
-            v2 = space.fields().eval(self.pts2)                  # (m, p, 2)
+            tri2, pts2 = self._plane()
+            v2 = fe2d.interior_test_space_hrot(tri2, k).fields().eval(pts2)  # (m, p, 2)
             self._tests[key] = np.einsum("mpk,kd->mpd", v2, self.TT)
         return self._tests[key]
 
     def tangential_s2_tests(self, k: int) -> np.ndarray:
         key = ("tans2", k)
         if key not in self._tests:
-            space = fe2d.interior_test_space_hrotrot(self.tri2, k)
-            s2 = space.fields().eval(self.pts2)                  # (m, p, 2, 2)
+            tri2, pts2 = self._plane()
+            s2 = fe2d.interior_test_space_hrotrot(tri2, k).fields().eval(pts2)  # (m, p, 2, 2)
             self._tests[key] = np.einsum("mpab,ax,by->mpxy", s2, self.TT, self.TT)
         return self._tests[key]
 
     def rotated_position_tests(self, deg: int) -> np.ndarray:
-        """q_m (n x x) for q in P_deg(f): the fixed-face interior tests."""
+        """q_m (n x x) for q in P_deg(f), x relative to the origin: the
+        fixed-face interior tests."""
         key = ("nxx", deg)
         if key not in self._tests:
             q = self.scalar_tests(deg)                            # (m, p)
-            nxx = np.cross(self.frame.n[None, :], self.pts)       # (p, 3)
+            nxx = np.cross(self.frame.n[None, :], self.pts - self.origin)  # (p, 3)
             self._tests[key] = q[:, :, None] * nxx[None, :, :]
         return self._tests[key]
 
 
 class EntityCache:
-    """Shared per-mesh entity data so all incident cells see identical DOFs."""
+    """Shared per-mesh entity data so all incident cells see identical DOFs,
+    and the translation classes of the cells.
+
+    Face test arrays are shared by face shape (shape_key in ascending-id
+    order, which also fixes the frame); cell test arrays by cell class.  A
+    cell's class key is the order of its global ids and the shape keys of
+    the cell, its edges and its faces (from which their frames are
+    computed): cells with one key have the same Vandermonde.  Keys are
+    exact, so translates whose differences round differently fall into
+    different classes; that costs time, never accuracy.
+    """
 
     def __init__(self, mesh: TetMesh, k: int):
         self.mesh = mesh
@@ -115,6 +147,16 @@ class EntityCache:
         self.qdeg = 2 * k + 6
         self._edges: dict[int, EdgeData] = {}
         self._faces: dict[int, FaceData] = {}
+        self._tests: dict = {}          # (kind, shape or class key) -> {name: tests}
+        index: dict = {}                 # class key -> class number, in cell order
+        self.cell_class = np.array([index.setdefault(self._cell_key(ci), len(index))
+                                    for ci in range(mesh.num_cells)])
+        self.class_reps = np.unique(self.cell_class, return_index=True)[1]
+
+    def _cell_key(self, ci: int) -> tuple:
+        m, gids = self.mesh, self.mesh.cells[ci]
+        ents = [np.sort(gids), *m.edges[m.cell_edges[ci]], *m.faces[m.cell_faces[ci]]]
+        return (np.argsort(gids).tobytes(), *(shape_key(m.vertices[e]) for e in ents))
 
     def edge(self, eid: int) -> EdgeData:
         if eid not in self._edges:
@@ -123,8 +165,17 @@ class EntityCache:
 
     def face(self, fid: int) -> FaceData:
         if fid not in self._faces:
-            self._faces[fid] = FaceData(self.mesh, fid, self.qdeg)
+            key = ("f", shape_key(self.mesh.vertices[self.mesh.faces[fid]]))
+            self._faces[fid] = FaceData(self.mesh, fid, self.qdeg,
+                                        self._tests.setdefault(key, {}))
         return self._faces[fid]
+
+    def cell_tests(self, ci: int, name: str, make) -> np.ndarray:
+        """The cell-interior tests name of cell ci, made by make() once per class."""
+        tests = self._tests.setdefault(("c", int(self.cell_class[ci])), {})
+        if name not in tests:
+            tests[name] = make()
+        return tests[name]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +218,7 @@ def _edge_blocks_symcurl(entity, ed: EdgeData, k: int, frame) -> list[DofBlock]:
 
 
 def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache):
-    cell = Simplex(mesh.vertices[mesh.cells[ci]])
+    cell = mesh.cell_simplices[ci]
     gids = mesh.cells[ci]
     _, rng, vorder = _SHAPE[family]
     blocks: list[DofBlock] = []
@@ -176,6 +227,14 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
 
     q = rule("tet", cache.qdeg)
     cpts, cw = q.on(cell)
+    # the position-dependent interior tests live on the cell translated so
+    # that its lowest-id vertex is the origin, read at the translated points
+    origin = cell.vertices[np.argmin(gids)]
+
+    def interior_tests(name, make):
+        return cache.cell_tests(
+            ci, f"{family} {name}",
+            lambda: make(Simplex(cell.vertices - origin)).fields().eval(cpts - origin))
 
     if family == "hsymcurl_T":
         for le in range(6):
@@ -197,7 +256,7 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
 
             blocks.append(moment_block(("f", lf), taun, s2, fd.w, "face sym-cross"))
         # interior: symcurl against sym(x cross T), fixed-face moments, dev(v x^T)
-        symx = poly.sym_position_cross_image(cell, k - 2).fields().eval(cpts)
+        symx = interior_tests("symx", lambda rel: poly.sym_position_cross_image(rel, k - 2))
         blocks.append(moment_block(
             ("c", 0), lambda ev, P=cpts: _symcurl_vals(ev, P), symx, cw, "symcurl moments"))
         f1_local = int(np.argmin(gids))
@@ -208,7 +267,7 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
             return np.einsum("...pij,j->...pi", _symcurl_vals(ev, P), N)
 
         blocks.append(moment_block(("c", 0), scn, nxx, fd1.w, "fixed-face symcurl"))
-        devx = poly.dev_outer_position_image(cell, k - 2).fields().eval(cpts)
+        devx = interior_tests("devx", lambda rel: poly.dev_outer_position_image(rel, k - 2))
         blocks.append(moment_block(
             ("c", 0), lambda ev, P=cpts: ev.values(P), devx, cw, "dev moments"))
 
@@ -241,9 +300,9 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
 
             blocks.append(moment_block(
                 ("f", lf), deriv_combo, fd.scalar_tests(k - 1), fd.w, "divf-dn"))
-        parts = [poly.hess_image(cell, k - 2).fields(),
-                 poly.sym_position_cross_image(cell, k - 2).fields()]
-        tests = poly.union_fields(parts, "S").fields().eval(cpts)
+        tests = interior_tests("union", lambda rel: poly.union_fields(
+            [poly.hess_image(rel, k - 2).fields(),
+             poly.sym_position_cross_image(rel, k - 2).fields()], "S"))
         blocks.append(moment_block(
             ("c", 0), lambda ev, P=cpts: ev.values(P), tests, cw, "interior moments"))
         f1_local = int(np.argmin(gids))
@@ -287,16 +346,22 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
     return cell, blocks
 
 
-def build_element(family: str, k: int, mesh: TetMesh, ci: int,
-                  cache: EntityCache) -> Element:
+def cell_element(family: str, k: int, mesh: TetMesh, ci: int,
+                 cache: EntityCache) -> Element:
+    """The element of cell ci, its Vandermonde not yet computed: finalize()
+    it, or share() the one of another cell of its translation class."""
     if family not in _SHAPE:
         raise ValueError(f"unknown 3-D family {family!r}")
     if k < 3:
         raise ValueError("elements require k >= 3")
     off, rng, _ = _SHAPE[family]
     cell, blocks = _build_blocks(family, k, mesh, ci, cache)
-    basis = cell.basis(k + off)
-    return Element(family, k, cell, basis, poly.RANGE_GENERATORS[rng], blocks).finalize()
+    return Element(family, k, cell, cell.basis(k + off), poly.RANGE_GENERATORS[rng], blocks)
+
+
+def build_element(family: str, k: int, mesh: TetMesh, ci: int,
+                  cache: EntityCache) -> Element:
+    return cell_element(family, k, mesh, ci, cache).finalize()
 
 
 def element_3d(family: str, k: int, simplex: Simplex | None = None) -> Element:

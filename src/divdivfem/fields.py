@@ -115,8 +115,15 @@ class BernsteinBasis:
     def eval(self, bary) -> np.ndarray:
         """Tabulate all members at barycentric points: (npts, N)."""
         lam = np.atleast_2d(np.asarray(bary, dtype=float))
-        vals = np.prod(lam[:, None, :] ** self.alphas[None, :, :], axis=2)
-        return self.scale * vals
+        # powers lam_i^0..lam_i^degree by cumulative products, then one
+        # product of table entries per coordinate (no float power per entry)
+        pw = np.ones((self.degree + 1,) + lam.shape)
+        for d in range(1, self.degree + 1):
+            np.multiply(pw[d - 1], lam, out=pw[d])
+        vals = pw[self.alphas[:, 0], :, 0]                         # (N, p)
+        for i in range(1, lam.shape[1]):
+            vals = vals * pw[self.alphas[:, i], :, i]
+        return self.scale * vals.T
 
     @property
     def diff_ops(self) -> list[np.ndarray]:

@@ -92,6 +92,17 @@ def test_infsup_command(capsys):
     assert "inf-sup" in capsys.readouterr().out
 
 
+def test_failed_solve_check_exits_one_without_traceback(capsys, monkeypatch):
+    def failing(system):
+        raise RuntimeError("inf-sup: backward error 1.000e-06 of the mass solves > 1e-12")
+
+    monkeypatch.setattr(eb_solver, "infsup_estimate", failing)
+    assert main(["infsup", "--mesh", "single_tet", "--k", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inf-sup: backward error")
+    assert "Traceback" not in err
+
+
 def test_eb_convergence_without_mms_line_uses_trig(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text("mesh = kuhn_cube(1)\nk = 3\nt_final = 0.1\ndt = 0.05\n")

@@ -7,8 +7,10 @@ from divdivfem import tensor_calc as tc
 from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
                                    cell_operators, complex_audit, condensed_rank,
                                    sparse_rank)
+from divdivfem.dofcommon import Element
 from divdivfem.eb_solver import EBSystem
-from divdivfem.fields import PolyField
+from divdivfem.fe3d import FAMILIES, EntityCache, build_element, element_3d
+from divdivfem.fields import PolyField, Simplex
 from divdivfem.linalg import qr_rank, svd_rank
 
 
@@ -194,3 +196,95 @@ def test_each_cell_operator_computed_once(monkeypatch):
     calls.clear()
     build_complex(mesh.two_tets(), 3)
     assert len(calls) == 3 * 2          # devgrad, symcurl and divdiv
+
+
+# ---------------------------------------------------------------------------
+# one element per translation class
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, builds", [("kuhn_cube(2)", 6), ("two_tets", 2)])
+def test_one_element_built_per_translation_class(spec, builds, monkeypatch):
+    """kuhn_cube(2) has 48 cells in 6 translation classes; two_tets has one
+    class per cell.  Each family runs finalize once per class."""
+    calls = []
+    finalize = Element.finalize
+    monkeypatch.setattr(Element, "finalize",
+                        lambda self: calls.append(self.family) or finalize(self))
+    m = mesh.load(spec)
+    cache = EntityCache(m, 3)
+    for family in FAMILIES:
+        space = GlobalSpace(m, family, 3, cache)
+        assert calls.count(family) == builds, family
+        assert len(space.class_reps) == builds
+        for ci, elem in enumerate(space.elements):
+            rep = space.elements[space.class_reps[space.cell_class[ci]]]
+            assert elem.V is rep.V and elem.simplex is m.cell_simplices[ci]
+
+
+def test_shared_vandermonde_matches_the_cell_alone(complexes):
+    """Every cell's shared V equals the V built on that cell alone (its own
+    entity data, tests at its own points) to rounding."""
+    m = mesh.load("kuhn_cube(2)")
+    spaces, _ = complexes("kuhn_cube(2)")
+    for space in spaces:
+        for ci, elem in enumerate(space.elements):
+            alone = build_element(space.family, 3, m, ci, EntityCache(m, 3)).V
+            assert np.abs(elem.V - alone).max() <= 1e-12 * np.abs(alone).max(), \
+                (space.family, ci)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_translated_single_tet_has_the_same_vandermonde(family):
+    """The position enters every DOF relative to an entity vertex, so a
+    translate of the cell has the same V (the tests at absolute positions
+    moved the H(divdiv) and H(symcurl) ones by 0.4 %)."""
+    ref = poly.reference_cell("tet")
+    V0 = element_3d(family, 3, ref).V
+    V1 = element_3d(family, 3, Simplex(ref.vertices + [0.3, -1.7, 2.5])).V
+    assert np.abs(V1 - V0).max() <= 1e-12 * np.abs(V0).max()
+
+
+def test_conformity_jump_across_faces_between_classes(rng, complexes):
+    """On a face shared by cells of two classes, neither of which built its
+    class's element, matching DOFs force continuity of n x tau + (n x tau)^T."""
+    m = mesh.load("kuhn_cube(2)")
+    (_, L, _, _), _ = complexes("kuhn_cube(2)")
+    reps = set(L.class_reps)
+    fid, (c0, c1) = next(
+        (f, cs) for f, cs in enumerate(m.face_cells)
+        if len(cs) == 2 and L.cell_class[cs[0]] != L.cell_class[cs[1]]
+        and not reps & set(cs))
+    g = rng.standard_normal(L.dim)
+    tau0 = L.elements[c0].field_from_dofs(g[L.cell_maps[c0]])
+    tau1 = L.elements[c1].field_from_dofs(g[L.cell_maps[c1]])
+    lam = rng.random((20, 3))
+    lam = 0.1 + 0.8 * lam / lam.sum(axis=1, keepdims=True)
+    lam /= lam.sum(axis=1, keepdims=True)
+    pts = lam @ m.vertices[m.faces[fid]]
+    n = m.face_frames[fid].n
+
+    def trace(tau):
+        nx = np.einsum("pij,jk->pik", tau.eval(pts), tc.mspn(n).T)  # n x tau row-wise
+        return nx + np.swapaxes(nx, -1, -2)
+
+    scale = max(np.abs(tau0.eval(pts)).max(), 1.0)
+    assert np.abs(trace(tau0) - trace(tau1)).max() <= 1e-9 * scale
+
+
+def test_interpolation_on_shared_elements_kuhn_cube_2(rng, complexes):
+    """Random fields of each shape space interpolate on kuhn_cube(2) (the
+    shared-DOF check inside interpolate passes) and are reproduced on cells
+    of every class."""
+    (V, L, S, Q), _ = complexes("kuhn_cube(2)")
+    cell = poly.reference_cell("tet")
+    for space, deg, rng_name in ((V, 5, "V3"), (L, 4, "T"), (S, 3, "S"), (Q, 1, "scalar")):
+        basis, gens = cell.basis(deg), poly.RANGE_GENERATORS[rng_name]
+        fld = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+        coeffs = space.interpolate(fld)
+        for c in range(len(space.class_reps)):
+            ci = np.flatnonzero(space.cell_class == c)[-1]
+            pts = rng.random((4, 4))
+            pts = (pts / pts.sum(axis=1, keepdims=True)) @ space.elements[ci].simplex.vertices
+            scale = max(np.abs(fld.eval(pts)).max(), 1.0)
+            assert np.abs(space.eval_cells(coeffs, ci, pts) - fld.eval(pts)).max() \
+                <= 1e-10 * scale, (space.family, ci)

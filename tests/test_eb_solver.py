@@ -113,6 +113,16 @@ def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("which", ["cn", "mass"])
+def test_block_solve_equals_column_solves(eb_systems, which, rng):
+    cells = eb_systems("kuhn_cube(1)")._factorize(_THETAS[which])
+    B = rng.standard_normal((len(cells.scale), 7))
+    Y = cells.solve(B)
+    cols = np.stack([cells.solve(b) for b in B.T], axis=1)
+    assert Y.shape == B.shape
+    assert np.abs(Y - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
 def test_condensed_interface_kuhn_cube_1(eb_systems):
     """Each cell has 80 interior unknowns (sigma 4, E 32, B 44); the interface
     keeps the rest, and sigma (all interior) leaves the global solve."""
@@ -620,6 +630,15 @@ def test_infsup_matches_dense_reference(eb_systems, monkeypatch, spec, k, size):
     assert abs(beta - _dense_infsup(sys)) <= 1e-10
     assert (np.sqrt(5) - 1) / 2 < beta <= 1
     assert len(factors) == (1 if size == 1 else 2)
+
+
+def test_infsup_independent_of_the_column_block(eb_systems, monkeypatch):
+    """Blocks of 7 columns (the last one ragged: nq = 24 on kuhn_cube(1))
+    give the pencil of the default block size."""
+    sys = eb_systems("kuhn_cube(1)")
+    beta = eb_solver.infsup_estimate(sys)
+    monkeypatch.setattr(eb_solver, "PENCIL_BLOCK", 7)
+    assert abs(eb_solver.infsup_estimate(sys) - beta) <= 1e-14
 
 
 def test_infsup_rejects_inaccurate_mass_solves(eb_systems, monkeypatch):

@@ -88,3 +88,21 @@ def test_bernstein_gram_matches_quadrature(verts, n, m):
     ref = Bn.T @ (w[:, None] * Bm)
     G = s.basis(n).gram(s.basis(m))
     assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("verts", [[[0.0], [1.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                   [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]]])
+def test_bernstein_eval_matches_float_powers(verts, rng):
+    """The power-table tabulation equals scale * prod(lam ** alpha) entry by
+    entry to 1e-15 relative, inside the simplex and outside it."""
+    cell = Simplex(verts)
+    lam = rng.random((40, len(verts)))
+    lam /= lam.sum(axis=1, keepdims=True)
+    lam = np.vstack([lam, 2.0 * rng.random((10, len(verts))) - 0.5])
+    for n in range(8):
+        basis = cell.basis(n)
+        ref = basis.scale * np.prod(lam[:, None, :] ** basis.alphas[None, :, :], axis=2)
+        got = basis.eval(lam)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), n
