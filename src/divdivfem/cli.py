@@ -205,8 +205,8 @@ def main(argv=None) -> int:
                 return _fail_io("convergence study needs a kuhn_cube(n) base mesh")
             n0 = int(mref.group(1))
             specs = [f"kuhn_cube({n0 * 2**i})" for i in range(args.levels)]
-            # one system per level, shared by both studies: the temporal
-            # study runs on the base level, which the spatial study built
+            # the spatial study keeps the base level's system here, and the
+            # temporal study reuses it; every finer level is dropped after its run
             systems: dict = {}
             rows = eb_solver.mms_convergence(
                 specs, cfg.k, lambda: mms.make_mms(

@@ -85,22 +85,19 @@ class GlobalSpace:
 
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
-        """Mass matrix of every cell in its local DOF order: (ncells, ndof, ndof),
-        computed once per translation class."""
+        """Mass matrix of each translation class in its cells' local DOF order:
+        (nclasses, ndof, ndof); cell c's is the entry cell_class[c]."""
         out = []
         for ci in self.class_reps:
             elem = self.elements[ci]
             gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
             G = np.kron(elem.basis.gram(), gens @ gens.T)
             out.append(elem.Vinv.T @ G @ elem.Vinv)
-        return np.stack(out)[self.cell_class]
+        return np.stack(out)
 
-    def mass(self, cell_masses: np.ndarray | None = None) -> sp.csr_matrix:
-        """The global mass matrix, from the stack of cell_masses() (computed
-        here unless given)."""
-        if cell_masses is None:
-            cell_masses = self.cell_masses()
-        return assemble_cells(self.cell_maps, self.cell_maps, cell_masses,
+    def mass(self, cell_masses: np.ndarray) -> sp.csr_matrix:
+        """The global mass matrix, from the class stack of cell_masses()."""
+        return assemble_cells(self.cell_maps, self.cell_maps, cell_masses[self.cell_class],
                               (self.ndof, self.ndof))
 
     def interpolate(self, field: PolyField) -> np.ndarray:
@@ -117,12 +114,6 @@ class GlobalSpace:
             raise ValueError(f"shared DOFs disagree across cells: {worst:.3e}")
         return out
 
-    def eval_cells(self, coeffs: np.ndarray, ci: int, pts) -> np.ndarray:
-        """Values of the discrete field on cell ci at physical points."""
-        elem = self.elements[ci]
-        f = elem.field_from_dofs(coeffs[self.cell_maps[ci]])
-        return f.eval(pts)
-
 
 # operator -> (source family, target family, source range); the operator
 # itself is poly.diff's
@@ -134,8 +125,9 @@ _OP_TABLE = {
 
 
 def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
-    """The matrix d_c of op from the src to the dst DOFs of each cell c,
-    stacked (ncells, ndof_dst, ndof_src), computed once per translation class."""
+    """The matrix of op from the src to the dst DOFs of each translation
+    class, stacked (nclasses, ndof_dst, ndof_src); cell c's is the entry
+    cell_class[c]."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
     fam_src, fam_dst, rng_src = _OP_TABLE[op]
@@ -147,14 +139,14 @@ def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
         es, ed = src.elements[ci], dst.elements[ci]
         gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
         out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
-    return np.stack(out)[src.cell_class]
+    return np.stack(out)
 
 
 def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
     """Sparse operator mapping src coefficients to dst coefficients, from the
     cell operators ops of cell_operators: the row of each dst DOF is the one
     of its owner cell (conformity makes every cell that lists it agree)."""
-    vals = ops[dst.owner, dst.owner_local]                  # (dst.ndof, ndof_src)
+    vals = ops[src.cell_class[dst.owner], dst.owner_local]  # (dst.ndof, ndof_src)
     cols = src.cell_maps[dst.owner]
     rows = np.broadcast_to(np.arange(dst.ndof)[:, None], cols.shape)
     return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),

@@ -83,21 +83,25 @@ class EBConfig:
 
 class CellInteriors:
     """The factor of a matrix lhs with a positive-definite symmetric part,
-    assembled from cell blocks lhs_c: A - theta S of the CN step and the
-    projection, or a mass matrix alone in the inf-sup estimate.  Equilibrated,
-    its cell interiors condensed out cell by cell, and the sparse LU of the
-    Schur complement.
+    assembled from the cell blocks of its translation classes: A - theta S of
+    the CN step and the projection, or a mass matrix alone in the inf-sup
+    estimate.  Equilibrated, its cell interiors condensed out class by class,
+    and the sparse LU of the Schur complement.
 
     K = D lhs D, with D the diagonal of scale, is the sum over cells of
-    P_c^T K_c P_c, K_c = D_c lhs_c D_c.  The interior unknowns I of a cell
-    belong to that cell alone, so its rows and columns of K are those of
-    K_c: each cell's K_ii, K_iF and K_Fi come from K_c, and K_ii is
-    factorised by dense LU (an explicit inverse loses digits that the
-    residual checks need).  With X_c = K_ii^-1 K_iF, the Schur complement on
-    the interface unknowns F is the sum of the cell blocks K_c,FF - K_Fi X_c,
-    scattered once by the interface incidence P; no global matrix is formed.
-    The K_c are built CHUNK cells at a time (cell_lhs), so the dense
-    transients stay small.
+    P_c^T K_c P_c, K_c = D_c lhs_r D_c, where lhs_r is the block of the class
+    r of cell c.  The interior unknowns I of a cell belong to that cell alone,
+    so its rows and columns of K are those of K_c, and their scale D_i is its
+    class's (the mass diagonal of its own cell); only the interface scale
+    D_F,c differs from cell to cell.  So each class takes one dense LU of
+    K_ii = D_i lhs_ii D_i (an explicit inverse loses digits that the
+    residual checks need) and keeps Xt_r = K_ii^-1 D_i lhs_iF and
+    L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF is Xt_r D_F,c and its
+    K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r, the Schur complement on
+    the interface unknowns F is D_F (sum_c P_c T_r P_c^T) D_F, scattered once
+    by the interface incidence P; no global matrix is formed.  The lhs_r are
+    built CHUNK classes at a time (class_lhs), so the dense transients stay
+    small when every cell is its own class.
 
     Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
     and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
@@ -112,13 +116,15 @@ class CellInteriors:
     does not (1.72 at theta = 1, 1.66 at 4, 1.63 at 10^4 on kuhn_cube(1)).
     """
 
-    # cells whose K_c are formed at once: 10 MB of dense transients at k = 3
+    # classes whose lhs_r are formed at once: 10 MB of dense transients at k = 3
     CHUNK = 8
 
-    def __init__(self, cell_lhs, scale: np.ndarray, maps: np.ndarray, inner: np.ndarray):
-        """cell_lhs(cells) gives lhs_c of a slice of the cells, stacked
-        (cells, n, n) in the local order of maps (ncells, n), the global
-        numbers of each cell's unknowns; inner marks the local interior ones."""
+    def __init__(self, class_lhs, cell_class: np.ndarray, scale: np.ndarray,
+                 maps: np.ndarray, inner: np.ndarray):
+        """class_lhs(classes) gives lhs_r of a slice of the translation
+        classes, stacked (classes, n, n) in the local order of maps
+        (ncells, n), the global numbers of each cell's unknowns; cell_class
+        gives each cell's class, and inner marks the local interior unknowns."""
         self.scale = scale
         self.interior = maps[:, inner]
         self.iface = np.setdiff1d(np.arange(len(scale)), self.interior)
@@ -126,32 +132,53 @@ class CellInteriors:
         number[self.iface] = np.arange(len(self.iface))
         self.cell_iface = number[maps[:, ~inner]]
         ncells, (ni, nf) = len(maps), (self.interior.shape[1], self.cell_iface.shape[1])
-        # P = [P_1F^T ... P_nF^T], the interface incidence: it adds the cells'
-        # interface vectors v_c, stacked (ncells * nf), into one interface vector
-        self.P = sp.csr_matrix((np.ones(ncells * nf), (self.cell_iface.ravel(),
-                                                       np.arange(ncells * nf))),
+        # the cells of each class as columns: their interior unknowns (ni, cells)
+        # and their interface numbers (nf, cells)
+        members = [np.flatnonzero(cell_class == r) for r in range(cell_class.max() + 1)]
+        self.class_cells = [(self.interior[cells].T, self.cell_iface[cells].T)
+                            for cells in members]
+        nclasses = len(members)
+        d_i = scale[self.interior[[cells[0] for cells in members]]]
+        if not np.array_equal(scale[self.interior], d_i[cell_class]):
+            raise ValueError("interior scales differ within a translation class")
+        self.scale_F = scale[self.iface]
+        # P, the interface incidence: it adds the cells' interface vectors,
+        # stacked class by class as (nf, cells), into one interface vector
+        col_iface = np.concatenate([f.ravel() for _, f in self.class_cells])
+        self.P = sp.csr_matrix((np.ones(ncells * nf), (col_iface, np.arange(ncells * nf))),
                                shape=(len(self.iface), ncells * nf))
         order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-        lu, piv = np.empty((ncells, ni, ni)), np.empty((ncells, ni), dtype=np.int32)
-        self.X, self.KFi = np.empty((ncells, ni, nf)), np.empty((ncells, nf, ni))
-        blocks = np.empty((ncells, nf, nf))         # each cell's Schur block
-        for start in range(0, ncells, self.CHUNK):
-            c = slice(start, start + self.CHUNK)
-            d = scale[maps[c][:, order]]
-            K = cell_lhs(c)[:, order[:, None], order]          # [interior | interface]
-            K *= d[:, :, None]
-            K *= d[:, None, :]
-            Kii, KiF, KFi, KFF = K[:, :ni, :ni], K[:, :ni, ni:], K[:, ni:, :ni], K[:, ni:, ni:]
-            lu[c], piv[c] = sla.lu_factor(Kii, check_finite=False)
-            # numpy's batched solve: scipy's lu_solve loops over the cells in Python
-            self.X[c] = np.linalg.solve(Kii, KiF)
-            self.KFi[c] = KFi
-            np.subtract(KFF, KFi @ self.X[c], out=blocks[c])
+        lu, piv = np.empty((nclasses, ni, ni)), np.empty((nclasses, ni), dtype=np.int32)
+        self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
+        T = np.empty((nclasses, nf, nf))            # each class's unscaled Schur block
+        for start in range(0, nclasses, self.CHUNK):
+            r = slice(start, start + self.CHUNK)
+            lhs = class_lhs(r)[:, order[:, None], order]      # [interior | interface]
+            d = d_i[r]
+            Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
+            # each lu[r] comes out Fortran-ordered, as getrs takes it
+            lu[r], piv[r] = sla.lu_factor(Kii, check_finite=False)
+            # numpy's batched solve: scipy's lu_solve loops over a stack in Python
+            self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
+            self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
+            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
         self.lu_ii = (lu, piv)
-        # the Schur complement P blockdiag(blocks) P^T, scattered by one sparse
-        # product, which sums the duplicates without sorting them and drops
-        # exact zeros (the E-B blocks at theta = 0); tocsc then sorts by counting
-        cols = np.broadcast_to(self.cell_iface[:, None, :], blocks.shape).astype(np.int32)
+        self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+        # the Schur complement P blockdiag(D_F,c T_r D_F,c) P^T, its cell rows
+        # stacked as P's columns, scattered by one sparse product, which sums
+        # the duplicates without sorting them and drops exact zeros (the E-B
+        # blocks at theta = 0); tocsc then sorts by counting
+        blocks = np.empty((ncells * nf, nf))
+        cols = np.empty((ncells * nf, nf), dtype=np.int32)
+        row = 0
+        for Tr, (_, f) in zip(T, self.class_cells):
+            d, rows = self.scale_F[f], slice(row, row + f.size)    # d: (nf, cells)
+            row += f.size
+            out = blocks[rows].reshape(nf, f.shape[1], nf)         # (f, cell, f')
+            np.multiply(Tr[:, None, :], d[:, :, None], out=out)
+            out *= d.T[None, :, :]
+            cols[rows] = np.broadcast_to(f.T[None], out.shape).reshape(-1, nf)
+        del T
         cells = sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1),
                                np.arange(0, blocks.size + 1, nf, dtype=np.int32)),
                               shape=(ncells * nf, len(self.iface)))
@@ -162,23 +189,34 @@ class CellInteriors:
         self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """lhs^-1 b = D K^-1 D b: w = K_II^-1 c_I, x_F = Schur^-1 (c_F - K_FI w)
-        and x_I = w - X x_F, for c = D b.  b is one right-hand side (n,) or a
-        block of them (n, m), solved together."""
-        cols = b.shape[1:]                                          # () or (m,)
+        """lhs^-1 b = D K^-1 D b for c = D b: per class, w = K_ii^-1 c_I on
+        all its cells at once; then x_F = Schur^-1 (c_F - D_F P (L w)) and,
+        per class again, x_I = w - Xt (D_F x_F)_c.  b is one right-hand side
+        (n,) or a block of them (n, m), solved together."""
         c = (self.scale * b.T).T
-        w = sla.lu_solve(self.lu_ii, c[self.interior].reshape(*self.interior.shape, -1),
-                         check_finite=False)                        # (ncells, ni, m)
-        xF = self.lu.solve(c[self.iface] - self.P @ (self.KFi @ w).reshape(-1, *cols))
-        x = np.empty_like(c)
+        c2 = c.reshape(len(c), -1)                                  # (n, m)
+        (lu, piv), m = self.lu_ii, c2.shape[1]
+        ws, Lw = [], []
+        for r, (inner, f) in enumerate(self.class_cells):
+            w, info = self._getrs(lu[r], piv[r], c2[inner].reshape(len(inner), -1))
+            if info:
+                raise ValueError(f"getrs rejected argument {-info}")
+            ws.append(w)                                            # (ni, cells m)
+            Lw.append((self.L[r] @ w).reshape(-1, m))               # (nf cells, m)
+        xF = self.lu.solve(c2[self.iface] - self.scale_F[:, None] * (self.P @ np.vstack(Lw)))
+        x = np.empty_like(c2)
         x[self.iface] = xF
-        xF = xF[self.cell_iface].reshape(*self.cell_iface.shape, -1)
-        x[self.interior] = (w - self.X @ xF).reshape(*self.interior.shape, *cols)
-        return (self.scale * x.T).T
+        zF = self.scale_F[:, None] * xF
+        for r, ((inner, f), w) in enumerate(zip(self.class_cells, ws)):
+            x[inner] = (w - self.X[r] @ zF[f].reshape(len(f), -1)).reshape(*inner.shape, m)
+        return (self.scale * x.reshape(c.shape).T).T
 
 
 class EBSystem:
-    """Assembled spaces, mass matrices and discrete differentials for one mesh."""
+    """Spaces, discrete differentials and the cell operators of one mesh:
+    the masses and couplings are stored once per translation class, and A
+    and S are applied and factored from those class stacks, never assembled
+    on the solver path."""
 
     def __init__(self, mesh: TetMesh, k: int):
         self.mesh = mesh
@@ -188,49 +226,43 @@ class EBSystem:
         self.space_E = GlobalSpace(mesh, "hdivdiv_S", k, cache)
         self.space_B = GlobalSpace(mesh, "hsymcurl_T", k, cache)
         spaces = (self.space_q, self.space_E, self.space_B)
+        self.cell_class = cache.cell_class
         d3 = cell_operators("divdiv", self.space_E, self.space_q)
         d2 = cell_operators("symcurl", self.space_B, self.space_E)
         self.D3 = assemble_diff(d3, self.space_E, self.space_q)
         self.D2 = assemble_diff(d2, self.space_B, self.space_E)
-        # the cell stacks that A, S and every condensed factor are assembled
-        # from: the cell masses of q, E and B, and the cell couplings
-        # M_q,c d3_c and M_E,c d2_c
+        # the class stacks that A, S and every condensed factor come from: the
+        # masses of q, E and B, and the couplings M_q d3 and M_E d2, one entry
+        # per translation class (cell c's is entry cell_class[c])
         mq, mE, mB = (space.cell_masses() for space in spaces)
         self._cell_mass = (mq, mE, mB)
         self._cell_coupling = (mq @ d3, mE @ d2)
         del d3, d2
         self.nq, self.nE, self.nB = (space.dim for space in spaces)
-        nq, nE, nB = self.nq, self.nE, self.nB
-        self.ntot = nq + nE + nB
-        # the coupling blocks Mq D3 and ME D2, assembled cell by cell (the
-        # global products would add rounding-level entries between neighbours
-        # of neighbours), and every block CSR, so that bmat stacks them
-        # without a COO round trip
-        C3 = assemble_cells(self.space_q.cell_maps, self.space_E.cell_maps,
-                            self._cell_coupling[0], (nq, nE))
-        C2 = assemble_cells(self.space_E.cell_maps, self.space_B.cell_maps,
-                            self._cell_coupling[1], (nE, nB))
-        self._S = sp.bmat([
-            [sp.csr_matrix((nq, nq)), C3, sp.csr_matrix((nq, nB))],
-            [-C3.T.tocsr(), sp.csr_matrix((nE, nE)), -C2],
-            [sp.csr_matrix((nB, nq)), C2.T.tocsr(), sp.csr_matrix((nB, nB))]], format="csr")
+        self.ntot = self.nq + self.nE + self.nB
         # the global numbers of each cell's unknowns, (ncells, n) in local
         # order [q | E | B], and the local interior ones: every unknown not
         # interior is interface
         self._maps = np.hstack([o + space.cell_maps
-                                for o, space in zip((0, nq, nq + nE), spaces)])
+                                for o, space in zip((0, self.nq, self.nq + self.nE), spaces)])
         self._inner = np.concatenate([space.elements[0].interior for space in spaces])
+        # the cells of each class and their unknowns, and the scatter of the
+        # products' cell vectors (A y's, then S y's) in that order
+        members = [np.flatnonzero(self.cell_class == r) for r in range(len(mq))]
+        self._class_maps = [self._maps[cells] for cells in members]
+        gathered = np.concatenate(self._class_maps).ravel()
+        self._scatter = np.concatenate([gathered, gathered + self.ntot])
         # symmetric diagonal equilibration from the mass diagonal: DOF
         # functionals mix point derivatives and moments, so raw systems are
         # badly conditioned, and the scaling changes nothing about the
         # discretisation
         diag = np.hstack([np.diagonal(m, axis1=1, axis2=2) for m in self._cell_mass])
-        self.scale = 1.0 / np.sqrt(np.bincount(self._maps.ravel(), diag.ravel(),
+        self.scale = 1.0 / np.sqrt(np.bincount(self._maps.ravel(),
+                                               diag[self.cell_class].ravel(),
                                                minlength=self.ntot))
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
-        self._A = None
         self._cn = {}
 
     # -- block structure -------------------------------------------------------
@@ -240,29 +272,58 @@ class EBSystem:
     def split(self, y):
         return (y[: self.nq], y[self.nq: self.nq + self.nE], y[self.nq + self.nE:])
 
-    def mass_block(self) -> sp.csr_matrix:
-        """A = blockdiag(Mq, ME, MB), assembled on first use: the one global
-        mass matrix the system keeps."""
-        if self._A is None:
-            self._A = sp.block_diag([space.mass(m) for space, m in zip(
-                (self.space_q, self.space_E, self.space_B), self._cell_mass)], format="csr")
-        return self._A
-
     def mass_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(Mq, ME, MB), sliced out of A: copies, which the system does not keep."""
-        A, o = self.mass_block(), np.cumsum([0, self.nq, self.nE, self.nB])
-        return tuple(A[a:b, a:b] for a, b in zip(o[:-1], o[1:]))
+        """(Mq, ME, MB), assembled from the class stacks when called: the
+        system keeps no global matrix."""
+        return tuple(space.mass(m) for space, m in zip(
+            (self.space_q, self.space_E, self.space_B), self._cell_mass))
+
+    def mass_block(self) -> sp.csr_matrix:
+        """A = blockdiag(Mq, ME, MB), assembled when called."""
+        return sp.block_diag(self.mass_blocks(), format="csr")
+
+    def coupling_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(C3, C2) = (Mq D3, ME D2), assembled cell by cell when called (the
+        global products would add rounding-level entries between neighbours
+        of neighbours)."""
+        (c3, c2), cls = self._cell_coupling, self.cell_class
+        return (assemble_cells(self.space_q.cell_maps, self.space_E.cell_maps, c3[cls],
+                               (self.nq, self.nE)),
+                assemble_cells(self.space_E.cell_maps, self.space_B.cell_maps, c2[cls],
+                               (self.nE, self.nB)))
 
     def skew_block(self) -> sp.csr_matrix:
-        """Coupling S with y' A = S y: skew-symmetric by construction."""
-        return self._S
+        """Coupling S with y' A = S y: skew-symmetric by construction,
+        assembled when called."""
+        C3, C2 = self.coupling_blocks()
+        return sp.bmat([[None, C3, None], [-C3.T, None, -C2], [None, C2.T, None]],
+                       format="csr")
 
     def energy(self, y) -> float:
-        return float(y @ (self.mass_block() @ y))
+        return float(y @ self.products(y)[0])
 
     def products(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """(A y, S y): every CN quantity of the state y is a combination of these."""
-        return self.mass_block() @ y, self._S @ y
+        """(A y, S y): every CN quantity of the state y is a combination of these.
+
+        Per class, y gathered on its cells (one row each) meets each nonzero
+        block once: the three masses and the couplings C3 = M_q d3 and
+        C2 = M_E d2 and their transposes, S = [[0, C3, 0], [-C3^T, 0, -C2],
+        [0, C2^T, 0]]; one bincount adds the cell vectors up."""
+        (mq, mE, mB), (c3, c2) = self._cell_mass, self._cell_coupling
+        a, b = mq.shape[1], mq.shape[1] + mE.shape[1]
+        out = np.empty((2, len(self._maps), self._maps.shape[1]))
+        lo = 0
+        for r, maps in enumerate(self._class_maps):
+            Y = y[maps]
+            q, E, B = Y[:, :a], Y[:, a:b], Y[:, b:]
+            hi = lo + len(maps)
+            Ay, Sy = out[0, lo:hi], out[1, lo:hi]
+            Ay[:, :a], Ay[:, a:b], Ay[:, b:] = q @ mq[r].T, E @ mE[r].T, B @ mB[r].T
+            Sy[:, :a], Sy[:, b:] = E @ c3[r].T, E @ c2[r]
+            Sy[:, a:b] = -(q @ c3[r]) - B @ c2[r].T
+            lo = hi
+        AS = np.bincount(self._scatter, out.ravel(), minlength=2 * self.ntot)
+        return AS[:self.ntot], AS[self.ntot:]
 
     # -- quadrature: one rule, one tabulation per space --------------------------
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -311,25 +372,26 @@ class EBSystem:
         return out.T
 
     # -- solvers ---------------------------------------------------------------
-    def cell_lhs(self, cells: slice, theta: float) -> np.ndarray:
-        """A_c - theta S_c of a slice of the cells, from the cell stacks:
-        (cells, n, n) in the local order [q | E | B] of the cell's unknowns."""
+    def class_lhs(self, classes: slice, theta: float) -> np.ndarray:
+        """A_r - theta S_r of a slice of the translation classes, from the
+        class stacks: (classes, n, n) in the local order [q | E | B] of a
+        cell's unknowns."""
         (mq, mE, mB), (c3, c2) = self._cell_mass, self._cell_coupling
-        mq, mE, mB = mq[cells], mE[cells], mB[cells]
+        mq, mE, mB = mq[classes], mE[classes], mB[classes]
         a, b = mq.shape[1], mq.shape[1] + mE.shape[1]
         K = np.zeros((len(mq),) + (self._maps.shape[1],) * 2)
         K[:, :a, :a], K[:, a:b, a:b], K[:, b:, b:] = mq, mE, mB
         if theta:
-            c3, c2 = theta * c3[cells], theta * c2[cells]
+            c3, c2 = theta * c3[classes], theta * c2[classes]
             K[:, :a, a:b], K[:, a:b, :a] = -c3, c3.transpose(0, 2, 1)
             K[:, a:b, b:], K[:, b:, a:b] = c2, -c2.transpose(0, 2, 1)
         return K
 
     def _factorize(self, theta: float) -> CellInteriors:
         """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
-        projection), from the cell stacks alone."""
-        return CellInteriors(lambda cells: self.cell_lhs(cells, theta), self.scale,
-                             self._maps, self._inner)
+        projection), from the class stacks alone."""
+        return CellInteriors(lambda classes: self.class_lhs(classes, theta), self.cell_class,
+                             self.scale, self._maps, self._inner)
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """The A-projection: (A - S) y = rhs, the CN solve at dt = 2."""
@@ -561,13 +623,17 @@ def run(sys: EBSystem, config: EBConfig, mms: ManufacturedEB | None = None,
     return rec, y, driver
 
 
-def get_system(spec: str, k: int, systems: dict | None = None) -> "EBSystem":
-    if systems is None:
-        return EBSystem(load_mesh(spec), k)
+def get_system(spec: str, k: int, systems: dict | None = None,
+               keep: bool = True) -> "EBSystem":
+    """The system of (spec, k) from systems if it holds one; else built, and
+    stored there when keep."""
     key = (spec, k)
-    if key not in systems:
-        systems[key] = EBSystem(load_mesh(spec), k)
-    return systems[key]
+    if systems is not None and key in systems:
+        return systems[key]
+    sys = EBSystem(load_mesh(spec), k)
+    if keep and systems is not None:
+        systems[key] = sys
+    return sys
 
 
 def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
@@ -575,13 +641,14 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
     """Final-time L2 errors and observed orders over a mesh hierarchy.
 
     dt_for_level(level) supplies the time step (spatial studies shrink it
-    faster than h so the spatial term dominates).
+    faster than h so the spatial term dominates).  Only the base level's
+    system is stored in systems (the temporal study reuses it); a finer
+    level's is taken from systems if it is there, else built, run and dropped.
     """
     out = []
     prev = None
     for lvl, spec in enumerate(mesh_specs):
-        sys = get_system(spec, k, systems)
-        mesh = sys.mesh
+        sys = get_system(spec, k, systems, keep=lvl == 0)
         mms = mms_factory()
         dt = dt_for_level(lvl)
         cfg = EBConfig(mesh=spec, k=k, t_final=t_final, dt=dt, init="mms",
@@ -589,8 +656,8 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
         rec, y, driver = run(sys, cfg, mms)
         es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
         err = es + eE + eB
-        h = float(np.max(np.linalg.norm(
-            mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]], axis=1)))
+        v, edges = sys.mesh.vertices, sys.mesh.edges
+        h = float(np.max(np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)))
         row = {"mesh": spec, "h": h, "dt": dt,
                "err_sigma": es, "err_E": eE, "err_B": eB, "err_total": err}
         if prev is not None and err > 0:
@@ -598,6 +665,7 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
                                  / np.log2(prev["h"] / h))
         out.append(row)
         prev = row
+        del sys, rec, y, driver, v, edges   # so the next level is built without this one
     return out
 
 
@@ -674,40 +742,19 @@ def infsup_estimate(sys: EBSystem) -> float:
     top, symcurl's nE x nE pencil (C2 MB^-1 C2^T, ME), C2 = ME D2, is solved too.
     """
     (_, mE, mB), (_, c2) = sys._cell_mass, sys._cell_coupling
-    # the cell stacks repeat within a translation class: one cell per class
-    reps = sys.space_E.class_reps
-    R, L = np.linalg.cholesky(mE[reps]), np.linalg.cholesky(mB[reps])
-    X = np.linalg.solve(L, np.linalg.solve(R, c2[reps]).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
+    R, L = np.linalg.cholesky(mE), np.linalg.cholesky(mB)         # one per class
+    X = np.linalg.solve(L, np.linalg.solve(R, c2).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
     bound = float(np.max(np.linalg.norm(X, 2, axis=(1, 2)))) ** 2
 
     E, B = slice(sys.nq, sys.nq + sys.nE), slice(sys.nq + sys.nE, sys.ntot)
-    (Mq, ME, MB), S = sys.mass_blocks(), sys.skew_block()
-    lam = _pencil_top(S[:sys.nq, E], ME, CellInteriors(
-        lambda c: mE[c], sys.scale[E], sys.space_E.cell_maps,
+    (Mq, ME, MB), (C3, C2) = sys.mass_blocks(), sys.coupling_blocks()
+    lam = _pencil_top(C3, ME, CellInteriors(
+        lambda r: mE[r], sys.cell_class, sys.scale[E], sys.space_E.cell_maps,
         sys.space_E.elements[0].interior), Mq)
     if not bound < lam:
-        lam = max(lam, _pencil_top(S[E, B], MB, CellInteriors(
-            lambda c: mB[c], sys.scale[B], sys.space_B.cell_maps,
+        lam = max(lam, _pencil_top(C2, MB, CellInteriors(
+            lambda r: mB[r], sys.cell_class, sys.scale[B], sys.space_B.cell_maps,
             sys.space_B.elements[0].interior), ME))
     u = 1.0 / (1.0 + lam)
     F2 = (1.0 - u) ** 2 + 2.0
     return float(np.sqrt((F2 - np.sqrt(F2 * F2 - 4.0)) / 2.0))
-
-
-def infsup_identity_check(sys: EBSystem, trials: int, seed: int = 0) -> float:
-    """The proof's test choice bounds the form below by half the squared norms;
-    returns the worst slack (negative = violation)."""
-    rng = np.random.default_rng(seed)
-    Mq, ME, _ = sys.mass_blocks()
-    worst = np.inf
-    for _ in range(trials):
-        y = rng.standard_normal(sys.ntot)
-        sig, e, b = sys.split(y)
-        dde = sys.D3 @ e
-        scb = sys.D2 @ b
-        test = sys.stack(sig - dde, e + scb, b)
-        Ay, Sy = sys.products(y)
-        lhs = float(test @ (Ay - Sy))
-        rhs = 0.5 * float(y @ Ay + dde @ (Mq @ dde) + scb @ (ME @ scb))
-        worst = min(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
-    return worst

@@ -137,13 +137,23 @@ def two_tets() -> TetMesh:
 
 
 def kuhn_cube(n: int) -> TetMesh:
-    """Kuhn/Freudenthal split of the unit cube into 6 n^3 tetrahedra."""
+    """Kuhn/Freudenthal split of the unit cube into 6 n^3 tetrahedra.
+
+    Lattice index i sits at i h, with h = 1/n rounded to
+    53 - ceil(log2(n + 1)) significant bits: then every i h with i <= n and
+    every difference of two of them is exact, so translated cells have
+    bitwise equal vertex differences and fall into one translation class
+    (6 classes for every n).  For n a power of two, h = 1/n exactly.
+    """
     if n < 1:
         raise MeshError("kuhn_cube needs n >= 1")
     m = n + 1
     idx = lambda i, j, k: (i * m + j) * m + k
+    frac, exp = np.frexp(1.0 / n)
+    bits = 53 - n.bit_length()                # n.bit_length() = ceil(log2(n + 1))
+    h = np.ldexp(np.round(np.ldexp(frac, bits)), exp - bits)
     verts = np.array([[i, j, k] for i in range(m) for j in range(m) for k in range(m)],
-                     dtype=float) / n
+                     dtype=float) * h
     cells = []
     for cx, cy, cz in itertools.product(range(n), repeat=3):
         corner = np.array([cx, cy, cz])

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -175,13 +178,16 @@ def _pattern(M):
     return set(zip(M.row[big].tolist(), M.col[big].tolist()))
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5 * 0.0125, 1.0])
-@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+@pytest.mark.parametrize("spec, theta", [
+    (spec, theta) for spec in ("two_tets", "kuhn_cube(1)") for theta in (0.0, 0.5 * 0.0125, 1.0)
+] + [("kuhn_cube(2)", 0.5 * 0.0125), ("kuhn_cube(2)", 1.0)])
 def test_cell_local_schur_matches_global_slicing(eb_systems, spec, theta, monkeypatch):
-    """The Schur complement scattered from the cell stacks equals the one
+    """The Schur complement scattered from the class stacks equals the one
     sliced out of the global matrix: the same entries above rounding level,
     and the same values to 1e-12 in the Frobenius norm.  The summation order
-    differs, so entries that cancel can differ at the rounding level."""
+    differs, so entries that cancel can differ at the rounding level.  On
+    kuhn_cube(2) eight cells share each class's factor and differ only in
+    their interface scales."""
     sys = eb_systems(spec)
     cells, schur = _factored_schur(sys, theta, monkeypatch)
     ref = _global_schur(sys, cells, theta)
@@ -220,23 +226,19 @@ def test_projection_factor_kuhn_cube_2_fill(eb_systems):
     assert lu.L.nnz + lu.U.nnz <= 5_100_000
 
 
-class _Unusable:
-    """Stands in for a global matrix that must not be read."""
-
-    def _fail(self, *args, **kwargs):
-        raise AssertionError("a global ntot x ntot matrix was used")
-
-    __getattr__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = _fail
-    __add__ = __radd__ = __sub__ = __rsub__ = __neg__ = __getitem__ = __array__ = _fail
+def _unusable(*args, **kwargs):
+    raise AssertionError("a global ntot x ntot matrix was assembled")
 
 
 def test_factor_reads_only_the_cell_stacks(eb_systems, monkeypatch, rng):
-    """_factorize never touches the global A or S: with both replaced by
-    objects that raise on any use it still builds every factor from the cell
+    """_factorize never assembles a global A or S: with every way to assemble
+    one (mass_block, mass_blocks, coupling_blocks, skew_block and
+    assemble_cells) raising, it still builds every factor from the class
     stacks, and the factors solve the full system."""
     sys = eb_systems("kuhn_cube(1)")
-    monkeypatch.setattr(sys, "_A", _Unusable())
-    monkeypatch.setattr(sys, "_S", _Unusable())
+    for name in ("mass_block", "mass_blocks", "coupling_blocks", "skew_block"):
+        monkeypatch.setattr(sys, name, _unusable)
+    monkeypatch.setattr(eb_solver, "assemble_cells", _unusable)
     b = rng.standard_normal(sys.ntot)
     solved = {theta: sys._factorize(theta).solve(b) for theta in _THETAS.values()}
     monkeypatch.undo()
@@ -303,30 +305,89 @@ def test_run_matches_plain_cn_steps(eb_systems, spec, mms_name, nsteps):
         assert abs(e - sys.energy(state)) <= 1e-13 * sys.energy(state)
 
 
-class _Counting:
-    """A sparse matrix that counts its applications to a vector."""
+def _counting(stack, counts, key):
+    """stack as an array that adds 1 to counts[key] in every matrix product
+    that it, or a slice of it, takes part in."""
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            counts[key] += ufunc is np.matmul
+            return getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
 
-    def __init__(self, mat):
-        self.mat, self.calls = mat, 0
-
-    def __matmul__(self, x):
-        self.calls += 1
-        return self.mat @ x
+    return stack.view(Counting)
 
 
 def test_run_applies_A_and_S_once_per_state(eb_systems, monkeypatch):
-    """An N-step run applies each of A and S N + 1 times, and the CN cache
-    keeps the factor but no assembled global matrix."""
+    """An N-step run applies each of A and S N + 1 times: every class's three
+    masses take part in N + 1 products each, and its two couplings in
+    2 (N + 1) (C3 and C3^T, C2 and C2^T of S); the CN cache keeps the factor
+    but no assembled global matrix."""
     sys = eb_systems("kuhn_cube(1)")
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(1)", t_final=0.1, dt=0.02, init="random")
-    sys.cn_factorization(cfg.dt)    # built from the plain matrices before they are wrapped
-    A, S = _Counting(sys.mass_block()), _Counting(sys.skew_block())
-    monkeypatch.setattr(sys, "_A", A)
-    monkeypatch.setattr(sys, "_S", S)
+    sys.cn_factorization(cfg.dt)    # built from the plain stacks before they are wrapped
+    counts = dict.fromkeys(["mq", "mE", "mB", "c3", "c2"], 0)
+    monkeypatch.setattr(sys, "_cell_mass", tuple(
+        _counting(m, counts, key) for m, key in zip(sys._cell_mass, ["mq", "mE", "mB"])))
+    monkeypatch.setattr(sys, "_cell_coupling", tuple(
+        _counting(c, counts, key) for c, key in zip(sys._cell_coupling, ["c3", "c2"])))
+    monkeypatch.setattr(eb_solver, "assemble_cells", _unusable)
     rec, _, _ = eb_solver.run(sys, cfg)
-    assert A.calls == S.calls == cfg.nsteps + 1 == len(rec.t)
+    nclasses, applications = len(sys.space_E.class_reps), cfg.nsteps + 1
+    assert applications == len(rec.t)
+    assert counts == {"mq": nclasses * applications, "mE": nclasses * applications,
+                      "mB": nclasses * applications, "c3": 2 * nclasses * applications,
+                      "c2": 2 * nclasses * applications}
     assert not any(sp.issparse(v) or getattr(v, "shape", None) == (sys.ntot, sys.ntot)
                    for v in sys._cn[cfg.dt])
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)", "kuhn_cube(2)"])
+def test_class_products_equal_assembled_A_and_S(eb_systems, spec, rng):
+    """products applies each class's blocks to its cells' gathered vectors:
+    it equals A y and S y, with A and S assembled here by assemble_cells from
+    stack[cell_class], to 1e-14 relative."""
+    sys = eb_systems(spec)
+    cls = sys.cell_class
+    (mq, mE, mB), (c3, c2) = sys._cell_mass, sys._cell_coupling
+    q, E, B = (space.cell_maps for space in (sys.space_q, sys.space_E, sys.space_B))
+    A = sp.block_diag([assemble_cells(maps, maps, m[cls], (n, n)) for maps, m, n in zip(
+        (q, E, B), (mq, mE, mB), (sys.nq, sys.nE, sys.nB))], format="csr")
+    C3 = assemble_cells(q, E, c3[cls], (sys.nq, sys.nE))
+    C2 = assemble_cells(E, B, c2[cls], (sys.nE, sys.nB))
+    S = sp.bmat([[None, C3, None], [-C3.T, None, -C2], [None, C2.T, None]], format="csr")
+    y = rng.standard_normal(sys.ntot)
+    for got, want in zip(sys.products(y), (A @ y, S @ y)):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _held(obj, depth=0):
+    """obj and what it holds, through containers, the system and its factors."""
+    yield obj
+    if isinstance(obj, dict):
+        inner = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    elif isinstance(obj, (eb_solver.EBSystem, eb_solver.CellInteriors)):
+        inner = vars(obj).values()
+    else:
+        inner = ()
+    for item in inner:
+        if depth < 4:
+            yield from _held(item, depth + 1)
+
+
+def test_system_holds_class_stacks_and_no_global_matrix(eb_systems):
+    """After a run on kuhn_cube(2) (48 cells in 6 classes) the system holds no
+    ntot x ntot matrix and no per-cell operator stack: every operator stack,
+    in the system and in its CN factor, has one entry per class."""
+    sys = eb_systems("kuhn_cube(2)")
+    cfg = eb_solver.EBConfig(mesh="kuhn_cube(2)", t_final=0.02, dt=0.01, init="random")
+    eb_solver.run(sys, cfg)
+    _, cells = sys._cn[cfg.dt]
+    stacks = [*sys._cell_mass, *sys._cell_coupling, cells.X, cells.L, *cells.lu_ii]
+    assert [len(s) for s in stacks] == [6] * len(stacks)
+    for obj in _held(sys):
+        assert not (sp.issparse(obj) and obj.shape == (sys.ntot, sys.ntot))
+        assert not (isinstance(obj, np.ndarray) and obj.ndim == 3 and len(obj) == 48)
 
 
 def test_energy_conservation_100_steps(eb_systems):
@@ -515,8 +576,13 @@ def test_mms_driver_evaluates_each_field_once_per_cell(eb_systems):
     assert set(calls.values()) == {sys.mesh.num_cells}
 
 
+def _eval_cells(space, coeffs, ci, pts):
+    """Values of the discrete field coeffs of space on cell ci at physical points."""
+    return space.elements[ci].field_from_dofs(coeffs[space.cell_maps[ci]]).eval(pts)
+
+
 def test_errors_match_cellwise_evaluation(eb_systems, rng):
-    """errors() equals quadrature of GlobalSpace.eval_cells values, cell by cell."""
+    """errors() equals quadrature of each cell's field values, cell by cell."""
     sys = eb_systems("kuhn_cube(1)")
     m = mms.trig_mms()
     drv = eb_solver.MMSDriver(sys, m)
@@ -527,7 +593,7 @@ def test_errors_match_cellwise_evaluation(eb_systems, rng):
         for j, (space, coeffs, terms) in enumerate(zip(
                 (sys.space_q, sys.space_E, sys.space_B), sys.split(y),
                 (m.sigma_terms, m.E_terms, m.B_terms))):
-            d = space.eval_cells(coeffs, ci, pts) - sum(
+            d = _eval_cells(space, coeffs, ci, pts) - sum(
                 tm.g(t) * tm.shape(ci, pts) for tm in terms)
             ref[j] += np.sum(w * (d * d).reshape(len(w), -1).sum(axis=1))
     got = drv.errors(y, t)
@@ -583,9 +649,28 @@ def test_trig_mms_derivative_factors_consistent(rng):
     assert np.abs(sc_fd - sc_exact).max() <= 2e-4
 
 
+def _infsup_identity_check(sys, trials: int, seed: int = 0) -> float:
+    """The proof's test choice bounds the form below by half the squared norms;
+    returns the worst slack (negative = violation)."""
+    rng = np.random.default_rng(seed)
+    Mq, ME, _ = sys.mass_blocks()
+    worst = np.inf
+    for _ in range(trials):
+        y = rng.standard_normal(sys.ntot)
+        sig, e, b = sys.split(y)
+        dde = sys.D3 @ e
+        scb = sys.D2 @ b
+        test = sys.stack(sig - dde, e + scb, b)
+        Ay, Sy = sys.products(y)
+        lhs = float(test @ (Ay - Sy))
+        rhs = 0.5 * float(y @ Ay + dde @ (Mq @ dde) + scb @ (ME @ scb))
+        worst = min(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
+    return worst
+
+
 def test_infsup_identity_on_random_triples(eb_systems):
     sys = eb_systems("kuhn_cube(1)")
-    worst = eb_solver.infsup_identity_check(sys, trials=50, seed=0)
+    worst = _infsup_identity_check(sys, trials=50, seed=0)
     assert worst >= -1e-12
 
 
@@ -702,3 +787,31 @@ def test_convergence_study_computes_final_errors_only(monkeypatch):
         "two_tets", 3, lambda: mms.poly_mms(3, time_degree=3), t_final=0.1,
         dts=[0.05, 0.025])
     assert len(rows) == 2 and calls == [0.1, 0.1]
+
+
+def test_convergence_study_keeps_only_the_base_system(monkeypatch):
+    """mms_convergence builds one EBSystem per level, stores only the base
+    level's in systems and drops the finer ones after their run; the temporal
+    study reuses the base level's, and systems passed in are not rebuilt."""
+    built, system = [], eb_solver.EBSystem
+
+    def counting(m, k):
+        sys = system(m, k)
+        built.append(weakref.ref(sys))
+        return sys
+
+    specs, systems = ["two_tets", "kuhn_cube(1)"], {}
+    monkeypatch.setattr(eb_solver, "EBSystem", counting)
+    rows = eb_solver.mms_convergence(specs, 3, mms.trig_mms, t_final=0.05,
+                                     dt_for_level=lambda lvl: 0.05, systems=systems)
+    assert len(rows) == 2 and len(built) == 2
+    assert list(systems) == [("two_tets", 3)] and systems["two_tets", 3] is built[0]()
+    gc.collect()
+    assert built[1]() is None
+    eb_solver.temporal_convergence("two_tets", 3, lambda: mms.poly_mms(3, time_degree=3),
+                                   t_final=0.1, dts=[0.05, 0.025], systems=systems)
+    assert len(built) == 2
+    prebuilt = {(spec, 3): system(mesh.load(spec), 3) for spec in specs}
+    eb_solver.mms_convergence(specs, 3, mms.trig_mms, t_final=0.05,
+                              dt_for_level=lambda lvl: 0.05, systems=prebuilt)
+    assert len(built) == 2 and len(prebuilt) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from divdivfem import mesh
+from divdivfem.fe3d import EntityCache
 
 
 @pytest.mark.parametrize("name,counts", [
@@ -19,6 +20,22 @@ def test_kuhn_refinement_preserves_euler():
     for n in (1, 2):
         assert mesh.kuhn_cube(n).euler_characteristic == 1
     assert mesh.kuhn_cube(2).num_cells == 48
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kuhn_cube_has_six_translation_classes(n):
+    """Every lattice point i h and every difference of two is exact, so
+    translated cells have bitwise equal vertex differences and share a class
+    (kuhn_cube(3) had 48 classes with vertices at i/3)."""
+    assert len(EntityCache(mesh.kuhn_cube(n), 3).class_reps) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_kuhn_cube_vertices_are_lattice_points_over_n(n):
+    """For n a power of two the lattice step is 1/n exactly."""
+    lattice = np.array([[i, j, k] for i in range(n + 1) for j in range(n + 1)
+                        for k in range(n + 1)], dtype=float)
+    assert np.array_equal(mesh.kuhn_cube(n).vertices, lattice / n)
 
 
 def test_barycentric_examples():
