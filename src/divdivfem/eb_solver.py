@@ -81,6 +81,20 @@ class EBConfig:
         return int(round(self.t_final / self.dt))
 
 
+def class_groups(cell_class: np.ndarray) -> list[tuple]:
+    """The translation classes grouped by their number of cells, so that a
+    product with a class stack runs once per group, batched over its classes.
+    Each group is (sel, classes, cells): sel picks its entries of a class
+    stack (every entry, a view, when all classes have as many cells, as on
+    Kuhn meshes; else the classes themselves, a copy), and cells
+    (classes, size) lists the cells of each class."""
+    members = [np.flatnonzero(cell_class == r) for r in range(cell_class.max() + 1)]
+    sizes = np.array([len(cells) for cells in members])
+    groups = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+    return [(slice(None) if len(groups) == 1 else cls, cls,
+             np.stack([members[r] for r in cls])) for cls in groups]
+
+
 class CellInteriors:
     """The factor of a matrix lhs with a positive-definite symmetric part,
     assembled from the cell blocks of its translation classes: A - theta S of
@@ -132,23 +146,25 @@ class CellInteriors:
         number[self.iface] = np.arange(len(self.iface))
         self.cell_iface = number[maps[:, ~inner]]
         ncells, (ni, nf) = len(maps), (self.interior.shape[1], self.cell_iface.shape[1])
-        # the cells of each class as columns: their interior unknowns (ni, cells)
-        # and their interface numbers (nf, cells)
-        members = [np.flatnonzero(cell_class == r) for r in range(cell_class.max() + 1)]
-        self.class_cells = [(self.interior[cells].T, self.cell_iface[cells].T)
-                            for cells in members]
-        nclasses = len(members)
-        d_i = scale[self.interior[[cells[0] for cells in members]]]
+        # the cells of each group of classes as columns: their interior
+        # unknowns (classes, ni, cells) and interface numbers (classes, nf, cells)
+        self.groups = [(sel, cls, self.interior[cells].transpose(0, 2, 1),
+                        self.cell_iface[cells].transpose(0, 2, 1))
+                       for sel, cls, cells in class_groups(cell_class)]
+        nclasses = cell_class.max() + 1
+        d_i = scale[self.interior[np.unique(cell_class, return_index=True)[1]]]
         if not np.array_equal(scale[self.interior], d_i[cell_class]):
             raise ValueError("interior scales differ within a translation class")
         self.scale_F = scale[self.iface]
         # P, the interface incidence: it adds the cells' interface vectors,
-        # stacked class by class as (nf, cells), into one interface vector
-        col_iface = np.concatenate([f.ravel() for _, f in self.class_cells])
+        # stacked group by group as (classes, nf, cells), into one interface vector
+        col_iface = np.concatenate([f.ravel() for *_, f in self.groups])
         self.P = sp.csr_matrix((np.ones(ncells * nf), (col_iface, np.arange(ncells * nf))),
                                shape=(len(self.iface), ncells * nf))
         order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-        lu, piv = np.empty((nclasses, ni, ni)), np.empty((nclasses, ni), dtype=np.int32)
+        # lu[r] Fortran-ordered, as getrs takes it without a copy
+        lu = np.empty((nclasses, ni, ni)).transpose(0, 2, 1)
+        piv = np.empty((nclasses, ni), dtype=np.int32)
         self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
         T = np.empty((nclasses, nf, nf))            # each class's unscaled Schur block
         for start in range(0, nclasses, self.CHUNK):
@@ -156,7 +172,6 @@ class CellInteriors:
             lhs = class_lhs(r)[:, order[:, None], order]      # [interior | interface]
             d = d_i[r]
             Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
-            # each lu[r] comes out Fortran-ordered, as getrs takes it
             lu[r], piv[r] = sla.lu_factor(Kii, check_finite=False)
             # numpy's batched solve: scipy's lu_solve loops over a stack in Python
             self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
@@ -171,13 +186,13 @@ class CellInteriors:
         blocks = np.empty((ncells * nf, nf))
         cols = np.empty((ncells * nf, nf), dtype=np.int32)
         row = 0
-        for Tr, (_, f) in zip(T, self.class_cells):
-            d, rows = self.scale_F[f], slice(row, row + f.size)    # d: (nf, cells)
+        for sel, _, _, f in self.groups:
+            d, rows = self.scale_F[f], slice(row, row + f.size)    # d: (classes, nf, cells)
             row += f.size
-            out = blocks[rows].reshape(nf, f.shape[1], nf)         # (f, cell, f')
-            np.multiply(Tr[:, None, :], d[:, :, None], out=out)
-            out *= d.T[None, :, :]
-            cols[rows] = np.broadcast_to(f.T[None], out.shape).reshape(-1, nf)
+            out = blocks[rows].reshape(*f.shape, nf)               # (class, f, cell, f')
+            np.multiply(T[sel][:, :, None, :], d[..., None], out=out)
+            out *= d.transpose(0, 2, 1)[:, None]
+            cols[rows] = np.broadcast_to(f.transpose(0, 2, 1)[:, None], out.shape).reshape(-1, nf)
         del T
         cells = sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1),
                                np.arange(0, blocks.size + 1, nf, dtype=np.int32)),
@@ -190,25 +205,28 @@ class CellInteriors:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """lhs^-1 b = D K^-1 D b for c = D b: per class, w = K_ii^-1 c_I on
-        all its cells at once; then x_F = Schur^-1 (c_F - D_F P (L w)) and,
-        per class again, x_I = w - Xt (D_F x_F)_c.  b is one right-hand side
-        (n,) or a block of them (n, m), solved together."""
+        all its cells at once; then x_F = Schur^-1 (c_F - D_F P (L w)) and
+        x_I = w - Xt (D_F x_F)_c, the products batched over each group of
+        classes.  b is one right-hand side (n,) or a block of them (n, m),
+        solved together."""
         c = (self.scale * b.T).T
         c2 = c.reshape(len(c), -1)                                  # (n, m)
         (lu, piv), m = self.lu_ii, c2.shape[1]
         ws, Lw = [], []
-        for r, (inner, f) in enumerate(self.class_cells):
-            w, info = self._getrs(lu[r], piv[r], c2[inner].reshape(len(inner), -1))
-            if info:
-                raise ValueError(f"getrs rejected argument {-info}")
-            ws.append(w)                                            # (ni, cells m)
-            Lw.append((self.L[r] @ w).reshape(-1, m))               # (nf cells, m)
+        for sel, cls, inner, _ in self.groups:
+            w = c2[inner].reshape(*inner.shape[:2], -1)             # (classes, ni, cells m)
+            for g, r in enumerate(cls):
+                w[g], info = self._getrs(lu[r], piv[r], w[g])
+                if info:
+                    raise ValueError(f"getrs rejected argument {-info}")
+            ws.append(w)
+            Lw.append((self.L[sel] @ w).reshape(-1, m))             # (classes nf cells, m)
         xF = self.lu.solve(c2[self.iface] - self.scale_F[:, None] * (self.P @ np.vstack(Lw)))
         x = np.empty_like(c2)
         x[self.iface] = xF
         zF = self.scale_F[:, None] * xF
-        for r, ((inner, f), w) in enumerate(zip(self.class_cells, ws)):
-            x[inner] = (w - self.X[r] @ zF[f].reshape(len(f), -1)).reshape(*inner.shape, m)
+        for (sel, _, inner, f), w in zip(self.groups, ws):
+            x[inner] = (w - self.X[sel] @ zF[f].reshape(*f.shape[:2], -1)).reshape(*inner.shape, m)
         return (self.scale * x.reshape(c.shape).T).T
 
 
@@ -246,11 +264,12 @@ class EBSystem:
         self._maps = np.hstack([o + space.cell_maps
                                 for o, space in zip((0, self.nq, self.nq + self.nE), spaces)])
         self._inner = np.concatenate([space.elements[0].interior for space in spaces])
-        # the cells of each class and their unknowns, and the scatter of the
-        # products' cell vectors (A y's, then S y's) in that order
-        members = [np.flatnonzero(self.cell_class == r) for r in range(len(mq))]
-        self._class_maps = [self._maps[cells] for cells in members]
-        gathered = np.concatenate(self._class_maps).ravel()
+        # each group of classes with the unknowns of its cells (classes, cells,
+        # n), and the scatter of the products' cell vectors (A y's, then S y's)
+        # in that order
+        self._groups = [(sel, self._maps[cells])
+                        for sel, _, cells in class_groups(self.cell_class)]
+        gathered = np.concatenate([maps.ravel() for _, maps in self._groups])
         self._scatter = np.concatenate([gathered, gathered + self.ntot])
         # symmetric diagonal equilibration from the mass diagonal: DOF
         # functionals mix point derivatives and moments, so raw systems are
@@ -308,19 +327,20 @@ class EBSystem:
         Per class, y gathered on its cells (one row each) meets each nonzero
         block once: the three masses and the couplings C3 = M_q d3 and
         C2 = M_E d2 and their transposes, S = [[0, C3, 0], [-C3^T, 0, -C2],
-        [0, C2^T, 0]]; one bincount adds the cell vectors up."""
+        [0, C2^T, 0]], each block one product batched over a group of
+        classes; one bincount adds the cell vectors up."""
         (mq, mE, mB), (c3, c2) = self._cell_mass, self._cell_coupling
         a, b = mq.shape[1], mq.shape[1] + mE.shape[1]
         out = np.empty((2, len(self._maps), self._maps.shape[1]))
         lo = 0
-        for r, maps in enumerate(self._class_maps):
-            Y = y[maps]
-            q, E, B = Y[:, :a], Y[:, a:b], Y[:, b:]
-            hi = lo + len(maps)
-            Ay, Sy = out[0, lo:hi], out[1, lo:hi]
-            Ay[:, :a], Ay[:, a:b], Ay[:, b:] = q @ mq[r].T, E @ mE[r].T, B @ mB[r].T
-            Sy[:, :a], Sy[:, b:] = E @ c3[r].T, E @ c2[r]
-            Sy[:, a:b] = -(q @ c3[r]) - B @ c2[r].T
+        for sel, maps in self._groups:
+            Y = y[maps]                                             # (classes, cells, n)
+            q, E, B = Y[..., :a], Y[..., a:b], Y[..., b:]
+            hi = lo + maps.shape[0] * maps.shape[1]
+            Ay, Sy = out[0, lo:hi].reshape(Y.shape), out[1, lo:hi].reshape(Y.shape)
+            Ay[..., :a], Ay[..., a:b], Ay[..., b:] = q @ mq[sel].mT, E @ mE[sel].mT, B @ mB[sel].mT
+            Sy[..., :a], Sy[..., b:] = E @ c3[sel].mT, E @ c2[sel]
+            Sy[..., a:b] = -(q @ c3[sel]) - B @ c2[sel].mT
             lo = hi
         AS = np.bincount(self._scatter, out.ravel(), minlength=2 * self.ntot)
         return AS[:self.ntot], AS[self.ntot:]

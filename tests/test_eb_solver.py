@@ -306,11 +306,14 @@ def test_run_matches_plain_cn_steps(eb_systems, spec, mms_name, nsteps):
 
 
 def _counting(stack, counts, key):
-    """stack as an array that adds 1 to counts[key] in every matrix product
-    that it, or a slice of it, takes part in."""
+    """stack as an array that adds to counts[key], in every matrix product
+    that it or a part of it takes part in, the number of its class matrices
+    in that product (a product batched over a group of classes counts each)."""
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-            counts[key] += ufunc is np.matmul
+            if ufunc is np.matmul:
+                counts[key] += sum(len(a) if a.ndim == 3 else 1
+                                   for a in args if isinstance(a, Counting))
             return getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
 
     return stack.view(Counting)
@@ -357,6 +360,22 @@ def test_class_products_equal_assembled_A_and_S(eb_systems, spec, rng):
     y = rng.standard_normal(sys.ntot)
     for got, want in zip(sys.products(y), (A @ y, S @ y)):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_classes_of_unequal_size_batch_by_group(rng):
+    """Moving the centre vertex of kuhn_cube(2) leaves 24 classes of one cell
+    and 6 of four: two groups, each batched on its own.  The products still
+    equal A y and S y to 1e-14 relative, and a CN step passes its residual
+    check."""
+    m = mesh.kuhn_cube(2)
+    v = m.vertices.copy()
+    v[np.argmin(np.linalg.norm(v - 0.5, axis=1))] += [0.01, -0.02, 0.015]
+    sys = eb_solver.EBSystem(mesh.TetMesh(v, m.cells), 3)
+    assert [len(cls) for _, cls, _ in eb_solver.class_groups(sys.cell_class)] == [24, 6]
+    y = rng.standard_normal(sys.ntot)
+    for got, want in zip(sys.products(y), (sys.mass_block() @ y, sys.skew_block() @ y)):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.all(np.isfinite(sys.cn_step(y, 0.01)))
 
 
 def _held(obj, depth=0):
