@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import poly
 from .dofcommon import Element
-from .fe3d import EntityCache, build_element, cell_element, per_entity_counts
+from .fe3d import EntityCache, build_element
 from .fields import PolyField
 from .linalg import qr_rank, svd_rank
 from .mesh import TetMesh
@@ -37,36 +37,37 @@ def assemble_cells(rmaps: np.ndarray, cmaps: np.ndarray, blocks: np.ndarray,
 
 
 class GlobalSpace:
+    """A global space: one finalized element per translation class, in class
+    order (cell c's is elements[cell_class[c]]), and the global numbers of
+    every cell's DOFs.  Every DOF is translation-covariant, so a cell is its
+    class's element moved by one vector."""
+
     def __init__(self, mesh: TetMesh, family: str, k: int,
                  cache: EntityCache | None = None):
         self.mesh = mesh
         self.family = family
         self.k = k
         self.cache = cache if cache is not None else EntityCache(mesh, k)
-        # one element built per translation class; the other cells of a class
-        # keep their own blocks (points) and share its V, Vinv and tags
         self.cell_class, self.class_reps = self.cache.cell_class, self.cache.class_reps
-        shared = [build_element(family, k, mesh, ci, self.cache) for ci in self.class_reps]
-        self.elements: list[Element] = [
-            shared[c] if ci == self.class_reps[c]
-            else cell_element(family, k, mesh, ci, self.cache).share(shared[c])
-            for ci, c in enumerate(self.cell_class)]
-        counts = per_entity_counts(self.elements[0])
-        self.entity_dofs = counts
-        nums = {"v": mesh.num_vertices, "e": mesh.num_edges,
-                "f": mesh.num_faces, "c": mesh.num_cells}
-        offsets, base = {}, 0
-        for kind in _KINDS:
-            offsets[kind] = base
-            base += counts[kind] * nums[kind]
-        self.ndof = base
-        # global numbers of each cell's local DOFs: (ncells, ndof per cell)
-        self.cell_maps = np.empty((mesh.num_cells, self.elements[0].ndof), dtype=int)
-        for ci in range(mesh.num_cells):
-            ent_ids = {"v": mesh.cells[ci], "e": mesh.cell_edges[ci],
-                       "f": mesh.cell_faces[ci], "c": [ci]}
-            for li, (kind, idx, j) in enumerate(self.elements[ci].tags):
-                self.cell_maps[ci, li] = offsets[kind] + ent_ids[kind][idx] * counts[kind] + j
+        self.elements: list[Element] = [build_element(family, k, mesh, ci, self.cache)
+                                        for ci in self.class_reps]
+        tags = self.elements[0].tags
+        if any(elem.tags != tags for elem in self.elements[1:]):
+            raise ValueError(f"{family}: translation classes order their DOFs differently")
+        # DOFs per vertex, edge, face and cell: those tagged on a cell's first one
+        counts = {kind: sum(tag[:2] == (kind, 0) for tag in tags) for kind in _KINDS}
+        nums = (mesh.num_vertices, mesh.num_edges, mesh.num_faces, mesh.num_cells)
+        sizes = [counts[kind] * n for kind, n in zip(_KINDS, nums)]
+        offsets = dict(zip(_KINDS, np.cumsum([0] + sizes)))
+        self.ndof = sum(sizes)
+        # global numbers of each cell's local DOFs, (ncells, ndof per cell):
+        # local DOF (kind, idx, j) is slot j of the cell's idx-th entity of kind
+        ents = np.hstack([mesh.cells, mesh.cell_edges, mesh.cell_faces,
+                          np.arange(mesh.num_cells)[:, None]])
+        column = {"v": 0, "e": 4, "f": 10, "c": 14}                # of ents
+        col, stride, slot = np.array([(column[kind] + idx, counts[kind], offsets[kind] + j)
+                                      for kind, idx, j in tags]).T
+        self.cell_maps = slot + ents[:, col] * stride
         # the first cell that lists a DOF owns it, at its place in that cell
         dofs, first = np.unique(self.cell_maps.ravel(), return_index=True)
         if len(dofs) != self.ndof:
@@ -77,19 +78,12 @@ class GlobalSpace:
     def dim(self) -> int:
         return self.ndof
 
-    def attachment_counts(self) -> dict[str, int]:
-        nums = {"v": self.mesh.num_vertices, "e": self.mesh.num_edges,
-                "f": self.mesh.num_faces, "c": self.mesh.num_cells}
-        names = {"v": "vertex", "e": "edge", "f": "face", "c": "interior"}
-        return {names[k]: self.entity_dofs[k] * nums[k] for k in _KINDS}
-
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
         """Mass matrix of each translation class in its cells' local DOF order:
         (nclasses, ndof, ndof); cell c's is the entry cell_class[c]."""
         out = []
-        for ci in self.class_reps:
-            elem = self.elements[ci]
+        for elem in self.elements:
             gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
             G = np.kron(elem.basis.gram(), gens @ gens.T)
             out.append(elem.Vinv.T @ G @ elem.Vinv)
@@ -102,11 +96,17 @@ class GlobalSpace:
 
     def interpolate(self, field: PolyField) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated on every cell that holds
-        it, its owner cell's value taken, and the others checked against it."""
+        it, its owner cell's value taken, and the others checked against it.
+        A cell's DOFs are its class element's on the field translated by the
+        cell's offset t from the class's cell, x -> field(x + t)."""
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
-        per_cell = np.stack([elem.dof_values(field) for elem in self.elements])
+        corner = self.mesh.vertices[self.mesh.cells[:, 0]]
+        offsets = corner - corner[self.class_reps][self.cell_class]
+        fields = (field.translated(t) if t.any() else field for t in offsets)
+        per_cell = np.stack([self.elements[r].dof_values(f)
+                             for r, f in zip(self.cell_class, fields)])
         out = per_cell[self.owner, self.owner_local]
         worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
         scale = max(float(np.abs(out).max(initial=0.0)), 1.0)
@@ -135,8 +135,7 @@ def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
     out = []
-    for ci in src.class_reps:
-        es, ed = src.elements[ci], dst.elements[ci]
+    for es, ed in zip(src.elements, dst.elements):
         gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
         out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
     return np.stack(out)

@@ -167,14 +167,6 @@ class Element:
         self.Vinv = np.linalg.inv(V)
         return self
 
-    def share(self, other: "Element"):
-        """Take the tags, V and Vinv of other, an element of the same family on
-        a translate of this cell with the same global-id order: every
-        functional is translation-covariant, so its Vandermonde is this
-        one's (to rounding)."""
-        self.tags, self.V, self.Vinv = other.tags, other.V, other.Vinv
-        return self
-
     @property
     def ndof(self) -> int:
         return len(self.tags)

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .complex_asm import GlobalSpace, assemble_cells, assemble_diff, cell_operators
 from .fe3d import EntityCache
 from .mesh import TetMesh, load as load_mesh
-from .quadrature import rule
+from .quadrature import REF_MEASURE, rule
 
 
 INITS = ("zero", "random", "mms")
@@ -267,8 +267,8 @@ class EBSystem:
         # each group of classes with the unknowns of its cells (classes, cells,
         # n), and the scatter of the products' cell vectors (A y's, then S y's)
         # in that order
-        self._groups = [(sel, self._maps[cells])
-                        for sel, _, cells in class_groups(self.cell_class)]
+        self._class_groups = class_groups(self.cell_class)
+        self._groups = [(sel, self._maps[cells]) for sel, _, cells in self._class_groups]
         gathered = np.concatenate([maps.ravel() for _, maps in self._groups])
         self._scatter = np.concatenate([gathered, gathered + self.ntot])
         # symmetric diagonal equilibration from the mass diagonal: DOF
@@ -347,28 +347,36 @@ class EBSystem:
 
     # -- quadrature: one rule, one tabulation per space --------------------------
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points (ncells, p, 3) and weights (ncells, p) of the degree 2k + 6 rule."""
+        """Points (ncells, p, 3) and weights (ncells, p) of the degree 2k + 6
+        rule, from its barycentric points and every cell's vertices at once."""
         if self._cellq is None:
-            pw = [self._qrule.on(elem.simplex) for elem in self.space_E.elements]
-            self._cellq = (np.stack([p for p, _ in pw]), np.stack([w for _, w in pw]))
+            m, q = self.mesh, self._qrule
+            measure = np.array([cell.measure for cell in m.cell_simplices])
+            self._cellq = (q.bary @ m.vertices[m.cells],
+                           q.weights * (measure / REF_MEASURE[3])[:, None])
         return self._cellq
 
-    def _tabulation(self, space: GlobalSpace) -> tuple[np.ndarray, np.ndarray]:
-        """(T, G): the scalar Bernstein tabulation T (p, N) at the barycentric
-        points of the rule, the same on every cell, and the generators G (C, V)."""
+    def _tabulation(self, space: GlobalSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T, G, Vinv): the scalar Bernstein tabulation T (p, N) at the
+        barycentric points of the rule, the same on every cell, the generators
+        G (C, V), and the inverse Vandermonde of each class (classes, n, n).
+        The Vinv stack is built per call: kept, it would raise the peak memory
+        of the factorisations that follow the loads."""
         if space.family not in self._tabs:
             elem = space.elements[0]
             gens = np.asarray(elem.comp_gens, dtype=float)
             self._tabs[space.family] = (elem.basis.eval(self._qrule.bary),
                                         gens.reshape(len(gens), -1))
-        return self._tabs[space.family]
+        return self._tabs[space.family] + (np.stack([e.Vinv for e in space.elements]),)
 
     def cell_values(self, space: GlobalSpace, coeffs: np.ndarray) -> np.ndarray:
         """A discrete field at every cell's quadrature points: (ncells, p, *vshape),
-        u_h = T . reshape(Vinv . y_c) . G."""
-        T, G = self._tabulation(space)
-        co = np.stack([elem.Vinv @ coeffs[gmap]
-                       for elem, gmap in zip(space.elements, space.cell_maps)])
+        u_h = T . reshape(Vinv . y_c) . G, each class's Vinv applied to all its
+        cells at once."""
+        T, G, Vinv = self._tabulation(space)
+        co = np.empty(space.cell_maps.shape)
+        for sel, _, cells in self._class_groups:
+            co[cells] = coeffs[space.cell_maps[cells]] @ Vinv[sel].mT  # (classes, cells, n)
         co = co.reshape(len(co), T.shape[1], len(G))              # (c, N, C)
         vals = (T @ co) @ G                                       # (c, p, V)
         return vals.reshape(*vals.shape[:2], *space.elements[0].vshape)
@@ -378,17 +386,22 @@ class EBSystem:
         at every cell's quadrature points, values (m, ncells, p, *vshape).
 
         The transpose of cell_values: the weights, G^T and T^T over all cells
-        at once, then each cell's Vinv^T, then the scatter by cell_maps.  So
-        assemble_forms(space, v) . y is the quadrature of v . cell_values(space, y).
+        at once, then each class's Vinv^T on all its cells, then the scatter by
+        cell_maps.  So assemble_forms(space, v) . y is the quadrature of
+        v . cell_values(space, y).
         """
-        T, G = self._tabulation(space)
+        T, G, Vinv = self._tabulation(space)
         _, w = self.cell_quadrature()
         m = len(values)
         wv = values.reshape(m, *w.shape, -1) * w[:, :, None]      # (m, c, p, V)
-        mom = (T.T @ (wv @ G.T)).reshape(m, len(w), -1)           # (m, c, N C)
+        mom = (T.T @ (wv @ G.T)).reshape(m, len(w), -1)           # (m, c, n)
+        n = mom.shape[-1]
+        loads = np.empty((len(w), m, n))                          # (c, m, n)
+        for sel, _, cells in self._class_groups:
+            per_class = mom[:, cells].transpose(1, 2, 0, 3).reshape(len(cells), -1, n)
+            loads[cells] = (per_class @ Vinv[sel]).reshape(*cells.shape, m, n)
         out = np.zeros((space.dim, m))
-        np.add.at(out, space.cell_maps, np.stack(
-            [elem.Vinv.T @ mom[:, ci].T for ci, elem in enumerate(space.elements)]))
+        np.add.at(out, space.cell_maps, loads.transpose(0, 2, 1))
         return out.T
 
     # -- solvers ---------------------------------------------------------------

@@ -346,22 +346,19 @@ def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
     return cell, blocks
 
 
-def cell_element(family: str, k: int, mesh: TetMesh, ci: int,
-                 cache: EntityCache) -> Element:
-    """The element of cell ci, its Vandermonde not yet computed: finalize()
-    it, or share() the one of another cell of its translation class."""
+def build_element(family: str, k: int, mesh: TetMesh, ci: int,
+                  cache: EntityCache) -> Element:
+    """The finalized element of cell ci; a translate of it in the same
+    translation class has the same Vandermonde, so a space builds one per
+    class."""
     if family not in _SHAPE:
         raise ValueError(f"unknown 3-D family {family!r}")
     if k < 3:
         raise ValueError("elements require k >= 3")
     off, rng, _ = _SHAPE[family]
     cell, blocks = _build_blocks(family, k, mesh, ci, cache)
-    return Element(family, k, cell, cell.basis(k + off), poly.RANGE_GENERATORS[rng], blocks)
-
-
-def build_element(family: str, k: int, mesh: TetMesh, ci: int,
-                  cache: EntityCache) -> Element:
-    return cell_element(family, k, mesh, ci, cache).finalize()
+    return Element(family, k, cell, cell.basis(k + off), poly.RANGE_GENERATORS[rng],
+                   blocks).finalize()
 
 
 def element_3d(family: str, k: int, simplex: Simplex | None = None) -> Element:
@@ -377,15 +374,6 @@ def dof_counts(elem: Element) -> dict[str, int]:
     for kind, _, _ in elem.tags:
         out[names[kind]] += 1
     return out
-
-
-def per_entity_counts(elem: Element) -> dict[str, int]:
-    """DOFs per single vertex/edge/face/cell (for global numbering)."""
-    firsts = {"v": 0, "e": 0, "f": 0, "c": 0}
-    for kind, idx, _ in elem.tags:
-        if idx == 0:
-            firsts[kind] += 1
-    return firsts
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem import mesh, poly
+from divdivfem import complex_asm, fe3d, mesh, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
                                    cell_operators, complex_audit, condensed_rank,
@@ -19,6 +19,15 @@ def test_single_tet_dims(complexes):
     assert (V.dim, L.dim, S.dim, Q.dim) == (168, 280, 120, 4)
 
 
+def _attachment_counts(space) -> dict[str, int]:
+    """The DOFs attached to all vertices, edges, faces and cell interiors."""
+    m, tags = space.mesh, space.elements[0].tags
+    nums = {"vertex": ("v", m.num_vertices), "edge": ("e", m.num_edges),
+            "face": ("f", m.num_faces), "interior": ("c", m.num_cells)}
+    return {name: sum(tag[:2] == (kind, 0) for tag in tags) * n
+            for name, (kind, n) in nums.items()}
+
+
 def test_kuhn1_dims_from_attachment_tallies(complexes):
     (V, L, S, Q), _ = complexes("kuhn_cube(1)")
     m = mesh.load("kuhn_cube(1)")
@@ -32,7 +41,7 @@ def test_kuhn1_dims_from_attachment_tallies(complexes):
         seen = np.unique(np.concatenate(space.cell_maps))
         assert len(seen) == space.dim
         assert seen[0] == 0 and seen[-1] == space.dim - 1
-        assert sum(space.attachment_counts().values()) == space.dim
+        assert sum(_attachment_counts(space).values()) == space.dim
 
 
 def test_single_tet_ranks_match_polynomial_audit(complexes):
@@ -95,9 +104,18 @@ def test_assemble_diff_rejects_wrong_pair(complexes):
         assemble_diff(cell_operators("unknown", V, L), V, L)
 
 
+def _cell_field(space, coeffs, ci) -> PolyField:
+    """The discrete field coeffs of space on cell ci: its class element's
+    shape functions, on the cell's own simplex."""
+    elem = space.elements[space.cell_class[ci]]
+    basis = space.mesh.cell_simplices[ci].basis(elem.basis.degree)
+    return PolyField.from_coords(basis, coeffs[space.cell_maps[ci]] @ elem.Vinv.T,
+                                 elem.comp_gens)
+
+
 def _eval_cells(space, coeffs, ci, pts):
     """Values of the discrete field coeffs of space on cell ci at physical points."""
-    return space.elements[ci].field_from_dofs(coeffs[space.cell_maps[ci]]).eval(pts)
+    return _cell_field(space, coeffs, ci).eval(pts)
 
 
 def test_interpolation_reproduces_in_space_fields(rng, complexes):
@@ -220,22 +238,80 @@ def test_one_element_built_per_translation_class(spec, builds, monkeypatch):
     for family in FAMILIES:
         space = GlobalSpace(m, family, 3, cache)
         assert calls.count(family) == builds, family
-        assert len(space.class_reps) == builds
-        for ci, elem in enumerate(space.elements):
-            rep = space.elements[space.class_reps[space.cell_class[ci]]]
-            assert elem.V is rep.V and elem.simplex is m.cell_simplices[ci]
+        assert len(space.class_reps) == len(space.elements) == builds
+        for elem, ci in zip(space.elements, space.class_reps):
+            assert elem.simplex is m.cell_simplices[ci]
 
 
-def test_shared_vandermonde_matches_the_cell_alone(complexes):
-    """Every cell's shared V equals the V built on that cell alone (its own
-    entity data, tests at its own points) to rounding."""
-    m = mesh.load("kuhn_cube(2)")
-    spaces, _ = complexes("kuhn_cube(2)")
+def test_classes_numbering_their_dofs_differently_are_rejected(monkeypatch):
+    """cell_maps gathers every cell's global numbers from one tag table, so a
+    class element whose DOF tags differ from the first one's is an error."""
+    build = complex_asm.build_element
+
+    def reordered(family, k, m, ci, cache):
+        elem = build(family, k, m, ci, cache)
+        elem.tags = elem.tags[::-1] if ci else elem.tags
+        return elem
+
+    monkeypatch.setattr(complex_asm, "build_element", reordered)
+    with pytest.raises(ValueError, match="order their DOFs differently"):
+        GlobalSpace(mesh.two_tets(), "dg_scalar", 3)
+
+
+def test_eb_system_builds_one_element_per_class_and_family(monkeypatch):
+    """EBSystem on kuhn_cube(2) builds 18 elements, 6 translation classes
+    times 3 families, all on the classes' cells: none for the other 42."""
+    built = []
+    build_blocks = fe3d._build_blocks
+    monkeypatch.setattr(fe3d, "_build_blocks",
+                        lambda family, k, m, ci, cache: built.append((family, ci))
+                        or build_blocks(family, k, m, ci, cache))
+    sys = EBSystem(mesh.load("kuhn_cube(2)"), 3)
+    assert len(built) == 18
+    assert {ci for _, ci in built} == set(sys.space_E.class_reps)
+
+
+def _check_classes_against_cells_alone(m: mesh.TetMesh, spaces, rng):
+    """For every cell of each space, the element built on that cell alone (its
+    own entity data, tests and points) has its class element's V to rounding,
+    and its DOFs of a random field equal the interpolated ones, its class
+    element's DOFs of the translated field, to 1e-12."""
+    cell = poly.reference_cell("tet")
+    degree = {"h1_vec3": (5, "V3"), "hsymcurl_T": (4, "T"), "hdivdiv_S": (3, "S"),
+              "dg_scalar": (1, "scalar")}
     for space in spaces:
-        for ci, elem in enumerate(space.elements):
-            alone = build_element(space.family, 3, m, ci, EntityCache(m, 3)).V
-            assert np.abs(elem.V - alone).max() <= 1e-12 * np.abs(alone).max(), \
+        deg, rng_name = degree[space.family]
+        basis, gens = cell.basis(deg), poly.RANGE_GENERATORS[rng_name]
+        fld = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+        per_cell = space.interpolate(fld)[space.cell_maps]
+        for ci, r in enumerate(space.cell_class):
+            alone = build_element(space.family, 3, m, ci, EntityCache(m, 3))
+            V = space.elements[r].V
+            assert np.abs(V - alone.V).max() <= 1e-12 * np.abs(alone.V).max(), \
                 (space.family, ci)
+            want = alone.dof_values(fld)
+            assert np.abs(per_cell[ci] - want).max() <= 1e-12 * np.abs(want).max(), \
+                (space.family, ci)
+
+
+def test_shared_vandermonde_matches_the_cell_alone(rng, complexes):
+    """kuhn_cube(2), 8 translates a class: every cell's class V and its
+    interpolation by translation match the element built on the cell alone."""
+    spaces, _ = complexes("kuhn_cube(2)")
+    assert all(len(space.elements) == 6 for space in spaces)
+    _check_classes_against_cells_alone(mesh.load("kuhn_cube(2)"), spaces, rng)
+
+
+def test_interpolation_by_translation_on_classes_of_unequal_size(rng):
+    """The same on kuhn_cube(2) with its centre vertex moved, which mixes 24
+    classes of one cell (no translation) and 6 of four."""
+    m = mesh.kuhn_cube(2)
+    v = m.vertices.copy()
+    v[np.argmin(np.linalg.norm(v - 0.5, axis=1))] += [0.01, -0.02, 0.015]
+    m = mesh.TetMesh(v, m.cells)
+    spaces = [GlobalSpace(m, family, 3) for family in FAMILIES]
+    assert all(len(space.elements) == 30 for space in spaces)
+    _check_classes_against_cells_alone(m, spaces, rng)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -250,8 +326,9 @@ def test_translated_single_tet_has_the_same_vandermonde(family):
 
 
 def test_conformity_jump_across_faces_between_classes(rng, complexes):
-    """On a face shared by cells of two classes, neither of which built its
-    class's element, matching DOFs force continuity of n x tau + (n x tau)^T."""
+    """On a face shared by cells of two classes, neither of which is its
+    class's representative (the cell its element was built on), matching DOFs
+    force continuity of n x tau + (n x tau)^T."""
     m = mesh.load("kuhn_cube(2)")
     (_, L, _, _), _ = complexes("kuhn_cube(2)")
     reps = set(L.class_reps)
@@ -260,8 +337,7 @@ def test_conformity_jump_across_faces_between_classes(rng, complexes):
         if len(cs) == 2 and L.cell_class[cs[0]] != L.cell_class[cs[1]]
         and not reps & set(cs))
     g = rng.standard_normal(L.dim)
-    tau0 = L.elements[c0].field_from_dofs(g[L.cell_maps[c0]])
-    tau1 = L.elements[c1].field_from_dofs(g[L.cell_maps[c1]])
+    tau0, tau1 = _cell_field(L, g, c0), _cell_field(L, g, c1)
     lam = rng.random((20, 3))
     lam = 0.1 + 0.8 * lam / lam.sum(axis=1, keepdims=True)
     lam /= lam.sum(axis=1, keepdims=True)
@@ -289,7 +365,22 @@ def test_interpolation_on_shared_elements_kuhn_cube_2(rng, complexes):
         for c in range(len(space.class_reps)):
             ci = np.flatnonzero(space.cell_class == c)[-1]
             pts = rng.random((4, 4))
-            pts = (pts / pts.sum(axis=1, keepdims=True)) @ space.elements[ci].simplex.vertices
+            pts = ((pts / pts.sum(axis=1, keepdims=True))
+                   @ space.mesh.cell_simplices[ci].vertices)
             scale = max(np.abs(fld.eval(pts)).max(), 1.0)
             assert np.abs(_eval_cells(space, coeffs, ci, pts) - fld.eval(pts)).max() \
                 <= 1e-10 * scale, (space.family, ci)
+
+
+def test_translated_field_is_the_field_shifted(rng):
+    """f.translated(t) is x -> f(x + t), derivatives included."""
+    cell = poly.reference_cell("tet")
+    basis, gens = cell.basis(4), poly.RANGE_GENERATORS["T"]
+    f = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+    t = np.array([0.5, -1.25, 2.0])
+    pts = rng.random((10, 3))
+    ft = f.translated(t)
+    for got, want in ((ft, f), (ft.grad(), f.grad()), (ft.hess(), f.hess())):
+        want = want.eval(pts + t)
+        assert np.abs(got.eval(pts) - want).max() <= 1e-12 * np.abs(want).max()
+

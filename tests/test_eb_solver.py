@@ -9,6 +9,16 @@ import scipy.sparse.linalg as spla
 
 from divdivfem import eb_solver, mesh, mms
 from divdivfem.complex_asm import assemble_cells
+from divdivfem.fields import PolyField
+
+
+def _cell_field(space, coeffs, ci) -> PolyField:
+    """The discrete field coeffs of space on cell ci: its class element's
+    shape functions, on the cell's own simplex."""
+    elem = space.elements[space.cell_class[ci]]
+    basis = space.mesh.cell_simplices[ci].basis(elem.basis.degree)
+    return PolyField.from_coords(basis, coeffs[space.cell_maps[ci]] @ elem.Vinv.T,
+                                 elem.comp_gens)
 
 
 def test_config_parsing(tmp_path):
@@ -460,7 +470,7 @@ def test_projection_idempotent_on_discrete_fields(eb_systems, rng):
     def fld(space, coeffs, op=None):
         vals = []
         for ci, p in enumerate(pts):
-            f = space.elements[ci].field_from_dofs(coeffs[space.cell_maps[ci]])
+            f = _cell_field(space, coeffs, ci)
             vals.append((f if op is None else op(f)).eval(p))
         return np.stack(vals)
 
@@ -514,8 +524,9 @@ def _nodal_reference(space, ci, pts, op=None):
     """Nodal basis (or its divdiv / symcurl) of cell ci at pts: (p, ndof, ...),
     from the generators as PolyFields and their exact coefficient calculus."""
     from divdivfem import tensor_calc as tc
-    elem = space.elements[ci]
-    gens = elem.generator_fields()
+    elem = space.elements[space.cell_class[ci]]
+    gens = PolyField.generators(space.mesh.cell_simplices[ci].basis(elem.basis.degree),
+                                elem.comp_gens)
     if op == "divdiv":
         gens = gens.div().div()
     elif op == "symcurl":
@@ -538,7 +549,7 @@ def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
              "scz": (sys.space_B, "symcurl")}
     ref = [np.zeros(slots[slot][0].dim) for slot, _ in reqs]
     for ci in range(sys.mesh.num_cells):
-        pts, w = sys._qrule.on(sys.space_E.elements[ci].simplex)
+        pts, w = sys._qrule.on(sys.mesh.cell_simplices[ci])
         for out, (slot, fld) in zip(ref, reqs):
             space, op = slots[slot]
             tab = _nodal_reference(space, ci, pts, op)
@@ -597,7 +608,7 @@ def test_mms_driver_evaluates_each_field_once_per_cell(eb_systems):
 
 def _eval_cells(space, coeffs, ci, pts):
     """Values of the discrete field coeffs of space on cell ci at physical points."""
-    return space.elements[ci].field_from_dofs(coeffs[space.cell_maps[ci]]).eval(pts)
+    return _cell_field(space, coeffs, ci).eval(pts)
 
 
 def test_errors_match_cellwise_evaluation(eb_systems, rng):
@@ -608,7 +619,7 @@ def test_errors_match_cellwise_evaluation(eb_systems, rng):
     y, t = rng.standard_normal(sys.ntot), 0.3
     ref = np.zeros(3)
     for ci in range(sys.mesh.num_cells):
-        pts, w = sys._qrule.on(sys.space_E.elements[ci].simplex)
+        pts, w = sys._qrule.on(sys.mesh.cell_simplices[ci])
         for j, (space, coeffs, terms) in enumerate(zip(
                 (sys.space_q, sys.space_E, sys.space_B), sys.split(y),
                 (m.sigma_terms, m.E_terms, m.B_terms))):

@@ -86,8 +86,9 @@ def test_conformity_jump_across_shared_face(rng):
     g = rng.standard_normal(space.dim)
     shared_fid = [fi for fi, cs in enumerate(mesh.face_cells) if len(cs) == 2][0]
     n = mesh.face_frames[shared_fid].n
-    tau0 = space.elements[0].field_from_dofs(g[space.cell_maps[0]])
-    tau1 = space.elements[1].field_from_dofs(g[space.cell_maps[1]])
+    # each cell of two_tets is its own translation class
+    tau0, tau1 = (space.elements[space.cell_class[c]].field_from_dofs(g[space.cell_maps[c]])
+                  for c in (0, 1))
     # sample points strictly inside the shared face
     lam = rng.random((20, 3))
     lam = 0.1 + 0.8 * lam / lam.sum(axis=1, keepdims=True)
