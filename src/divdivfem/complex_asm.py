@@ -98,15 +98,17 @@ class GlobalSpace:
         """Canonical interpolation: each DOF evaluated on every cell that holds
         it, its owner cell's value taken, and the others checked against it.
         A cell's DOFs are its class element's on the field translated by the
-        cell's offset t from the class's cell, x -> field(x + t)."""
+        cell's offset t from the class's cell, x -> field(x + t); each class
+        evaluates all its cells' translates at once."""
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
         corner = self.mesh.vertices[self.mesh.cells[:, 0]]
         offsets = corner - corner[self.class_reps][self.cell_class]
-        fields = (field.translated(t) if t.any() else field for t in offsets)
-        per_cell = np.stack([self.elements[r].dof_values(f)
-                             for r, f in zip(self.cell_class, fields)])
+        per_cell = np.empty(self.cell_maps.shape)
+        for r, elem in enumerate(self.elements):
+            cells = np.flatnonzero(self.cell_class == r)
+            per_cell[cells] = elem.dof_values(field, offsets[cells])
         out = per_cell[self.owner, self.owner_local]
         worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
         scale = max(float(np.abs(out).max(initial=0.0)), 1.0)

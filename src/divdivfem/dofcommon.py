@@ -71,41 +71,49 @@ class _Probe:
 
 
 class GeneratorEval:
-    """Moments of all N*C shape generators B_a G_c at once; batch index a*C + c."""
+    """Moments of all N*C shape generators B_a G_c at once, read on a stack of
+    translates x -> x + shifts[s]: batch index (s*N + a)*C + c.  An element's
+    own generators are the zero translate alone."""
 
-    def __init__(self, basis: BernsteinBasis, comp_gens):
+    def __init__(self, basis: BernsteinBasis, comp_gens, shifts=None):
         self.basis = basis
         self.gens = np.asarray(comp_gens, dtype=float)
+        self.shifts = np.zeros((1, basis.simplex.gdim)) if shifts is None else shifts
         self._tabs: dict = {}
 
     def _scalar_tabs(self, pts, order: int):
+        """Tabulation (p, nshifts * N, g ** order) at pts + every shift."""
         key = (id(pts), order)
         if key in self._tabs:
             return self._tabs[key]
         b = self.basis
+        g = b.simplex.gdim
+        # row p * nshifts + s: point p moved by shift s, whose barycentric
+        # coordinates (affine in x) move by s . grad lambda
         lam = b.simplex.barycentric(pts)
+        lam = (lam[:, None] + self.shifts @ b.simplex.bary_grads.T).reshape(-1, lam.shape[1])
         if order == 0:
             tab = b.eval(lam)
         elif order == 1:
             lo = b.simplex.basis(max(b.degree - 1, 0))
             E = lo.eval(lam)
-            tab = np.stack([E @ D for D in b.diff_ops], axis=-1)  # (p, N, g)
+            tab = np.stack([E @ D for D in b.diff_ops], axis=-1)  # (rows, N, g)
         else:
             lo = b.simplex.basis(max(b.degree - 1, 0))
             lo2 = b.simplex.basis(max(b.degree - 2, 0))
             E = lo2.eval(lam)
-            g = b.simplex.gdim
             tab = np.empty((len(lam), b.N, g, g))
             for d1 in range(g):
                 for d2 in range(g):
                     tab[:, :, d1, d2] = E @ (lo.diff_ops[d2] @ b.diff_ops[d1])
+        tab = tab.reshape(len(pts), -1, g ** order)
         self._tabs[key] = tab
         return tab
 
     def moments(self, integrand, tw):
-        """Moments (N*C, m) of integrand(generator) against weighted tests tw.
+        """Moments (nshifts*N*C, m) of integrand(generator) against tests tw.
 
-        tw: (m, p, *ishape) test values times quadrature weights.  The
+        tw: (m, p, *ishape), test values times quadrature weights.  The
         integrand runs once, on a _Probe; then U = F . tw over the value axes
         and T . U over (point, derivative), T the cached scalar tabulation.
         """
@@ -119,10 +127,9 @@ class GeneratorEval:
                              "per probe: its coefficients may not depend on position")
         ax = list(range(2, 2 + nin))
         U = np.tensordot(F[:, :, 0], tw, axes=(ax, ax))           # (C, D, m, p)
-        T = self._scalar_tabs(pts, order)
-        T = T.reshape(T.shape[0], self.basis.N, -1)               # (p, N, D)
-        out = np.tensordot(T, U, axes=([0, 2], [3, 1]))           # (N, C, m)
-        return out.reshape(self.basis.N * C, -1)
+        T = self._scalar_tabs(pts, order)                         # (p, nshifts*N, D)
+        out = np.tensordot(T, U, axes=([0, 2], [3, 1]))           # (nshifts*N, C, m)
+        return out.reshape(T.shape[1] * C, -1)
 
 
 @dataclass
@@ -183,24 +190,20 @@ class Element:
     def sv_ratio(self) -> float:
         return min_max_singular_ratio(self.V)
 
-    def dof_values(self, field: PolyField) -> np.ndarray:
+    def dof_values(self, field: PolyField, shifts=None) -> np.ndarray:
         """All DOF functionals on a (possibly batched) PolyField: (*batch, ndof).
 
-        The functionals are tabulated on the field's basis times unit
-        component generators, then contracted with its coefficients.
+        With shifts (nshifts, g), the functionals of every translate
+        x -> field(x + shifts[s]) at once: (*batch, nshifts, ndof).  They are
+        tabulated on the field's basis times unit component generators, then
+        contracted with its coefficients.
         """
         C = math.prod(field.vshape)
         units = np.eye(C).reshape(C, *field.vshape)
-        F = functional_matrix(self.blocks, GeneratorEval(field.basis, units))
-        return field.coeffs.reshape(*field.batch, -1) @ F
-
-    def generator_fields(self) -> PolyField:
-        return PolyField.generators(self.basis, self.comp_gens)
-
-    def field_from_dofs(self, dofvals) -> PolyField:
-        """The shape function with prescribed DOF values, as a PolyField."""
-        return PolyField.from_coords(self.basis, np.asarray(dofvals) @ self.Vinv.T,
-                                     self.comp_gens)
+        F = functional_matrix(self.blocks, GeneratorEval(field.basis, units, shifts))
+        F = F.reshape(-1, field.basis.N * C, F.shape[-1])      # (nshifts, N*C, ndof)
+        out = np.tensordot(field.coeffs.reshape(*field.batch, -1), F, axes=(-1, 1))
+        return out if shifts is not None else out[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -250,12 +250,6 @@ class PolyField:
         E = self.basis.eval(lam)
         return _apply_left(E, self.coeffs, self.nax)
 
-    def translated(self, t) -> "PolyField":
-        """The field x -> f(x + t): the same coefficients on the simplex moved
-        by -t, since Bernstein coefficients are barycentric."""
-        simplex = Simplex(self.basis.simplex.vertices - np.asarray(t, dtype=float))
-        return PolyField(simplex.basis(self.degree), self.coeffs, self.vshape)
-
     # -- calculus ---------------------------------------------------------------
     def partial(self, axis: int) -> "PolyField":
         D = self.basis.diff_ops[axis]

@@ -1,8 +1,8 @@
 """Rank, nullspace and row-space helpers with explicit thresholds.
 
 Rank claims are the backbone of every exactness audit, so thresholds are
-relative to the largest singular value (default 1e-10) and an exact rational
-elimination is available to certify borderline decisions on reference cells.
+relative to the largest singular value (default 1e-10), and a sparse exact
+elimination over Q certifies the ranks of the reference-cell operators.
 """
 
 from __future__ import annotations
@@ -80,34 +80,30 @@ def rowspace(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
 
 
 def rank_exact(rows) -> int:
-    """Exact rank over Q by fraction-free Gaussian elimination.
+    """Exact rank over Q by sparse Gaussian elimination on Fraction rows.
 
-    Entries must be Fractions or integers (floats are rejected: an inexact
-    entry would defeat the point of this oracle).
+    Entries must be Fractions or integers, zeros included (floats are
+    rejected: an inexact entry would defeat the point of a certificate).
+    A row is kept as {column: Fraction} of its nonzeros.  Each pivot row is
+    the sparsest live row (a Markowitz-style choice against fill), pivoting
+    on its first stored entry; eliminating that column from the other rows
+    touches only the pivot row's nonzeros, and rows that become zero leave.
     """
-    mat = [[_as_fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    live = [{j: f for j, f in enumerate(map(_as_fraction, row)) if f} for row in rows]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        pval = mat[row][col]
-        for r in range(row + 1, nrows):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pval
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+    while live := [r for r in live if r]:
+        piv = live.pop(min(range(len(live)), key=lambda i: len(live[i])))
         rank += 1
-        row += 1
-        if row == nrows:
-            break
+        col, pval = next(iter(piv.items()))
+        for r in live:
+            if col in r:
+                factor = r[col] / pval
+                for j, v in piv.items():
+                    x = r.get(j, 0) - factor * v
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
     return rank
 
 

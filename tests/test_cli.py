@@ -38,6 +38,16 @@ def test_json_reports_byte_identical(tmp_path, argv):
     assert "wall_time" not in a.read_text()
 
 
+def test_audit_poly_exact_k4_json(tmp_path):
+    out = tmp_path / "poly.json"
+    assert main(["audit", "poly", "--dim", "3", "--k", "4", "--exact",
+                 "--json", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [checks[f"rank {op} (exact Q)"]["computed"]
+            for op in ("devgrad", "symcurl", "divdiv")] == [248, 200, 10]
+    assert all(c["pass"] for c in checks.values())
+
+
 def test_csv_report(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["audit", "poly", "--k", "3", "--dim", "3",

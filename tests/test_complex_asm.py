@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -271,6 +273,62 @@ def test_eb_system_builds_one_element_per_class_and_family(monkeypatch):
     assert {ci for _, ci in built} == set(sys.space_E.class_reps)
 
 
+def translated(f: PolyField, t) -> PolyField:
+    """The field x -> f(x + t): the same coefficients on the simplex moved
+    by -t, since Bernstein coefficients are barycentric."""
+    simplex = Simplex(f.basis.simplex.vertices - np.asarray(t, dtype=float))
+    return PolyField(simplex.basis(f.degree), f.coeffs, f.vshape)
+
+
+def _interpolate_per_cell(space, field: PolyField) -> np.ndarray:
+    """Oracle of GlobalSpace.interpolate, one cell at a time: each cell's
+    class element's DOFs of the field translated by the cell's offset from
+    its class's cell, each DOF taken from its owner cell."""
+    corner = space.mesh.vertices[space.mesh.cells[:, 0]]
+    offsets = corner - corner[space.class_reps][space.cell_class]
+    per_cell = np.stack([space.elements[r].dof_values(translated(field, t) if t.any() else field)
+                         for r, t in zip(space.cell_class, offsets)])
+    return per_cell[space.owner, space.owner_local]
+
+
+def _random_shape_fields(rng):
+    """A random field of each family's shape range, at the family's degree."""
+    cell = poly.reference_cell("tet")
+    for family, deg, rng_name in (("h1_vec3", 5, "V3"), ("hsymcurl_T", 4, "T"),
+                                  ("hdivdiv_S", 3, "S"), ("dg_scalar", 1, "scalar")):
+        basis, gens = cell.basis(deg), poly.RANGE_GENERATORS[rng_name]
+        yield family, PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)),
+                                            gens)
+
+
+@pytest.mark.parametrize("spec", ["kuhn_cube(2)", "kuhn_cube(3)"])
+def test_batched_interpolation_matches_the_per_cell_path(spec, rng):
+    """interpolate evaluates all translates of a class at once; the per-cell
+    path translates the field and evaluates one cell at a time.  kuhn_cube(2)
+    has 8 cells a class, kuhn_cube(3) 27."""
+    m = mesh.load(spec)
+    cache = EntityCache(m, 3)
+    for family, fld in _random_shape_fields(rng):
+        space = GlobalSpace(m, family, 3, cache)
+        got, want = space.interpolate(fld), _interpolate_per_cell(space, fld)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), family
+
+
+def test_interpolate_rejects_disagreeing_shared_dofs(rng, complexes):
+    """Two cells of different classes swap their rows of cell_maps: each
+    then lists DOFs the other owns, their values disagree, and the shared-DOF
+    check raises."""
+    (_, _, S, _), _ = complexes("kuhn_cube(2)")
+    fld = dict(_random_shape_fields(rng))["hdivdiv_S"]
+    S.interpolate(fld)
+    bad = copy.copy(S)
+    a, b = 0, int(np.flatnonzero(S.cell_class != S.cell_class[0])[0])
+    bad.cell_maps = S.cell_maps.copy()
+    bad.cell_maps[[a, b]] = S.cell_maps[[b, a]]
+    with pytest.raises(ValueError, match="shared DOFs disagree"):
+        bad.interpolate(fld)
+
+
 def _check_classes_against_cells_alone(m: mesh.TetMesh, spaces, rng):
     """For every cell of each space, the element built on that cell alone (its
     own entity data, tests and points) has its class element's V to rounding,
@@ -373,13 +431,13 @@ def test_interpolation_on_shared_elements_kuhn_cube_2(rng, complexes):
 
 
 def test_translated_field_is_the_field_shifted(rng):
-    """f.translated(t) is x -> f(x + t), derivatives included."""
+    """translated(f, t) is x -> f(x + t), derivatives included."""
     cell = poly.reference_cell("tet")
     basis, gens = cell.basis(4), poly.RANGE_GENERATORS["T"]
     f = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
     t = np.array([0.5, -1.25, 2.0])
     pts = rng.random((10, 3))
-    ft = f.translated(t)
+    ft = translated(f, t)
     for got, want in ((ft, f), (ft.grad(), f.grad()), (ft.hess(), f.hess())):
         want = want.eval(pts + t)
         assert np.abs(got.eval(pts) - want).max() <= 1e-12 * np.abs(want).max()

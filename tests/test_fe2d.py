@@ -156,5 +156,5 @@ def test_dof_values_of_generators_equal_vandermonde(family):
     """Unit-generator path (dof_values) against element-generator path (V)."""
     cell = random_cells(2, 1, seed=17)[0]
     e = fe2d.element_2d(family, 3, cell)
-    vals = e.dof_values(e.generator_fields())
+    vals = e.dof_values(PolyField.generators(e.basis, e.comp_gens))
     assert np.abs(vals - e.V.T).max() <= 1e-12 * np.abs(e.V).max()

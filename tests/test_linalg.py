@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem.linalg import qr_rank, svd_rank
+from divdivfem.linalg import qr_rank, rank_exact, svd_rank
 
 
 def _with_spectrum(rng, m, n, s):
@@ -33,3 +35,83 @@ def test_qr_rank_takes_sparse_input_and_leaves_dense_input_intact(rng, shape):
         assert qr_rank(dense) == 30
         assert np.array_equal(dense, kept)
     assert qr_rank(sp.csr_matrix(M)) == qr_rank(sp.csc_matrix(M)) == 30
+
+
+def _dense_rank_exact(rows) -> int:
+    """Oracle: dense Gaussian elimination over Q, column by column, on full
+    Fraction rows (the first nonzero entry of each column is the pivot)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(row, nrows):
+            if mat[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        pval = mat[row][col]
+        for r in range(row + 1, nrows):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pval
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def _sparse_rational(rng, m, n, nbase, density=0.15):
+    """m x n rows of Fractions: nbase random sparse rows of small rationals,
+    the other m - nbase rows rational combinations of two of them (planted
+    dependent rows), in shuffled order; ints and Fractions mixed."""
+    def small(lo, hi):
+        return Fraction(int(rng.integers(lo, hi)), int(rng.integers(1, 4)))
+
+    base = [[small(-5, 6) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(nbase)]
+    rows = list(base)
+    for _ in range(m - nbase):
+        if not base:
+            rows.append([0] * n)
+            continue
+        i, j = rng.integers(len(base), size=2)
+        a, b = small(-3, 4), small(-3, 4)
+        rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    return [rows[i] for i in rng.permutation(m)]
+
+
+@pytest.mark.parametrize("m, n, nbase", [(40, 15, 10), (15, 40, 12), (25, 25, 18),
+                                         (25, 25, 25), (8, 30, 8), (6, 9, 0)],
+                         ids=["tall", "wide", "square", "square-full", "wide-full",
+                              "all-zero"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_rank_exact_matches_dense_oracle(m, n, nbase, seed):
+    rows = _sparse_rational(np.random.default_rng(seed), m, n, nbase)
+    want = _dense_rank_exact(rows)
+    assert rank_exact(rows) == want
+    assert want <= nbase
+    # the rank of the transpose is the same
+    assert rank_exact([list(col) for col in zip(*rows)]) == want
+
+
+def test_rank_exact_of_empty_matrices():
+    assert rank_exact([]) == 0
+    assert rank_exact([[], []]) == 0
+    assert rank_exact([[0, 0], [Fraction(0), 0]]) == 0
+
+
+def test_rank_exact_takes_numpy_integers():
+    assert rank_exact(np.array([[2, 4], [1, 2], [0, 3]])) == 2
+
+
+@pytest.mark.parametrize("rows", [[[0.0]], [[1, 0.0]], [[Fraction(1), 2], [3, 0.0]],
+                                  [[0, np.float64(0.0)]], [[0.5]]])
+def test_rank_exact_rejects_floats_even_zero_ones(rows):
+    with pytest.raises(TypeError):
+        rank_exact(rows)

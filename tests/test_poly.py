@@ -151,6 +151,17 @@ def test_poly_complex_audit_exact_certified():
         assert r["pass"], r
 
 
+def test_poly_complex_audit_exact_certified_k4():
+    """The rational certificates at a second degree: ranks 248/200/10."""
+    rows = poly.poly_complex_audit(3, 4, exact_certify=True)
+    names = {r["name"]: r for r in rows}
+    assert names["rank devgrad (exact Q)"]["computed"] == 248
+    assert names["rank symcurl (exact Q)"]["computed"] == 200
+    assert names["rank divdiv (exact Q)"]["computed"] == 10
+    for r in rows:
+        assert r["pass"], r
+
+
 def test_composition_zero_scaled():
     V = poly.space("tet", 5, "V3")
     d1 = poly.diff("devgrad", V)
