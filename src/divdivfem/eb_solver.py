@@ -71,6 +71,8 @@ class EBConfig:
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}")
         n = self.t_final / self.dt
+        if not np.isfinite(n):
+            raise ValueError("t_final / dt overflows: the step count is not finite")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("t_final must be an integral multiple of dt")
         if self.init == "mms" and self.mms == "none":

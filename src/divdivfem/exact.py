@@ -1,173 +1,66 @@
-"""Exact rational differentiation matrices on the reference tetrahedron.
+"""Integer differentiation matrices on the reference tetrahedron.
 
-Barycentric gradients on the reference cells are integers, so the generator
-matrices of devgrad / symcurl / divdiv have Fraction entries and their ranks
-can be certified over Q.  This backs up borderline floating-point rank
-decisions in the complex audits.
+On the reference tetrahedron the barycentric gradients are integers, so the
+Bernstein differentiation tables `BernsteinBasis.diff_ops` and the range
+generators `poly.RANGE_GENERATORS` are integer-valued.  `_op_matrix_3d(op, k)`
+is scale * op between generator coordinates, in int64: 3 devgrad (3 dev has
+integer entries), 2 symcurl (2 sym has) and divdiv, so it equals
+`poly.diff(op, ...).mat` times the scale.  Its rank over Q (`rank_3d`)
+certifies the floating-point rank decisions of the reference complex audit.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+import numpy as np
 
-from .fields import multiindices
+from . import poly
 from .linalg import rank_exact
 
-_TET_GRADS = ((-1, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-_EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-        (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+# op -> (source degree - k, source range, target range)
+_OPS = {"devgrad": (2, "V3", "T"), "symcurl": (1, "T", "S"), "divdiv": (0, "S", "scalar")}
 
 
-@lru_cache(maxsize=None)
-def _diff_tables(degree: int):
-    """Sparse tables: diff[d] maps alpha-index -> list of (beta-index, value)."""
-    alphas = multiindices(4, degree)
-    lower = {a: i for i, a in enumerate(multiindices(4, max(degree - 1, 0)))}
-    tables = [dict() for _ in range(3)]
-    if degree == 0:
-        return tables, len(alphas), len(lower)
-    for ai, a in enumerate(alphas):
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            bi = lower[tuple(b)]
-            for d in range(3):
-                g = _TET_GRADS[i][d]
-                if g:
-                    entry = tables[d].setdefault(ai, {})
-                    entry[bi] = entry.get(bi, 0) + degree * g
-    return tables, len(alphas), len(lower)
-
-
-def _partial(coeffs: dict, d: int, degree: int) -> dict:
-    """coeffs: {(alpha_idx, *cidx): Fraction} of a field at given degree."""
-    tables, _, _ = _diff_tables(degree)
-    out: dict = {}
-    for key, val in coeffs.items():
-        ai, rest = key[0], key[1:]
-        for bi, fac in tables[d].get(ai, {}).items():
-            k2 = (bi, *rest)
-            out[k2] = out.get(k2, Fraction(0)) + val * fac
+def _int(table) -> np.ndarray:
+    out = np.rint(table).astype(np.int64)
+    assert np.array_equal(out, table), "table is not integer-valued"
     return out
 
 
-def _grad_rows(coeffs: dict, degree: int) -> dict:
-    """v -> matrix with (i, j) = d_j v_i; input keys (a, i)."""
-    out: dict = {}
-    for d in range(3):
-        for (bi, i), val in _partial(coeffs, d, degree).items():
-            out[(bi, i, d)] = out.get((bi, i, d), Fraction(0)) + val
-    return out
+def _gens(rng: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integer generators (C, entries) and, per generator, the value entry
+    where it alone is nonzero: that entry of a member is its coordinate."""
+    table = poly.RANGE_GENERATORS[rng]
+    gens = _int(table).reshape(len(table), -1)
+    alone = (gens != 0) & ((gens != 0).sum(axis=0) == 1)
+    entries = alone.argmax(axis=1)
+    assert np.array_equal(gens[:, entries], np.eye(len(gens))), f"no coordinates for {rng!r}"
+    return gens, entries
 
 
-def _curl_rows(coeffs: dict, degree: int) -> dict:
-    """A -> row-wise curl: (i, l) = eps_{ljk} d_j A_{ik}; keys (a, i, k)."""
-    out: dict = {}
-    for (ljk), sgn in _EPS.items():
-        l, j, k = ljk
-        for (bi, i, kk), val in _partial(coeffs, j, degree).items():
-            if kk != k:
-                continue
-            key = (bi, i, l)
-            out[key] = out.get(key, Fraction(0)) + sgn * val
-    return out
-
-
-def _div_rows(coeffs: dict, degree: int) -> dict:
-    out: dict = {}
-    for j in range(3):
-        for key, val in _partial(coeffs, j, degree).items():
-            if key[-1] != j:
-                continue
-            k2 = key[:-1]
-            out[k2] = out.get(k2, Fraction(0)) + val
-    return out
-
-
-def _sym_mat(coeffs: dict) -> dict:
-    out: dict = {}
-    for (a, i, j), val in coeffs.items():
-        h = Fraction(val, 2)
-        out[(a, i, j)] = out.get((a, i, j), Fraction(0)) + h
-        out[(a, j, i)] = out.get((a, j, i), Fraction(0)) + h
-    return out
-
-
-def _dev_mat(coeffs: dict) -> dict:
-    out = dict(coeffs)
-    traces: dict = {}
-    for (a, i, j), val in coeffs.items():
-        if i == j:
-            traces[a] = traces.get(a, Fraction(0)) + val
-    for a, t in traces.items():
-        third = t / 3
-        for i in range(3):
-            key = (a, i, i)
-            out[key] = out.get(key, Fraction(0)) - third
-    return out
-
-
-_T_GENS = [{(0, 0): 1, (2, 2): -1}, {(1, 1): 1, (2, 2): -1},
-           {(0, 1): 1}, {(0, 2): 1}, {(1, 0): 1}, {(1, 2): 1}, {(2, 0): 1}, {(2, 1): 1}]
-_S_GENS = [{(0, 0): 1}, {(1, 1): 1}, {(2, 2): 1},
-           {(0, 1): 1, (1, 0): 1}, {(0, 2): 1, (2, 0): 1}, {(1, 2): 1, (2, 1): 1}]
-# coordinate extraction entries (valid on the respective constrained ranges)
-_T_COORDS = [(0, 0), (1, 1), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-_S_COORDS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-
-
-def _mat_coords(coeffs: dict, pairs, ncols_alpha: int) -> list:
-    row = [Fraction(0)] * (ncols_alpha * len(pairs))
-    for (a, i, j), val in coeffs.items():
-        for c, (pi, pj) in enumerate(pairs):
-            if (pi, pj) == (i, j):
-                row[a * len(pairs) + c] += val
-    return row
-
-
-def _op_matrix_3d(op: str, k: int) -> list:
-    """Rows = generator images in target coordinates, Fraction entries."""
-    if op == "devgrad":
-        deg, ngen_comp, pairs = k + 2, 3, _T_COORDS
-        n_src = len(multiindices(4, deg))
-        n_dst_alpha = len(multiindices(4, deg - 1))
-        rows = []
-        for a in range(n_src):
-            for c in range(ngen_comp):
-                img = _dev_mat(_grad_rows({(a, c): Fraction(1)}, deg))
-                rows.append(_mat_coords(img, pairs, n_dst_alpha))
-        return rows
-    if op == "symcurl":
-        deg = k + 1
-        n_src = len(multiindices(4, deg))
-        n_dst_alpha = len(multiindices(4, deg - 1))
-        rows = []
-        for a in range(n_src):
-            for gen in _T_GENS:
-                coeffs = {(a, i, j): Fraction(v) for (i, j), v in gen.items()}
-                img = _sym_mat(_curl_rows(coeffs, deg))
-                rows.append(_mat_coords(img, _S_COORDS, n_dst_alpha))
-        return rows
-    if op == "divdiv":
-        deg = k
-        n_src = len(multiindices(4, deg))
-        n_dst_alpha = len(multiindices(4, deg - 2))
-        rows = []
-        for a in range(n_src):
-            for gen in _S_GENS:
-                coeffs = {(a, i, j): Fraction(v) for (i, j), v in gen.items()}
-                v = _div_rows(coeffs, deg)
-                s = _div_rows(v, deg - 1)
-                row = [Fraction(0)] * n_dst_alpha
-                for (b,), val in s.items():
-                    row[b] += val
-                rows.append(row)
-        return rows
-    raise ValueError(f"no exact matrix for operator {op!r}")
+def _op_matrix_3d(op: str, k: int) -> np.ndarray:
+    """scale * op from source generator to target generator coordinates."""
+    if op not in _OPS:
+        raise ValueError(f"no exact matrix for operator {op!r}")
+    shift, src, dst = _OPS[op]
+    cell = poly.reference_cell("tet")
+    D = _int(cell.basis(k + shift).diff_ops)  # (j, b, a): d_j, degree a -> b
+    G = _int(poly.RANGE_GENERATORS[src])
+    if op == "devgrad":  # 3 grad v - tr(grad v) I
+        g = np.einsum("jba,ci->acbij", D, G)
+        img = 3 * g - np.trace(g, axis1=-2, axis2=-1)[..., None, None] * np.eye(3, dtype=np.int64)
+    elif op == "symcurl":  # curl A + (curl A)^T, row-wise: (i, l) = eps_ljk d_j A_ik
+        g = np.einsum("jba,cik->acbikj", D, G)
+        curl = np.stack([g[..., (l + 2) % 3, (l + 1) % 3] - g[..., (l + 1) % 3, (l + 2) % 3]
+                         for l in range(3)], axis=-1)
+        img = curl + np.swapaxes(curl, -1, -2)
+    else:  # d_i d_j S_ij
+        D2 = _int(cell.basis(k - 1).diff_ops)
+        img = np.einsum("ibm,jma,cij->acb", D2, D, G)
+    gens, entries = _gens(dst)
+    img = img.reshape(img.shape[0] * img.shape[1], img.shape[2], -1)
+    coords = img[..., entries]
+    assert np.array_equal(coords @ gens, img), f"{op} image leaves range {dst!r}"
+    return coords.reshape(len(coords), -1)
 
 
 def rank_3d(op: str, k: int) -> int:

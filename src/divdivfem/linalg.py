@@ -84,12 +84,21 @@ def rank_exact(rows) -> int:
 
     Entries must be Fractions or integers, zeros included (floats are
     rejected: an inexact entry would defeat the point of a certificate).
+    rows is a sequence of rows or a numpy matrix; an integer matrix is read by
+    its nonzeros, and a float one is rejected whatever its entries.
     A row is kept as {column: Fraction} of its nonzeros.  Each pivot row is
     the sparsest live row (a Markowitz-style choice against fill), pivoting
     on its first stored entry; eliminating that column from the other rows
     touches only the pivot row's nonzeros, and rows that become zero leave.
     """
-    live = [{j: f for j, f in enumerate(map(_as_fraction, row)) if f} for row in rows]
+    kind = rows.dtype.kind if isinstance(rows, np.ndarray) else "O"
+    if kind in "fc":
+        raise TypeError(f"exact rank needs exact entries, got dtype {rows.dtype}")
+    if kind in "iu":
+        live = [dict(zip(nz.tolist(), map(Fraction, row[nz].tolist())))
+                for row in rows if (nz := np.flatnonzero(row)).size]
+    else:
+        live = [{j: f for j, f in enumerate(map(_as_fraction, row)) if f} for row in rows]
     rank = 0
     while live := [r for r in live if r]:
         piv = live.pop(min(range(len(live)), key=lambda i: len(live[i])))

@@ -27,7 +27,9 @@ def test_audit_complex_single_tet(capsys):
 @pytest.mark.parametrize("argv", [
     ["audit", "lemmas", "--k", "3", "--trials", "3"],
     ["infsup", "--mesh", "single_tet", "--k", "3"],
-], ids=["audit-lemmas", "infsup"])
+    ["audit", "bubbles", "--k", "3"],
+    ["audit", "poly", "--dim", "3", "--k", "3", "--exact"],
+], ids=["audit-lemmas", "infsup", "audit-bubbles", "audit-poly-exact"])
 def test_json_reports_byte_identical(tmp_path, argv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--json", str(a)]) == 0
@@ -95,6 +97,14 @@ def test_eb_run_rejects_bad_config_values(tmp_path):
     for line in ("forcing = yes", "t_final = -0.5", "k = 2", "solver_tol = 0"):
         cfg.write_text(f"mesh = two_tets\ndt = 0.05\n{line}\n")
         assert main(["eb", "run", "--config", str(cfg)]) == 2, line
+
+
+def test_eb_run_step_count_overflow_exit_two(tmp_path, capsys):
+    """t_final / dt overflows to inf although both are finite and positive."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("mesh = two_tets\nt_final = 1e300\ndt = 1e-300\n")
+    assert main(["eb", "run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_infsup_command(capsys):

@@ -111,7 +111,8 @@ def test_rank_exact_takes_numpy_integers():
 
 
 @pytest.mark.parametrize("rows", [[[0.0]], [[1, 0.0]], [[Fraction(1), 2], [3, 0.0]],
-                                  [[0, np.float64(0.0)]], [[0.5]]])
+                                  [[0, np.float64(0.0)]], [[0.5]], np.zeros((1, 1)),
+                                  np.array([[1.0, 2.0]])])
 def test_rank_exact_rejects_floats_even_zero_ones(rows):
     with pytest.raises(TypeError):
         rank_exact(rows)

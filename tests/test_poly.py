@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divdivfem import poly
+from divdivfem import exact, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.fields import PolyField
 from divdivfem.linalg import rank_exact, svd_rank
@@ -160,6 +160,25 @@ def test_poly_complex_audit_exact_certified_k4():
     assert names["rank divdiv (exact Q)"]["computed"] == 10
     for r in rows:
         assert r["pass"], r
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("op,shift,rng,scale", [("devgrad", 2, "V3", 3),
+                                                ("symcurl", 1, "T", 2),
+                                                ("divdiv", 0, "S", 1)])
+def test_exact_matrix_is_the_scaled_float_matrix(op, shift, rng, scale, k):
+    """The certified integer matrix is scale * poly.diff's, entry by entry."""
+    M = exact._op_matrix_3d(op, k)
+    F = poly.diff(op, poly.space("tet", k + shift, rng)).mat
+    assert M.dtype == np.int64 and M.shape == F.shape
+    assert np.abs(M / scale - F).max() <= 1e-12 * np.abs(F).max()
+
+
+def test_exact_matrix_rejects_unknown_operator():
+    with pytest.raises(ValueError):
+        exact._op_matrix_3d("curl", 3)
+    with pytest.raises(ValueError):
+        exact.rank_3d("hess", 3)
 
 
 def test_composition_zero_scaled():
