@@ -67,6 +67,8 @@ class EBConfig:
             raise ValueError("t_final must be non-negative and finite")
         if self.k < 3:
             raise ValueError("k must be >= 3")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         for key, allowed in (("init", INITS), ("mms", MMS_CHOICES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}")
@@ -233,10 +235,10 @@ class CellInteriors:
 
 
 class EBSystem:
-    """Spaces, discrete differentials and the cell operators of one mesh:
-    the masses and couplings are stored once per translation class, and A
-    and S are applied and factored from those class stacks, never assembled
-    on the solver path."""
+    """Spaces and the cell operators of one mesh: the differentials, masses
+    and couplings are stored once per translation class, and A and S are
+    applied and factored from those class stacks.  The system holds no
+    global matrix: each assembled form is built where it is read."""
 
     def __init__(self, mesh: TetMesh, k: int):
         self.mesh = mesh
@@ -247,17 +249,16 @@ class EBSystem:
         self.space_B = GlobalSpace(mesh, "hsymcurl_T", k, cache)
         spaces = (self.space_q, self.space_E, self.space_B)
         self.cell_class = cache.cell_class
+        # the class stacks, one entry per translation class (cell c's is entry
+        # cell_class[c]): the differentials divdiv d3 and symcurl d2, and what
+        # A, S and every condensed factor come from, the masses of q, E and B
+        # and the couplings M_q d3 and M_E d2
         d3 = cell_operators("divdiv", self.space_E, self.space_q)
         d2 = cell_operators("symcurl", self.space_B, self.space_E)
-        self.D3 = assemble_diff(d3, self.space_E, self.space_q)
-        self.D2 = assemble_diff(d2, self.space_B, self.space_E)
-        # the class stacks that A, S and every condensed factor come from: the
-        # masses of q, E and B, and the couplings M_q d3 and M_E d2, one entry
-        # per translation class (cell c's is entry cell_class[c])
         mq, mE, mB = (space.cell_masses() for space in spaces)
+        self._cell_diff = (d3, d2)
         self._cell_mass = (mq, mE, mB)
         self._cell_coupling = (mq @ d3, mE @ d2)
-        del d3, d2
         self.nq, self.nE, self.nB = (space.dim for space in spaces)
         self.ntot = self.nq + self.nE + self.nB
         # the global numbers of each cell's unknowns, (ncells, n) in local
@@ -293,30 +294,11 @@ class EBSystem:
     def split(self, y):
         return (y[: self.nq], y[self.nq: self.nq + self.nE], y[self.nq + self.nE:])
 
-    def mass_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(Mq, ME, MB), assembled from the class stacks when called: the
-        system keeps no global matrix."""
-        return tuple(space.mass(m) for space, m in zip(
-            (self.space_q, self.space_E, self.space_B), self._cell_mass))
-
-    def mass_block(self) -> sp.csr_matrix:
-        """A = blockdiag(Mq, ME, MB), assembled when called."""
-        return sp.block_diag(self.mass_blocks(), format="csr")
-
-    def coupling_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(C3, C2) = (Mq D3, ME D2), assembled cell by cell when called (the
-        global products would add rounding-level entries between neighbours
-        of neighbours)."""
-        (c3, c2), cls = self._cell_coupling, self.cell_class
-        return (assemble_cells(self.space_q.cell_maps, self.space_E.cell_maps, c3[cls],
-                               (self.nq, self.nE)),
-                assemble_cells(self.space_E.cell_maps, self.space_B.cell_maps, c2[cls],
-                               (self.nE, self.nB)))
-
     def skew_block(self) -> sp.csr_matrix:
         """Coupling S with y' A = S y: skew-symmetric by construction,
-        assembled when called."""
-        C3, C2 = self.coupling_blocks()
+        assembled from the class stacks when called."""
+        (c3, c2), (q, E, B) = self._cell_coupling, (self.space_q, self.space_E, self.space_B)
+        C3, C2 = _assembled(c3, q, E), _assembled(c2, E, B)
         return sp.bmat([[None, C3, None], [-C3.T, None, -C2], [None, C2.T, None]],
                        format="csr")
 
@@ -473,6 +455,20 @@ class EBSystem:
         return y1 if products is None else (y1, (Ay1, Sy1))
 
 
+def _assembled(stack: np.ndarray, rows: GlobalSpace, cols: GlobalSpace) -> sp.csr_matrix:
+    """The global matrix of a class stack of blocks (classes, rows, cols) in
+    the local orders of the spaces rows and cols, scattered cell by cell."""
+    return assemble_cells(rows.cell_maps, cols.cell_maps, stack[rows.cell_class],
+                          (rows.dim, cols.dim))
+
+
+def _differentials(sys: EBSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(D3, D2), the global divdiv and symcurl, from their class stacks."""
+    d3, d2 = sys._cell_diff
+    return (assemble_diff(d3, sys.space_E, sys.space_q),
+            assemble_diff(d2, sys.space_B, sys.space_E))
+
+
 def _check_residual(r: np.ndarray, b: np.ndarray, tol: float, what: str):
     """Raise unless the residual r of a solve with right-hand side b has
     ||r|| <= tol ||b||."""
@@ -539,13 +535,14 @@ class MMSDriver:
                     if factor == "shape":
                         self._exact[f].append(vals)
         # (term, block, time factor, sign, load vector): the plain loads of one
-        # test space from one assemble_forms call, and D^T of them
+        # test space from one assemble_forms call, and D^T of them (D dropped after)
+        diffs = dict(zip(("D3", "D2"), _differentials(sys)))
         self._loads = []
         for space, rows in zip((sys.space_q, sys.space_E, sys.space_B), tested):
             if rows:
                 vecs = sys.assemble_forms(space, np.stack([vals for *_, vals in rows]))
                 self._loads += [(term, block, kind, sign,
-                                 vec if op is None else getattr(sys, op).T @ vec)
+                                 vec if op is None else diffs[op].T @ vec)
                                 for (term, loads, _), vec in zip(rows, vecs)
                                 for block, op, kind, sign in loads]
         self._y0 = None
@@ -683,11 +680,12 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
     out = []
     prev = None
     for lvl, spec in enumerate(mesh_specs):
-        sys = get_system(spec, k, systems, keep=lvl == 0)
         mms = mms_factory()
         dt = dt_for_level(lvl)
         cfg = EBConfig(mesh=spec, k=k, t_final=t_final, dt=dt, init="mms",
                        mms=mms.label, seed=seed)
+        cfg.validate()              # before the system is built
+        sys = get_system(spec, k, systems, keep=lvl == 0)
         rec, y, driver = run(sys, cfg, mms)
         es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
         err = es + eE + eB
@@ -732,9 +730,11 @@ def temporal_convergence(mesh_spec: str, k: int, mms_factory, t_final: float,
 
 def vnorm_block(sys: EBSystem) -> sp.csr_matrix:
     """Gram matrix of the graph norm: mass + divdiv- and symcurl-stiffness."""
-    Mq, ME, MB = sys.mass_blocks()
-    Ks = (sys.D3.T @ Mq @ sys.D3).tocsr()
-    Kl = (sys.D2.T @ ME @ sys.D2).tocsr()
+    Mq, ME, MB = (space.mass(m) for space, m in zip(
+        (sys.space_q, sys.space_E, sys.space_B), sys._cell_mass))
+    D3, D2 = _differentials(sys)
+    Ks = (D3.T @ Mq @ D3).tocsr()
+    Kl = (D2.T @ ME @ D2).tocsr()
     return sp.block_diag([Mq, ME + Ks, MB + Kl], format="csr")
 
 
@@ -776,20 +776,24 @@ def infsup_estimate(sys: EBSystem) -> float:
     symcurl's as h^-2; on cells so large that the bound is not below divdiv's
     top, symcurl's nE x nE pencil (C2 MB^-1 C2^T, ME), C2 = ME D2, is solved too.
     """
-    (_, mE, mB), (_, c2) = sys._cell_mass, sys._cell_coupling
+    (mq, mE, mB), (c3, c2) = sys._cell_mass, sys._cell_coupling
     R, L = np.linalg.cholesky(mE), np.linalg.cholesky(mB)         # one per class
     X = np.linalg.solve(L, np.linalg.solve(R, c2).transpose(0, 2, 1))  # (R^-1 C2 L^-T)^T
     bound = float(np.max(np.linalg.norm(X, 2, axis=(1, 2)))) ** 2
 
-    E, B = slice(sys.nq, sys.nq + sys.nE), slice(sys.nq + sys.nE, sys.ntot)
-    (Mq, ME, MB), (C3, C2) = sys.mass_blocks(), sys.coupling_blocks()
-    lam = _pencil_top(C3, ME, CellInteriors(
-        lambda r: mE[r], sys.cell_class, sys.scale[E], sys.space_E.cell_maps,
-        sys.space_E.elements[0].interior), Mq)
+    def factor(space, m, lo):
+        """The condensed factor of the mass m of space, unknowns lo onwards."""
+        return CellInteriors(lambda r: m[r], sys.cell_class, sys.scale[lo:lo + space.dim],
+                             space.cell_maps, space.elements[0].interior)
+
+    # each assembled block is built when its pencil runs: MB and C2 only when
+    # the symcurl pencil does
+    q, E, B = sys.space_q, sys.space_E, sys.space_B
+    Mq, ME = q.mass(mq), E.mass(mE)
+    lam = _pencil_top(_assembled(c3, q, E), ME, factor(E, mE, sys.nq), Mq)
     if not bound < lam:
-        lam = max(lam, _pencil_top(C2, MB, CellInteriors(
-            lambda r: mB[r], sys.cell_class, sys.scale[B], sys.space_B.cell_maps,
-            sys.space_B.elements[0].interior), ME))
+        lam = max(lam, _pencil_top(_assembled(c2, E, B), B.mass(mB),
+                                   factor(B, mB, sys.nq + sys.nE), ME))
     u = 1.0 / (1.0 + lam)
     F2 = (1.0 - u) ** 2 + 2.0
     return float(np.sqrt((F2 - np.sqrt(F2 * F2 - 4.0)) / 2.0))

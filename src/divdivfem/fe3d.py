@@ -525,9 +525,7 @@ def closed_form_symcurl_bubbles(mesh: TetMesh, k: int) -> np.ndarray:
         others = [j for j in range(4) if j not in fverts]
         sel = [i for i, a in enumerate(basis_km2.alphas) if not any(a[j] for j in others)]
         for i in sel:
-            qco = np.zeros(basis_km2.N)
-            qco[i] = 1.0
-            qf = PolyField(basis_km2, qco, ())
+            qf = PolyField(basis_km2, np.eye(basis_km2.N)[i], ())
             for j in fverts:
                 op = qf.basis.lambda_ops[j]
                 qf = PolyField(qf.basis.simplex.basis(qf.degree + 1),
@@ -535,9 +533,7 @@ def closed_form_symcurl_bubbles(mesh: TetMesh, k: int) -> np.ndarray:
             qf = qf.raise_to(k + 1)
             for G in tf_gens:
                 fld = PolyField(qf.basis, qf.coeffs[..., None, None] * G, (3, 3))
-                rows.append(poly.to_range_coords(fld, "T")[None, :]
-                            if fld.coeffs.ndim == 3 else None)
-    rows = [r for r in rows if r is not None]
+                rows.append(poly.to_range_coords(fld, "T")[None, :])
     return np.concatenate(rows, axis=0)
 
 

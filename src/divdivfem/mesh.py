@@ -45,36 +45,24 @@ class TetMesh:
         nv = len(self.vertices)
         if self.cells.min(initial=0) < 0 or (len(self.cells) and self.cells.max() >= nv):
             raise MeshError("cell refers to a nonexistent vertex")
-        bad = []
-        for ci, c in enumerate(self.cells):
-            v = self.vertices[c]
-            det = np.linalg.det((v[1:] - v[0]).T)
-            if not np.isfinite(det) or det <= 0.0:
-                bad.append(ci)
-        if bad:
-            raise MeshError(f"inverted or degenerate cells: {bad}")
+        v = self.vertices[self.cells]
+        det = np.linalg.det(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
+        bad = np.flatnonzero(~(np.isfinite(det) & (det > 0.0)))
+        if len(bad):
+            raise MeshError(f"inverted or degenerate cells: {bad.tolist()}")
         used = np.zeros(nv, dtype=bool)
         used[self.cells.ravel()] = True
         if not used.all():
             raise MeshError(f"dangling vertices: {list(np.nonzero(~used)[0])}")
 
     def _build_topology(self):
-        edge_keys, face_keys = set(), set()
-        for c in self.cells:
-            for a, b in LOCAL_EDGES:
-                edge_keys.add(tuple(sorted((c[a], c[b]))))
-            for f in LOCAL_FACES:
-                face_keys.add(tuple(sorted(c[list(f)])))
-        self.edges = np.array(sorted(edge_keys), dtype=int).reshape(-1, 2)
-        self.faces = np.array(sorted(face_keys), dtype=int).reshape(-1, 3)
-        eidx = {tuple(e): i for i, e in enumerate(self.edges)}
-        fidx = {tuple(f): i for i, f in enumerate(self.faces)}
-        self.cell_edges = np.array(
-            [[eidx[tuple(sorted((c[a], c[b])))] for a, b in LOCAL_EDGES] for c in self.cells],
-            dtype=int).reshape(-1, 6)
-        self.cell_faces = np.array(
-            [[fidx[tuple(sorted(c[list(f)]))] for f in LOCAL_FACES] for c in self.cells],
-            dtype=int).reshape(-1, 4)
+        # entity keys: sorted vertex ids, numbered in lexicographic order
+        keys = np.sort(self.cells[:, np.array(LOCAL_EDGES)], axis=2).reshape(-1, 2)
+        self.edges, inv = np.unique(keys, axis=0, return_inverse=True)
+        self.cell_edges = inv.reshape(-1, 6)
+        keys = np.sort(self.cells[:, np.array(LOCAL_FACES)], axis=2).reshape(-1, 3)
+        self.faces, inv = np.unique(keys, axis=0, return_inverse=True)
+        self.cell_faces = inv.reshape(-1, 4)
         self.face_cells = [[] for _ in range(len(self.faces))]
         for ci, cf in enumerate(self.cell_faces):
             for fi in cf:
@@ -82,6 +70,17 @@ class TetMesh:
         over = [fi for fi, cs in enumerate(self.face_cells) if len(cs) > 2]
         if over:
             raise MeshError(f"non-manifold faces (more than 2 incident cells): {over}")
+        # the cells of an interior face lie on its two sides: the signed volumes
+        # of their opposite vertices (cell id sum - face id sum) differ in sign
+        inner = np.array([fi for fi, cs in enumerate(self.face_cells) if len(cs) == 2], dtype=int)
+        pair = np.array([self.face_cells[fi] for fi in inner], dtype=int).reshape(-1, 2)
+        opposite = self.cells[pair].sum(axis=2) - self.faces[inner].sum(axis=1)[:, None]
+        f = self.vertices[self.faces[inner]]
+        normal = np.cross(f[:, 1] - f[:, 0], f[:, 2] - f[:, 0])
+        side = np.sign(np.einsum("nj,nkj->nk", normal, self.vertices[opposite] - f[:, :1]))
+        folded = inner[side[:, 0] == side[:, 1]]
+        if len(folded):
+            raise MeshError(f"interior faces with both cells on one side: {folded.tolist()}")
 
     def _build_frames(self):
         self.edge_frames: list[EdgeFrame] = [

@@ -107,6 +107,17 @@ def test_eb_run_step_count_overflow_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    "tetmesh 4 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n0 1 2 3\n",
+    "tetmesh 5 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0.2 0.2 0.2\n0 1 2 3\n0 1 2 4\n",
+], ids=["repeated-cell", "folded-cell"])
+def test_mesh_with_cells_on_one_side_of_a_face_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    assert main(["infsup", "--mesh", str(path), "--k", "3"]) == 2
+    assert "both cells on one side" in capsys.readouterr().err
+
+
 def test_infsup_command(capsys):
     assert main(["infsup", "--mesh", "single_tet", "--k", "3"]) == 0
     assert "inf-sup" in capsys.readouterr().out
@@ -165,6 +176,17 @@ def test_convergence_rejects_poly_mms_before_assembly(tmp_path, capsys, monkeypa
     cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\nmms = poly\n")
     assert main(["eb", "convergence", "--config", str(cfg)]) == 2
     assert "poly" in capsys.readouterr().err
+
+
+def test_convergence_rejects_negative_seed_before_assembly(tmp_path, capsys, monkeypatch):
+    def no_system(*args, **kwargs):
+        raise AssertionError("a system was assembled")
+
+    monkeypatch.setattr(eb_solver, "EBSystem", no_system)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\n")
+    assert main(["eb", "convergence", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_convergence_builds_the_base_system_once(tmp_path, capsys, monkeypatch):

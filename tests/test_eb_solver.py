@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from divdivfem import eb_solver, mesh, mms
-from divdivfem.complex_asm import assemble_cells
+from divdivfem import complex_asm, eb_solver, mesh, mms
+from divdivfem.complex_asm import assemble_cells, assemble_diff
 from divdivfem.fields import PolyField
 
 
@@ -19,6 +20,19 @@ def _cell_field(space, coeffs, ci) -> PolyField:
     basis = space.mesh.cell_simplices[ci].basis(elem.basis.degree)
     return PolyField.from_coords(basis, coeffs[space.cell_maps[ci]] @ elem.Vinv.T,
                                  elem.comp_gens)
+
+
+def _oracle(sys) -> SimpleNamespace:
+    """The assembled forms of the system's class stacks, the oracles of these
+    tests: the masses Mq, ME and MB, A = blockdiag(Mq, ME, MB), and the global
+    divdiv D3 and symcurl D2."""
+    spaces = (sys.space_q, sys.space_E, sys.space_B)
+    Mq, ME, MB = (assemble_cells(s.cell_maps, s.cell_maps, m[sys.cell_class], (s.dim,) * 2)
+                  for s, m in zip(spaces, sys._cell_mass))
+    d3, d2 = sys._cell_diff
+    return SimpleNamespace(Mq=Mq, ME=ME, MB=MB, A=sp.block_diag((Mq, ME, MB), format="csr"),
+                           D3=assemble_diff(d3, sys.space_E, sys.space_q),
+                           D2=assemble_diff(d2, sys.space_B, sys.space_E))
 
 
 def test_config_parsing(tmp_path):
@@ -44,6 +58,7 @@ def test_config_parsing(tmp_path):
     ("k", 2),
     ("init", "ones"),
     ("mms", "sine"),
+    ("seed", -1),
 ])
 def test_config_rejects_bad_value(field, value):
     cfg = eb_solver.EBConfig(mesh="two_tets", t_final=0.1, dt=0.05)
@@ -79,8 +94,8 @@ def _coupling_blocks(sys):
 def test_cell_assembled_coupling_equals_global_products(eb_systems, spec):
     sys = eb_systems(spec)
     C3, C2 = _coupling_blocks(sys)
-    Mq, ME, _ = sys.mass_blocks()
-    for local, glob in ((C3, Mq @ sys.D3), (C2, ME @ sys.D2)):
+    o = _oracle(sys)
+    for local, glob in ((C3, o.Mq @ o.D3), (C2, o.ME @ o.D2)):
         assert abs(local - glob).max() <= 1e-12 * abs(glob).max()
 
 
@@ -110,7 +125,7 @@ _THETAS = {"cn": 0.5 * 0.0125, "projection": 1.0, "mass": 0.0}
 
 
 def _lhs(sys, theta):
-    return (sys.mass_block() - theta * sys.skew_block()).tocsr()
+    return (_oracle(sys).A - theta * sys.skew_block()).tocsr()
 
 
 @pytest.mark.parametrize("which", ["cn", "projection", "mass"])
@@ -241,14 +256,15 @@ def _unusable(*args, **kwargs):
 
 
 def test_factor_reads_only_the_cell_stacks(eb_systems, monkeypatch, rng):
-    """_factorize never assembles a global A or S: with every way to assemble
-    one (mass_block, mass_blocks, coupling_blocks, skew_block and
-    assemble_cells) raising, it still builds every factor from the class
-    stacks, and the factors solve the full system."""
+    """_factorize never assembles a global matrix: with every assembler
+    (assemble_cells, GlobalSpace.mass and assemble_diff, wherever they are
+    looked up) raising, it still builds every factor from the class stacks,
+    and the factors solve the full system."""
     sys = eb_systems("kuhn_cube(1)")
-    for name in ("mass_block", "mass_blocks", "coupling_blocks", "skew_block"):
-        monkeypatch.setattr(sys, name, _unusable)
-    monkeypatch.setattr(eb_solver, "assemble_cells", _unusable)
+    for module in (eb_solver, complex_asm):
+        monkeypatch.setattr(module, "assemble_cells", _unusable)
+        monkeypatch.setattr(module, "assemble_diff", _unusable)
+    monkeypatch.setattr(complex_asm.GlobalSpace, "mass", _unusable)
     b = rng.standard_normal(sys.ntot)
     solved = {theta: sys._factorize(theta).solve(b) for theta in _THETAS.values()}
     monkeypatch.undo()
@@ -295,7 +311,7 @@ def test_run_matches_plain_cn_steps(eb_systems, spec, mms_name, nsteps):
     else:
         y0 = drv.initial_state()
     _, cells = sys.cn_factorization(dt)
-    rhs_mat = (sys.mass_block() + 0.5 * dt * sys.skew_block()).tocsr()
+    rhs_mat = (_oracle(sys).A + 0.5 * dt * sys.skew_block()).tocsr()
     states, assembled = [y0], y0
     for j in range(nsteps):
         fhat = (np.zeros(sys.ntot) if drv is None
@@ -383,7 +399,7 @@ def test_classes_of_unequal_size_batch_by_group(rng):
     sys = eb_solver.EBSystem(mesh.TetMesh(v, m.cells), 3)
     assert [len(cls) for _, cls, _ in eb_solver.class_groups(sys.cell_class)] == [24, 6]
     y = rng.standard_normal(sys.ntot)
-    for got, want in zip(sys.products(y), (sys.mass_block() @ y, sys.skew_block() @ y)):
+    for got, want in zip(sys.products(y), (_oracle(sys).A @ y, sys.skew_block() @ y)):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     assert np.all(np.isfinite(sys.cn_step(y, 0.01)))
 
@@ -404,6 +420,14 @@ def _held(obj, depth=0):
             yield from _held(item, depth + 1)
 
 
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_system_holds_no_sparse_matrix(spec):
+    """After construction the system holds its operators as class stacks
+    only: no attribute is an assembled sparse matrix."""
+    sys = eb_solver.EBSystem(mesh.load(spec), 3)
+    assert not [name for name, v in vars(sys).items() if sp.issparse(v)]
+
+
 def test_system_holds_class_stacks_and_no_global_matrix(eb_systems):
     """After a run on kuhn_cube(2) (48 cells in 6 classes) the system holds no
     ntot x ntot matrix and no per-cell operator stack: every operator stack,
@@ -412,7 +436,8 @@ def test_system_holds_class_stacks_and_no_global_matrix(eb_systems):
     cfg = eb_solver.EBConfig(mesh="kuhn_cube(2)", t_final=0.02, dt=0.01, init="random")
     eb_solver.run(sys, cfg)
     _, cells = sys._cn[cfg.dt]
-    stacks = [*sys._cell_mass, *sys._cell_coupling, cells.X, cells.L, *cells.lu_ii]
+    stacks = [*sys._cell_diff, *sys._cell_mass, *sys._cell_coupling, cells.X, cells.L,
+              *cells.lu_ii]
     assert [len(s) for s in stacks] == [6] * len(stacks)
     for obj in _held(sys):
         assert not (sp.issparse(obj) and obj.shape == (sys.ntot, sys.ntot))
@@ -481,7 +506,8 @@ def test_projection_idempotent_on_discrete_fields(eb_systems, rng):
         fld(sys.space_E, e), fld(sys.space_B, b, lambda f: tc.field_sym(f.curl()))]))
     (az,) = sys.assemble_forms(sys.space_B, fld(sys.space_B, b)[None])
     # the divdiv and symcurl loads: D3^T and D2^T of the value loads
-    adivxi, ascz = sys.D3.T @ aq, sys.D2.T @ axi
+    o = _oracle(sys)
+    adivxi, ascz = o.D3.T @ aq, o.D2.T @ axi
     rhs = sys.stack(aq - addq, axi + adivxi + ascxi, az - ascz)
     y2 = sys.project(rhs)
     # compare in the energy norm (coefficients mix scales)
@@ -564,7 +590,8 @@ def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
     aq, addq = sys.assemble_forms(sys.space_q, at_points(s.shape, e.dshape))
     axi, ascxi = sys.assemble_forms(sys.space_E, at_points(e.shape, b.dshape))
     (az,) = sys.assemble_forms(sys.space_B, at_points(b.shape))
-    got = [aq, addq, sys.D3.T @ aq, axi, ascxi, az, sys.D2.T @ axi]
+    o = _oracle(sys)
+    got = [aq, addq, o.D3.T @ aq, axi, ascxi, az, o.D2.T @ axi]
     for (slot, _), g, want in zip(reqs, got, ref):
         assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), slot
 
@@ -683,13 +710,14 @@ def _infsup_identity_check(sys, trials: int, seed: int = 0) -> float:
     """The proof's test choice bounds the form below by half the squared norms;
     returns the worst slack (negative = violation)."""
     rng = np.random.default_rng(seed)
-    Mq, ME, _ = sys.mass_blocks()
+    o = _oracle(sys)
+    Mq, ME = o.Mq, o.ME
     worst = np.inf
     for _ in range(trials):
         y = rng.standard_normal(sys.ntot)
         sig, e, b = sys.split(y)
-        dde = sys.D3 @ e
-        scb = sys.D2 @ b
+        dde = o.D3 @ e
+        scb = o.D2 @ b
         test = sys.stack(sig - dde, e + scb, b)
         Ay, Sy = sys.products(y)
         lhs = float(test @ (Ay - Sy))
@@ -747,6 +775,24 @@ def test_infsup_matches_dense_reference(eb_systems, monkeypatch, spec, k, size):
     assert len(factors) == (1 if size == 1 else 2)
 
 
+@pytest.mark.parametrize("size, symcurl", [(1, False), (8, True)], ids=["unit", "x8"])
+def test_infsup_assembles_symcurl_blocks_only_for_its_pencil(monkeypatch, size, symcurl):
+    """On kuhn_cube(1) divdiv dominates, and infsup_estimate assembles Mq, ME
+    and C3 once each, and neither MB nor C2; on two_tets scaled by 8 the
+    symcurl pencil runs too, and MB and C2 are assembled once each.  Every
+    assembly goes through assemble_cells, counted here by its shape."""
+    m = mesh.load("kuhn_cube(1)" if size == 1 else "two_tets")
+    sys = eb_solver.EBSystem(mesh.TetMesh(size * m.vertices, m.cells), 3)
+    shapes = []
+    for module in (eb_solver, complex_asm):
+        monkeypatch.setattr(module, "assemble_cells", lambda *args, assemble=module.assemble_cells:
+                            shapes.append(args[3]) or assemble(*args))
+    eb_solver.infsup_estimate(sys)
+    nq, nE, nB = sys.nq, sys.nE, sys.nB
+    want = [(nq, nq), (nE, nE), (nq, nE)] + ([(nE, nB), (nB, nB)] if symcurl else [])
+    assert sorted(shapes) == sorted(want)
+
+
 def test_infsup_independent_of_the_column_block(eb_systems, monkeypatch):
     """Blocks of 7 columns (the last one ragged: nq = 24 on kuhn_cube(1))
     give the pencil of the default block size."""
@@ -774,7 +820,7 @@ def test_mms_forcing_consistency(eb_systems):
     eps = 1e-4
     ydot = (sys.project(drv.projection_rhs(eps))
             - sys.project(drv.projection_rhs(-eps))) / (2 * eps)
-    r = sys.mass_block() @ ydot - sys.skew_block() @ y0 - drv.forcing(0.0)
+    r = _oracle(sys).A @ ydot - sys.skew_block() @ y0 - drv.forcing(0.0)
     scale = max(np.abs(drv.forcing(0.0)).max(), 1.0)
     assert np.abs(r).max() <= 1e-7 * scale
 

@@ -74,6 +74,27 @@ def test_nonmanifold_face_rejected():
         mesh.TetMesh(verts, cells)
 
 
+@pytest.mark.parametrize("cells, fourth", [
+    ([[0, 1, 2, 3], [0, 1, 2, 3]], []),                  # a cell listed twice
+    ([[0, 1, 2, 3], [0, 1, 2, 4]], [[0.2, 0.2, 0.2]]),   # folded over face 0 1 2
+], ids=["repeated", "folded"])
+def test_cells_on_one_side_of_a_face_rejected(cells, fourth):
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]] + fourth
+    with pytest.raises(mesh.MeshError, match="both cells on one side"):
+        mesh.TetMesh(verts, cells)
+
+
+def test_valid_meshes_pass_the_face_side_check():
+    """Every interior face of these meshes separates its two cells,
+    including the kuhn_cube(2) with its centre vertex moved."""
+    for spec in ("two_tets", "kuhn_cube(1)", "kuhn_cube(2)", "kuhn_cube(3)"):
+        assert mesh.load(spec).num_cells > 0
+    m = mesh.kuhn_cube(2)
+    v = m.vertices.copy()
+    v[np.argmin(np.linalg.norm(v - 0.5, axis=1))] += [0.01, -0.02, 0.015]
+    assert mesh.TetMesh(v, m.cells).num_cells == 48
+
+
 def test_file_round_trip(tmp_path):
     m = mesh.kuhn_cube(1)
     path = tmp_path / "cube.mesh"
