@@ -17,7 +17,7 @@ from . import poly
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element
 from .fields import PolyField
-from .linalg import qr_rank, svd_rank
+from .linalg import block_svd_ranks, front_rank, qr_rank, row_triangle, svd_rank
 from .mesh import TetMesh
 
 _KINDS = ("v", "e", "f", "c")
@@ -155,7 +155,8 @@ def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr
 
 
 def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9) -> int:
-    """Rank by dense column-pivoted QR; SVD cross-check on small matrices."""
+    """Rank by dense column-pivoted QR; SVD cross-check on small matrices.
+    The dense reference that condensed_rank is tested against."""
     r = qr_rank(A, rtol)
     if max(A.shape) <= 1200:
         r2 = svd_rank(A.toarray() if sp.issparse(A) else A, rtol=1e-10)
@@ -164,48 +165,133 @@ def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9) -> int:
     return r
 
 
+class CellTree:
+    """Bisection tree of a mesh's cells.  A node splits its cells at the
+    median centroid along their longest extent, down to single cells.  The
+    leaves are laid out in `order`, so node n holds the leaves lo[n]:hi[n];
+    nodes are numbered children first, the root last."""
+
+    def __init__(self, mesh: TetMesh):
+        cent = mesh.vertices[mesh.cells].mean(axis=1)
+        order, lo, hi, depth, self.kids = [], [], [], [], []
+
+        def split(cells, level):
+            start = len(order)
+            if len(cells) == 1:
+                order.append(cells[0])
+                kids = ()
+            else:
+                pts = cent[cells]
+                axis = int(np.argmax(np.ptp(pts, axis=0)))
+                cells = cells[np.argsort(pts[:, axis], kind="stable")]
+                half = len(cells) // 2
+                kids = (split(cells[:half], level + 1), split(cells[half:], level + 1))
+            lo.append(start)
+            hi.append(len(order))
+            depth.append(level)
+            self.kids.append(kids)
+            return len(lo) - 1
+
+        split(np.arange(mesh.num_cells), 0)
+        self.order, self.lo, self.hi = np.array(order), np.array(lo), np.array(hi)
+        self.position = np.argsort(self.order)                  # cell -> leaf
+        # anc[t, leaf]: the node at depth t on the leaf's path from the root,
+        # the leaf itself below its own depth (parents are written first)
+        self.anc = np.empty((max(depth) + 1, len(order)), dtype=int)
+        for n in reversed(range(len(lo))):
+            self.anc[depth[n]:, lo[n]:hi[n]] = n
+
+    def dof_nodes(self, cell_maps: np.ndarray) -> np.ndarray:
+        """The node of each DOF: the lowest node that holds every cell listing
+        it, the common ancestor of its first and last listing leaf."""
+        dofs = cell_maps.ravel()
+        leaf = np.repeat(self.position, cell_maps.shape[1])
+        first = np.full(dofs.max() + 1, len(self.order))
+        last = np.zeros_like(first)
+        np.minimum.at(first, dofs, leaf)
+        np.maximum.at(last, dofs, leaf)
+        depth = np.sum(self.anc[:, first] == self.anc[:, last], axis=0)
+        return self.anc[depth - 1, first]
+
+    def within(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+        """Whether node inner lies in the subtree of node outer, elementwise."""
+        return (self.lo[outer] <= self.lo[inner]) & (self.hi[inner] <= self.hi[outer])
+
+
 def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
                    rtol: float = 1e-9) -> int:
-    """rank d = sum_c rank B_c + rank R, with the cell interiors condensed out.
+    """rank d by orthogonal elimination over the cells' bisection tree.
 
-    The differential of a bubble is a bubble of the next space, so the columns
-    I_c of the interior source DOFs of cell c vanish outside the interior
-    target rows R_c of that cell, and the cell block B_c = d[R_c, I_c] is
-    decoupled from the rest.  With U_c an orthonormal basis of range(B_c)^perp,
-    the reduced matrix R holds, on the interface source columns F, the rows of
-    d outside every R_c and the rows U_c^T d[R_c, F]; only R takes the dense
-    QR.  The entries the identity drops (d[:, I_c] outside R_c) must be
+    Each source column and target row belongs to its CellTree node.  The
+    differential of a field supported in a node's cells is supported there,
+    so a column vanishes outside the rows of its node's subtree: the bubble
+    identity of the cells, on every level.  The entries it drops must be
     rounding: ValueError if their Frobenius norm exceeds rtol max|d|.
+    Bottom-up, each front stacks its own rows of d on its children's
+    contributions and eliminates its own columns; rank d is the sum of the
+    front ranks.  A leaf takes the SVD of its block (batched over leaves of
+    one shape), any other front a column-pivoted QR.  One threshold
+    tau = rtol max_j |d[:, j]|_2 decides every front, and each decision is
+    certified where it is made (linalg.front_rank, block_svd_ranks).
     """
-    ncells = src.cell_maps.shape[0]
-    inner = src.cell_maps[:, src.elements[0].interior]          # I_c: (ncells, ni)
-    rows = dst.cell_maps[:, dst.elements[0].interior]           # R_c: (ncells, nr)
-    ni, nr = inner.shape[1], rows.shape[1]
-    row_cell = np.full(dst.ndof, -1)
-    row_cell[rows] = np.arange(ncells)[:, None]
-    row_local = np.zeros(dst.ndof, dtype=int)
-    row_local[rows] = np.arange(nr)
-    dI = d[:, inner.ravel()].tocoo()
-    cell = dI.col // ni
-    kept = row_cell[dI.row] == cell
-    dropped, scale = float(np.linalg.norm(dI.data[~kept])), abs(d).max()
+    tree = CellTree(src.mesh)
+    cnode, rnode = tree.dof_nodes(src.cell_maps), tree.dof_nodes(dst.cell_maps)
+    d = d.tocoo()
+    kept = tree.within(rnode[d.row], cnode[d.col])
+    dropped, scale = float(np.linalg.norm(d.data[~kept])), np.abs(d.data).max(initial=0.0)
     if dropped > rtol * scale:
-        raise ValueError(f"interior columns leave their cells: |E|_F = {dropped:.3e}, "
+        raise ValueError(f"columns leave their cells: |E|_F = {dropped:.3e}, "
                          f"max|d| = {scale:.3e}")
-    B = np.zeros((ncells, nr, ni))
-    B[cell[kept], row_local[dI.row[kept]], dI.col[kept] % ni] = dI.data[kept]
-    U, s, _ = np.linalg.svd(B)
-    ranks = np.sum(s > rtol * s.max(initial=0.0), axis=1)
-    perp = np.arange(nr) >= ranks[:, None]                      # columns of U_c
-    cells, j = np.nonzero(perp)
-    P = sp.csr_matrix((U[cells, :, j].ravel(),
-                       (np.repeat(np.arange(len(cells)), nr),
-                        (cells[:, None] * nr + np.arange(nr)).ravel())),
-                      shape=(len(cells), ncells * nr))
-    F = np.setdiff1d(np.arange(src.ndof), inner)
-    other = np.setdiff1d(np.arange(dst.ndof), rows)
-    R = sp.vstack([d[other][:, F], P @ d[rows.ravel()][:, F]], format="csr")
-    return int(ranks.sum()) + sparse_rank(R, rtol)
+    colsq = np.bincount(d.col, d.data ** 2, minlength=d.shape[1])
+    tau = rtol * float(np.sqrt(colsq.max(initial=0.0)))
+    # rows and columns grouped by node: node n's are [start[n], start[n + 1])
+    nnodes = len(tree.lo)
+    rorder, corder = np.argsort(rnode, kind="stable"), np.argsort(cnode, kind="stable")
+    rstart = np.searchsorted(rnode[rorder], np.arange(nnodes + 1))
+    cstart = np.searchsorted(cnode[corder], np.arange(nnodes + 1))
+    slot = np.empty(dst.ndof, dtype=int)
+    slot[rorder] = np.arange(dst.ndof)
+    A = sp.csr_matrix((d.data[kept], (slot[d.row[kept]], d.col[kept])), shape=d.shape)
+    where = np.empty(src.ndof, dtype=int)
+    contrib = {}                                # node -> (rows, their columns)
+
+    def front(n):
+        """Node n's front: its own rows of d over the children's contributions,
+        its own columns first; returns it, their count and the other columns."""
+        own = corder[cstart[n]:cstart[n + 1]]
+        ptr = A.indptr[rstart[n]:rstart[n + 1] + 1]
+        cols, vals = A.indices[ptr[0]:ptr[-1]], A.data[ptr[0]:ptr[-1]]
+        blocks = [contrib.pop(c) for c in tree.kids[n]]
+        seen = np.concatenate([cols] + [bc for _, bc in blocks])
+        rest = np.unique(seen[cnode[seen] != n])
+        where[own], where[rest] = np.arange(len(own)), len(own) + np.arange(len(rest))
+        F = np.zeros((len(ptr) - 1 + sum(len(b) for b, _ in blocks),
+                      len(own) + len(rest)), order="F")
+        F[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), where[cols]] = vals
+        top = len(ptr) - 1
+        for b, bc in blocks:
+            F[top:top + len(b), where[bc]] = b
+            top += len(b)
+        return F, len(own), rest
+
+    rank = 0
+    shapes = {}                                 # leaf fronts by shape
+    for n in np.flatnonzero(tree.hi - tree.lo == 1):
+        F, nown, rest = front(n)
+        shapes.setdefault((F.shape, nown), []).append((n, F, rest))
+    for (_, nown), group in shapes.items():
+        F = np.stack([F for _, F, _ in group])
+        ranks, U = block_svd_ranks(F[:, :, :nown], tau)
+        rank += int(ranks.sum())
+        W = U.transpose(0, 2, 1) @ F[:, :, nown:]
+        for (n, _, rest), r, w in zip(group, ranks, W):
+            contrib[n] = (row_triangle(w[r:]), rest)
+    for n in np.flatnonzero(tree.hi - tree.lo > 1):
+        F, nown, rest = front(n)
+        r, w = front_rank(F, nown, tau)
+        rank += r
+        contrib[n] = (w, rest)
+    return rank
 
 
 def build_complex(mesh: TetMesh, k: int):

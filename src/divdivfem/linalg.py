@@ -57,6 +57,69 @@ def qr_rank(M, rtol: float = 1e-9) -> int:
     return int(np.sum(d > rtol * d[0]))
 
 
+def _certify(kept, dropped, tau: float) -> None:
+    """A rank decision at the threshold tau stands only with a clear gap: the
+    kept part's smallest singular value, or a lower bound of it, above 2 tau,
+    and the dropped part's Frobenius norm at most tau/2.  So no singular value
+    of the block lies within a factor 2 of tau.  ValueError otherwise."""
+    kept, dropped = np.asarray(kept, dtype=float), np.asarray(dropped, dtype=float)
+    bad = (kept <= 2 * tau) | (dropped > tau / 2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"rank decision at tau = {tau:.3e} not certified: kept "
+                         f"sigma_min >= {kept.flat[i]:.3e}, dropped |R22|_F = "
+                         f"{dropped.flat[i]:.3e}")
+
+
+def block_svd_ranks(B: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of a stack of blocks B (g, m, n) at the absolute threshold tau,
+    certified from the singular values, and each block's full left singular
+    vectors U (g, m, m): the columns from the rank on span range(B)^perp."""
+    U, s, _ = np.linalg.svd(B)
+    big = s > tau
+    _certify(np.min(np.where(big, s, np.inf), axis=-1, initial=np.inf),
+             np.linalg.norm(np.where(big, 0.0, s), axis=-1), tau)
+    return np.sum(big, axis=-1), U
+
+
+def front_rank(F: np.ndarray, nown: int, tau: float) -> tuple[int, np.ndarray]:
+    """Eliminate a front's own columns F[:, :nown] at the absolute threshold tau.
+
+    Column-pivoted QR (geqp3) of the own columns, F[:, :nown] P = Q R, takes
+    the rank r as the count of |R_ii| > tau, certified by
+    sigma_min(R11) >= 1/|R11^-1|_F against |R22|_F >= sigma_{r+1}.  Q^T is
+    applied to the other columns without forming Q (ormqr).  Returns r and the
+    rows of Q^T F[:, nown:] orthogonal to the own columns, reduced to their
+    triangle (geqrf) when they are more rows than columns.  A Fortran-order F
+    is factored in place.
+    """
+    m = F.shape[0]
+    rest = np.asfortranarray(F[:, nown:])
+    if nown == 0 or m == 0:
+        return 0, row_triangle(rest)
+    (qr, taus), R, _ = scipy.linalg.qr(np.asfortranarray(F[:, :nown]), mode="raw",
+                                       pivoting=True, overwrite_a=True,
+                                       check_finite=False)
+    r = int(np.sum(np.abs(np.diag(R)) > tau))
+    # |R_ii| > tau >= 0 for i < r, so R11 is invertible
+    kept = 1.0 / np.linalg.norm(scipy.linalg.lapack.dtrtri(R[:r, :r])[0]) if r else np.inf
+    _certify(kept, np.linalg.norm(R[r:, r:]), tau)
+    if rest.shape[1]:
+        ormqr = scipy.linalg.lapack.dormqr
+        qr = qr[:, :len(taus)]
+        lwork = int(ormqr("L", "T", qr, taus, rest, -1, overwrite_c=1)[1][0])
+        rest = ormqr("L", "T", qr, taus, rest, lwork, overwrite_c=1)[0]
+    return r, row_triangle(rest[r:])
+
+
+def row_triangle(T: np.ndarray) -> np.ndarray:
+    """T, or the triangle of its QR when it has more rows than columns: the
+    same row space, in no more rows than columns."""
+    if T.shape[0] <= T.shape[1]:
+        return T
+    return scipy.linalg.qr(T, mode="raw", overwrite_a=True, check_finite=False)[1]
+
+
 def nullspace(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Orthonormal rows spanning ker(M)."""
     M = np.asarray(M, dtype=float)

@@ -178,15 +178,43 @@ def test_convergence_rejects_poly_mms_before_assembly(tmp_path, capsys, monkeypa
     assert "poly" in capsys.readouterr().err
 
 
-def test_convergence_rejects_negative_seed_before_assembly(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["eb", "convergence", "--config", "{cfg}"],
+    ["eb", "run", "--config", "{cfg}"],
+    ["audit", "complex", "--mesh", "single_tet", "--k", "3"],
+    ["audit", "poly", "--dim", "3", "--k", "3"],
+    ["audit", "bubbles", "--k", "3"],
+    ["infsup", "--mesh", "single_tet", "--k", "3"],
+], ids=["eb-convergence", "eb-run", "audit-complex", "audit-poly", "audit-bubbles",
+        "infsup"])
+@pytest.mark.parametrize("seed", ["3", "-1"])
+def test_unread_seed_rejected_with_exit_two(tmp_path, capsys, monkeypatch, argv, seed):
+    """A subcommand that never reads a seed rejects an explicit --seed (exit 2)
+    before any assembly, instead of ignoring it."""
     def no_system(*args, **kwargs):
         raise AssertionError("a system was assembled")
 
     monkeypatch.setattr(eb_solver, "EBSystem", no_system)
     cfg = tmp_path / "conv.cfg"
     cfg.write_text("mesh = kuhn_cube(1)\nt_final = 0.1\ndt = 0.05\n")
-    assert main(["eb", "convergence", "--config", str(cfg), "--seed", "-1"]) == 2
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg) for a in argv] + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "element", "--family", "hdivdiv_S", "--k", "3"],
+    ["audit", "lemmas", "--k", "3", "--trials", "3"],
+], ids=["audit-element", "audit-lemmas"])
+def test_seeded_audits_read_their_seed(tmp_path, argv):
+    """The random trials take --seed: the default is 0, and it is reported."""
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    assert main(argv + ["--json", str(a)]) == 0
+    assert main(argv + ["--seed", "0", "--json", str(b)]) == 0
+    assert main(argv + ["--seed", "5", "--json", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(c.read_text())["inputs"]["seed"] == 5
 
 
 def test_convergence_builds_the_base_system_once(tmp_path, capsys, monkeypatch):

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from divdivfem import complex_asm, fe3d, mesh, poly
 from divdivfem import tensor_calc as tc
-from divdivfem.complex_asm import (GlobalSpace, assemble_diff, build_complex,
-                                   cell_operators, complex_audit, condensed_rank,
-                                   sparse_rank)
+from divdivfem.complex_asm import (CellTree, GlobalSpace, assemble_diff,
+                                   build_complex, cell_operators, complex_audit,
+                                   condensed_rank, sparse_rank)
 from divdivfem.dofcommon import Element
 from divdivfem.eb_solver import EBSystem
 from divdivfem.fe3d import FAMILIES, EntityCache, build_element, element_3d
@@ -67,26 +67,103 @@ def test_complex_audit_k4_two_tets():
         assert r["pass"], r
 
 
-@pytest.mark.parametrize("spec", ["single_tet", "two_tets", "kuhn_cube(1)"])
-def test_condensed_ranks_match_dense_oracles(spec, complexes):
-    """Cell blocks plus the reduced interface matrix give the rank of the
-    whole matrix, as decided by dense QR and by dense SVD."""
-    (V, L, S, Q), (d1, d2, d3) = complexes(spec)
+@pytest.mark.parametrize("spec, k", [
+    pytest.param("single_tet", 3, id="single_tet"),
+    pytest.param("two_tets", 3, id="two_tets"),
+    pytest.param("kuhn_cube(1)", 3, id="kuhn_cube(1)"),
+    pytest.param("two_tets", 4, id="two_tets-k4"),
+])
+def test_condensed_ranks_match_dense_oracles(spec, k, complexes):
+    """The fronts of the cells' bisection tree give the rank of the whole
+    matrix, as decided by dense QR and by dense SVD."""
+    (V, L, S, Q), (d1, d2, d3) = complexes(spec, k)
     for d, src, dst in ((d1, V, L), (d2, L, S), (d3, S, Q)):
         dense = d.toarray()
         assert condensed_rank(d, src, dst) == qr_rank(dense) == svd_rank(dense)
 
 
-@pytest.mark.parametrize("where", ["interface row", "other cell's interior row"])
+def _plant(d, row, col):
+    return d + sp.csr_matrix(([1e-6 * abs(d).max()], ([row], [col])), shape=d.shape)
+
+
+@pytest.mark.parametrize("where", ["interface row", "other cell's interior row",
+                                   "row outside a non-leaf node"])
 def test_condensed_rank_rejects_interior_column_leaving_its_cell(where, complexes):
+    """An entry of a column outside the rows of its node's subtree breaks the
+    identity the elimination rests on: ValueError, not a silently dropped entry."""
+    spec = "kuhn_cube(1)" if where == "row outside a non-leaf node" else "two_tets"
+    (V, L, S, Q), (d1, _, _) = complexes(spec)
+    if where == "row outside a non-leaf node":
+        tree = CellTree(V.mesh)
+        cnode, rnode = tree.dof_nodes(V.cell_maps), tree.dof_nodes(L.cell_maps)
+        node = next(n for n in range(len(tree.lo))
+                    if 1 < tree.hi[n] - tree.lo[n] < V.mesh.num_cells
+                    and np.any(cnode == n))
+        col = np.flatnonzero(cnode == node)[0]
+        row = np.flatnonzero(~tree.within(rnode, np.full_like(rnode, node)))[0]
+    else:
+        col = V.cell_maps[0, V.elements[0].interior][0]
+        # interface: a row both cells list
+        row = (np.intersect1d(L.cell_maps[0], L.cell_maps[1])[0] if where == "interface row"
+               else L.cell_maps[1, L.elements[0].interior][0])
+    with pytest.raises(ValueError, match="leave their cells"):
+        condensed_rank(_plant(d1, row, col), V, L)
+    assert condensed_rank(d1, V, L) == V.dim - 4
+
+
+def test_condensed_rank_keeps_an_entry_inside_its_cell(complexes):
+    """A boundary row listed by the column's cell alone lies in that leaf's
+    front: an entry there is kept, and the rank is the dense rank of the
+    changed matrix."""
     (V, L, S, Q), (d1, _, _) = complexes("two_tets")
     col = V.cell_maps[0, V.elements[0].interior][0]
-    row = (L.cell_maps[0, ~L.elements[0].interior][0] if where == "interface row"
-           else L.cell_maps[1, L.elements[0].interior][0])
-    planted = d1 + sp.csr_matrix(([1e-6 * abs(d1).max()], ([row], [col])), shape=d1.shape)
-    with pytest.raises(ValueError, match="leave their cells"):
-        condensed_rank(planted, V, L)
-    assert condensed_rank(d1, V, L) == V.dim - 4
+    row = np.setdiff1d(L.cell_maps[0, ~L.elements[0].interior], L.cell_maps[1])[0]
+    planted = _plant(d1, row, col)
+    dense = planted.toarray()
+    assert condensed_rank(planted, V, L) == qr_rank(dense) == svd_rank(dense)
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)", "kuhn_cube(2)"])
+def test_cell_tree_and_ranks_repeat_across_builds(spec):
+    """The tree depends on the mesh alone: two builds of one mesh give the
+    same leaf order, node ranges and DOF nodes, and the same ranks."""
+    trees, ranks = [], []
+    for _ in range(2):
+        m = mesh.load(spec)
+        (V, L, S, Q), ds = build_complex(m, 3)
+        tree = CellTree(m)
+        trees.append((tree.order, tree.lo, tree.hi, tree.anc,
+                      tree.dof_nodes(V.cell_maps), tree.dof_nodes(L.cell_maps)))
+        ranks.append([condensed_rank(d, a, b) for d, a, b in zip(ds, (V, L, S), (L, S, Q))])
+    assert all(np.array_equal(a, b) for a, b in zip(*trees))
+    assert ranks[0] == ranks[1]
+
+
+def test_cell_tree_splits_down_to_single_cells():
+    """Every node's leaves are the union of its children's, and each leaf is one cell."""
+    m = mesh.load("kuhn_cube(2)")
+    tree = CellTree(m)
+    assert sorted(tree.order) == list(range(m.num_cells))
+    assert len(tree.lo) == 2 * m.num_cells - 1
+    for n, kids in enumerate(tree.kids):
+        if kids:
+            a, b = kids
+            assert (tree.lo[a], tree.hi[a], tree.hi[b]) == (tree.lo[n], tree.lo[b], tree.hi[n])
+            assert abs((tree.hi[a] - tree.lo[a]) - (tree.hi[b] - tree.lo[b])) <= 1
+        else:
+            assert tree.hi[n] - tree.lo[n] == 1
+    # a DOF's node holds every cell that lists it, and no child of it does
+    (V, _, _, _), _ = build_complex(m, 3)
+    nodes = tree.dof_nodes(V.cell_maps)
+    leaves = tree.position[:, None].repeat(V.cell_maps.shape[1], axis=1)
+    lo, hi = np.full(V.dim, m.num_cells), np.zeros(V.dim, dtype=int)
+    np.minimum.at(lo, V.cell_maps, leaves)
+    np.maximum.at(hi, V.cell_maps, leaves + 1)
+    assert np.all((tree.lo[nodes] <= lo) & (hi <= tree.hi[nodes]))
+    for n in np.unique(nodes):
+        for c in tree.kids[n]:
+            mine = nodes == n
+            assert not np.any((tree.lo[c] <= lo[mine]) & (hi[mine] <= tree.hi[c]))
 
 
 def test_compositions_zero_k4_two_tets():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem.linalg import qr_rank, rank_exact, svd_rank
+from divdivfem.linalg import block_svd_ranks, front_rank, qr_rank, rank_exact, svd_rank
 
 
 def _with_spectrum(rng, m, n, s):
@@ -35,6 +35,46 @@ def test_qr_rank_takes_sparse_input_and_leaves_dense_input_intact(rng, shape):
         assert qr_rank(dense) == 30
         assert np.array_equal(dense, kept)
     assert qr_rank(sp.csr_matrix(M)) == qr_rank(sp.csc_matrix(M)) == 30
+
+
+TAU = 1e-9
+
+
+@pytest.mark.parametrize("shape", [(120, 40), (40, 120), (80, 80)])
+@pytest.mark.parametrize("rank", [0, 7, 40])
+def test_front_ranks_match_svd_rank_on_clear_gaps(rng, shape, rank):
+    """Singular values from 1 down to 1e-6 and exact zeros, tau = 1e-9: the
+    front QR and the block SVD both certify svd_rank's rank."""
+    M = _with_spectrum(rng, *shape, np.logspace(0, -6, rank))
+    assert front_rank(M, M.shape[1], TAU)[0] == svd_rank(M) == rank
+    ranks, U = block_svd_ranks(np.stack([M, M[::-1]]), TAU)
+    assert ranks.tolist() == [rank, rank]
+    assert U.shape == (2, shape[0], shape[0])
+
+
+@pytest.mark.parametrize("factor", [1.9, 1.5, 1 / 1.5, 1 / 1.9])
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)])
+def test_rank_decisions_within_factor_two_of_tau_rejected(rng, shape, factor):
+    """A singular value within a factor 2 of tau, kept or dropped, leaves the
+    decision uncertified: ValueError from the front QR and the block SVD."""
+    M = _with_spectrum(rng, *shape, np.r_[np.logspace(0, -3, 5), factor * TAU])
+    with pytest.raises(ValueError, match="not certified"):
+        front_rank(M, M.shape[1], TAU)
+    with pytest.raises(ValueError, match="not certified"):
+        block_svd_ranks(M[None], TAU)
+
+
+@pytest.mark.parametrize("m", [30, 90])
+def test_front_contribution_carries_the_rest_of_the_rank(rng, m):
+    """rank F = rank of the own columns + rank of the rows passed up, and the
+    rows passed up are no more than the other columns."""
+    own = _with_spectrum(rng, m, 25, np.logspace(0, -4, 12))
+    other = rng.standard_normal((m, 3)) @ rng.standard_normal((3, 40))
+    F = np.hstack([own, other, own[:, :5] @ rng.standard_normal((5, 4))])
+    r, rest = front_rank(F, 25, TAU)
+    assert r == 12
+    assert rest.shape[1] == 44 and rest.shape[0] <= 44
+    assert r + svd_rank(rest) == svd_rank(F) == 15
 
 
 def _dense_rank_exact(rows) -> int:
