@@ -94,12 +94,26 @@ class GlobalSpace:
         return assemble_cells(self.cell_maps, self.cell_maps, cell_masses[self.cell_class],
                               (self.ndof, self.ndof))
 
+    def drop_functionals(self):
+        """Release what only builds the elements and interpolates: each
+        element's DOF blocks (and the test arrays they hold) and Vandermonde
+        V, and the entity cache.  The space keeps Vinv, the basis, the
+        generators, the tags and the maps, all that masses, loads and
+        evaluations read; interpolate then raises."""
+        for elem in self.elements:
+            elem.blocks, elem.V = None, None
+        self.cache = None
+
     def interpolate(self, field: PolyField) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated on every cell that holds
         it, its owner cell's value taken, and the others checked against it.
         A cell's DOFs are its class element's on the field translated by the
         cell's offset t from the class's cell, x -> field(x + t); each class
         evaluates all its cells' translates at once."""
+        if self.cache is None:
+            raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
+                             "once its cell operators were built (drop_functionals); "
+                             "interpolate on a GlobalSpace built for it")
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")

@@ -116,10 +116,11 @@ class CellInteriors:
     residual checks need) and keeps Xt_r = K_ii^-1 D_i lhs_iF and
     L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF is Xt_r D_F,c and its
     K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r, the Schur complement on
-    the interface unknowns F is D_F (sum_c P_c T_r P_c^T) D_F, scattered once
-    by the interface incidence P; no global matrix is formed.  The lhs_r are
-    built CHUNK classes at a time (class_lhs), so the dense transients stay
-    small when every cell is its own class.
+    the interface unknowns F is D_F (sum_c P_c T_r P_c^T) D_F, summed BLOCK
+    columns at a time into the compressed columns splu takes (_schur); no
+    global matrix is formed.  The lhs_r are built CHUNK classes at a time
+    (class_lhs), so the dense transients stay small when every cell is its
+    own class.
 
     Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
     and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
@@ -136,76 +137,100 @@ class CellInteriors:
 
     # classes whose lhs_r are formed at once: 10 MB of dense transients at k = 3
     CHUNK = 8
+    # interface unknowns whose Schur columns are summed at once: about 1600
+    # cell columns at k = 3 on Kuhn meshes, 4 MB of dense transients
+    BLOCK = 512
 
     def __init__(self, class_lhs, cell_class: np.ndarray, scale: np.ndarray,
-                 maps: np.ndarray, inner: np.ndarray):
+                 maps: np.ndarray, ni: int):
         """class_lhs(classes) gives lhs_r of a slice of the translation
         classes, stacked (classes, n, n) in the local order of maps
-        (ncells, n), the global numbers of each cell's unknowns; cell_class
-        gives each cell's class, and inner marks the local interior unknowns."""
+        (ncells, n), the global numbers of each cell's unknowns, its ni
+        interior unknowns first; cell_class gives each cell's class."""
         self.scale = scale
-        self.interior = maps[:, inner]
+        self.interior = maps[:, :ni]
         self.iface = np.setdiff1d(np.arange(len(scale)), self.interior)
         number = np.empty(len(scale), dtype=int)
         number[self.iface] = np.arange(len(self.iface))
-        self.cell_iface = number[maps[:, ~inner]]
-        ncells, (ni, nf) = len(maps), (self.interior.shape[1], self.cell_iface.shape[1])
+        self.cell_iface = number[maps[:, ni:]]
+        ncells, nf = self.cell_iface.shape
         # the cells of each group of classes as columns: their interior
         # unknowns (classes, ni, cells) and interface numbers (classes, nf, cells)
+        groups = class_groups(cell_class)
         self.groups = [(sel, cls, self.interior[cells].transpose(0, 2, 1),
                         self.cell_iface[cells].transpose(0, 2, 1))
-                       for sel, cls, cells in class_groups(cell_class)]
+                       for sel, cls, cells in groups]
         nclasses = cell_class.max() + 1
         d_i = scale[self.interior[np.unique(cell_class, return_index=True)[1]]]
         if not np.array_equal(scale[self.interior], d_i[cell_class]):
             raise ValueError("interior scales differ within a translation class")
         self.scale_F = scale[self.iface]
-        # P, the interface incidence: it adds the cells' interface vectors,
-        # stacked group by group as (classes, nf, cells), into one interface vector
-        col_iface = np.concatenate([f.ravel() for *_, f in self.groups])
-        self.P = sp.csr_matrix((np.ones(ncells * nf), (col_iface, np.arange(ncells * nf))),
+        # the cells' interface unknowns stacked group by group as (classes,
+        # nf, cells), each as its place c nf + f in cell_iface; P, the
+        # interface incidence, adds vectors so stacked into one interface vector
+        stacked = np.concatenate([(cells[:, None, :] * nf + np.arange(nf)[:, None]).ravel()
+                                  for *_, cells in groups])
+        self.P = sp.csr_matrix((np.ones(ncells * nf),
+                                (self.cell_iface.ravel()[stacked], np.arange(ncells * nf))),
                                shape=(len(self.iface), ncells * nf))
-        order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
         # lu[r] Fortran-ordered, as getrs takes it without a copy
         lu = np.empty((nclasses, ni, ni)).transpose(0, 2, 1)
         piv = np.empty((nclasses, ni), dtype=np.int32)
         self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
-        T = np.empty((nclasses, nf, nf))            # each class's unscaled Schur block
+        Tt = np.empty((nclasses, nf, nf))           # each class's T_r, transposed
         for start in range(0, nclasses, self.CHUNK):
             r = slice(start, start + self.CHUNK)
-            lhs = class_lhs(r)[:, order[:, None], order]      # [interior | interface]
+            lhs = class_lhs(r)                                   # [interior | interface]
             d = d_i[r]
             Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
             lu[r], piv[r] = sla.lu_factor(Kii, check_finite=False)
             # numpy's batched solve: scipy's lu_solve loops over a stack in Python
             self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
             self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
-            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
+            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=Tt[r].transpose(0, 2, 1))
+        del lhs, Kii                 # the last chunk's, before the Schur complement
         self.lu_ii = (lu, piv)
         self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-        # the Schur complement P blockdiag(D_F,c T_r D_F,c) P^T, its cell rows
-        # stacked as P's columns, scattered by one sparse product, which sums
-        # the duplicates without sorting them and drops exact zeros (the E-B
-        # blocks at theta = 0); tocsc then sorts by counting
-        blocks = np.empty((ncells * nf, nf))
-        cols = np.empty((ncells * nf, nf), dtype=np.int32)
-        row = 0
-        for sel, _, _, f in self.groups:
-            d, rows = self.scale_F[f], slice(row, row + f.size)    # d: (classes, nf, cells)
-            row += f.size
-            out = blocks[rows].reshape(*f.shape, nf)               # (class, f, cell, f')
-            np.multiply(T[sel][:, :, None, :], d[..., None], out=out)
-            out *= d.transpose(0, 2, 1)[:, None]
-            cols[rows] = np.broadcast_to(f.transpose(0, 2, 1)[:, None], out.shape).reshape(-1, nf)
-        del T
-        cells = sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1),
-                               np.arange(0, blocks.size + 1, nf, dtype=np.int32)),
-                              shape=(ncells * nf, len(self.iface)))
-        del blocks, cols             # owned by cells now
-        schur = self.P @ cells
-        del cells                    # freed before the CSC copy: peak memory
-        schur = schur.tocsc()        # and the CSR before the LU
+        schur = self._schur(Tt, cell_class, stacked)
+        del Tt                       # freed before the LU: peak memory
         self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+
+    def _schur(self, Tt: np.ndarray, cell_class: np.ndarray,
+               stacked: np.ndarray) -> sp.csc_matrix:
+        """The Schur complement D_F (sum_c P_c T_r P_c^T) D_F in compressed
+        columns, from Tt[r] = T_r^T, summed BLOCK columns at a time.
+
+        Column i is the sum of the cell columns D_F,c T_r[:, f] d_F,c[f] of
+        the cells c that hold i as their interface unknown f, taken in the
+        stacked order of P's columns.  Each block of columns is one sparse
+        product of those cell columns, written as rows, which sums the
+        duplicates without sorting them and drops exact zeros (the E-B
+        blocks at theta = 0); its compressed rows are the block's compressed
+        columns, and the blocks are concatenated."""
+        nf, n = self.cell_iface.shape[1], len(self.iface)
+        land = self.cell_iface.ravel()[stacked]             # stacked column -> i
+        order = np.argsort(land, kind="stable")
+        starts = np.searchsorted(land[order], np.arange(n + 1))
+        counts, indices, data = [], [], []
+        for lo in range(0, n, self.BLOCK):
+            hi = min(lo + self.BLOCK, n)
+            js = order[starts[lo]:starts[hi]]                   # columns lo:hi land
+            cell, f = np.divmod(stacked[js], nf)
+            rows = self.cell_iface[cell]                        # (m, nf)
+            vals = Tt[cell_class[cell], f] * self.scale_F[land[js]][:, None]
+            vals *= self.scale_F[rows]
+            runs = sp.csr_matrix((np.ones(len(cell)), np.arange(len(cell)),
+                                  starts[lo:hi + 1] - starts[lo]), shape=(hi - lo, len(cell)))
+            block = runs @ sp.csr_matrix((vals.ravel(), rows.ravel(),
+                                          np.arange(0, vals.size + 1, nf)), shape=(len(cell), n))
+            counts.append(np.diff(block.indptr))
+            indices.append(block.indices)
+            data.append(block.data)
+        # one array at a time: only that array's pieces coexist with its whole
+        data = np.concatenate(data)
+        indices = np.concatenate(indices)
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """lhs^-1 b = D K^-1 D b for c = D b: per class, w = K_ii^-1 c_I on
@@ -259,14 +284,22 @@ class EBSystem:
         self._cell_diff = (d3, d2)
         self._cell_mass = (mq, mE, mB)
         self._cell_coupling = (mq @ d3, mE @ d2)
+        # the stacks are all that the solvers read of the elements' DOF
+        # functionals: the build data goes (17 MB on kuhn_cube(2))
+        for space in spaces:
+            space.drop_functionals()
         self.nq, self.nE, self.nB = (space.dim for space in spaces)
         self.ntot = self.nq + self.nE + self.nB
         # the global numbers of each cell's unknowns, (ncells, n) in local
-        # order [q | E | B], and the local interior ones: every unknown not
-        # interior is interface
+        # order [q | E | B]; the condensation order of the local unknowns,
+        # the ni interior ones first (every unknown not interior is
+        # interface), and the places of q, E and B in it
         self._maps = np.hstack([o + space.cell_maps
                                 for o, space in zip((0, self.nq, self.nq + self.nE), spaces)])
-        self._inner = np.concatenate([space.elements[0].interior for space in spaces])
+        inner = np.concatenate([space.elements[0].interior for space in spaces])
+        self._order, self._ni = np.argsort(~inner, kind="stable"), int(inner.sum())
+        place = np.argsort(self._order)
+        self._places = np.split(place, np.cumsum([s.cell_maps.shape[1] for s in spaces])[:2])
         # each group of classes with the unknowns of its cells (classes, cells,
         # n), and the scatter of the products' cell vectors (A y's, then S y's)
         # in that order
@@ -285,7 +318,7 @@ class EBSystem:
         self._qrule = rule("tet", 2 * k + 6)
         self._cellq = None
         self._tabs: dict = {}
-        self._cn = {}
+        self._cn = {}               # the CN factor of the latest dt alone
 
     # -- block structure -------------------------------------------------------
     def stack(self, sig, e, b) -> np.ndarray:
@@ -391,24 +424,24 @@ class EBSystem:
     # -- solvers ---------------------------------------------------------------
     def class_lhs(self, classes: slice, theta: float) -> np.ndarray:
         """A_r - theta S_r of a slice of the translation classes, from the
-        class stacks: (classes, n, n) in the local order [q | E | B] of a
-        cell's unknowns."""
+        class stacks: (classes, n, n) in the condensation order of a cell's
+        unknowns, its interior ones first, each block written at its places."""
         (mq, mE, mB), (c3, c2) = self._cell_mass, self._cell_coupling
+        q, E, B = self._places
         mq, mE, mB = mq[classes], mE[classes], mB[classes]
-        a, b = mq.shape[1], mq.shape[1] + mE.shape[1]
-        K = np.zeros((len(mq),) + (self._maps.shape[1],) * 2)
-        K[:, :a, :a], K[:, a:b, a:b], K[:, b:, b:] = mq, mE, mB
+        K = np.zeros((len(mq),) + (len(self._order),) * 2)
+        K[:, q[:, None], q], K[:, E[:, None], E], K[:, B[:, None], B] = mq, mE, mB
         if theta:
             c3, c2 = theta * c3[classes], theta * c2[classes]
-            K[:, :a, a:b], K[:, a:b, :a] = -c3, c3.transpose(0, 2, 1)
-            K[:, a:b, b:], K[:, b:, a:b] = c2, -c2.transpose(0, 2, 1)
+            K[:, q[:, None], E], K[:, E[:, None], q] = -c3, c3.transpose(0, 2, 1)
+            K[:, E[:, None], B], K[:, B[:, None], E] = c2, -c2.transpose(0, 2, 1)
         return K
 
     def _factorize(self, theta: float) -> CellInteriors:
         """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
         projection), from the class stacks alone."""
         return CellInteriors(lambda classes: self.class_lhs(classes, theta), self.cell_class,
-                             self.scale, self._maps, self._inner)
+                             self.scale, self._maps[:, self._order], self._ni)
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """The A-projection: (A - S) y = rhs, the CN solve at dt = 2."""
@@ -420,14 +453,17 @@ class EBSystem:
         return y
 
     def cn_factorization(self, dt: float):
-        """(cells.lu, cells) of the CN step at dt, factorised once per dt, with
-        cells the CellInteriors factor of A - (dt/2) S.
+        """(cells.lu, cells) of the CN step at dt, with cells the
+        CellInteriors factor of A - (dt/2) S.  Only the latest dt's factor is
+        kept: a study over several dt runs them one after another, and the
+        previous factor is dropped before the next one is built.
 
         The sparse LU comes first: perfbench/tracing.py reads the factor's
         L+U size from the first entry.  Neither side's matrix is kept: a step
         applies A and S to vectors instead.
         """
         if dt not in self._cn:
+            self._cn.clear()
             cells = self._factorize(0.5 * dt)
             self._cn[dt] = (cells.lu, cells)
         return self._cn[dt]
@@ -783,8 +819,11 @@ def infsup_estimate(sys: EBSystem) -> float:
 
     def factor(space, m, lo):
         """The condensed factor of the mass m of space, unknowns lo onwards."""
-        return CellInteriors(lambda r: m[r], sys.cell_class, sys.scale[lo:lo + space.dim],
-                             space.cell_maps, space.elements[0].interior)
+        inner = space.elements[0].interior
+        o = np.argsort(~inner, kind="stable")           # interior unknowns first
+        return CellInteriors(lambda r: m[r][:, o[:, None], o], sys.cell_class,
+                             sys.scale[lo:lo + space.dim], space.cell_maps[:, o],
+                             int(inner.sum()))
 
     # each assembled block is built when its pencil runs: MB and C2 only when
     # the symcurl pencil does

@@ -1,4 +1,6 @@
+import copy
 import gc
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -8,8 +10,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from divdivfem import complex_asm, eb_solver, mesh, mms
-from divdivfem.complex_asm import assemble_cells, assemble_diff
+from divdivfem import complex_asm, eb_solver, fe3d, mesh, mms, poly
+from divdivfem.complex_asm import GlobalSpace, assemble_cells, assemble_diff
 from divdivfem.fields import PolyField
 
 
@@ -162,14 +164,70 @@ def test_condensed_interface_kuhn_cube_1(eb_systems):
 
 
 def _factored_schur(sys, theta, monkeypatch):
-    """(CellInteriors factor of A - theta S, the Schur matrix it handed to splu)."""
+    """(CellInteriors factor of A - theta S, the Schur matrix it handed to
+    splu: compressed columns, assembled without a copy)."""
     factored = []
     splu = eb_solver.spla.splu
     with monkeypatch.context() as m:
         m.setattr(eb_solver.spla, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
         cells = sys._factorize(theta)
     (schur,) = factored
+    assert schur.format == "csc"
     return cells, schur
+
+
+def _single_product_schur(cells, Tt):
+    """The Schur complement as it was scattered before the row blocks, kept
+    as their oracle: every scaled cell block in one dense (ncells nf, nf)
+    array, stacked as P's columns and summed by one product with P.  Fed the
+    transposed class blocks Tt, its rows are the Schur complement's columns."""
+    nf = cells.cell_iface.shape[1]
+    blocks, cols = [], []
+    for sel, _, _, f in cells.groups:
+        d = cells.scale_F[f]                                    # (classes, nf, cells)
+        out = Tt[sel][:, :, None, :] * d[..., None]             # (class, f, cell, f')
+        out *= d.transpose(0, 2, 1)[:, None]
+        blocks.append(out.reshape(-1, nf))
+        cols.append(np.broadcast_to(f.transpose(0, 2, 1)[:, None], out.shape).reshape(-1, nf))
+    blocks, cols = np.concatenate(blocks), np.concatenate(cols)
+    return cells.P @ sp.csr_matrix((blocks.ravel(), cols.ravel(),
+                                    np.arange(0, blocks.size + 1, nf)),
+                                   shape=(len(blocks), len(cells.iface)))
+
+
+@pytest.mark.parametrize("spec, theta", [
+    (spec, theta) for spec in ("two_tets", "kuhn_cube(1)") for theta in (0.0, _THETAS["cn"], 1.0)])
+def test_schur_row_blocks_match_single_product(eb_systems, spec, theta, monkeypatch):
+    """The Schur complement summed in row blocks has the pattern of the
+    single sparse product, exact zeros dropped alike, and its entries to
+    1e-15 relative."""
+    seen = []
+    schur_of = eb_solver.CellInteriors._schur
+    monkeypatch.setattr(eb_solver.CellInteriors, "_schur",
+                        lambda self, Tt, *a: seen.append(Tt) or schur_of(self, Tt, *a))
+    cells, schur = _factored_schur(eb_systems(spec), theta, monkeypatch)
+    got, want = schur.T.tocsr(), _single_product_schur(cells, *seen)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+def test_factor_transients_stay_small(eb_systems):
+    """The numpy allocations of a kuhn_cube(2) CN factorisation peak under
+    85 MB above what the system holds: 69 MB, of which 58 MB are the
+    Schur complement (35 MB) while its row blocks are concatenated.  The
+    single-product scatter and its CSC copy peaked at 122 MB.  SuperLU's own
+    allocations are not traced."""
+    sys = eb_systems("kuhn_cube(2)")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sys._factorize(_THETAS["cn"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 85e6
 
 
 def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
@@ -231,6 +289,21 @@ def test_schur_factor_pivots_on_the_diagonal_with_small_growth(eb_systems, theta
     L, U = lu.L, lu.U
     growth = sp.linalg.norm(abs(L) @ abs(U)) / sp.linalg.norm(L @ U)
     assert growth <= 2.0
+
+
+def test_cn_factorization_keeps_the_latest_dt_only(rng):
+    """A study over two dt holds one CN factor at a time: the next dt's factor
+    replaces the previous one, which is freed, and a dt met again is
+    factored anew, with bit-identical steps."""
+    sys = eb_solver.EBSystem(mesh.load("two_tets"), 3)
+    y = rng.standard_normal(sys.ntot)
+    first = sys.cn_step(y, 0.02)
+    gone = weakref.ref(sys.cn_factorization(0.02)[1])
+    sys.cn_step(y, 0.01)
+    gc.collect()
+    assert list(sys._cn) == [0.01] and gone() is None
+    assert np.array_equal(sys.cn_step(y, 0.02), first)
+    assert list(sys._cn) == [0.02]
 
 
 @pytest.mark.parametrize("dt", [8.0, 200.0])
@@ -418,6 +491,43 @@ def _held(obj, depth=0):
     for item in inner:
         if depth < 4:
             yield from _held(item, depth + 1)
+
+
+def test_system_drops_the_build_data(monkeypatch, rng):
+    """Once its class stacks exist the system keeps no element's DOF blocks
+    or Vandermonde V, and its entity cache is freed; the masses, the MMS
+    loads and cell_values equal, bit for bit, those of spaces built anew,
+    and interpolating on a solver space says why it cannot."""
+    caches = []
+
+    class Recorded(fe3d.EntityCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(weakref.ref(self))
+
+    monkeypatch.setattr(eb_solver, "EntityCache", Recorded)
+    m = mesh.load("kuhn_cube(1)")
+    sys = eb_solver.EBSystem(m, 3)
+    gc.collect()
+    assert len(caches) == 1 and caches[0]() is None
+    spaces = (sys.space_q, sys.space_E, sys.space_B)
+    cache = fe3d.EntityCache(m, 3)
+    fresh = [GlobalSpace(m, s.family, 3, cache) for s in spaces]
+    twin = copy.copy(sys)
+    twin.space_q, twin.space_E, twin.space_B = fresh
+    twin._tabs = {}
+    for space, new, mass in zip(spaces, fresh, sys._cell_mass):
+        assert all(e.blocks is None and e.V is None for e in space.elements)
+        assert space.cache is None
+        assert np.array_equal(new.cell_masses(), mass)
+        y = rng.standard_normal(space.dim)
+        assert np.array_equal(sys.cell_values(space, y), twin.cell_values(new, y))
+    for (*_, got), (*_, want) in zip(eb_solver.MMSDriver(sys, mms.trig_mms())._loads,
+                                     eb_solver.MMSDriver(twin, mms.trig_mms())._loads):
+        assert np.array_equal(got, want)
+    basis = poly.reference_cell("tet").basis(1)
+    with pytest.raises(ValueError, match="DOF functionals were dropped"):
+        sys.space_q.interpolate(PolyField(basis, np.ones(basis.N), ()))
 
 
 @pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
