@@ -81,12 +81,20 @@ class GlobalSpace:
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
         """Mass matrix of each translation class in its cells' local DOF order:
-        (nclasses, ndof, ndof); cell c's is the entry cell_class[c]."""
+        (nclasses, ndof, ndof); cell c's is the entry cell_class[c].
+
+        The generator Gram matrix is kron(Gram, G G^T) (basis a, component c
+        at a * C + c).  With Gram = L L^T and G G^T = H H^T, the mass is
+        W^T W for W = (L kron H)^T Vinv, taken by two small contractions."""
         out = []
         for elem in self.elements:
             gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
-            G = np.kron(elem.basis.gram(), gens @ gens.T)
-            out.append(elem.Vinv.T @ G @ elem.Vinv)
+            L = np.linalg.cholesky(elem.basis.gram())
+            H = np.linalg.cholesky(gens @ gens.T)
+            Vinv = elem.Vinv.reshape(elem.basis.N, len(gens), -1)          # (N, C, ndof)
+            W = H.T @ (L.T @ Vinv.reshape(elem.basis.N, -1)).reshape(Vinv.shape)
+            W = W.reshape(-1, W.shape[2])
+            out.append(W.T @ W)
         return np.stack(out)
 
     def mass(self, cell_masses: np.ndarray) -> sp.csr_matrix:
@@ -96,12 +104,12 @@ class GlobalSpace:
 
     def drop_functionals(self):
         """Release what only builds the elements and interpolates: each
-        element's DOF blocks (and the test arrays they hold) and Vandermonde
+        element's DOF groups (and the test arrays they hold) and Vandermonde
         V, and the entity cache.  The space keeps Vinv, the basis, the
         generators, the tags and the maps, all that masses, loads and
         evaluations read; interpolate then raises."""
         for elem in self.elements:
-            elem.blocks, elem.V = None, None
+            elem.groups, elem.V = None, None
         self.cache = None
 
     def interpolate(self, field: PolyField) -> np.ndarray:
@@ -109,7 +117,8 @@ class GlobalSpace:
         it, its owner cell's value taken, and the others checked against it.
         A cell's DOFs are its class element's on the field translated by the
         cell's offset t from the class's cell, x -> field(x + t); each class
-        evaluates all its cells' translates at once."""
+        evaluates all its cells' translates at once.  A batched field
+        (*batch) gives (*batch, ndof), each field checked on its own scale."""
         if self.cache is None:
             raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
                              "once its cell operators were built (drop_functionals); "
@@ -119,15 +128,15 @@ class GlobalSpace:
                             "take exact point derivatives")
         corner = self.mesh.vertices[self.mesh.cells[:, 0]]
         offsets = corner - corner[self.class_reps][self.cell_class]
-        per_cell = np.empty(self.cell_maps.shape)
+        per_cell = np.empty((*field.batch, *self.cell_maps.shape))
         for r, elem in enumerate(self.elements):
             cells = np.flatnonzero(self.cell_class == r)
-            per_cell[cells] = elem.dof_values(field, offsets[cells])
-        out = per_cell[self.owner, self.owner_local]
-        worst = float(np.abs(per_cell - out[self.cell_maps]).max(initial=0.0))
-        scale = max(float(np.abs(out).max(initial=0.0)), 1.0)
-        if worst > 1e-8 * scale:
-            raise ValueError(f"shared DOFs disagree across cells: {worst:.3e}")
+            per_cell[..., cells, :] = elem.dof_values(field, offsets[cells])
+        out = per_cell[..., self.owner, self.owner_local]
+        worst = np.abs(per_cell - out[..., self.cell_maps]).max(axis=(-2, -1), initial=0.0)
+        scale = np.maximum(np.abs(out).max(axis=-1, initial=0.0), 1.0)
+        if np.any(worst > 1e-8 * scale):
+            raise ValueError(f"shared DOFs disagree across cells: {float(worst.max()):.3e}")
         return out
 
 
@@ -371,10 +380,7 @@ def complex_audit(mesh: TetMesh, k: int) -> list[dict]:
         _formula_ker_divdiv(mesh, k) - _formula_rank_symcurl(mesh, k), "paper")
 
     # RT fields interpolate into V and are killed by the discrete devgrad
-    rt = poly.rt_space("tet")
-    worst = 0.0
-    for i in range(4):
-        coeffs = V.interpolate(rt.member(i))
-        worst = max(worst, float(np.abs(d1 @ coeffs).max()))
+    coeffs = V.interpolate(poly.rt_space("tet").fields())          # (4, ndof)
+    worst = float(np.abs(d1 @ coeffs.T).max())
     add("devgrad of interpolated RT fields = 0", 0.0, worst, "trivial", tol=1e-10)
     return checks

@@ -1,13 +1,16 @@
 """Shared DOF-functional machinery for the 2-D and 3-D element families.
 
-A finite element is an ordered list of blocks; every block maps a
-GeneratorEval (a Bernstein basis times component generators) to the values of
-a batch of functionals on every generator, by one GeneratorEval.moments call
-(point values and derivatives are moments against a Dirac).  The same block
-code builds Vandermonde matrices (the element's generators) and evaluates
-DOFs of concrete polynomial fields (unit generators contracted with the
-field's coefficients), so there is exactly one definition and one evaluation
-path of every functional.
+A finite element's functionals come in groups.  A group holds the moments
+that read one derivative order on the entities of one kind (the vertices,
+the edges, the faces or the cell), stacked on an entity axis; each entity
+reads at its own points.  A GeneratorEval (a Bernstein basis times component
+generators) evaluates a group by one contraction of the integrands with the
+tests and one with the scalar tabulation, both batched over the entities
+(point values and derivatives are moments against a Dirac).  The same groups
+build Vandermonde matrices (the element's generators) and evaluate DOFs of
+concrete polynomial fields (unit generators contracted with the field's
+coefficients), so there is exactly one definition and one evaluation path of
+every functional.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import BernsteinBasis, PolyField
+from .fields import BernsteinBasis, PolyField, Simplex
 from .linalg import min_max_singular_ratio, nullspace
 
 
@@ -31,43 +34,46 @@ def curl_from_grads(G):
     return out
 
 
-class _Probe:
-    """Evaluator whose batch is every component generator G_c times every
-    derivative direction e_d, read at a single point.
+@dataclass
+class Part:
+    """Moments of one integrand against one batch of tests, on every entity
+    of a group.
 
-    A moment integrand is a pointwise linear map with constant coefficients
-    of one derivative order at one point set, so its value on B_a G_c at x_p
-    is sum_d T[p, a, d] L(G_c e_d), with T the scalar tabulation.  The probe
-    returns G_c (x) e_d with batch axes (c, d) and one point, and records
-    which (points, order) the integrand read.
+    integrand maps the group's probe (C, D, *vshape, [g]*order), every
+    component generator G_c times every derivative direction e_d, to its
+    value on each entity, (E or 1, C, D, *ishape): a pointwise linear map
+    with constant coefficients (frame vectors stacked on the entity axis).
+    tests: (E or 1, m, p, *ishape) values at the points of the group's point
+    set `at`.
     """
 
-    def __init__(self, gens: np.ndarray, gdim: int):
-        self.gens = gens
-        self.gdim = gdim
-        self.read = None
+    integrand: object
+    tests: np.ndarray
+    at: int = 0
 
-    def _unit(self, pts, order: int):
-        if self.read is None:
-            self.read = (pts, order)
-        elif self.read[0] is not pts or self.read[1] != order:
-            raise ValueError("a moment integrand must read one derivative order "
-                             "at one point set")
-        g, nv = self.gdim, self.gens.ndim - 1
-        D = g ** order
-        e = np.eye(D).reshape(1, D, 1, *([1] * nv), *([g] * order))
-        G = self.gens.reshape(len(self.gens), 1, 1, *self.gens.shape[1:],
-                              *([1] * order))
-        return G * e                      # (C, D, 1, *vshape, [g]*order)
 
-    def values(self, pts):
-        return self._unit(pts, 0)
+@dataclass
+class DofGroup:
+    """The moments of one derivative order on the entities of one kind.
 
-    def grads(self, pts):
-        return self._unit(pts, 1)
+    points: point sets [(pts (E, p, g), weights (E, p)), ...] read by the
+    parts, which are listed point set by point set.  An entity's DOFs in
+    the group are its parts' tests in order.
+    """
 
-    def hessians(self, pts):
-        return self._unit(pts, 2)
+    kind: str
+    order: int
+    points: list
+    parts: list
+
+    @property
+    def nent(self) -> int:
+        return len(self.points[0][0])
+
+    @property
+    def n(self) -> int:
+        """DOFs per entity."""
+        return sum(part.tests.shape[1] for part in self.parts)
 
 
 class GeneratorEval:
@@ -79,71 +85,93 @@ class GeneratorEval:
         self.basis = basis
         self.gens = np.asarray(comp_gens, dtype=float)
         self.shifts = np.zeros((1, basis.simplex.gdim)) if shifts is None else shifts
-        self._tabs: dict = {}
 
-    def _scalar_tabs(self, pts, order: int):
-        """Tabulation (p, nshifts * N, g ** order) at pts + every shift."""
-        key = (id(pts), order)
-        if key in self._tabs:
-            return self._tabs[key]
+    def probe(self, order: int) -> np.ndarray:
+        """G_c (x) e_d for every generator c and derivative direction d:
+        (C, D, *vshape, [g]*order)."""
+        g, nv = self.basis.simplex.gdim, self.gens.ndim - 1
+        D = g ** order
+        e = np.eye(D).reshape(1, D, *([1] * nv), *([g] * order))
+        return self.gens.reshape(len(self.gens), 1, *self.gens.shape[1:],
+                                 *([1] * order)) * e
+
+    def tabulation(self, pts: np.ndarray, order: int) -> np.ndarray:
+        """Scalar tabulation at every entity's points moved by every shift:
+        (E, p, nshifts * N * g ** order), column (s * N + a) * g ** order + d."""
         b = self.basis
         g = b.simplex.gdim
-        # row p * nshifts + s: point p moved by shift s, whose barycentric
+        # row q * nshifts + s: point q moved by shift s, whose barycentric
         # coordinates (affine in x) move by s . grad lambda
-        lam = b.simplex.barycentric(pts)
+        lam = b.simplex.barycentric(pts.reshape(-1, g))
         lam = (lam[:, None] + self.shifts @ b.simplex.bary_grads.T).reshape(-1, lam.shape[1])
         if order == 0:
             tab = b.eval(lam)
         elif order == 1:
-            lo = b.simplex.basis(max(b.degree - 1, 0))
-            E = lo.eval(lam)
-            tab = np.stack([E @ D for D in b.diff_ops], axis=-1)  # (rows, N, g)
+            E1 = b.simplex.basis(max(b.degree - 1, 0)).eval(lam)
+            tab = np.stack([E1 @ D for D in b.diff_ops], axis=-1)  # (rows, N, g)
         else:
             lo = b.simplex.basis(max(b.degree - 1, 0))
-            lo2 = b.simplex.basis(max(b.degree - 2, 0))
-            E = lo2.eval(lam)
+            E2 = b.simplex.basis(max(b.degree - 2, 0)).eval(lam)
             tab = np.empty((len(lam), b.N, g, g))
             for d1 in range(g):
                 for d2 in range(g):
-                    tab[:, :, d1, d2] = E @ (lo.diff_ops[d2] @ b.diff_ops[d1])
-        tab = tab.reshape(len(pts), -1, g ** order)
-        self._tabs[key] = tab
-        return tab
+                    tab[:, :, d1, d2] = E2 @ (lo.diff_ops[d2] @ b.diff_ops[d1])
+        return tab.reshape(*pts.shape[:2], -1)
 
-    def moments(self, integrand, tw):
-        """Moments (nshifts*N*C, m) of integrand(generator) against tests tw.
+    def moments(self, group: DofGroup) -> np.ndarray:
+        """The group's moments of every generator on every entity:
+        (E, nshifts*N*C, group.n).
 
-        tw: (m, p, *ishape), test values times quadrature weights.  The
-        integrand runs once, on a _Probe; then U = F . tw over the value axes
-        and T . U over (point, derivative), T the cached scalar tabulation.
+        Per point set, U = F . tw: the integrand on the probe F against the
+        tests tw of every part read there, over the value axes, a product per
+        entity and point; then T . U over (point, direction), T the scalar
+        tabulation times the weights, a product per entity.
         """
-        C = len(self.gens)
-        probe = _Probe(self.gens, self.basis.simplex.gdim)
-        F = np.asarray(integrand(probe))
-        pts, order = probe.read
-        nin = tw.ndim - 2
-        if F.ndim != 3 + nin or F.shape[:3] != (C, probe.gdim ** order, 1):
-            raise ValueError("a moment integrand must give exactly one point "
-                             "per probe: its coefficients may not depend on position")
-        ax = list(range(2, 2 + nin))
-        U = np.tensordot(F[:, :, 0], tw, axes=(ax, ax))           # (C, D, m, p)
-        T = self._scalar_tabs(pts, order)                         # (p, nshifts*N, D)
-        out = np.tensordot(T, U, axes=([0, 2], [3, 1]))           # (nshifts*N, C, m)
-        return out.reshape(T.shape[1] * C, -1)
+        C, D = len(self.gens), self.basis.simplex.gdim ** group.order
+        probe = self.probe(group.order)
+        E = group.nent
+        outs, b = [], 0
+        for at, (pts, w) in enumerate(group.points):
+            p, Us = pts.shape[1], []
+            while b < len(group.parts) and group.parts[b].at == at:
+                part, b = group.parts[b], b + 1
+                m, ishape = part.tests.shape[1], part.tests.shape[3:]
+                if part.tests.shape[2] != p:
+                    raise ValueError("a part's tests must be read at one point set of its group")
+                F = np.asarray(part.integrand(probe))
+                if F.shape[1:] != (C, D, *ishape) or F.shape[0] not in (1, E):
+                    raise ValueError("a moment integrand must map the probe of one "
+                                     "derivative order to the tests' value shape on each "
+                                     "entity: its coefficients may not depend on position")
+                F = np.swapaxes(F, 1, 2).reshape(len(F), 1, D * C, -1)      # (E|1, 1, DC, I)
+                tw = part.tests.reshape(len(part.tests), m, p, -1).transpose(0, 2, 3, 1)
+                Us.append(F @ tw)                                            # (E|1, p, DC, m)
+            if not Us:
+                continue
+            U = np.concatenate([np.broadcast_to(u, (E, *u.shape[1:])) for u in Us], axis=3) \
+                if len(Us) > 1 else Us[0]
+            T = self.tabulation(pts, group.order) * w[:, :, None]           # (E, p, S*N*D)
+            T = np.swapaxes(T.reshape(E, p, -1, D), 1, 2).reshape(E, -1, p * D)
+            out = T @ U.reshape(len(U), p * D, -1)                           # (E, S*N, C*M)
+            outs.append(out.reshape(E, out.shape[1], C, -1))
+        if b != len(group.parts):
+            raise ValueError("a group lists its parts point set by point set")
+        return np.concatenate(outs, axis=3).reshape(E, -1, group.n)
 
 
-@dataclass
-class DofBlock:
-    entity: tuple          # ("v"|"e"|"f"|"c", local index)
-    n: int
-    fn: object             # callable(GeneratorEval) -> (N*C, n)
-    label: str = ""
-
-
-def functional_matrix(blocks, gen: GeneratorEval) -> np.ndarray:
-    """Every functional of the blocks on every generator: (N*C, ndof)."""
-    return np.concatenate([np.atleast_2d(blk.fn(gen)) for blk in blocks if blk.n],
-                          axis=-1)
+def functional_matrix(groups, gen: GeneratorEval) -> np.ndarray:
+    """Every functional of the groups on every generator: (nshifts*N*C, ndof),
+    in the element's order: the kinds in the order their groups first appear,
+    within a kind entity by entity, and an entity's DOFs group by group."""
+    kinds: dict = {}
+    for group in groups:
+        if group.n:
+            kinds.setdefault(group.kind, []).append(gen.moments(group))
+    cols = []
+    for outs in kinds.values():
+        out = np.concatenate(outs, axis=2)                              # (E, rows, M)
+        cols.append(out.transpose(1, 0, 2).reshape(out.shape[1], -1))
+    return np.concatenate(cols, axis=1)
 
 
 @dataclass
@@ -153,20 +181,18 @@ class Element:
     simplex: object
     basis: BernsteinBasis
     comp_gens: np.ndarray
-    blocks: list
+    groups: list
     tags: list = dc_field(default_factory=list)
     V: np.ndarray | None = None
     Vinv: np.ndarray | None = None
 
     def finalize(self):
-        self.tags = []
-        counters: dict = {}
-        for blk in self.blocks:
-            base = counters.get(blk.entity, 0)
-            for j in range(blk.n):
-                self.tags.append((*blk.entity, base + j))
-            counters[blk.entity] = base + blk.n
-        V = functional_matrix(self.blocks, GeneratorEval(self.basis, self.comp_gens)).T
+        per_kind: dict = {}                     # kind -> [DOFs per entity, entities]
+        for group in self.groups:
+            per_kind.setdefault(group.kind, [0, group.nent])[0] += group.n
+        self.tags = [(kind, e, j) for kind, (n, nent) in per_kind.items()
+                     for e in range(nent) for j in range(n)]
+        V = functional_matrix(self.groups, GeneratorEval(self.basis, self.comp_gens)).T
         if V.shape[0] != V.shape[1]:
             raise ValueError(
                 f"{self.family}: {V.shape[0]} DOFs for a {V.shape[1]}-dim shape space")
@@ -200,14 +226,14 @@ class Element:
         """
         C = math.prod(field.vshape)
         units = np.eye(C).reshape(C, *field.vshape)
-        F = functional_matrix(self.blocks, GeneratorEval(field.basis, units, shifts))
+        F = functional_matrix(self.groups, GeneratorEval(field.basis, units, shifts))
         F = F.reshape(-1, field.basis.N * C, F.shape[-1])      # (nshifts, N*C, ndof)
         out = np.tensordot(field.coeffs.reshape(*field.batch, -1), F, axes=(-1, 1))
         return out if shifts is not None else out[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
-# generic block builders
+# generic group builders
 # ---------------------------------------------------------------------------
 
 def bubble_space(elem: Element) -> np.ndarray:
@@ -216,52 +242,52 @@ def bubble_space(elem: Element) -> np.ndarray:
     return nullspace(elem.V[~elem.interior])
 
 
-def point_blocks(entity, pt, dual, order: int) -> list[DofBlock]:
-    """Value and derivatives of orders 1..order at the point pt, one block each.
+def vertex_groups(vertices, dual, order: int) -> list[DofGroup]:
+    """Value and derivatives of orders 1..order at every vertex, one group
+    per order.
 
-    A point functional is the moment against the Dirac at pt: one point,
-    weight 1.  Block o holds the o-th derivative in each direction
+    A point functional is the moment against the Dirac at the vertex: one
+    point, weight 1.  Group o holds the o-th derivative in each direction
     a_1 <= ... <= a_o (the upper-triangular pairs for o = 2) in range
-    coordinates, component-major.  The tests are unit value tensors times
-    unit direction tensors, so each moment is one product of the tabulation
-    with a generator entry, exactly the derivative; dual (pinv of the
-    flattened generators) then maps the values to range coordinates.  (Dual
-    columns as tests would multiply the tabulation by generators . dual,
-    which is the identity only to 4e-16, and move the Vandermondes.)
+    coordinates, component-major: the test of range coordinate j and
+    direction a is dual[:, j] (x) e_a, dual the pinv of the flattened
+    generators.
     """
-    pts = np.atleast_2d(np.asarray(pt, dtype=float))
-    g = pts.shape[1]
-    nv = dual.shape[0]
-    blocks = []
-    for o, read in enumerate(("values", "grads", "hessians")[: order + 1]):
+    pts = np.asarray(vertices, dtype=float)[:, None, :]
+    nv, g = dual.shape[0], pts.shape[2]
+    points = [(pts, np.ones(pts.shape[:2]))]
+    groups = []
+    for o in range(order + 1):
         dirs = [sum(a * g ** (o - 1 - i) for i, a in enumerate(t))
                 for t in itertools.combinations_with_replacement(range(g), o)]
-        # test (v, d): the unit tensor e_v (x) e_d, flattened like the integrand
-        rows = [v * g ** o + d for v in range(nv) for d in dirs]
-
-        def integrand(ev, read=read):
-            F = getattr(ev, read)(pts)
-            return F.reshape(*F.shape[:3], -1)
-
-        def fn(ev, integrand=integrand, rows=rows, nd=len(dirs), size=nv * g ** o):
-            # built per call, so that an element does not keep them per vertex
-            tests = np.eye(size)[rows][:, None]             # (nv * nd, 1, size)
-            vals = ev.moments(integrand, tests).reshape(-1, nv, nd)
-            out = np.stack([vals[:, :, i] @ dual for i in range(nd)], axis=-1)
-            return out.reshape(len(out), -1)
-
-        blocks.append(DofBlock(entity, dual.shape[1] * len(dirs), fn, read))
-    return blocks
+        tests = np.zeros((dual.shape[1], len(dirs), nv, g ** o))
+        for i, d in enumerate(dirs):
+            tests[:, i, :, d] = dual.T
+        groups.append(DofGroup("v", o, points, [Part(
+            lambda X: X.reshape(1, *X.shape[:2], -1),
+            tests.reshape(1, -1, 1, nv * g ** o))]))
+    return groups
 
 
-def moment_block(entity, integrand, tests, weights, label=""):
-    """Moments of a pointwise integrand against stored test fields.
+def bernstein_tests(q, deg: int, corners: bool = True) -> np.ndarray:
+    """Bernstein tabulation of degree deg at a quadrature rule's points,
+    (1, m, p); without corners, the members that vanish at every vertex
+    (P_{deg,0}).  It is a function of the barycentric points alone, so one
+    array serves every entity of the rule's dimension."""
+    if deg < 0:
+        return np.zeros((1, 0, len(q.weights)))
+    d = q.cell_dim
+    basis = Simplex(np.vstack([np.zeros(d), np.eye(d)])).basis(deg)
+    tab = basis.eval(q.bary).T
+    if not corners:
+        tab = np.delete(tab, basis.corner_indices(), axis=0)
+    return tab[None]
 
-    tests: (m, p, ...) values; weights folded in at each evaluation, so that
-    the cells of a translation class hold one copy of the tests between them.
-    The integrand must be linear with constant coefficients and read one
-    derivative order at one point set (see GeneratorEval.moments).
-    """
-    w = weights.reshape((1, -1) + (1,) * (tests.ndim - 2))
-    return DofBlock(entity, tests.shape[0], lambda ev: ev.moments(integrand, tests * w),
-                    label)
+
+def componentwise(tests: np.ndarray, ncomp: int) -> np.ndarray:
+    """Scalar tests (..., m, p) as tests of each of ncomp value components in
+    turn, (..., ncomp * m, p, ncomp): component-major."""
+    out = np.zeros((*tests.shape[:-2], ncomp, tests.shape[-2], tests.shape[-1], ncomp))
+    for c in range(ncomp):
+        out[..., c, :, :, c] = tests
+    return out.reshape(*tests.shape[:-2], -1, tests.shape[-1], ncomp)

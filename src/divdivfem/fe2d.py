@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import poly
-from .dofcommon import DofBlock, Element, bubble_space, moment_block, point_blocks
+from .dofcommon import (DofGroup, Element, Part, bernstein_tests, bubble_space,
+                        componentwise, vertex_groups)
 from .fields import PolyField, Simplex
 from .linalg import svd_rank
 from .quadrature import rule
@@ -29,31 +30,18 @@ _SHAPE = {
 LOCAL_EDGES_2D = ((0, 1), (0, 2), (1, 2))
 
 
-def _edge_tests(tri: Simplex, edge, deg: int, qdeg: int):
-    """Physical rule on the edge plus Bernstein test tabulations of degree deg."""
-    seg = tri.facet(edge)
-    q = rule("edge", qdeg)
-    pts, w = q.on(seg)
-    if deg < 0:
-        tests = np.zeros((0, len(w)))
-    else:
-        tests = seg.basis(deg).eval(q.bary).T
-    return seg, pts, w, tests
+def _edge_frames_2d(tri: Simplex):
+    """Unit tangents t (along each of LOCAL_EDGES_2D) and normals
+    n = (t_y, -t_x) of the three edges, stacked: (3, 2) each."""
+    verts = tri.vertices[np.array(LOCAL_EDGES_2D)]
+    d = verts[:, 1] - verts[:, 0]
+    t = d / np.linalg.norm(d, axis=1)[:, None]
+    return t, np.stack([t[:, 1], -t[:, 0]], axis=1)
 
 
-def _edge_frame_2d(tri: Simplex, edge):
-    v0, v1 = tri.vertices[edge[0]], tri.vertices[edge[1]]
-    t = v1 - v0
-    t = t / np.linalg.norm(t)
-    n = np.array([t[1], -t[0]])
-    return t, n
-
-
-def _vertex_vanishing_values(tri: Simplex, deg: int, bary):
-    """Values of the corner-stripped Bernstein basis of P_{deg,0}: (m, p)."""
-    basis = tri.basis(deg)
-    keep = [i for i in range(basis.N) if i not in set(basis.corner_indices())]
-    return basis.eval(bary)[:, keep].T
+def _rot(X):
+    """Row-wise rot_f of gradient values X[..., i, d] = d_d X_i."""
+    return X[..., 1, 0] - X[..., 0, 1]
 
 
 def element_2d(family: str, k: int, simplex: Simplex | None = None) -> Element:
@@ -66,85 +54,51 @@ def element_2d(family: str, k: int, simplex: Simplex | None = None) -> Element:
     basis = tri.basis(k + off)
     gens = poly.RANGE_GENERATORS[rng]
     qdeg = 2 * k + 6
-    blocks: list[DofBlock] = []
-    for v in range(3):
-        blocks += point_blocks(("v", v), tri.vertices[v], poly.range_dual(rng), vorder)
+    groups = vertex_groups(tri.vertices, poly.range_dual(rng), vorder)
 
-    for ei, edge in enumerate(LOCAL_EDGES_2D):
-        t, n = _edge_frame_2d(tri, edge)
-        if family == "h1_scalar":
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 4, qdeg)
-            blocks.append(moment_block(("e", ei), lambda ev, P=pts: ev.values(P),
-                                       tests, w, "edge value"))
-        elif family == "hrot_vec":
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 3, qdeg)
-            blocks.append(moment_block(
-                ("e", ei),
-                lambda ev, P=pts, T=t: np.einsum("...pi,i->...p", ev.values(P), T),
-                tests, w, "tangential"))
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 2, qdeg)
-            blocks.append(moment_block(
-                ("e", ei),
-                lambda ev, P=pts: (lambda G: G[..., 1, 0] - G[..., 0, 1])(ev.grads(P)),
-                tests, w, "rot_f"))
-        elif family == "l2_lagrange":
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 2, qdeg)
-            blocks.append(moment_block(("e", ei), lambda ev, P=pts: ev.values(P),
-                                       tests, w, "edge value"))
-        elif family == "h1_vec":
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 4, qdeg)
-            for c in range(2):
-                blocks.append(moment_block(
-                    ("e", ei), lambda ev, P=pts, C=c: ev.values(P)[..., C],
-                    tests, w, f"component {c}"))
-        else:  # hrotrot_s2
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 3, qdeg)
-            blocks.append(moment_block(
-                ("e", ei),
-                lambda ev, P=pts, T=t: np.einsum("...pij,i,j->...p", ev.values(P), T, T),
-                tests, w, "t.tau.t"))
-            seg, pts, w, tests = _edge_tests(tri, edge, k - 2, qdeg)
+    # the three edges, stacked: points, weights and frames (t, n)
+    q = rule("edge", qdeg)
+    verts = tri.vertices[np.array(LOCAL_EDGES_2D)]                 # (3, 2, 2)
+    length = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+    edge = [(q.bary @ verts, q.weights * length[:, None])]
+    t, n = _edge_frames_2d(tri)
+    value = lambda X: X[None]
+    if family in ("h1_scalar", "l2_lagrange"):
+        deg = k - 4 if family == "h1_scalar" else k - 2
+        groups.append(DofGroup("e", 0, edge, [Part(value, bernstein_tests(q, deg))]))
+    elif family == "hrot_vec":
+        groups.append(DofGroup("e", 0, edge, [Part(
+            lambda X: np.einsum("...i,ei->e...", X, t), bernstein_tests(q, k - 3))]))
+        groups.append(DofGroup("e", 1, edge, [Part(
+            lambda X: _rot(X)[None], bernstein_tests(q, k - 2))]))
+    elif family == "h1_vec":
+        groups.append(DofGroup("e", 0, edge, [Part(
+            value, componentwise(bernstein_tests(q, k - 4), 2))]))
+    else:  # hrotrot_s2
+        groups.append(DofGroup("e", 0, edge, [Part(
+            lambda X: np.einsum("...ij,ei,ej->e...", X, t, t), bernstein_tests(q, k - 3))]))
 
-            def combo(ev, P=pts, T=t, N=n):
-                G = ev.grads(P)  # (..., p, 2, 2, 2)
-                dt = np.einsum("...pijd,d->...pij", G, T)
-                rot = G[..., 1, 0] - G[..., 0, 1]  # (..., p, 2) row-wise rot_f
-                return (-np.einsum("...pij,i,j->...p", dt, N, T)
-                        + np.einsum("...pi,i->...p", rot, T))
+        def combo(X):
+            dt = np.einsum("...ijd,ed->e...ij", X, t)
+            return (-np.einsum("e...ij,ei,ej->e...", dt, n, t)
+                    + np.einsum("...i,ei->e...", _rot(X), t))
 
-            blocks.append(moment_block(("e", ei), combo, tests, w, "rot-derivative"))
+        groups.append(DofGroup("e", 1, edge, [Part(combo, bernstein_tests(q, k - 2))]))
 
     q = rule("triangle", qdeg)
     cpts, cw = q.on(tri)
     if family == "h1_scalar":
-        tests = _vertex_vanishing_values(tri, k - 1, tri.barycentric(cpts))
-        blocks.append(moment_block(("c", 0), lambda ev, P=cpts: ev.values(P),
-                                   tests, cw, "interior"))
+        tests = bernstein_tests(q, k - 1, corners=False)
     elif family == "l2_lagrange":
-        tb = tri.basis(k - 3)
-        tests = tb.eval(tri.barycentric(cpts)).T
-        blocks.append(moment_block(("c", 0), lambda ev, P=cpts: ev.values(P),
-                                   tests, cw, "interior"))
+        tests = bernstein_tests(q, k - 3)
     elif family == "h1_vec":
-        tests_s = _vertex_vanishing_values(tri, k - 1, tri.barycentric(cpts))
-        zero = np.zeros_like(tests_s)
-        tests = np.concatenate([
-            np.stack([tests_s, zero], axis=-1),
-            np.stack([zero, tests_s], axis=-1)], axis=0)
-        blocks.append(moment_block(("c", 0), lambda ev, P=cpts: ev.values(P),
-                                   tests, cw, "interior"))
+        tests = componentwise(bernstein_tests(q, k - 1, corners=False), 2)
     elif family == "hrot_vec":
-        space = interior_test_space_hrot(tri, k)
-        tests = space.fields().eval(cpts)
-        blocks.append(moment_block(("c", 0), lambda ev, P=cpts: ev.values(P),
-                                   tests, cw, "interior"))
+        tests = interior_test_space_hrot(tri, k).fields().eval(cpts)[None]
     else:  # hrotrot_s2
-        space = interior_test_space_hrotrot(tri, k)
-        tests = space.fields().eval(cpts)
-        blocks.append(moment_block(("c", 0), lambda ev, P=cpts: ev.values(P),
-                                   tests, cw, "interior"))
-
-    return Element(family, k, tri, basis, gens, blocks).finalize()
+        tests = interior_test_space_hrotrot(tri, k).fields().eval(cpts)[None]
+    groups.append(DofGroup("c", 0, [(cpts[None], cw[None])], [Part(value, tests)]))
+    return Element(family, k, tri, basis, gens, groups).finalize()
 
 
 def interior_test_space_hrot(tri: Simplex, k: int) -> poly.PolySpace:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import fe2d, poly
 from . import tensor_calc as tc
-from .dofcommon import (DofBlock, Element, GeneratorEval, bubble_space,
-                        curl_from_grads, functional_matrix, moment_block,
-                        point_blocks)
+from .dofcommon import (DofGroup, Element, GeneratorEval, Part, bernstein_tests,
+                        bubble_space, componentwise, curl_from_grads, functional_matrix,
+                        vertex_groups)
 from .fields import PolyField, Simplex
 from .linalg import rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
@@ -37,104 +37,26 @@ _SHAPE = {
 }
 
 
-class EdgeData:
-    def __init__(self, mesh: TetMesh, eid: int, qdeg: int):
-        self.frame = mesh.edge_frames[eid]
-        ids = mesh.edges[eid]  # ascending global ids by construction
-        self.seg = Simplex(mesh.vertices[ids])
-        q = rule("edge", qdeg)
-        self.rule = q
-        self.pts, self.w = q.on(self.seg)
-        self._tests: dict[int, np.ndarray] = {}
-
-    def tests(self, deg: int) -> np.ndarray:
-        if deg not in self._tests:
-            if deg < 0:
-                self._tests[deg] = np.zeros((0, len(self.w)))
-            else:
-                self._tests[deg] = self.seg.basis(deg).eval(self.rule.bary).T
-        return self._tests[deg]
-
-
 def shape_key(vertices: np.ndarray) -> bytes:
     """The exact bytes of the vertex differences from the first vertex: equal
     on entities that are translates of each other."""
     return (vertices[1:] - vertices[0]).tobytes()
 
 
-class FaceData:
-    """A face's frame, quadrature and test arrays.  The tests are functions
-    of the face's shape alone (the position enters relative to the origin,
-    the lowest-id vertex), so faces of one shape share the dict tests."""
-
-    def __init__(self, mesh: TetMesh, fid: int, qdeg: int, tests: dict):
-        self.frame = mesh.face_frames[fid]
-        ids = mesh.faces[fid]  # ascending
-        self.tri3 = Simplex(mesh.vertices[ids])
-        q = rule("triangle", qdeg)
-        self.rule = q
-        self.pts, self.w = q.on(self.tri3)
-        self.origin = self.tri3.vertices[0]
-        self.TT = np.stack([self.frame.t1, self.frame.t2])      # (2, 3)
-        self._tests = tests
-
-    def scalar_tests(self, deg: int) -> np.ndarray:
-        key = ("scalar", deg)
-        if key not in self._tests:
-            if deg < 0:
-                self._tests[key] = np.zeros((0, len(self.w)))
-            else:
-                self._tests[key] = self.tri3.basis(deg).eval(self.rule.bary).T
-        return self._tests[key]
-
-    def vertex_vanishing_tests(self, deg: int) -> np.ndarray:
-        key = ("p0", deg)
-        if key not in self._tests:
-            basis = self.tri3.basis(deg)
-            keep = [i for i in range(basis.N) if i not in set(basis.corner_indices())]
-            self._tests[key] = basis.eval(self.rule.bary)[:, keep].T
-        return self._tests[key]
-
-    def _plane(self):
-        """The face and its points in the in-plane coordinates (t1, t2) of
-        the frame, relative to the origin."""
-        tri2 = Simplex((self.tri3.vertices - self.origin) @ self.TT.T)
-        return tri2, (self.pts - self.origin) @ self.TT.T
-
-    def tangential_vec_tests(self, k: int) -> np.ndarray:
-        key = ("tanvec", k)
-        if key not in self._tests:
-            tri2, pts2 = self._plane()
-            v2 = fe2d.interior_test_space_hrot(tri2, k).fields().eval(pts2)  # (m, p, 2)
-            self._tests[key] = np.einsum("mpk,kd->mpd", v2, self.TT)
-        return self._tests[key]
-
-    def tangential_s2_tests(self, k: int) -> np.ndarray:
-        key = ("tans2", k)
-        if key not in self._tests:
-            tri2, pts2 = self._plane()
-            s2 = fe2d.interior_test_space_hrotrot(tri2, k).fields().eval(pts2)  # (m, p, 2, 2)
-            self._tests[key] = np.einsum("mpab,ax,by->mpxy", s2, self.TT, self.TT)
-        return self._tests[key]
-
-    def rotated_position_tests(self, deg: int) -> np.ndarray:
-        """q_m (n x x) for q in P_deg(f), x relative to the origin: the
-        fixed-face interior tests."""
-        key = ("nxx", deg)
-        if key not in self._tests:
-            q = self.scalar_tests(deg)                            # (m, p)
-            nxx = np.cross(self.frame.n[None, :], self.pts - self.origin)  # (p, 3)
-            self._tests[key] = q[:, :, None] * nxx[None, :, :]
-        return self._tests[key]
-
-
 class EntityCache:
-    """Shared per-mesh entity data so all incident cells see identical DOFs,
-    and the translation classes of the cells.
+    """Test arrays shared between the elements of one mesh, and the
+    translation classes of the cells.
 
-    Face test arrays are shared by face shape (shape_key in ascending-id
-    order, which also fixes the frame); cell test arrays by cell class.  A
-    cell's class key is the order of its global ids and the shape keys of
+    Every key is exact bytes or an integer, with no tolerance:
+      * edge tests, and the scalar face tests, are Bernstein tabulations at
+        the rule's barycentric points, one array per degree for every entity;
+      * the in-plane face test spaces are functions of the face's triangle in
+        the in-plane coordinates (t1, t2) of its frame, relative to its
+        origin (the lowest-id vertex): they are keyed by that triangle's
+        bytes and mapped with each face's own frame;
+      * sym(x cross P_{k-2}(K; T)) is built once per cell class, for both
+        H(symcurl) and H(divdiv).
+    A cell's class key is the order of its global ids and the shape keys of
     the cell, its edges and its faces (from which their frames are
     computed): cells with one key have the same Vandermonde.  Keys are
     exact, so translates whose differences round differently fall into
@@ -145,9 +67,7 @@ class EntityCache:
         self.mesh = mesh
         self.k = k
         self.qdeg = 2 * k + 6
-        self._edges: dict[int, EdgeData] = {}
-        self._faces: dict[int, FaceData] = {}
-        self._tests: dict = {}          # (kind, shape or class key) -> {name: tests}
+        self._tests: dict = {}
         index: dict = {}                 # class key -> class number, in cell order
         self.cell_class = np.array([index.setdefault(self._cell_key(ci), len(index))
                                     for ci in range(mesh.num_cells)])
@@ -158,192 +78,193 @@ class EntityCache:
         ents = [np.sort(gids), *m.edges[m.cell_edges[ci]], *m.faces[m.cell_faces[ci]]]
         return (np.argsort(gids).tobytes(), *(shape_key(m.vertices[e]) for e in ents))
 
-    def edge(self, eid: int) -> EdgeData:
-        if eid not in self._edges:
-            self._edges[eid] = EdgeData(self.mesh, eid, self.qdeg)
-        return self._edges[eid]
+    def tests(self, key, make):
+        """The shared array (or space) of key, made by make() once."""
+        if key not in self._tests:
+            self._tests[key] = make()
+        return self._tests[key]
 
-    def face(self, fid: int) -> FaceData:
-        if fid not in self._faces:
-            key = ("f", shape_key(self.mesh.vertices[self.mesh.faces[fid]]))
-            self._faces[fid] = FaceData(self.mesh, fid, self.qdeg,
-                                        self._tests.setdefault(key, {}))
-        return self._faces[fid]
+    def edge_tests(self, deg: int) -> np.ndarray:
+        return self.tests(("edge", deg), lambda: bernstein_tests(rule("edge", self.qdeg), deg))
 
-    def cell_tests(self, ci: int, name: str, make) -> np.ndarray:
-        """The cell-interior tests name of cell ci, made by make() once per class."""
-        tests = self._tests.setdefault(("c", int(self.cell_class[ci])), {})
-        if name not in tests:
-            tests[name] = make()
-        return tests[name]
+    def face_tests(self, deg: int, corners: bool = True) -> np.ndarray:
+        return self.tests(("face", deg, corners),
+                          lambda: bernstein_tests(rule("triangle", self.qdeg), deg, corners))
+
+
+class CellEdges:
+    """One cell's six edges in local order, stacked on the entity axis: the
+    group point set [(points, weights)] and the frames."""
+
+    def __init__(self, mesh: TetMesh, ci: int, qdeg: int):
+        eids = mesh.cell_edges[ci]
+        verts = mesh.vertices[mesh.edges[eids]]            # ascending global ids
+        q = rule("edge", qdeg)
+        length = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+        self.points = [(q.bary @ verts, q.weights * length[:, None])]
+        self.frame = mesh.edge_frames[eids]
+
+
+class CellFaces:
+    """One cell's four faces in local order, stacked on the entity axis: the
+    group point set [(points, weights)], the frames, and the vertices
+    relative to each face's origin, its lowest-id vertex."""
+
+    def __init__(self, mesh: TetMesh, ci: int, cache: EntityCache):
+        fids = mesh.cell_faces[ci]
+        verts = mesh.vertices[mesh.faces[fids]]            # ascending global ids
+        self.rel = verts - verts[:, :1]
+        self.rule = q = rule("triangle", cache.qdeg)
+        area2 = np.linalg.norm(np.cross(self.rel[:, 1], self.rel[:, 2]), axis=1)
+        self.points = [(q.bary @ verts, q.weights * area2[:, None])]
+        self.frame = mesh.face_frames[fids]
+        self.TT = np.stack([self.frame.t1, self.frame.t2], axis=1)   # (4, 2, 3)
+        self.cache = cache
+
+    def in_plane(self, name: str, space) -> np.ndarray:
+        """The 2-D tests space(tri2, k) of every face at its points, (4, m, p, *vshape):
+        tri2 is the face in in-plane coordinates relative to its origin, and
+        faces with bitwise equal tri2 share one array."""
+        tri2 = self.rel @ self.TT.transpose(0, 2, 1)                 # (4, 3, 2)
+        k, q = self.cache.k, self.rule
+        return np.stack([self.cache.tests(
+            (name, t.tobytes()), lambda t=t: space(Simplex(t), k).fields().eval(q.bary @ t))
+            for t in tri2])
+
+    def tangential_vec_tests(self) -> np.ndarray:
+        v2 = self.in_plane("tanvec", fe2d.interior_test_space_hrot)
+        return v2 @ self.TT[:, None]                                  # v2 . (t1, t2)
+
+    def tangential_s2_tests(self) -> np.ndarray:
+        s2 = self.in_plane("tans2", fe2d.interior_test_space_hrotrot)
+        TT = self.TT[:, None, None]
+        return np.swapaxes(TT, -1, -2) @ s2 @ TT                      # (t1, t2)^T s2 (t1, t2)
+
+    def rotated_position_tests(self, lf: int, deg: int) -> np.ndarray:
+        """q_m (n x x) for q in P_deg(f) on local face lf, x relative to its
+        origin: the fixed-face interior tests, (1, m, p, 3)."""
+        nxx = np.cross(self.frame.n[lf], self.rule.bary @ self.rel[lf])   # (p, 3)
+        return self.cache.face_tests(deg)[..., None] * nxx
 
 
 # ---------------------------------------------------------------------------
-# pointwise integrands
+# pointwise integrands on the probe (C, D, *vshape, [3]*order)
 # ---------------------------------------------------------------------------
 
-def _symcurl_vals(ev, pts):
-    C = curl_from_grads(ev.grads(pts))
+def _value(X):
+    return X[None]
+
+
+def _symcurl_vals(X):
+    C = curl_from_grads(X)
     return 0.5 * (C + np.swapaxes(C, -1, -2))
 
 
-def _edge_blocks_symcurl(entity, ed: EdgeData, k: int, frame) -> list[DofBlock]:
-    """(7b) and (7c) functionals for one edge, frame passed explicitly."""
+def _pairs(A, B):
+    """Integrand a_e^T X b_e for the frame-vector pairs (A[:, s], B[:, s]) of
+    each entity e, stacked last: (E, ..., S)."""
+    return lambda X: np.einsum("...ij,esi,esj->e...s", X, A, B)
+
+
+def _normal_pairs(frame):
+    """_pairs of the edge normals (n1, n1), (n1, n2) and (n2, n2)."""
+    return _pairs(np.stack([frame.n1, frame.n1, frame.n2], axis=1),
+                  np.stack([frame.n1, frame.n2, frame.n2], axis=1))
+
+
+def _edge_groups_symcurl(points, frame, k: int, cache: EntityCache) -> list[DofGroup]:
+    """(7b) and (7c) functionals of stacked edges: point set and frames."""
     t, n1, n2 = frame.t, frame.n1, frame.n2
-    pts = ed.pts
-    blocks = []
-    tests_b = ed.tests(k - 3)
-    for ni, lab in ((n1, "n1.tau.t"), (n2, "n2.tau.t")):
-        blocks.append(moment_block(
-            entity,
-            lambda ev, P=pts, N=ni: np.einsum("...pij,i,j->...p", ev.values(P), N, t),
-            tests_b, ed.w, lab))
-    tests_c = ed.tests(k - 2)
-    for (na, nb), lab in (((n1, n1), "scc11"), ((n1, n2), "scc12"), ((n2, n2), "scc22")):
-        blocks.append(moment_block(
-            entity,
-            lambda ev, P=pts, A=na, B=nb: np.einsum(
-                "...pij,i,j->...p", _symcurl_vals(ev, P), A, B),
-            tests_c, ed.w, lab))
+    tests_b, tests_c = cache.edge_tests(k - 3), cache.edge_tests(k - 2)
+    tt = np.stack([t, t], axis=1)
+    sym_pairs = _normal_pairs(frame)
 
-    def curl_combo(ev, P=pts):
-        G = ev.grads(P)
-        C = curl_from_grads(G)
-        dt = np.einsum("...pijd,d->...pij", G, t)
-        return (np.einsum("...pij,i,j->...p", C, n1, n2)
-                - np.einsum("...pij,i,j->...p", dt, t, t))
+    def curl_combo(X):
+        dt = np.einsum("...ijd,ed->e...ij", X, t)
+        return (np.einsum("...ij,ei,ej->e...", curl_from_grads(X), n1, n2)
+                - np.einsum("e...ij,ei,ej->e...", dt, t, t))
 
-    blocks.append(moment_block(entity, curl_combo, tests_c, ed.w, "curl-tt"))
-    return blocks
+    return [DofGroup("e", 0, points, [
+                Part(_pairs(np.stack([n1, n2], axis=1), tt), componentwise(tests_b, 2))]),
+            DofGroup("e", 1, points, [
+                Part(lambda X: sym_pairs(_symcurl_vals(X)), componentwise(tests_c, 3)),
+                Part(curl_combo, tests_c)])]
 
 
-def _build_blocks(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache):
+def _build_groups(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache):
     cell = mesh.cell_simplices[ci]
     gids = mesh.cells[ci]
     _, rng, vorder = _SHAPE[family]
-    blocks: list[DofBlock] = []
-    for v in range(4):
-        blocks += point_blocks(("v", v), cell.vertices[v], poly.range_dual(rng), vorder)
+    groups = vertex_groups(cell.vertices, poly.range_dual(rng), vorder)
 
     q = rule("tet", cache.qdeg)
     cpts, cw = q.on(cell)
+    inside = [(cpts[None], cw[None])]
     # the position-dependent interior tests live on the cell translated so
     # that its lowest-id vertex is the origin, read at the translated points
     origin = cell.vertices[np.argmin(gids)]
+    rel = Simplex(cell.vertices - origin)
+    at_cell = lambda space: space.fields().eval(cpts - origin)[None]
+    symx = lambda: cache.tests(("symx", int(cache.cell_class[ci])),
+                               lambda: poly.sym_position_cross_image(rel, k - 2))
+    f1 = int(np.argmin(gids))             # the fixed face, opposite the lowest id
 
-    def interior_tests(name, make):
-        return cache.cell_tests(
-            ci, f"{family} {name}",
-            lambda: make(Simplex(cell.vertices - origin)).fields().eval(cpts - origin))
-
+    if family in ("hsymcurl_T", "hdivdiv_S"):
+        edges, faces = CellEdges(mesh, ci, cache.qdeg), CellFaces(mesh, ci, cache)
+        n = faces.frame.n
+        # the fixed face's points after the cell's, for the fixed-face moments
+        fixed = inside + [tuple(a[f1:f1 + 1] for a in faces.points[0])]
+        nxx = faces.rotated_position_tests(f1, k - 2)
     if family == "hsymcurl_T":
-        for le in range(6):
-            ed = cache.edge(mesh.cell_edges[ci][le])
-            blocks += _edge_blocks_symcurl(("e", le), ed, k, ed.frame)
-        for lf in range(4):
-            fd = cache.face(mesh.cell_faces[ci][lf])
-            n = fd.frame.n
-            tans = fd.tangential_vec_tests(k)
-            blocks.append(moment_block(
-                ("f", lf),
-                lambda ev, P=fd.pts, N=n: np.einsum("...pij,i->...pj", ev.values(P), N),
-                tans, fd.w, "face tangential"))
-            s2 = fd.tangential_s2_tests(k)
-            M = -tc.mspn(n)  # tau x n = -mspn(n) tau, column-wise cross
-
-            def taun(ev, P=fd.pts, MM=M):
-                return np.einsum("ki,...pij->...pkj", MM, ev.values(P))
-
-            blocks.append(moment_block(("f", lf), taun, s2, fd.w, "face sym-cross"))
+        groups += _edge_groups_symcurl(edges.points, edges.frame, k, cache)
+        groups.append(DofGroup("f", 0, faces.points, [
+            Part(lambda X: np.einsum("...ij,ei->e...j", X, n), faces.tangential_vec_tests()),
+            # tau x n = -mspn(n) tau, column-wise cross
+            Part(lambda X: np.einsum("eki,...ij->e...kj", -tc.mspn(n), X),
+                 faces.tangential_s2_tests())]))
         # interior: symcurl against sym(x cross T), fixed-face moments, dev(v x^T)
-        symx = interior_tests("symx", lambda rel: poly.sym_position_cross_image(rel, k - 2))
-        blocks.append(moment_block(
-            ("c", 0), lambda ev, P=cpts: _symcurl_vals(ev, P), symx, cw, "symcurl moments"))
-        f1_local = int(np.argmin(gids))
-        fd1 = cache.face(mesh.cell_faces[ci][f1_local])
-        nxx = fd1.rotated_position_tests(k - 2)
-
-        def scn(ev, P=fd1.pts, N=fd1.frame.n):
-            return np.einsum("...pij,j->...pi", _symcurl_vals(ev, P), N)
-
-        blocks.append(moment_block(("c", 0), scn, nxx, fd1.w, "fixed-face symcurl"))
-        devx = interior_tests("devx", lambda rel: poly.dev_outer_position_image(rel, k - 2))
-        blocks.append(moment_block(
-            ("c", 0), lambda ev, P=cpts: ev.values(P), devx, cw, "dev moments"))
+        groups.append(DofGroup("c", 1, fixed, [
+            Part(lambda X: _symcurl_vals(X)[None], at_cell(symx())),
+            Part(lambda X: np.einsum("...ij,j->...i", _symcurl_vals(X), n[f1])[None],
+                 nxx, at=1)]))
+        groups.append(DofGroup("c", 0, inside, [
+            Part(_value, at_cell(poly.dev_outer_position_image(rel, k - 2)))]))
 
     elif family == "hdivdiv_S":
-        for le in range(6):
-            ed = cache.edge(mesh.cell_edges[ci][le])
-            n1, n2 = ed.frame.n1, ed.frame.n2
-            tests = ed.tests(k - 2)
-            for (na, nb), lab in (((n1, n1), "nn11"), ((n1, n2), "nn12"), ((n2, n2), "nn22")):
-                blocks.append(moment_block(
-                    ("e", le),
-                    lambda ev, P=ed.pts, A=na, B=nb: np.einsum(
-                        "...pij,i,j->...p", ev.values(P), A, B),
-                    tests, ed.w, lab))
-        for lf in range(4):
-            fd = cache.face(mesh.cell_faces[ci][lf])
-            n = fd.frame.n
-            blocks.append(moment_block(
-                ("f", lf),
-                lambda ev, P=fd.pts, N=n: np.einsum("...pij,i,j->...p", ev.values(P), N, N),
-                fd.scalar_tests(k - 3), fd.w, "normal-normal"))
+        groups.append(DofGroup("e", 0, edges.points, [
+            Part(_normal_pairs(edges.frame), componentwise(cache.edge_tests(k - 2), 3))]))
 
-            def deriv_combo(ev, P=fd.pts, N=n):
-                G = ev.grads(P)                                  # (..., p, 3, 3, d)
-                gradw = np.einsum("...pijd,j->...pid", G, N)     # rows of grad(tau n)
-                divw = np.einsum("...pii->...p", gradw)
-                nGn = np.einsum("...pid,i,d->...p", gradw, N, N)
-                dn_nn = np.einsum("...pijd,i,j,d->...p", G, N, N, N)
-                return 2.0 * (divw - nGn) + dn_nn
+        def deriv_combo(X):
+            gradw = np.einsum("...ijd,ej->e...id", X, n)         # rows of grad(tau n)
+            divw = np.einsum("e...ii->e...", gradw)
+            nGn = np.einsum("e...id,ei,ed->e...", gradw, n, n)
+            dn_nn = np.einsum("...ijd,ei,ej,ed->e...", X, n, n, n)
+            return 2.0 * (divw - nGn) + dn_nn
 
-            blocks.append(moment_block(
-                ("f", lf), deriv_combo, fd.scalar_tests(k - 1), fd.w, "divf-dn"))
-        tests = interior_tests("union", lambda rel: poly.union_fields(
-            [poly.hess_image(rel, k - 2).fields(),
-             poly.sym_position_cross_image(rel, k - 2).fields()], "S"))
-        blocks.append(moment_block(
-            ("c", 0), lambda ev, P=cpts: ev.values(P), tests, cw, "interior moments"))
-        f1_local = int(np.argmin(gids))
-        fd1 = cache.face(mesh.cell_faces[ci][f1_local])
-        nxx = fd1.rotated_position_tests(k - 2)
-
-        def taun1(ev, P=fd1.pts, N=fd1.frame.n):
-            return np.einsum("...pij,j->...pi", ev.values(P), N)
-
-        blocks.append(moment_block(("c", 0), taun1, nxx, fd1.w, "fixed-face normal"))
+        groups.append(DofGroup("f", 0, faces.points, [Part(
+            lambda X: np.einsum("...ij,ei,ej->e...", X, n, n), cache.face_tests(k - 3))]))
+        groups.append(DofGroup("f", 1, faces.points, [
+            Part(deriv_combo, cache.face_tests(k - 1))]))
+        union = poly.union_fields([poly.hess_image(rel, k - 2).fields(), symx().fields()], "S")
+        groups.append(DofGroup("c", 0, fixed, [
+            Part(_value, at_cell(union)),
+            Part(lambda X: np.einsum("...ij,j->...i", X, n[f1])[None], nxx, at=1)]))
 
     elif family == "h1_vec3":
-        for le in range(6):
-            ed = cache.edge(mesh.cell_edges[ci][le])
-            tests = ed.tests(k - 4)
-            for c in range(3):
-                blocks.append(moment_block(
-                    ("e", le), lambda ev, P=ed.pts, C=c: ev.values(P)[..., C],
-                    tests, ed.w, f"component {c}"))
-        for lf in range(4):
-            fd = cache.face(mesh.cell_faces[ci][lf])
-            tests = fd.vertex_vanishing_tests(k - 1)
-            for c in range(3):
-                blocks.append(moment_block(
-                    ("f", lf), lambda ev, P=fd.pts, C=c: ev.values(P)[..., C],
-                    tests, fd.w, f"component {c}"))
-        tb = cell.basis(k - 2)
-        tests = tb.eval(q.bary).T
-        for c in range(3):
-            blocks.append(moment_block(
-                ("c", 0), lambda ev, P=cpts, C=c: ev.values(P)[..., C],
-                tests, cw, f"component {c}"))
+        edges = CellEdges(mesh, ci, cache.qdeg)
+        faces = CellFaces(mesh, ci, cache)
+        groups.append(DofGroup("e", 0, edges.points, [
+            Part(_value, componentwise(cache.edge_tests(k - 4), 3))]))
+        groups.append(DofGroup("f", 0, faces.points, [
+            Part(_value, componentwise(cache.face_tests(k - 1, corners=False), 3))]))
+        groups.append(DofGroup("c", 0, inside, [
+            Part(_value, componentwise(bernstein_tests(q, k - 2), 3))]))
 
     elif family == "dg_scalar":
-        tb = cell.basis(k - 2)
-        tests = tb.eval(q.bary).T
-        blocks.append(moment_block(
-            ("c", 0), lambda ev, P=cpts: ev.values(P), tests, cw, "moments"))
+        groups.append(DofGroup("c", 0, inside, [Part(_value, bernstein_tests(q, k - 2))]))
     else:
         raise ValueError(f"unknown 3-D family {family!r}")
-    return cell, blocks
+    return cell, groups
 
 
 def build_element(family: str, k: int, mesh: TetMesh, ci: int,
@@ -356,9 +277,9 @@ def build_element(family: str, k: int, mesh: TetMesh, ci: int,
     if k < 3:
         raise ValueError("elements require k >= 3")
     off, rng, _ = _SHAPE[family]
-    cell, blocks = _build_blocks(family, k, mesh, ci, cache)
+    cell, groups = _build_groups(family, k, mesh, ci, cache)
     return Element(family, k, cell, cell.basis(k + off), poly.RANGE_GENERATORS[rng],
-                   blocks).finalize()
+                   groups).finalize()
 
 
 def element_3d(family: str, k: int, simplex: Simplex | None = None) -> Element:
@@ -631,18 +552,18 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
 
 def frame_rotation_span_check(k: int, seed: int = 0) -> bool:
     """(7c)-type edge functionals span the same space for any admissible frame."""
-    rng = np.random.default_rng(seed)
     mesh = TetMesh(poly.reference_cell("tet").vertices, [[0, 1, 2, 3]])
     cache = EntityCache(mesh, k)
-    ed = cache.edge(0)
     elem = build_element("hsymcurl_T", k, mesh, 0, cache)
     gen = GeneratorEval(elem.basis, elem.comp_gens)
+    edges = CellEdges(mesh, 0, cache.qdeg)
+    edge0 = [tuple(a[:1] for a in edges.points[0])]                 # local edge 0 alone
 
     def rows_for(frame):
-        return functional_matrix(_edge_blocks_symcurl(("e", 0), ed, k, frame), gen).T
+        return functional_matrix(_edge_groups_symcurl(edge0, frame, k, cache), gen).T
 
     c, s = np.cos(0.7), np.sin(0.7)
-    fr = ed.frame
+    fr = edges.frame[:1]
     rot = tc.EdgeFrame(t=fr.t, n1=c * fr.n1 + s * fr.n2, n2=-s * fr.n1 + c * fr.n2)
     A, B = rows_for(fr), rows_for(rot)
     # compare only the symcurl/curl-combination subset (the (7b) rows rotate

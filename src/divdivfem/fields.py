@@ -40,16 +40,16 @@ def _multinomial(alpha) -> int:
 
 @lru_cache(maxsize=None)
 def _unit_gram(dim: int, n: int, m: int) -> np.ndarray:
-    """Bernstein Gram matrix of degrees n, m over a dim-simplex of unit measure."""
-    A, B = multiindices(dim + 1, n), multiindices(dim + 1, m)
+    """Bernstein Gram matrix of degrees n, m over a dim-simplex of unit measure:
+    multinomial(a) multinomial(b) dim! prod_i (a_i + b_i)! / (n + m + dim)!."""
+    A, sa, _ = _tables(dim + 1, n)
+    B, sb, _ = _tables(dim + 1, m)
     fac = math.factorial(dim) / math.factorial(n + m + dim)
-    G = np.empty((len(A), len(B)))
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            prod = 1.0
-            for ai, bi in zip(a, b):
-                prod *= math.factorial(ai + bi)
-            G[i, j] = _multinomial(a) * _multinomial(b) * fac * prod
+    table = np.array([float(math.factorial(j)) for j in range(n + m + 1)])
+    prod = np.ones((len(A), len(B)))
+    for f in table[A[:, None, :] + B[None, :, :]].transpose(2, 0, 1):
+        prod *= f
+    G = np.outer(sa, sb) * fac * prod
     G.flags.writeable = False
     return G
 
@@ -97,6 +97,45 @@ class Simplex:
         return Simplex(self.vertices[list(local_vertices)])
 
 
+@lru_cache(maxsize=None)
+def _tables(nvert: int, degree: int):
+    """The geometry-free tables of the degree-`degree` Bernstein set on nvert
+    barycentric variables: the multi-indices, their multinomial scales and
+    the index of each multi-index."""
+    alphas = np.array(multiindices(nvert, degree), dtype=int).reshape(-1, nvert)
+    scale = np.array([_multinomial(a) for a in alphas], dtype=float)
+    alphas.flags.writeable = scale.flags.writeable = False
+    return alphas, scale, {tuple(a): i for i, a in enumerate(alphas.tolist())}
+
+
+@lru_cache(maxsize=None)
+def _lowering(nvert: int, degree: int):
+    """(i, b, a) for every member a and vertex i with a_i > 0: b is the index
+    of a - e_i in the set of degree - 1."""
+    alphas = _tables(nvert, degree)[0]
+    lower = _tables(nvert, degree - 1)[2]
+    a, i = np.nonzero(alphas)
+    b = np.array([lower[tuple(alphas[ai] - np.eye(nvert, dtype=int)[vi])]
+                  for ai, vi in zip(a, i)], dtype=int)
+    i.flags.writeable = b.flags.writeable = a.flags.writeable = False
+    return i, b, a
+
+
+@lru_cache(maxsize=None)
+def _lambda_ops(nvert: int, degree: int) -> np.ndarray:
+    """Multiplication by each lambda_i, degree n -> n+1: (nvert, N_up, N)."""
+    alphas = _tables(nvert, degree)[0]
+    upper = _tables(nvert, degree + 1)[2]
+    ops = np.zeros((nvert, len(upper), len(alphas)))
+    for ai, a in enumerate(alphas.tolist()):
+        for i in range(nvert):
+            b = list(a)
+            b[i] += 1
+            ops[i, upper[tuple(b)], ai] = (a[i] + 1) / (degree + 1)
+    ops.flags.writeable = False
+    return ops
+
+
 class BernsteinBasis:
     """Bernstein generating set of fixed degree on one simplex."""
 
@@ -105,12 +144,9 @@ class BernsteinBasis:
             raise ValueError("degree must be >= 0")
         self.simplex = simplex
         self.degree = degree
-        self.alphas = np.array(multiindices(simplex.nvert, degree), dtype=int)
+        self.alphas, self.scale, self._index = _tables(simplex.nvert, degree)
         self.N = len(self.alphas)
-        self.scale = np.array([_multinomial(a) for a in self.alphas], dtype=float)
-        self._index = {tuple(a): i for i, a in enumerate(self.alphas)}
         self._diff_ops = None
-        self._lambda_ops = None
 
     def eval(self, bary) -> np.ndarray:
         """Tabulate all members at barycentric points: (npts, N)."""
@@ -127,37 +163,21 @@ class BernsteinBasis:
 
     @property
     def diff_ops(self) -> list[np.ndarray]:
-        """Coefficient matrices of d/dx_j, degree n -> n-1, one per ambient axis."""
+        """Coefficient matrices of d/dx_j, degree n -> n-1, one per ambient axis:
+        d/dx_j B_a = n sum_i (d lambda_i/dx_j) B_{a - e_i}."""
         if self._diff_ops is None:
             lower = self.simplex.basis(max(self.degree - 1, 0))
-            mats = [np.zeros((lower.N, self.N)) for _ in range(self.simplex.gdim)]
+            mats = np.zeros((self.simplex.gdim, lower.N, self.N))
             if self.degree > 0:
-                g = self.simplex.bary_grads
-                for ai, a in enumerate(self.alphas):
-                    for i in range(self.simplex.nvert):
-                        if a[i] == 0:
-                            continue
-                        b = a.copy()
-                        b[i] -= 1
-                        bi = lower._index[tuple(b)]
-                        for d in range(self.simplex.gdim):
-                            mats[d][bi, ai] += self.degree * g[i, d]
-            self._diff_ops = mats
+                i, b, a = _lowering(self.simplex.nvert, self.degree)
+                mats[:, b, a] = self.degree * self.simplex.bary_grads[i].T
+            self._diff_ops = list(mats)
         return self._diff_ops
 
     @property
     def lambda_ops(self) -> list[np.ndarray]:
         """Multiplication by lambda_i, degree n -> n+1."""
-        if self._lambda_ops is None:
-            upper = self.simplex.basis(self.degree + 1)
-            ops = [np.zeros((upper.N, self.N)) for _ in range(self.simplex.nvert)]
-            for ai, a in enumerate(self.alphas):
-                for i in range(self.simplex.nvert):
-                    b = a.copy()
-                    b[i] += 1
-                    ops[i][upper._index[tuple(b)], ai] = (a[i] + 1) / (self.degree + 1)
-            self._lambda_ops = ops
-        return self._lambda_ops
+        return list(_lambda_ops(self.simplex.nvert, self.degree))
 
     def raise_op(self) -> np.ndarray:
         # 1 = sum_i lambda_i

@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .fields import Simplex
-from .tensor_calc import EdgeFrame, FaceFrame, make_edge_frame, make_face_frame
+from .tensor_calc import edge_frames, face_frames
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -83,10 +83,9 @@ class TetMesh:
             raise MeshError(f"interior faces with both cells on one side: {folded.tolist()}")
 
     def _build_frames(self):
-        self.edge_frames: list[EdgeFrame] = [
-            make_edge_frame(e, self.vertices[e]) for e in self.edges]
-        self.face_frames: list[FaceFrame] = [
-            make_face_frame(f, self.vertices[f]) for f in self.faces]
+        # every frame of each kind in one batched pass; frames[i] is entity i's
+        self.edge_frames = edge_frames(self.edges, self.vertices[self.edges])
+        self.face_frames = face_frames(self.faces, self.vertices[self.faces])
 
     # -- queries --------------------------------------------------------------
     @property

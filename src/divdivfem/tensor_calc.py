@@ -42,10 +42,15 @@ def mspn(v):
 
 @dataclass(frozen=True)
 class EdgeFrame:
-    """Orthonormal (t, n1, n2) with n1 x n2 = t, from global vertex data only."""
+    """Orthonormal (t, n1, n2) with n1 x n2 = t, from global vertex data only.
+    The frames of a batch of edges stack each vector on a leading axis, and
+    indexing the batch picks frames."""
     t: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
+
+    def __getitem__(self, i) -> "EdgeFrame":
+        return EdgeFrame(self.t[i], self.n1[i], self.n2[i])
 
     def validate(self):
         for a, b in ((self.t, self.n1), (self.t, self.n2), (self.n1, self.n2)):
@@ -57,63 +62,69 @@ class EdgeFrame:
 
 @dataclass(frozen=True)
 class FaceFrame:
-    """Unit normal plus in-plane tangents t1 x t2 = n and per-edge (t_bdy, n_bdy)."""
+    """Unit normal plus in-plane tangents t1 x t2 = n; batched like EdgeFrame."""
     n: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    t_bdy: tuple          # one unit tangent per boundary edge, ccw around n
-    n_bdy: tuple          # outward in-plane normals, n_bdy x t_bdy = n
+
+    def __getitem__(self, i) -> "FaceFrame":
+        return FaceFrame(self.n[i], self.t1[i], self.t2[i])
 
     def validate(self):
         assert abs(np.linalg.norm(self.n) - 1.0) < FRAME_TOL
         assert np.linalg.norm(np.cross(self.t1, self.t2) - self.n) < FRAME_TOL
-        for tb, nb in zip(self.t_bdy, self.n_bdy):
-            assert np.linalg.norm(np.cross(nb, tb) - self.n) < 1e-13
 
 
-def make_edge_frame(global_ids, coords) -> EdgeFrame:
-    """Deterministic edge frame; depends only on global vertex ids and coordinates.
+def _unit_rows(d, what, global_ids):
+    """The rows of d scaled to unit length; ValueError names the first
+    entity whose row has no finite positive length."""
+    length = np.linalg.norm(d, axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(length) & (length > 0)))
+    if len(bad):
+        raise ValueError(f"degenerate {what} {tuple(np.asarray(global_ids)[bad[0]].tolist())}")
+    return d / length[:, None]
+
+
+def edge_frames(global_ids, coords) -> EdgeFrame:
+    """Deterministic frames of a batch of edges, ids (E, 2) and coordinates
+    (E, 2, 3); each depends only on its edge's global vertex ids and
+    coordinates.
 
     Tangent points from lower to higher global id.  n1 seeds from the coordinate
     axis least aligned with t (ties broken by axis index), n2 = t x n1.
     """
-    ids = list(global_ids)
-    coords = np.asarray(coords, dtype=float)
-    if ids[0] > ids[1]:
-        ids = ids[::-1]
-        coords = coords[::-1]
-    d = coords[1] - coords[0]
-    length = np.linalg.norm(d)
-    if length <= 0 or not np.isfinite(length):
-        raise ValueError(f"degenerate edge between global vertices {tuple(global_ids)}")
-    t = d / length
-    axis = int(np.argmin(np.abs(t)))
-    seed = np.zeros(3)
-    seed[axis] = 1.0
-    n1 = seed - np.dot(seed, t) * t
-    n1 /= np.linalg.norm(n1)
-    n2 = np.cross(t, n1)
-    return EdgeFrame(t=t, n1=n1, n2=n2)
+    ids, coords = np.asarray(global_ids), np.asarray(coords, dtype=float)
+    d = coords[:, 1] - coords[:, 0]
+    flip = ids[:, 0] > ids[:, 1]
+    d[flip] = coords[flip, 0] - coords[flip, 1]
+    t = _unit_rows(d, "edge between global vertices", ids)
+    rows = np.arange(len(t))
+    axis = np.argmin(np.abs(t), axis=1)
+    seed = np.zeros_like(t)
+    seed[rows, axis] = 1.0
+    n1 = _unit_rows(seed - t[rows, axis][:, None] * t, "edge between global vertices", ids)
+    return EdgeFrame(t=t, n1=n1, n2=np.cross(t, n1))
+
+
+def face_frames(global_ids, coords) -> FaceFrame:
+    """Deterministic frames of a batch of faces, ids (F, 3) and coordinates
+    (F, 3, 3), from each face's ascending-global-id vertex ordering."""
+    order = np.argsort(global_ids, axis=1)
+    v = np.take_along_axis(np.asarray(coords, dtype=float), order[:, :, None], axis=1)
+    n = _unit_rows(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
+                   "face with global vertices", global_ids)
+    t1 = _unit_rows(v[:, 1] - v[:, 0], "face with global vertices", global_ids)
+    return FaceFrame(n=n, t1=t1, t2=np.cross(n, t1))
+
+
+def make_edge_frame(global_ids, coords) -> EdgeFrame:
+    """The frame of one edge: the one-edge batch of edge_frames."""
+    return edge_frames([global_ids], [coords])[0]
 
 
 def make_face_frame(global_ids, coords) -> FaceFrame:
-    """Deterministic face frame from the ascending-global-id vertex ordering."""
-    order = np.argsort(global_ids)
-    v = np.asarray(coords, dtype=float)[order]
-    nvec = np.cross(v[1] - v[0], v[2] - v[0])
-    area2 = np.linalg.norm(nvec)
-    if area2 <= 0 or not np.isfinite(area2):
-        raise ValueError(f"degenerate face with global vertices {tuple(global_ids)}")
-    n = nvec / area2
-    t1 = (v[1] - v[0]) / np.linalg.norm(v[1] - v[0])
-    t2 = np.cross(n, t1)
-    tb, nb = [], []
-    for a, b in ((0, 1), (1, 2), (2, 0)):  # ccw loop in the sorted ordering
-        tv = v[b] - v[a]
-        tv = tv / np.linalg.norm(tv)
-        tb.append(tv)
-        nb.append(np.cross(tv, n))
-    return FaceFrame(n=n, t1=t1, t2=t2, t_bdy=tuple(tb), n_bdy=tuple(nb))
+    """The frame of one face: the one-face batch of face_frames."""
+    return face_frames([global_ids], [coords])[0]
 
 
 # --------------------------------------------------------------------------

@@ -341,10 +341,10 @@ def test_eb_system_builds_one_element_per_class_and_family(monkeypatch):
     """EBSystem on kuhn_cube(2) builds 18 elements, 6 translation classes
     times 3 families, all on the classes' cells: none for the other 42."""
     built = []
-    build_blocks = fe3d._build_blocks
-    monkeypatch.setattr(fe3d, "_build_blocks",
+    build_groups = fe3d._build_groups
+    monkeypatch.setattr(fe3d, "_build_groups",
                         lambda family, k, m, ci, cache: built.append((family, ci))
-                        or build_blocks(family, k, m, ci, cache))
+                        or build_groups(family, k, m, ci, cache))
     sys = EBSystem(mesh.load("kuhn_cube(2)"), 3)
     assert len(built) == 18
     assert {ci for _, ci in built} == set(sys.space_E.class_reps)
@@ -389,6 +389,33 @@ def test_batched_interpolation_matches_the_per_cell_path(spec, rng):
         space = GlobalSpace(m, family, 3, cache)
         got, want = space.interpolate(fld), _interpolate_per_cell(space, fld)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), family
+
+
+@pytest.mark.parametrize("spec", ["kuhn_cube(1)", "kuhn_cube(2)"])
+def test_batched_field_interpolates_like_its_members(spec, complexes):
+    """The four RT fields as one batched PolyField interpolate to the four
+    single interpolations, stacked."""
+    (V, _, _, _), _ = complexes(spec)
+    rt = poly.rt_space("tet")
+    got = V.interpolate(rt.fields())
+    want = np.stack([V.interpolate(rt.member(i)) for i in range(4)])
+    assert got.shape == want.shape == (4, V.dim)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_cell_masses_from_the_kronecker_factor(spec):
+    """The masses W^T W from the factors of Gram and G G^T equal
+    Vinv^T kron(Gram, G G^T) Vinv to 1e-13 relative, and are symmetric."""
+    m = mesh.load(spec)
+    cache = EntityCache(m, 3)
+    for family in ("dg_scalar", "hdivdiv_S", "hsymcurl_T"):
+        space = GlobalSpace(m, family, 3, cache)
+        for elem, M in zip(space.elements, space.cell_masses()):
+            gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
+            want = elem.Vinv.T @ np.kron(elem.basis.gram(), gens @ gens.T) @ elem.Vinv
+            assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max(), family
+            assert np.array_equal(M, M.T)
 
 
 def test_interpolate_rejects_disagreeing_shared_dofs(rng, complexes):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from divdivfem import fe2d, fe3d, poly
+from divdivfem import fe2d, fe3d, mesh, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.cli import random_cells
 from divdivfem.complex_asm import GlobalSpace
-from divdivfem.dofcommon import GeneratorEval, moment_block
-from divdivfem.fields import PolyField
+from divdivfem.dofcommon import DofGroup, GeneratorEval, Part
+from divdivfem.fields import PolyField, Simplex
 from divdivfem.linalg import svd_rank
 from divdivfem.mesh import two_tets
 from divdivfem.quadrature import rule
@@ -200,7 +200,7 @@ def _scalar_moment_setup():
     q = rule("tet", 8)
     pts, w = q.on(cell)
     tests = cell.basis(1).eval(q.bary).T
-    return GeneratorEval(basis, np.ones(1)), pts, tests * w
+    return GeneratorEval(basis, np.ones(1)), pts, w, tests
 
 
 def test_moments_match_expanded_quadrature():
@@ -211,36 +211,129 @@ def test_moments_match_expanded_quadrature():
     fields = PolyField.generators(basis, gens)
     q = rule("tet", 10)
     pts, w = q.on(cell)
-    tw = np.random.default_rng(3).standard_normal((7, len(w), 3, 3)) * w[:, None, None]
+    tests = np.random.default_rng(3).standard_normal((7, len(w), 3, 3))
     n = np.array([0.3, -0.5, 0.8])
     cases = [
-        (lambda ev: ev.values(pts), fields.eval(pts), tw),
-        (lambda ev: fe3d._symcurl_vals(ev, pts), tc.field_sym(fields.curl()).eval(pts), tw),
-        (lambda ev: np.einsum("...pij,j->...pi", ev.values(pts), n),
-         np.einsum("...pij,j->...pi", fields.eval(pts), n), tw[..., 0]),
-        (lambda ev: np.einsum("...pijdd->...pij", ev.hessians(pts)),
-         np.einsum("...pijdd->...pij", fields.hess().eval(pts)), tw),
+        (0, lambda X: X[None], fields.eval(pts), tests),
+        (1, lambda X: fe3d._symcurl_vals(X)[None], tc.field_sym(fields.curl()).eval(pts),
+         tests),
+        (0, lambda X: np.einsum("...ij,j->...i", X, n)[None],
+         np.einsum("...pij,j->...pi", fields.eval(pts), n), tests[..., 0]),
+        (2, lambda X: np.einsum("...ijdd->...ij", X)[None],
+         np.einsum("...pijdd->...pij", fields.hess().eval(pts)), tests),
     ]
-    for integrand, vals, t in cases:
-        ref = np.tensordot(vals, t, axes=(list(range(1, t.ndim)),) * 2)
-        got = gen.moments(integrand, t)
+    for order, integrand, vals, t in cases:
+        tw = t * w.reshape(1, -1, *([1] * (t.ndim - 2)))
+        ref = np.tensordot(vals, tw, axes=(list(range(1, t.ndim)),) * 2)
+        group = DofGroup("c", order, [(pts[None], w[None])], [Part(integrand, t[None])])
+        got = gen.moments(group)[0]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_moment_probe_rejects_two_point_sets():
-    gen, pts, tw = _scalar_moment_setup()
-    other = pts.copy()
+    """A part reads its tests at one point set of its group, and its
+    integrand keeps the probe's derivative axis of the group's order."""
+    gen, pts, w, tests = _scalar_moment_setup()
+    both = [(pts[None], w[None]), (pts[None, :5], w[None, :5])]
     with pytest.raises(ValueError, match="one point set"):
-        gen.moments(lambda ev: ev.values(pts) + ev.values(other), tw)
+        gen.moments(DofGroup("c", 0, both, [Part(lambda X: X[None], tests[None], at=1)]))
     with pytest.raises(ValueError, match="one derivative order"):
-        gen.moments(lambda ev: ev.values(pts) + ev.grads(pts)[..., 0], tw)
+        gen.moments(DofGroup("c", 1, both, [Part(lambda X: X[None, :, :1], tests[None])]))
 
 
 def test_moment_probe_rejects_position_dependent_coefficients():
-    gen, pts, tw = _scalar_moment_setup()
-    blk = moment_block(("c", 0), lambda ev: ev.values(pts) * pts[:, 0], tw, np.ones(len(pts)))
+    gen, pts, w, tests = _scalar_moment_setup()
+    part = Part(lambda X: X[None] * pts[:, 0], tests[None])
     with pytest.raises(ValueError, match="position"):
-        blk.fn(gen)
+        gen.moments(DofGroup("c", 0, [(pts[None], w[None])], [part]))
+
+
+def _tabulation(basis, pts, order):
+    """Scalar tabulation (p, N, g ** order) at one entity's points alone."""
+    lam = basis.simplex.barycentric(pts)
+    lo = basis.simplex.basis(max(basis.degree - 1, 0))
+    if order == 0:
+        return basis.eval(lam)[..., None]
+    if order == 1:
+        E = lo.eval(lam)
+        return np.stack([E @ D for D in basis.diff_ops], axis=-1)
+    E = basis.simplex.basis(max(basis.degree - 2, 0)).eval(lam)
+    g = basis.simplex.gdim
+    return np.stack([E @ (lo.diff_ops[b] @ basis.diff_ops[a])
+                     for a in range(g) for b in range(g)], axis=-1)
+
+
+def per_block_vandermonde(elem) -> np.ndarray:
+    """The per-block contraction, kept as the oracle of the grouped one: each
+    part on each entity alone, its integrand on the probe G_c (x) e_d, then
+    U = F . tw by one tensordot over the value axes and T . U by one over
+    (point, direction), T tabulated at that entity's points alone."""
+    basis, gens = elem.basis, np.asarray(elem.comp_gens, dtype=float)
+    g, C, nv = basis.simplex.gdim, len(gens), gens.ndim - 1
+    cols: dict = {}                 # (kind, entity) -> its columns, group by group
+    for group in elem.groups:
+        o = group.order
+        e_d = np.eye(g ** o).reshape(1, g ** o, *([1] * nv), *([g] * o))
+        probe = gens.reshape(C, 1, *gens.shape[1:], *([1] * o)) * e_d
+        for part in group.parts:
+            F = part.integrand(probe)
+            pts, w = group.points[part.at]
+            for e in range(group.nent):
+                tests = part.tests[min(e, len(part.tests) - 1)]
+                tw = tests * w[e].reshape(1, -1, *([1] * (tests.ndim - 2)))
+                ax = list(range(2, tw.ndim))
+                U = np.tensordot(F[min(e, len(F) - 1)], tw, axes=(ax, ax))   # (C, D, m, p)
+                T = _tabulation(basis, pts[e], o)                            # (p, N, D)
+                out = np.tensordot(T, U, axes=([0, 2], [3, 1]))              # (N, C, m)
+                cols.setdefault((group.kind, e), []).append(out.reshape(basis.N * C, -1))
+    return np.concatenate([c for key in cols for c in cols[key]], axis=1).T
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(2)"])
+def test_grouped_vandermonde_matches_per_block_contraction(spec, k):
+    """Every 3-D family's Vandermonde, on every translation class, equals
+    the per-block contraction to 1e-13 relative."""
+    m = mesh.load(spec)
+    cache = fe3d.EntityCache(m, k)
+    for family in fe3d.FAMILIES:
+        for ci in cache.class_reps:
+            e = fe3d.build_element(family, k, m, ci, cache)
+            ref = per_block_vandermonde(e)
+            assert np.abs(e.V - ref).max() <= 1e-13 * np.abs(ref).max(), (family, ci)
+
+
+@pytest.mark.parametrize("family", fe2d.FAMILIES)
+def test_grouped_vandermonde_matches_per_block_contraction_2d(family):
+    e = fe2d.element_2d(family, 3, random_cells(2, 1, seed=41)[0])
+    ref = per_block_vandermonde(e)
+    assert np.abs(e.V - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_in_plane_face_tests_equal_the_per_face_build():
+    """The face tests of H(symcurl), shared by in-plane triangle, are bitwise
+    the ones built from each face's own vertices and frame; kuhn_cube(2)'s
+    faces have 12 shapes but 3 in-plane triangles."""
+    m = mesh.load("kuhn_cube(2)")
+    cache = fe3d.EntityCache(m, 3)
+    q = rule("triangle", cache.qdeg)
+    shapes, planes = set(), set()
+    for ci in cache.class_reps:
+        elem = fe3d.build_element("hsymcurl_T", 3, m, ci, cache)
+        (faces,) = [group for group in elem.groups if group.kind == "f"]
+        for lf, fid in enumerate(m.cell_faces[ci]):
+            verts = m.vertices[m.faces[fid]]
+            fr = tc.make_face_frame(m.faces[fid], verts)
+            TT = np.stack([fr.t1, fr.t2])
+            tri2 = (verts - verts[0]) @ TT.T
+            pts2 = q.bary @ tri2
+            v2 = fe2d.interior_test_space_hrot(Simplex(tri2), 3).fields().eval(pts2)
+            s2 = fe2d.interior_test_space_hrotrot(Simplex(tri2), 3).fields().eval(pts2)
+            assert np.array_equal(faces.parts[0].tests[lf], v2 @ TT)
+            assert np.array_equal(faces.parts[1].tests[lf], TT.T @ s2 @ TT)
+            shapes.add(fe3d.shape_key(verts))
+            planes.add(tri2.tobytes())
+    assert (len(shapes), len(planes)) == (12, 3)
 
 
 @pytest.mark.parametrize("family, rng_name, order", [

@@ -106,3 +106,50 @@ def test_bernstein_eval_matches_float_powers(verts, rng):
         got = basis.eval(lam)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), n
+
+
+def _loop_tables(basis):
+    """The Bernstein tables as per-entry loops: the reference of the cached
+    index tables behind gram, diff_ops and lambda_ops."""
+    s, n = basis.simplex, basis.degree
+    alphas = [tuple(a) for a in basis.alphas]
+    lower = {tuple(a): i for i, a in enumerate(s.basis(max(n - 1, 0)).alphas)}
+    upper = {tuple(a): i for i, a in enumerate(s.basis(n + 1).alphas)}
+    diff = [np.zeros((len(lower), len(alphas))) for _ in range(s.gdim)]
+    lam = [np.zeros((len(upper), len(alphas))) for _ in range(s.nvert)]
+    for ai, a in enumerate(alphas):
+        for i in range(s.nvert):
+            up = list(a)
+            up[i] += 1
+            lam[i][upper[tuple(up)], ai] = (a[i] + 1) / (n + 1)
+            if a[i]:
+                down = list(a)
+                down[i] -= 1
+                for d in range(s.gdim):
+                    diff[d][lower[tuple(down)], ai] += n * s.bary_grads[i, d]
+    fac = math.factorial(s.dim) / math.factorial(2 * n + s.dim)
+    gram = np.empty((len(alphas), len(alphas)))
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            prod = 1.0
+            for ai, bi in zip(a, b):
+                prod *= math.factorial(ai + bi)
+            gram[i, j] = (math.factorial(n) // math.prod(map(math.factorial, a))
+                          * (math.factorial(n) // math.prod(map(math.factorial, b)))
+                          * fac * prod)
+    return diff, lam, gram * s.measure
+
+
+@pytest.mark.parametrize("verts", [[[0.3, 0.1], [2.1, 0.4], [0.2, 1.7]],
+                                   [[0.0, 0.0, 0.0], [1.3, 0.1, 0.2], [0.2, 0.9, 0.1],
+                                    [0.1, 0.3, 1.4]]])
+def test_bernstein_tables_equal_the_entry_loops(verts):
+    """diff_ops, lambda_ops and gram, built from index tables cached per
+    (vertex count, degree), are bitwise the per-entry loops."""
+    s = Simplex(verts)
+    for n in range(6):
+        basis = s.basis(n)
+        diff, lam, gram = _loop_tables(basis)
+        assert all(np.array_equal(a, b) for a, b in zip(basis.diff_ops, diff)), n
+        assert all(np.array_equal(a, b) for a, b in zip(basis.lambda_ops, lam)), n
+        assert np.array_equal(basis.gram(), gram), n

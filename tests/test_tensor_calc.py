@@ -76,6 +76,40 @@ def test_face_frame_independent_of_ordering(rng):
         fr.validate()
 
 
+def _edge_frame_one(ids, coords):
+    """One edge frame by the per-entity formulas: the reference of edge_frames."""
+    if ids[0] > ids[1]:
+        coords = coords[::-1]
+    t = (coords[1] - coords[0]) / np.linalg.norm(coords[1] - coords[0])
+    seed = np.eye(3)[int(np.argmin(np.abs(t)))]
+    n1 = seed - np.dot(seed, t) * t
+    n1 /= np.linalg.norm(n1)
+    return t, n1, np.cross(t, n1)
+
+
+def _face_frame_one(ids, coords):
+    """One face frame by the per-entity formulas: the reference of face_frames."""
+    v = coords[np.argsort(ids)]
+    nvec = np.cross(v[1] - v[0], v[2] - v[0])
+    n = nvec / np.linalg.norm(nvec)
+    t1 = (v[1] - v[0]) / np.linalg.norm(v[1] - v[0])
+    return n, t1, np.cross(n, t1)
+
+
+def test_batched_frames_match_the_per_entity_formulas(rng):
+    """edge_frames and face_frames equal one-entity evaluations to 4e-16
+    (the norms may sum in another order), and each frame is orthonormal."""
+    coords = rng.standard_normal((50, 3, 3))
+    ids = np.array([rng.permutation(9)[:3] for _ in range(50)])
+    edges = tc.edge_frames(ids[:, :2], coords[:, :2])
+    faces = tc.face_frames(ids, coords)
+    for j in range(50):
+        for got, want in ((edges[j], _edge_frame_one(ids[j, :2], coords[j, :2])),
+                          (faces[j], _face_frame_one(ids[j], coords[j]))):
+            assert np.abs(np.stack(list(vars(got).values())) - np.stack(want)).max() <= 4e-16
+            got.validate()
+
+
 def test_degenerate_entities_rejected():
     with pytest.raises(ValueError, match="edge"):
         tc.make_edge_frame((0, 1), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
