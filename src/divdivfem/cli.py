@@ -201,8 +201,7 @@ def main(argv=None) -> int:
             if cfg.mms == "poly":
                 return _fail_io("mms = poly lies in the discrete spaces: its errors "
                                 "are rounding and show no spatial order; use trig")
-            import re
-            mref = re.match(r"^kuhn_cube\((\d+)\)$", cfg.mesh)
+            mref = mesh._BUILTIN_RE.match(cfg.mesh)
             if not mref:
                 return _fail_io("convergence study needs a kuhn_cube(n) base mesh")
             n0 = int(mref.group(1))

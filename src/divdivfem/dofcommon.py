@@ -21,17 +21,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import BernsteinBasis, PolyField, Simplex
+from .fields import BernsteinBasis, PolyField, Simplex, probe
 from .linalg import min_max_singular_ratio, nullspace
-
-
-def curl_from_grads(G):
-    """Row-wise curl from gradient values G[..., i, k, j] = d_j of component (i,k)."""
-    out = np.empty(G.shape[:-1])
-    out[..., 0] = G[..., 2, 1] - G[..., 1, 2]
-    out[..., 1] = G[..., 0, 2] - G[..., 2, 0]
-    out[..., 2] = G[..., 1, 0] - G[..., 0, 1]
-    return out
 
 
 @dataclass
@@ -86,15 +77,6 @@ class GeneratorEval:
         self.gens = np.asarray(comp_gens, dtype=float)
         self.shifts = np.zeros((1, basis.simplex.gdim)) if shifts is None else shifts
 
-    def probe(self, order: int) -> np.ndarray:
-        """G_c (x) e_d for every generator c and derivative direction d:
-        (C, D, *vshape, [g]*order)."""
-        g, nv = self.basis.simplex.gdim, self.gens.ndim - 1
-        D = g ** order
-        e = np.eye(D).reshape(1, D, *([1] * nv), *([g] * order))
-        return self.gens.reshape(len(self.gens), 1, *self.gens.shape[1:],
-                                 *([1] * order)) * e
-
     def tabulation(self, pts: np.ndarray, order: int) -> np.ndarray:
         """Scalar tabulation at every entity's points moved by every shift:
         (E, p, nshifts * N * g ** order), column (s * N + a) * g ** order + d."""
@@ -106,16 +88,9 @@ class GeneratorEval:
         lam = (lam[:, None] + self.shifts @ b.simplex.bary_grads.T).reshape(-1, lam.shape[1])
         if order == 0:
             tab = b.eval(lam)
-        elif order == 1:
-            E1 = b.simplex.basis(max(b.degree - 1, 0)).eval(lam)
-            tab = np.stack([E1 @ D for D in b.diff_ops], axis=-1)  # (rows, N, g)
         else:
-            lo = b.simplex.basis(max(b.degree - 1, 0))
-            E2 = b.simplex.basis(max(b.degree - 2, 0)).eval(lam)
-            tab = np.empty((len(lam), b.N, g, g))
-            for d1 in range(g):
-                for d2 in range(g):
-                    tab[:, :, d1, d2] = E2 @ (lo.diff_ops[d2] @ b.diff_ops[d1])
+            E = b.simplex.basis(max(b.degree - order, 0)).eval(lam)
+            tab = np.stack([E @ D for D in b.derivative_table(order)], axis=-1)  # (rows, N, D)
         return tab.reshape(*pts.shape[:2], -1)
 
     def moments(self, group: DofGroup) -> np.ndarray:
@@ -127,8 +102,9 @@ class GeneratorEval:
         entity and point; then T . U over (point, direction), T the scalar
         tabulation times the weights, a product per entity.
         """
-        C, D = len(self.gens), self.basis.simplex.gdim ** group.order
-        probe = self.probe(group.order)
+        g = self.basis.simplex.gdim
+        C, D = len(self.gens), g ** group.order
+        X = probe(self.gens, g, group.order)
         E = group.nent
         outs, b = [], 0
         for at, (pts, w) in enumerate(group.points):
@@ -138,7 +114,7 @@ class GeneratorEval:
                 m, ishape = part.tests.shape[1], part.tests.shape[3:]
                 if part.tests.shape[2] != p:
                     raise ValueError("a part's tests must be read at one point set of its group")
-                F = np.asarray(part.integrand(probe))
+                F = np.asarray(part.integrand(X))
                 if F.shape[1:] != (C, D, *ishape) or F.shape[0] not in (1, E):
                     raise ValueError("a moment integrand must map the probe of one "
                                      "derivative order to the tests' value shape on each "

@@ -19,9 +19,8 @@ import numpy as np
 from . import fe2d, poly
 from . import tensor_calc as tc
 from .dofcommon import (DofGroup, Element, GeneratorEval, Part, bernstein_tests,
-                        bubble_space, componentwise, curl_from_grads, functional_matrix,
-                        vertex_groups)
-from .fields import PolyField, Simplex
+                        bubble_space, componentwise, functional_matrix, vertex_groups)
+from .fields import PolyField, Simplex, curl_from_grads
 from .linalg import rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
 from .quadrature import rule
@@ -155,9 +154,7 @@ def _value(X):
     return X[None]
 
 
-def _symcurl_vals(X):
-    C = curl_from_grads(X)
-    return 0.5 * (C + np.swapaxes(C, -1, -2))
+_symcurl_vals = poly.OPS["symcurl"].fn
 
 
 def _pairs(A, B):

@@ -162,17 +162,27 @@ class BernsteinBasis:
         return self.scale * vals.T
 
     @property
-    def diff_ops(self) -> list[np.ndarray]:
-        """Coefficient matrices of d/dx_j, degree n -> n-1, one per ambient axis:
-        d/dx_j B_a = n sum_i (d lambda_i/dx_j) B_{a - e_i}."""
+    def diff_ops(self) -> np.ndarray:
+        """Coefficient matrices of d/dx_j, degree n -> n-1, one per ambient axis,
+        (g, N_lower, N): d/dx_j B_a = n sum_i (d lambda_i/dx_j) B_{a - e_i}."""
         if self._diff_ops is None:
             lower = self.simplex.basis(max(self.degree - 1, 0))
             mats = np.zeros((self.simplex.gdim, lower.N, self.N))
             if self.degree > 0:
                 i, b, a = _lowering(self.simplex.nvert, self.degree)
                 mats[:, b, a] = self.degree * self.simplex.bary_grads[i].T
-            self._diff_ops = list(mats)
+            mats.flags.writeable = False
+            self._diff_ops = mats
         return self._diff_ops
+
+    def derivative_table(self, order: int) -> np.ndarray:
+        """Coefficient matrices of every derivative of order 1 or 2, degree
+        n -> max(n - order, 0): (g ** order, N_lower, N).  Entry d_1 g + d_2 of
+        the order-2 table is d/dx_{d_2} d/dx_{d_1}, d_1 taken first."""
+        if order == 1:
+            return self.diff_ops
+        lower = self.simplex.basis(max(self.degree - 1, 0))
+        return np.array([D2 @ D1 for D1 in self.diff_ops for D2 in lower.diff_ops])
 
     @property
     def lambda_ops(self) -> list[np.ndarray]:
@@ -214,6 +224,25 @@ class BernsteinBasis:
         idx = [self._index[tuple(self.degree * np.eye(self.simplex.nvert, dtype=int)[v])]
                for v in range(self.simplex.nvert)]
         return np.array(idx, dtype=int)
+
+
+def probe(gens: np.ndarray, gdim: int, order: int) -> np.ndarray:
+    """G_c (x) e_d for every component generator c and derivative direction d
+    of the given order: (C, g ** order, *vshape, [g] * order).  A pointwise
+    linear map of derivative values applied to it gives the map's value on
+    every derivative of every generator."""
+    nv, D = gens.ndim - 1, gdim ** order
+    e = np.eye(D).reshape(1, D, *([1] * nv), *([gdim] * order))
+    return gens.reshape(len(gens), 1, *gens.shape[1:], *([1] * order)) * e
+
+
+def curl_from_grads(G):
+    """Row-wise curl from gradient values G[..., i, k, j] = d_j of component (i,k)."""
+    out = np.empty(G.shape[:-1])
+    out[..., 0] = G[..., 2, 1] - G[..., 1, 2]
+    out[..., 1] = G[..., 0, 2] - G[..., 2, 0]
+    out[..., 2] = G[..., 1, 0] - G[..., 0, 1]
+    return out
 
 
 def _apply_left(mat: np.ndarray, coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -304,14 +333,8 @@ class PolyField:
         """3-D curl over the last value axis (row-wise for matrix fields)."""
         if self.basis.simplex.gdim != 3 or not self.vshape or self.vshape[-1] != 3:
             raise ValueError("curl needs gdim 3 and trailing axis of length 3")
-        p = [self.partial(j).coeffs for j in range(3)]
-        comps = [
-            p[1][..., 2] - p[2][..., 1],
-            p[2][..., 0] - p[0][..., 2],
-            p[0][..., 1] - p[1][..., 0],
-        ]
-        return PolyField(self.basis.simplex.basis(max(self.degree - 1, 0)),
-                         np.stack(comps, axis=-1), self.vshape)
+        g = self.grad()
+        return PolyField(g.basis, curl_from_grads(g.coeffs), self.vshape)
 
     # -- algebra -----------------------------------------------------------------
     def raise_to(self, degree: int) -> "PolyField":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_calc as tc
-from .fields import PolyField, Simplex
+from .fields import PolyField, Simplex, curl_from_grads, probe
 from .linalg import DEFAULT_RTOL, nullspace, rowspace, svd_rank
 
 # ---------------------------------------------------------------------------
@@ -135,28 +135,67 @@ def from_fields(fields: PolyField, rng: str, rtol: float = DEFAULT_RTOL) -> Poly
 # differential operators between spaces
 # ---------------------------------------------------------------------------
 
-def _ddiv(f):  # row-wise div twice
-    return f.div().div()
+def _coordinate_entries(table: np.ndarray) -> np.ndarray:
+    """Per generator, the value entry where it alone is nonzero: that entry of
+    a member of the range is its coordinate, exactly."""
+    gens = table.reshape(len(table), -1)
+    alone = (gens != 0) & ((gens != 0).sum(axis=0) == 1)
+    entries = alone.argmax(axis=1)
+    assert np.array_equal(gens[:, entries], np.eye(len(gens))), "no coordinate entries"
+    return entries
 
-_OPS_3D = {
-    "grad": (("scalar",), "V3", lambda f: f.grad()),
-    "devgrad": (("V3",), "T", lambda f: tc.field_dev(f.grad())),
-    "curl": (("T", "S", "M"), "M", lambda f: f.curl()),
-    "symcurl": (("T", "S", "M"), "S", lambda f: tc.field_sym(f.curl())),
-    "div": (("T", "S", "M"), "V3", lambda f: f.div()),
-    "divdiv": (("S", "T", "M"), "scalar", _ddiv),
-    "hess": (("scalar",), "S", lambda f: f.hess()),
+
+_ENTRIES = {name: _coordinate_entries(g) for name, g in RANGE_GENERATORS.items()}
+
+
+@dataclass(frozen=True)
+class Op:
+    """A differential operator as a pointwise linear map of the derivative
+    values of one order, X[..., *source value shape, [g] * order] (the order-2
+    index d_1, d_2 differentiates by d_1 first), to its target range's values."""
+
+    gdim: int
+    sources: tuple
+    target: str
+    order: int
+    fn: object
+
+
+OPS = {
+    "devgrad": Op(3, ("V3",), "T", 1, tc.dev),
+    "symcurl": Op(3, ("T", "S", "M"), "S", 1, lambda X: tc.sym(curl_from_grads(X))),
+    "divdiv": Op(3, ("S", "T", "M"), "scalar", 2, lambda X: np.einsum("...ijji->...", X)),
+    "grad_f": Op(2, ("scalar",), "V2", 1, lambda X: X),
+    "rot_f": Op(2, ("V2",), "scalar", 1, lambda X: X[..., 1, 0] - X[..., 0, 1]),
+    "eps_f": Op(2, ("V2",), "S2", 1, tc.sym),
+    "rotrot_f": Op(2, ("S2",), "scalar", 2,
+                   lambda X: (X[..., 1, 1, 0, 0] - X[..., 1, 0, 1, 0]
+                              - X[..., 0, 1, 0, 1] + X[..., 0, 0, 1, 1])),
 }
 
-_OPS_2D = {
-    "grad_f": (("scalar",), "V2", lambda f: f.grad()),
-    "curl_f": (("scalar",), "V2", tc.curl2),
-    "rot_f": (("V2",), "scalar", tc.rot2),
-    "div_f": (("V2",), "scalar", lambda f: f.div()),
-    "eps_f": (("V2",), "S2", tc.eps2),
-    "rotrot_f": (("S2",), "scalar", tc.rotrot2),
-    "hess_f": (("scalar",), "S2", lambda f: f.hess()),
-}
+
+def _integer(table) -> np.ndarray:
+    out = np.rint(table).astype(np.int64)
+    assert np.array_equal(out, table), "table is not integer-valued"
+    return out
+
+
+def op_matrix(op: str, basis, rng: str, scale=1, exact: bool = False) -> np.ndarray:
+    """scale * op from the generator coordinates of P_n(basis; rng) to those of
+    P_{n - order}(target), (N * C, N_lower * C'): sum_d D_d^T (x) K_d, D_d the
+    Bernstein derivative tables and K_d the operator's map on scale * G_c (x) e_d
+    read at the target's coordinate entries.  With exact, both factors are
+    asserted integer-valued and contracted in int64."""
+    spec = OPS[op]
+    cast = _integer if exact else np.asarray
+    img = spec.fn(scale * probe(RANGE_GENERATORS[rng], basis.simplex.gdim, spec.order))
+    img = img.reshape(*img.shape[:2], -1)                          # (C, D, entries)
+    K = cast(img[..., _ENTRIES[spec.target]])                      # (C, D, C')
+    resid = np.abs(K @ RANGE_GENERATORS[spec.target].reshape(K.shape[-1], -1) - img).max()
+    if resid > (0.0 if exact else 1e-12) * max(np.abs(img).max(), 1.0):
+        raise ValueError(f"{op} leaves range {spec.target!r}")
+    T = cast(basis.derivative_table(spec.order))                   # (D, N_lower, N)
+    return np.einsum("dba,cde->acbe", T, K).reshape(T.shape[2] * len(K), -1)
 
 
 @dataclass
@@ -179,16 +218,13 @@ class DiffMatrix:
 
 def diff(op: str, src: PolySpace) -> DiffMatrix:
     """Differentiation matrix from src into the full target space."""
-    table = _OPS_2D if src.cell.gdim == 2 else _OPS_3D
-    if op not in table:
+    if op not in OPS or OPS[op].gdim != src.cell.gdim:
         raise ValueError(f"operator {op!r} not applicable on gdim {src.cell.gdim}")
-    admissible, target_rng, fn = table[op]
-    if src.rng not in admissible:
+    spec = OPS[op]
+    if src.rng not in spec.sources:
         raise ValueError(f"operator {op!r} not applicable to range {src.rng!r}")
-    image = fn(src.fields())
-    dst = space(src.cell, image.basis.degree, target_rng)
-    mat = to_range_coords(image, target_rng)
-    return DiffMatrix(op, src, dst, mat)
+    dst = space(src.cell, max(src.degree - spec.order, 0), spec.target)
+    return DiffMatrix(op, src, dst, src.coeff @ op_matrix(op, src.cell.basis(src.degree), src.rng))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +442,8 @@ def poly_complex_audit(dim: int, k: int, exact_certify: bool = False) -> list[di
             checks.append(_check("rank divdiv (exact Q)", d3.rank,
                                  exact.rank_3d("divdiv", k), "derived"))
     elif dim == 2:
+        if exact_certify:
+            raise ValueError("exact certificates exist for the 3-D complex only")
         cell = reference_cell("triangle")
         # de Rham: P_{k+2} -> P_{k+1}(R2) -> P_k
         H = space(cell, k + 2, "scalar")

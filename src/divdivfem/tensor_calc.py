@@ -36,6 +36,15 @@ def mspn(v):
     return out
 
 
+def sym(c):
+    return 0.5 * (c + np.swapaxes(c, -1, -2))
+
+
+def dev(c):
+    n = c.shape[-1]
+    return c - (np.trace(c, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
+
+
 # --------------------------------------------------------------------------
 # frames
 # --------------------------------------------------------------------------
@@ -132,15 +141,10 @@ def make_face_frame(global_ids, coords) -> FaceFrame:
 # --------------------------------------------------------------------------
 
 def field_sym(f: PolyField) -> PolyField:
-    return f.map_components(lambda c: 0.5 * (c + np.swapaxes(c, -1, -2)))
+    return f.map_components(sym)
 
 def field_dev(f: PolyField) -> PolyField:
-    n = f.vshape[-1]
-    eye = np.eye(n)
-    def _dev(c):
-        t = np.trace(c, axis1=-2, axis2=-1)
-        return c - (t / n)[..., None, None] * eye
-    return f.map_components(_dev)
+    return f.map_components(dev)
 
 def field_transpose(f: PolyField) -> PolyField:
     return f.map_components(lambda c: np.swapaxes(c, -1, -2))
@@ -246,11 +250,6 @@ def eps2(f: PolyField) -> PolyField:
     if f.vshape != (2,):
         raise ValueError("eps2 acts on 2-vector fields")
     return field_sym(f.grad())
-
-def rotrot2(f: PolyField) -> PolyField:
-    """S2 field -> rot2(rot2 rows): the 2-D rot rot operator."""
-    return rot2(rot2(f))
-
 
 # --------------------------------------------------------------------------
 # audits

@@ -12,6 +12,14 @@ def test_audit_poly_exit_zero(capsys):
     assert "0 failures" in out
 
 
+def test_audit_poly_exact_in_2d_exit_two(capsys):
+    """--exact certifies the 3-D complex only; in 2-D it is refused, not ignored."""
+    assert main(["audit", "poly", "--k", "3", "--dim", "2", "--exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "3-D" in captured.err
+    assert captured.out == ""
+
+
 def test_audit_element_reports_counts(capsys):
     assert main(["audit", "element", "--family", "hrotrot_s2", "--k", "3"]) == 0
     out = capsys.readouterr().out

@@ -111,6 +111,14 @@ def test_condensed_rank_rejects_interior_column_leaving_its_cell(where, complexe
     assert condensed_rank(d1, V, L) == V.dim - 4
 
 
+def test_condensed_rank_d1_drop_below_tighter_bound(complexes):
+    """devgrad's cell operators read their target coordinates exactly, so the
+    entries the bubble identity drops on kuhn_cube(2) stay below 1e-10 max|d|
+    (5.3e-11), a tenth of the default bound, and the rank is unchanged."""
+    (V, L, _, _), (d1, _, _) = complexes("kuhn_cube(2)")
+    assert condensed_rank(d1, V, L, rtol=1e-10) == 2462
+
+
 def test_condensed_rank_keeps_an_entry_inside_its_cell(complexes):
     """A boundary row listed by the column's cell alone lies in that leaf's
     front: an entry there is kept, and the rank is the dense rank of the

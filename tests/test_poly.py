@@ -3,7 +3,7 @@ import pytest
 
 from divdivfem import exact, poly
 from divdivfem import tensor_calc as tc
-from divdivfem.fields import PolyField
+from divdivfem.fields import PolyField, Simplex
 from divdivfem.linalg import rank_exact, svd_rank
 
 
@@ -39,19 +39,47 @@ def test_diff_rejects_inapplicable():
         poly.diff("rot_f", poly.space("tet", 3, "V3"))
 
 
+# the tests' independent oracle: each operator composed from the PolyField
+# calculus, op -> (source range, composition)
+ORACLE = {
+    "devgrad": ("V3", lambda f: tc.field_dev(f.grad())),
+    "symcurl": ("T", lambda f: tc.field_sym(f.curl())),
+    "divdiv": ("S", lambda f: f.div().div()),
+    "grad_f": ("scalar", lambda f: f.grad()),
+    "rot_f": ("V2", tc.rot2),
+    "eps_f": ("V2", tc.eps2),
+    "rotrot_f": ("S2", lambda f: tc.rot2(tc.rot2(f))),
+}
+
+
+def _oracle_matrix(op, src):
+    return poly.to_range_coords(ORACLE[op][1](src.fields()), poly.OPS[op].target)
+
+
 def test_diff_matrix_reproduces_pointwise_derivative(rng):
-    src = poly.space("tet", 4, "T")
-    d = poly.diff("symcurl", src)
-    coords = rng.standard_normal(src.dim)
-    f = src.fields()
-    fld = PolyField(f.basis, np.einsum("m,mn...->n...", coords, f.coeffs), f.vshape)
-    image_coords = coords @ d.mat
-    g = d.dst.fields()
-    img = PolyField(g.basis, np.einsum("m,mn...->n...", image_coords, g.coeffs), g.vshape)
-    pts = rng.random((10, 3))
-    direct = tc.field_sym(fld.curl()).eval(pts)
-    scale = max(np.abs(direct).max(), 1.0)
-    assert np.abs(img.eval(pts) - direct).max() <= 1e-11 * scale
+    """Every operator of the table, on the reference cell and a random affine
+    cell at degrees 3 to 5, against the PolyField composition: the matrices
+    and the images of a random member at random points."""
+    assert set(ORACLE) == set(poly.OPS)
+    for op, (src_rng, compose) in ORACLE.items():
+        g = poly.OPS[op].gdim
+        ref = poly.reference_cell("tet" if g == 3 else "triangle")
+        for cell in (ref, Simplex(ref.vertices @ (np.eye(g) + 0.4 * rng.standard_normal((g, g)))
+                                  + rng.standard_normal(g))):
+            for k in (3, 4, 5):
+                src = poly.space(cell, k, src_rng)
+                d = poly.diff(op, src)
+                oracle = _oracle_matrix(op, src)
+                assert np.abs(d.mat - oracle).max() <= 1e-13 * np.abs(oracle).max(), (op, k)
+                coords = rng.standard_normal(src.dim)
+                f, t = src.fields(), d.dst.fields()
+                fld = PolyField(f.basis, np.einsum("m,mn...->n...", coords, f.coeffs), f.vshape)
+                img = PolyField(t.basis, np.einsum("m,mn...->n...", coords @ d.mat, t.coeffs),
+                                t.vshape)
+                pts = cell.vertices.mean(axis=0) + 0.3 * rng.standard_normal((10, g))
+                direct = compose(fld).eval(pts)
+                assert np.abs(img.eval(pts) - direct).max() <= 1e-13 * np.abs(direct).max(), \
+                    (op, k)
 
 
 # -- constrained subspaces ----------------------------------------------------
@@ -162,14 +190,15 @@ def test_poly_complex_audit_exact_certified_k4():
         assert r["pass"], r
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("op,shift,rng,scale", [("devgrad", 2, "V3", 3),
                                                 ("symcurl", 1, "T", 2),
                                                 ("divdiv", 0, "S", 1)])
 def test_exact_matrix_is_the_scaled_float_matrix(op, shift, rng, scale, k):
-    """The certified integer matrix is scale * poly.diff's, entry by entry."""
+    """The certified integer matrix is scale * the PolyField oracle's, entry
+    by entry."""
     M = exact._op_matrix_3d(op, k)
-    F = poly.diff(op, poly.space("tet", k + shift, rng)).mat
+    F = _oracle_matrix(op, poly.space("tet", k + shift, rng))
     assert M.dtype == np.int64 and M.shape == F.shape
     assert np.abs(M / scale - F).max() <= 1e-12 * np.abs(F).max()
 
