@@ -12,7 +12,7 @@ import numpy as np
 from . import poly
 from .dofcommon import (DofGroup, Element, Part, bernstein_tests, bubble_space,
                         componentwise, vertex_groups)
-from .fields import PolyField, Simplex
+from .fields import Simplex
 from .linalg import svd_rank
 from .quadrature import rule
 
@@ -121,17 +121,8 @@ def interior_test_space_hrotrot(tri: Simplex, k: int) -> poly.PolySpace:
 
 
 # ---------------------------------------------------------------------------
-# DOF evaluation and audits
+# audits
 # ---------------------------------------------------------------------------
-
-def dof_eval(elem: Element, field: PolyField) -> np.ndarray:
-    """All DOF functionals applied to a polynomial field."""
-    if field.basis.degree > elem.basis.degree:
-        raise ValueError("field degree exceeds the shape space degree")
-    if field.vshape != elem.vshape:
-        raise ValueError("field range does not match the element range")
-    return elem.dof_values(field)
-
 
 def bubble_audit_2d(k: int, simplex: Simplex | None = None) -> list[dict]:
     """Rank chains of the 2-D de Rham and strain bubble complexes."""

@@ -3,9 +3,9 @@
 Every downstream object (DOF functionals, differentiation matrices, exactness
 audits) is built on the coefficient calculus in this module: a polynomial of
 degree n on a d-simplex is a vector over the Bernstein generating set
-B_a = (n!/a!) lambda^a, |a| = n, and differentiation, degree raising,
-multiplication by affine functions and restriction to sub-simplices are small
-exact linear maps on those vectors.  No finite differences anywhere.
+B_a = (n!/a!) lambda^a, |a| = n, and differentiation, degree raising and
+multiplication by affine functions are small exact linear maps on those
+vectors.  No finite differences anywhere.
 """
 
 from __future__ import annotations
@@ -203,22 +203,6 @@ class BernsteinBasis:
         other = other if other is not None else self
         return self.simplex.measure * _unit_gram(self.simplex.dim, self.degree, other.degree)
 
-    def restriction(self, local_vertices) -> tuple["BernsteinBasis", np.ndarray]:
-        """Restrict to the sub-simplex spanned by local_vertices (in that order).
-
-        Bernstein members supported away from the facet vanish there, so the
-        restriction is a coefficient selection, exact by construction.
-        """
-        lv = list(local_vertices)
-        sub = self.simplex.facet(lv).basis(self.degree)
-        R = np.zeros((sub.N, self.N))
-        others = [j for j in range(self.simplex.nvert) if j not in lv]
-        for i, a in enumerate(self.alphas):
-            if any(a[j] for j in others):
-                continue
-            R[sub._index[tuple(a[lv])], i] = 1.0
-        return sub, R
-
     def corner_indices(self) -> np.ndarray:
         """Generator indices of the members not vanishing at a vertex."""
         idx = [self._index[tuple(self.degree * np.eye(self.simplex.nvert, dtype=int)[v])]
@@ -363,10 +347,6 @@ class PolyField:
             out = PolyField(out.basis.simplex.basis(out.degree + 1),
                             _apply_left(op, out.coeffs, out.nax), out.vshape)
         return out
-
-    def restrict(self, local_vertices) -> "PolyField":
-        sub, R = self.basis.restriction(local_vertices)
-        return PolyField(sub, _apply_left(R, self.coeffs, self.nax), self.vshape)
 
     def map_components(self, fn) -> "PolyField":
         """Apply a pointwise linear map given as fn(coeffs)->coeffs on value axes."""

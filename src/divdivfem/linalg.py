@@ -57,6 +57,49 @@ def qr_rank(M, rtol: float = 1e-9) -> int:
     return int(np.sum(d > rtol * d[0]))
 
 
+def product_max(A, B, owner) -> float:
+    """max |A B| over every entry, from dense blocks, without forming A B.
+
+    A and B are scipy-sparse; owner[i] is the cell (a nonnegative integer)
+    that owns row i of A.  The rows of A are taken in blocks of consecutive
+    owner cells: a block grows cell by cell until it holds at least 8 rows,
+    so that a cell owning only a few rows (4 for the P1 DG target of divdiv)
+    does not pay a block's fixed numpy calls alone.  For each block, mark
+    arrays number the columns of A its rows reach and the columns that B's
+    rows for those reach; the block of A B is one dense GEMM, and only the
+    running max of its absolute values is kept.  Each entry is the sum of
+    the same products as in a sparse product, in another order; the
+    transient is one block.
+    """
+    A, B = sp.csr_array(A), sp.csr_array(B)
+    order = np.argsort(owner, kind="stable")
+    starts = [0]
+    for end in np.cumsum(np.bincount(owner))[:-1]:
+        if end - starts[-1] >= 8:
+            starts.append(int(end))
+    markA = np.empty(A.shape[1], dtype=A.indices.dtype)
+    markB = np.empty(B.shape[1], dtype=B.indices.dtype)
+    worst = 0.0
+    for lo, hi in zip(starts, starts[1:] + [A.shape[0]]):
+        Ablock, reached = _dense_rows(A, order[lo:hi], markA)
+        Bblock, _ = _dense_rows(B, reached, markB)
+        C = Ablock @ Bblock
+        if C.size:
+            worst = max(worst, float(C.max()), -float(C.min()))
+    return worst
+
+
+def _dense_rows(M: sp.csr_array, rows: np.ndarray, mark: np.ndarray):
+    """M's rows as one dense block over the columns they reach, and those
+    columns, ascending.  mark, one slot per column of M, is scratch."""
+    sub = M[rows]
+    cols = np.flatnonzero(np.bincount(sub.indices, minlength=M.shape[1]))
+    mark[cols] = np.arange(len(cols))
+    block = sp.csr_array((sub.data, np.take(mark, sub.indices), sub.indptr),
+                         shape=(len(rows), len(cols)))
+    return block.toarray(), cols
+
+
 def _certify(kept, dropped, tau: float) -> None:
     """A rank decision at the threshold tau stands only with a clear gap: the
     kept part's smallest singular value, or a lower bound of it, above 2 tau,

@@ -239,17 +239,6 @@ def curl2(f: PolyField) -> PolyField:
     rotmat = np.array([[0.0, 1.0], [-1.0, 0.0]])  # (gx, gy) -> (-gy, gx)
     return g.map_components(lambda c: np.tensordot(c, rotmat, axes=(-1, 0)))
 
-def rot2(f: PolyField) -> PolyField:
-    """Vector v -> dx v2 - dy v1; matrices row-wise."""
-    if not f.vshape or f.vshape[-1] != 2:
-        raise ValueError("rot2 needs a trailing 2-vector axis")
-    px, py = f.partial(0), f.partial(1)
-    return PolyField(px.basis, px.coeffs[..., 1] - py.coeffs[..., 0], f.vshape[:-1])
-
-def eps2(f: PolyField) -> PolyField:
-    if f.vshape != (2,):
-        raise ValueError("eps2 acts on 2-vector fields")
-    return field_sym(f.grad())
 
 # --------------------------------------------------------------------------
 # audits

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divdivfem
 from divdivfem import eb_solver
 from divdivfem.cli import main
 
@@ -10,6 +15,18 @@ def test_audit_poly_exit_zero(capsys):
     assert main(["audit", "poly", "--k", "3", "--dim", "2"]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    """`python -m divdivfem` runs the CLI with only the package's parent
+    directory on PYTHONPATH, as from a checkout without an install."""
+    src = str(Path(divdivfem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "divdivfem", "audit", "poly", "--dim", "3",
+                           "--k", "3"], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "0 failures" in done.stdout
 
 
 def test_audit_poly_exact_in_2d_exit_two(capsys):

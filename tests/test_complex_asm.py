@@ -13,7 +13,7 @@ from divdivfem.dofcommon import Element
 from divdivfem.eb_solver import EBSystem
 from divdivfem.fe3d import FAMILIES, EntityCache, build_element, element_3d
 from divdivfem.fields import PolyField, Simplex
-from divdivfem.linalg import qr_rank, svd_rank
+from divdivfem.linalg import product_max, qr_rank, svd_rank
 
 
 def test_single_tet_dims(complexes):
@@ -189,6 +189,75 @@ def test_assemble_diff_rejects_wrong_pair(complexes):
         assemble_diff(cell_operators("devgrad", L, S), L, S)
     with pytest.raises(ValueError):
         assemble_diff(cell_operators("unknown", V, L), V, L)
+
+
+def _coo_assembled(ops, src, dst):
+    """assemble_diff as it was built through COO triplets: the reference."""
+    vals = ops[src.cell_class[dst.owner], dst.owner_local]
+    cols = src.cell_maps[dst.owner]
+    rows = np.broadcast_to(np.arange(dst.ndof)[:, None], cols.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(dst.ndof, src.ndof))
+
+
+@pytest.mark.parametrize("spec, k", [("kuhn_cube(1)", 3), ("two_tets", 4)])
+def test_assemble_diff_is_bitwise_the_coo_assembly(spec, k, complexes):
+    """The CSR built in place equals the COO-built one bit for bit: indptr,
+    indices and data, with the same index dtype."""
+    spaces, diffs = complexes(spec, k)
+    for op, src, dst, D in zip(("devgrad", "symcurl", "divdiv"), spaces, spaces[1:], diffs):
+        ref = _coo_assembled(cell_operators(op, src, dst), src, dst)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(D, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (op, name)
+
+
+def _rounding_bound(A, B):
+    """Twice the worst-case rounding of any entry of A B summed in any order:
+    2 n eps max (|A| |B|), n the longest row of A."""
+    n = int(np.diff(A.indptr).max())
+    return 2 * n * np.finfo(float).eps * abs(abs(A) @ abs(B)).max()
+
+
+@pytest.mark.parametrize("spec, k", [("kuhn_cube(1)", 3), ("two_tets", 4)])
+def test_compositions_by_owner_blocks_match_the_sparse_product(spec, k, complexes):
+    (V, L, S, Q), (d1, d2, d3) = complexes(spec, k)
+    for A, B, owner in ((d2, d1, S.owner), (d3, d2, Q.owner)):
+        want = abs(A @ B).max()
+        assert abs(product_max(A, B, owner) - want) <= _rounding_bound(A, B)
+
+
+def test_planted_entry_fails_the_composition_row(complexes, monkeypatch):
+    """An entry planted in d1 (inside its cell, so the ranks still run) shows
+    in max|d2 d1| as in the sparse product, and the row fails."""
+    spaces, (d1, d2, d3) = complexes("two_tets")
+    V, L, S, _ = spaces
+    col = V.cell_maps[0, V.elements[0].interior][0]
+    row = np.setdiff1d(L.cell_maps[0, ~L.elements[0].interior], L.cell_maps[1])[0]
+    planted = _plant(d1, row, col)
+    monkeypatch.setattr(complex_asm, "build_complex", lambda m, k: (spaces, (planted, d2, d3)))
+    rows = {r["name"]: r for r in complex_audit(mesh.two_tets(), 3)}
+    comp = rows["symcurl o devgrad = 0"]
+    scale = abs(planted).max() * abs(d2).max()
+    assert abs(comp["computed"] * scale - abs(d2 @ planted).max()) <= _rounding_bound(d2, planted)
+    assert comp["computed"] > 1e-11 and not comp["pass"]
+    assert rows["divdiv o symcurl = 0"]["pass"]
+
+
+def _no_sparse_product(*args, **kwargs):
+    raise AssertionError("a sparse x sparse product was formed")
+
+
+def test_complex_audit_forms_no_sparse_product(monkeypatch):
+    """The compositions come from dense owner blocks: with scipy's sparse x
+    sparse product raising, complex_audit still passes every row."""
+    for cls in type(sp.csr_matrix((1, 1))).__mro__:
+        if "_matmul_sparse" in vars(cls):
+            monkeypatch.setattr(cls, "_matmul_sparse", _no_sparse_product)
+    with pytest.raises(AssertionError, match="sparse x sparse"):
+        sp.eye(2, format="csr") @ sp.eye(2, format="csr")
+    rows = complex_audit(mesh.load("kuhn_cube(1)"), 3)
+    assert all(r["pass"] for r in rows)
 
 
 def _cell_field(space, coeffs, ci) -> PolyField:

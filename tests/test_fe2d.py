@@ -7,6 +7,8 @@ from divdivfem.cli import random_cells
 from divdivfem.fields import PolyField
 from divdivfem.quadrature import rule
 
+from calculus2d import dof_eval, eps2, restrict, rot2
+
 K3_COUNTS = {
     "h1_scalar": 21,
     "hrot_vec": 30,
@@ -41,7 +43,7 @@ def test_rejects_small_k():
 def test_h1_scalar_dofs_of_constant():
     e = fe2d.element_2d("h1_scalar", 3)
     one = PolyField(e.simplex.basis(0), np.ones(1), ())
-    vals = fe2d.dof_eval(e, one)
+    vals = dof_eval(e, one)
     for v in range(3):
         base = 6 * v
         assert abs(vals[base] - 1.0) <= 1e-13          # value
@@ -83,10 +85,10 @@ def test_dof_eval_input_validation():
     e = fe2d.element_2d("h1_scalar", 3)
     high = PolyField(e.simplex.basis(7), np.zeros(e.simplex.basis(7).N), ())
     with pytest.raises(ValueError, match="degree"):
-        fe2d.dof_eval(e, high)
+        dof_eval(e, high)
     vec = PolyField(e.simplex.basis(2), np.zeros((6, 2)), (2,))
     with pytest.raises(ValueError, match="range"):
-        fe2d.dof_eval(e, vec)
+        dof_eval(e, vec)
 
 
 def test_derivative_edge_dof_matches_exact_integral(rng):
@@ -96,7 +98,7 @@ def test_derivative_edge_dof_matches_exact_integral(rng):
     tri = e.simplex
     tau = tc.field_sym(PolyField(tri.basis(k + 1),
                                  rng.standard_normal((tri.basis(k + 1).N, 2, 2)), (2, 2)))
-    vals = fe2d.dof_eval(e, tau)
+    vals = dof_eval(e, tau)
     frames = fe2d._edge_frames_2d(tri)
     for ei, edge in enumerate(fe2d.LOCAL_EDGES_2D):
         t, n = (a[ei] for a in frames)
@@ -104,10 +106,10 @@ def test_derivative_edge_dof_matches_exact_integral(rng):
         # the closed-form Bernstein integrals
         ntt = tau.map_components(lambda c: np.einsum("...ij,i,j->...", c, n, t))
         dt_ntt = ntt.directional(t)
-        rot = tc.rot2(tau)
+        rot = rot2(tau)
         trt = rot.map_components(lambda c: np.einsum("...i,i->...", c, t))
         integrand = (dt_ntt * -1.0) + trt
-        seg_field = integrand.restrict(edge)
+        seg_field = restrict(integrand, edge)
         qb = seg_field.basis.simplex.basis(k - 2)
         # exact product integration via the Gram between the two Bernstein bases
         G = seg_field.basis.gram(qb)
@@ -144,7 +146,7 @@ def test_bubble_audit(k):
 def test_eps_f_of_rigid_motions_excluded_from_bubbles():
     tri = poly.reference_cell("triangle")
     rm = poly.rigid_motions_2d(tri)
-    eps = tc.eps2(rm.fields())
+    eps = eps2(rm.fields())
     assert np.abs(eps.coeffs).max() <= 1e-14
     # rigid motions do not vanish at the vertices, so they are not bubbles
     e4 = fe2d.element_2d("h1_vec", 3, tri)

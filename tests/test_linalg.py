@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem.linalg import block_svd_ranks, front_rank, qr_rank, rank_exact, svd_rank
+from divdivfem.linalg import (block_svd_ranks, front_rank, product_max, qr_rank, rank_exact,
+                              svd_rank)
 
 
 def _with_spectrum(rng, m, n, s):
@@ -156,3 +157,62 @@ def test_rank_exact_takes_numpy_integers():
 def test_rank_exact_rejects_floats_even_zero_ones(rows):
     with pytest.raises(TypeError):
         rank_exact(rows)
+
+
+def _random_pair(rng, case):
+    """A (m x k) and B (k x n), random sparse CSR, and the owner of each row of A."""
+    m, k, n = 60, 45, 50
+    A = sp.random(m, k, density=0.15, random_state=rng, format="csr")
+    B = sp.random(k, n, density=0.2, random_state=rng, format="csr")
+    owner = rng.integers(0, 9, m)
+    if case == "empty rows":
+        keep = np.ones(m)
+        keep[rng.choice(m, 20, replace=False)] = 0.0
+        A = sp.diags(keep) @ A
+        A.eliminate_zeros()
+        B = B.tolil()
+        B[::3] = 0.0
+        B = B.tocsr()
+    elif case == "empty groups":
+        owner = 3 * owner + 2                   # cells 0, 1, 3, 4, ... own nothing
+    elif case == "unsorted indices":
+        for M in (A, B):
+            for i in range(M.shape[0]):
+                lo, hi = M.indptr[i], M.indptr[i + 1]
+                order = rng.permutation(hi - lo)
+                M.indices[lo:hi], M.data[lo:hi] = M.indices[lo:hi][order], M.data[lo:hi][order]
+            M.has_sorted_indices = False
+        assert any(np.any(np.diff(A.indices[A.indptr[i]:A.indptr[i + 1]]) < 0) for i in range(m))
+    elif case == "duplicate entries":
+        # each nonempty row stores its first entry twice more, split in parts
+        rows = []
+        for i in range(m):
+            cols, vals = A.indices[A.indptr[i]:A.indptr[i + 1]], A.data[A.indptr[i]:A.indptr[i + 1]]
+            if len(cols):
+                cols, vals = np.r_[cols, cols[:1]], np.r_[0.25 * vals[:1], vals[1:], 0.75 * vals[:1]]
+            rows.append((cols, vals))
+        indptr = np.r_[0, np.cumsum([len(c) for c, _ in rows])]
+        A = sp.csr_matrix((np.concatenate([v for _, v in rows]),
+                           np.concatenate([c for c, _ in rows]), indptr), shape=A.shape)
+        assert not A.has_canonical_format
+    elif case == "one group":
+        owner = np.zeros(m, dtype=int)
+    return A, B, owner
+
+
+@pytest.mark.parametrize("case", ["plain", "empty rows", "empty groups", "unsorted indices",
+                                  "duplicate entries", "one group"])
+@pytest.mark.parametrize("seed", range(3))
+def test_product_max_equals_the_sparse_product_max(case, seed):
+    A, B, owner = _random_pair(np.random.default_rng(seed), case)
+    want = abs(A @ B).max()
+    assert want > 0
+    assert abs(product_max(A, B, owner) - want) <= 1e-13 * want
+
+
+def test_product_max_of_empty_products():
+    A = sp.csr_matrix((5, 4))
+    B = sp.random(4, 3, density=0.5, random_state=0, format="csr")
+    assert product_max(A, B, np.arange(5)) == 0.0
+    assert product_max(sp.csr_matrix((0, 4)), B, np.arange(0)) == 0.0
+    assert product_max(B.T.tocsr(), sp.csr_matrix((4, 6)), np.zeros(3, dtype=int)) == 0.0
