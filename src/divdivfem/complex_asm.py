@@ -17,8 +17,8 @@ from . import poly
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element
 from .fields import PolyField
-from .linalg import (block_svd_ranks, front_rank, product_max, qr_rank, row_triangle,
-                     svd_rank)
+from .linalg import (block_svd_ranks, frobenius, front_rank, product_max, qr_rank,
+                     row_triangle, svd_rank)
 from .mesh import TetMesh
 
 _KINDS = ("v", "e", "f", "c")
@@ -262,22 +262,24 @@ def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
     """
     tree = CellTree(src.mesh)
     cnode, rnode = tree.dof_nodes(src.cell_maps), tree.dof_nodes(dst.cell_maps)
-    d = d.tocoo()
-    kept = tree.within(rnode[d.row], cnode[d.col])
-    dropped, scale = float(np.linalg.norm(d.data[~kept])), np.abs(d.data).max(initial=0.0)
-    if dropped > rtol * scale:
-        raise ValueError(f"columns leave their cells: |E|_F = {dropped:.3e}, "
-                         f"max|d| = {scale:.3e}")
-    colsq = np.bincount(d.col, d.data ** 2, minlength=d.shape[1])
-    tau = rtol * float(np.sqrt(colsq.max(initial=0.0)))
+    if not d.has_canonical_format:              # rows sorted and summed
+        d = d.copy()
+        d.sum_duplicates()
     # rows and columns grouped by node: node n's are [start[n], start[n + 1])
     nnodes = len(tree.lo)
     rorder, corder = np.argsort(rnode, kind="stable"), np.argsort(cnode, kind="stable")
     rstart = np.searchsorted(rnode[rorder], np.arange(nnodes + 1))
     cstart = np.searchsorted(cnode[corder], np.arange(nnodes + 1))
-    slot = np.empty(dst.ndof, dtype=int)
-    slot[rorder] = np.arange(dst.ndof)
-    A = sp.csr_matrix((d.data[kept], (slot[d.row[kept]], d.col[kept])), shape=d.shape)
+    kept = tree.within(np.repeat(rnode, np.diff(d.indptr)), cnode[d.indices])
+    dropped, scale = frobenius(d.data[~kept]), np.abs(d.data).max(initial=0.0)
+    if dropped > rtol * scale:
+        raise ValueError(f"columns leave their cells: |E|_F = {dropped:.3e}, "
+                         f"max|d| = {scale:.3e}")
+    colsq = np.bincount(d.indices, d.data ** 2, minlength=d.shape[1])
+    tau = rtol * float(np.sqrt(colsq.max(initial=0.0)))
+    # the kept entries, rows grouped by node
+    A = sp.csr_matrix((d.data[kept], d.indices[kept], np.r_[0, np.cumsum(kept)][d.indptr]),
+                      shape=d.shape)[rorder]
     where = np.empty(src.ndof, dtype=int)
     reached = np.zeros(src.ndof, dtype=bool)    # marks a front's other columns
     contrib = {}                                # node -> (rows, their columns)

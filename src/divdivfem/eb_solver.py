@@ -111,16 +111,23 @@ class CellInteriors:
     r of cell c.  The interior unknowns I of a cell belong to that cell alone,
     so its rows and columns of K are those of K_c, and their scale D_i is its
     class's (the mass diagonal of its own cell); only the interface scale
-    D_F,c differs from cell to cell.  So each class takes one dense LU of
-    K_ii = D_i lhs_ii D_i (an explicit inverse loses digits that the
-    residual checks need) and keeps Xt_r = K_ii^-1 D_i lhs_iF and
-    L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF is Xt_r D_F,c and its
-    K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r, the Schur complement on
-    the interface unknowns F is D_F (sum_c P_c T_r P_c^T) D_F, summed BLOCK
-    columns at a time into the compressed columns splu takes (_schur); no
-    global matrix is formed.  The lhs_r are built CHUNK classes at a time
-    (class_lhs), so the dense transients stay small when every cell is its
-    own class.
+    D_F,c differs from cell to cell.  So each class keeps the inverse of
+    K_ii = D_i lhs_ii D_i, Xt_r = K_ii^-1 D_i lhs_iF (solved, not applied
+    through the inverse) and L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF
+    is Xt_r D_F,c and its K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r,
+    the Schur complement on the interface unknowns F is
+    D_F (sum_c P_c T_r P_c^T) D_F, summed BLOCK columns at a time into the
+    compressed columns splu takes (_schur); no global matrix is formed.  The
+    lhs_r are built CHUNK classes at a time (class_lhs), so the dense
+    transients stay small when every cell is its own class.
+
+    Interiors: the inverses keep the solve on numpy's BLAS.  scipy bundles a
+    second OpenBLAS, and alternating its getrs with numpy's products doubled
+    the 2-thread kuhn_cube(2) CN step.  An applied inverse has forward error
+    of order cond(K_ii) u, as LU has (Higham 2002, ch. 14), and the
+    equilibrated K_ii have cond <= 1.6e3 up to theta = 1 and 1.3e5 at
+    theta = 100 on kuhn_cube(2), where the full-system residual of a random
+    right-hand side reads 2.4e-6 against 2.5e-6 with their LU.
 
     Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
     and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
@@ -173,9 +180,7 @@ class CellInteriors:
         self.P = sp.csr_matrix((np.ones(ncells * nf),
                                 (self.cell_iface.ravel()[stacked], np.arange(ncells * nf))),
                                shape=(len(self.iface), ncells * nf))
-        # lu[r] Fortran-ordered, as getrs takes it without a copy
-        lu = np.empty((nclasses, ni, ni)).transpose(0, 2, 1)
-        piv = np.empty((nclasses, ni), dtype=np.int32)
+        self.inv_ii = np.empty((nclasses, ni, ni))
         self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
         Tt = np.empty((nclasses, nf, nf))           # each class's T_r, transposed
         for start in range(0, nclasses, self.CHUNK):
@@ -183,14 +188,11 @@ class CellInteriors:
             lhs = class_lhs(r)                                   # [interior | interface]
             d = d_i[r]
             Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
-            lu[r], piv[r] = sla.lu_factor(Kii, check_finite=False)
-            # numpy's batched solve: scipy's lu_solve loops over a stack in Python
+            self.inv_ii[r] = np.linalg.inv(Kii)
             self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
             self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
             np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=Tt[r].transpose(0, 2, 1))
         del lhs, Kii                 # the last chunk's, before the Schur complement
-        self.lu_ii = (lu, piv)
-        self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
         schur = self._schur(Tt, cell_class, stacked)
         del Tt                       # freed before the LU: peak memory
         self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
@@ -240,14 +242,11 @@ class CellInteriors:
         solved together."""
         c = (self.scale * b.T).T
         c2 = c.reshape(len(c), -1)                                  # (n, m)
-        (lu, piv), m = self.lu_ii, c2.shape[1]
+        m = c2.shape[1]
         ws, Lw = [], []
-        for sel, cls, inner, _ in self.groups:
-            w = c2[inner].reshape(*inner.shape[:2], -1)             # (classes, ni, cells m)
-            for g, r in enumerate(cls):
-                w[g], info = self._getrs(lu[r], piv[r], w[g])
-                if info:
-                    raise ValueError(f"getrs rejected argument {-info}")
+        for sel, _, inner, _ in self.groups:
+            # (classes, ni, cells m)
+            w = self.inv_ii[sel] @ c2[inner].reshape(*inner.shape[:2], -1)
             ws.append(w)
             Lw.append((self.L[sel] @ w).reshape(-1, m))             # (classes nf cells, m)
         xF = self.lu.solve(c2[self.iface] - self.scale_F[:, None] * (self.P @ np.vstack(Lw)))

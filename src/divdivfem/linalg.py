@@ -89,6 +89,12 @@ def product_max(A, B, owner) -> float:
     return worst
 
 
+def frobenius(x) -> float:
+    """The Frobenius norm as a plain reduction: np.linalg.norm takes a BLAS
+    dot, whose OpenBLAS pool is not the one of scipy's LAPACK calls around it."""
+    return float(np.sqrt(np.sum(x * x)))
+
+
 def _dense_rows(M: sp.csr_array, rows: np.ndarray, mark: np.ndarray):
     """M's rows as one dense block over the columns they reach, and those
     columns, ascending.  mark, one slot per column of M, is scratch."""
@@ -145,8 +151,8 @@ def front_rank(F: np.ndarray, nown: int, tau: float) -> tuple[int, np.ndarray]:
                                        check_finite=False)
     r = int(np.sum(np.abs(np.diag(R)) > tau))
     # |R_ii| > tau >= 0 for i < r, so R11 is invertible
-    kept = 1.0 / np.linalg.norm(scipy.linalg.lapack.dtrtri(R[:r, :r])[0]) if r else np.inf
-    _certify(kept, np.linalg.norm(R[r:, r:]), tau)
+    kept = 1.0 / frobenius(scipy.linalg.lapack.dtrtri(R[:r, :r])[0]) if r else np.inf
+    _certify(kept, frobenius(R[r:, r:]), tau)
     if rest.shape[1]:
         ormqr = scipy.linalg.lapack.dormqr
         qr = qr[:, :len(taus)]

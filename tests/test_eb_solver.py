@@ -347,6 +347,65 @@ def test_factor_reads_only_the_cell_stacks(eb_systems, monkeypatch, rng):
         assert np.linalg.norm(_lhs(sys, theta) @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
+def _scipy_lapack(*args, **kwargs):
+    raise AssertionError("scipy's dense LAPACK was called")
+
+
+def test_condensed_solves_call_no_scipy_dense_lapack(monkeypatch, rng):
+    """The cell interiors run on numpy's BLAS alone: _factorize, cn_step,
+    project and infsup_estimate all run with scipy's lu_factor, lu_solve and
+    get_lapack_funcs raising.  A fresh system, so that the CN factor is built
+    under the patch."""
+    sys = eb_solver.EBSystem(mesh.load("kuhn_cube(1)"), 3)
+    for name in ("lu_factor", "lu_solve", "get_lapack_funcs"):
+        monkeypatch.setattr(eb_solver.sla, name, _scipy_lapack)
+    y = rng.standard_normal(sys.ntot)
+    Ay, Sy = sys.products(y)
+    assert np.all(np.isfinite(sys._factorize(0.0).solve(y)))
+    assert np.all(np.isfinite(sys.cn_step(y, 0.0125)))
+    assert np.all(np.isfinite(sys.project(Ay - Sy)))
+    assert 0 < eb_solver.infsup_estimate(sys) <= 1
+
+
+def _lu_condensed_solve(sys, cells, theta, b):
+    """The condensed solve of cells for a block b (n, m), cell by cell, with
+    each K_ii applied by scipy's LU of its class's block: the oracle of the
+    inverse stack and of the batched products.  Of cells it reads X, L, the
+    Schur factor and the scales."""
+    ni = cells.interior.shape[1]
+    d = sys.scale[cells.interior[np.unique(sys.cell_class, return_index=True)[1]]]
+    Kii = sys.class_lhs(slice(None), theta)[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
+    lu = [sla.lu_factor(K) for K in Kii]
+    cls, f = sys.cell_class, cells.cell_iface
+    c = sys.scale[:, None] * b
+    w = np.stack([sla.lu_solve(lu[r], c[i]) for r, i in zip(cls, cells.interior)])
+    Lw = np.zeros((len(cells.iface), b.shape[1]))
+    np.add.at(Lw, f, np.einsum("cfi,cim->cfm", cells.L[cls], w))
+    xF = cells.lu.solve(c[cells.iface] - cells.scale_F[:, None] * Lw)
+    x = np.empty_like(c)
+    x[cells.iface] = xF
+    x[cells.interior] = w - np.einsum("cif,cfm->cim", cells.X[cls],
+                                      (cells.scale_F[:, None] * xF)[f])
+    return sys.scale[:, None] * x
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5 * 0.0125, 1.0, 100.0])
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
+def test_inverse_stack_solve_matches_scipy_lu(eb_systems, spec, theta, rng):
+    """solve applies each class's K_ii by its inverse: on eight random
+    right-hand sides its full-system residual is at most twice that of the
+    same condensed solve with scipy's LU of each K_ii, and the solutions
+    agree to 1e-9 relative, also at theta = 100, where cond(K_ii) reaches
+    6.7e4 on kuhn_cube(1)."""
+    sys = eb_systems(spec)
+    cells = sys._factorize(theta)
+    b = rng.standard_normal((sys.ntot, 8))
+    x, ref = cells.solve(b), _lu_condensed_solve(sys, cells, theta, b)
+    lhs = _lhs(sys, theta)
+    assert np.linalg.norm(lhs @ x - b) <= 2 * np.linalg.norm(lhs @ ref - b)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
 def test_cn_step_rejects_wrong_condensed_solve(eb_systems, rng, monkeypatch):
     sys = eb_systems("two_tets")
     solve = eb_solver.CellInteriors.solve
@@ -549,7 +608,7 @@ def test_system_holds_class_stacks_and_no_global_matrix(eb_systems):
     eb_solver.run(sys, cfg)
     _, cells = sys._cn[cfg.dt]
     stacks = [*sys._cell_diff, *sys._cell_mass, *sys._cell_coupling, cells.X, cells.L,
-              *cells.lu_ii]
+              cells.inv_ii]
     assert [len(s) for s in stacks] == [6] * len(stacks)
     for obj in _held(sys):
         assert not (sp.issparse(obj) and obj.shape == (sys.ntot, sys.ntot))
