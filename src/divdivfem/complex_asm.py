@@ -191,11 +191,33 @@ def sparse_rank(A: sp.spmatrix, rtol: float = 1e-9) -> int:
     return r
 
 
+def _cut(verts: np.ndarray) -> int:
+    """Where to split cells given in order by their vertices verts (n, 4):
+    the h in n/4 <= h <= 3n/4 whose halves cells[:h] and cells[h:] share
+    the fewest vertices, the one nearest the median n // 2 among equals."""
+    n = len(verts)
+    _, vertex = np.unique(verts.ravel(), return_inverse=True)
+    cell = np.repeat(np.arange(n), verts.shape[1])
+    first = np.full(vertex.max() + 1, n)
+    last = np.zeros_like(first)
+    np.minimum.at(first, vertex, cell)
+    np.maximum.at(last, vertex, cell)
+    # a vertex is shared by the halves at h when first < h <= last
+    shared = np.cumsum(np.bincount(first + 1, minlength=n + 1)
+                       - np.bincount(last + 1, minlength=n + 1))
+    quarter = -(-n // 4)
+    h = np.arange(quarter, n - quarter + 1)
+    return int(h[np.lexsort((np.abs(h - n // 2), shared[h]))[0]])
+
+
 class CellTree:
-    """Bisection tree of a mesh's cells.  A node splits its cells at the
-    median centroid along their longest extent, down to single cells.  The
-    leaves are laid out in `order`, so node n holds the leaves lo[n]:hi[n];
-    nodes are numbered children first, the root last."""
+    """Bisection tree of a mesh's cells.  A node orders its cells by their
+    centroids along their longest extent and splits them where the two
+    halves share the fewest vertices, each half keeping at least a quarter
+    of the cells (_cut), down to single cells: on a lattice the cut falls
+    between layers of cells, not through one (George, SIAM J. Numer. Anal.
+    1973).  The leaves are laid out in `order`, so node n holds the leaves
+    lo[n]:hi[n]; nodes are numbered children first, the root last."""
 
     def __init__(self, mesh: TetMesh):
         cent = mesh.vertices[mesh.cells].mean(axis=1)
@@ -210,8 +232,8 @@ class CellTree:
                 pts = cent[cells]
                 axis = int(np.argmax(np.ptp(pts, axis=0)))
                 cells = cells[np.argsort(pts[:, axis], kind="stable")]
-                half = len(cells) // 2
-                kids = (split(cells[:half], level + 1), split(cells[half:], level + 1))
+                cut = _cut(mesh.cells[cells])
+                kids = (split(cells[:cut], level + 1), split(cells[cut:], level + 1))
             lo.append(start)
             hi.append(len(order))
             depth.append(level)
@@ -239,6 +261,13 @@ class CellTree:
         depth = np.sum(self.anc[:, first] == self.anc[:, last], axis=0)
         return self.anc[depth - 1, first]
 
+    def dof_groups(self, cell_maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node, order, start): the node of each DOF (dof_nodes) and the DOFs
+        grouped by node, node n's ascending in order[start[n]:start[n + 1]]."""
+        node = self.dof_nodes(cell_maps)
+        order = np.argsort(node, kind="stable")
+        return node, order, np.searchsorted(node[order], np.arange(len(self.lo) + 1))
+
     def within(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
         """Whether node inner lies in the subtree of node outer, elementwise."""
         return (self.lo[outer] <= self.lo[inner]) & (self.hi[inner] <= self.hi[outer])
@@ -261,15 +290,12 @@ def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
     certified where it is made (linalg.front_rank, block_svd_ranks).
     """
     tree = CellTree(src.mesh)
-    cnode, rnode = tree.dof_nodes(src.cell_maps), tree.dof_nodes(dst.cell_maps)
+    # rows and columns grouped by node: node n's are [start[n], start[n + 1])
+    cnode, corder, cstart = tree.dof_groups(src.cell_maps)
+    rnode, rorder, rstart = tree.dof_groups(dst.cell_maps)
     if not d.has_canonical_format:              # rows sorted and summed
         d = d.copy()
         d.sum_duplicates()
-    # rows and columns grouped by node: node n's are [start[n], start[n + 1])
-    nnodes = len(tree.lo)
-    rorder, corder = np.argsort(rnode, kind="stable"), np.argsort(cnode, kind="stable")
-    rstart = np.searchsorted(rnode[rorder], np.arange(nnodes + 1))
-    cstart = np.searchsorted(cnode[corder], np.arange(nnodes + 1))
     kept = tree.within(np.repeat(rnode, np.diff(d.indptr)), cnode[d.indices])
     dropped, scale = frobenius(d.data[~kept]), np.abs(d.data).max(initial=0.0)
     if dropped > rtol * scale:

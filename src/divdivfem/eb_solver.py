@@ -20,7 +20,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import GlobalSpace, assemble_cells, assemble_diff, cell_operators
+from .complex_asm import CellTree, GlobalSpace, assemble_cells, assemble_diff, cell_operators
 from .fe3d import EntityCache
 from .mesh import TetMesh, load as load_mesh
 from .quadrature import REF_MEASURE, rule
@@ -99,12 +99,84 @@ def class_groups(cell_class: np.ndarray) -> list[tuple]:
              np.stack([members[r] for r in cls])) for cls in groups]
 
 
+class Fronts:
+    """The symbolic elimination of the interface unknowns over the cells'
+    bisection tree: what each front holds and where it passes its update,
+    which depend on the tree and the cells' unknowns alone.  So one Fronts
+    serves every factor on the same unknowns (CN, the projection).
+
+    maps (ncells, n) gives the global numbers of each cell's unknowns, its
+    ni interior ones first; every other unknown is interface, numbered in
+    iface order, and cell_iface gives each cell's interface numbers.  Each
+    interface unknown belongs to its tree node (CellTree.dof_groups): node
+    n's own unknowns own[n] are those that every cell listing them holds.
+    Its front holds own[n] and then bnd[n], the unknowns of n's ancestors
+    that its cells reach, each ascending: a leaf's are its cell's interface
+    unknowns, the cell's local slots perm[n]; another node's are its
+    children's boundaries, whose places in its front are pos[child].  Nodes
+    are numbered children first, the root last, and the root has no
+    boundary.  A node that owns nothing (its cells share only unknowns that
+    cells outside it list too, as two cells meeting at an edge do) passes
+    its front up whole.
+
+    The nodes below the root that own unknowns are batched by height (one
+    more than their children's greatest, 0 at a leaf) and by how many
+    unknowns they own and reach: batches (nodes, own, bnd), each a stack
+    over its nodes, by ascending height.  Nodes of one height are not each
+    other's ancestors, so a batch is solved at once; slot[n] is node n's
+    (batch, place in it).
+
+    condensed_rank groups its rows and columns by the same dof_groups but
+    takes a front's other columns from the rows it holds, a subset of what
+    its cells list that depends on the matrix: a factor's front is the
+    pattern of its cells' dense blocks, which reach every unknown they list."""
+
+    def __init__(self, tree: CellTree, maps: np.ndarray, ni: int):
+        self.tree = tree
+        self.interior = maps[:, :ni]
+        n = maps.max() + 1
+        self.iface = np.setdiff1d(np.arange(n), self.interior)
+        number = np.empty(n, dtype=int)
+        number[self.iface] = np.arange(len(self.iface))
+        self.cell_iface = number[maps[:, ni:]]
+        node, order, start = tree.dof_groups(self.cell_iface)
+        self.own = np.split(order, start[1:-1])
+        nnodes = len(tree.lo)
+        self.bnd, self.perm, self.pos = [None] * nnodes, {}, {}
+        where = np.empty(len(self.iface), dtype=int)
+        height = np.zeros(nnodes, dtype=int)
+        for i in range(nnodes):
+            if tree.kids[i]:
+                height[i] = 1 + height[list(tree.kids[i])].max()
+                reached = np.unique(np.concatenate([self.bnd[c] for c in tree.kids[i]]))
+                self.bnd[i] = reached[node[reached] != i]
+                where[self.own[i]] = np.arange(len(self.own[i]))
+                where[self.bnd[i]] = len(self.own[i]) + np.arange(len(self.bnd[i]))
+                for c in tree.kids[i]:
+                    self.pos[c] = where[self.bnd[c]]
+            else:
+                u = self.cell_iface[tree.order[tree.lo[i]]]
+                self.perm[i] = np.lexsort((u, node[u] != i))
+                self.bnd[i] = u[self.perm[i]][len(self.own[i]):]
+        batches = {}
+        for i in range(nnodes - 1):
+            if len(self.own[i]):
+                key = (height[i], len(self.own[i]), len(self.bnd[i]))
+                batches.setdefault(key, []).append(i)
+        self.batches = [(np.array(nodes), np.stack([self.own[i] for i in nodes]),
+                         np.stack([self.bnd[i] for i in nodes]))
+                        for nodes in (batches[key] for key in sorted(batches))]
+        self.slot = {n: (b, j) for b, (nodes, _, _) in enumerate(self.batches)
+                     for j, n in enumerate(nodes)}
+
+
 class CellInteriors:
     """The factor of a matrix lhs with a positive-definite symmetric part,
     assembled from the cell blocks of its translation classes: A - theta S of
     the CN step and the projection, or a mass matrix alone in the inf-sup
     estimate.  Equilibrated, its cell interiors condensed out class by class,
-    and the sparse LU of the Schur complement.
+    and the Schur complement eliminated front by front over the cells'
+    bisection tree (multifrontal: Duff & Reid, ACM TOMS 1983).
 
     K = D lhs D, with D the diagonal of scale, is the sum over cells of
     P_c^T K_c P_c, K_c = D_c lhs_r D_c, where lhs_r is the block of the class
@@ -116,73 +188,71 @@ class CellInteriors:
     through the inverse) and L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF
     is Xt_r D_F,c and its K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r,
     the Schur complement on the interface unknowns F is
-    D_F (sum_c P_c T_r P_c^T) D_F, summed BLOCK columns at a time into the
-    compressed columns splu takes (_schur); no global matrix is formed.  The
-    lhs_r are built CHUNK classes at a time (class_lhs), so the dense
-    transients stay small when every cell is its own class.
+    D_F (sum_c P_c T_r P_c^T) D_F; no global matrix is formed.  The lhs_r
+    are built CHUNK classes at a time (class_lhs), so the dense transients
+    stay small when every cell is its own class.
 
-    Interiors: the inverses keep the solve on numpy's BLAS.  scipy bundles a
-    second OpenBLAS, and alternating its getrs with numpy's products doubled
-    the 2-thread kuhn_cube(2) CN step.  An applied inverse has forward error
-    of order cond(K_ii) u, as LU has (Higham 2002, ch. 14), and the
-    equilibrated K_ii have cond <= 1.6e3 up to theta = 1 and 1.3e5 at
-    theta = 100 on kuhn_cube(2), where the full-system residual of a random
-    right-hand side reads 2.4e-6 against 2.5e-6 with their LU.
+    Fronts: the leaf front of cell c is D_F,c T_r D_F,c; every other front
+    is its children's updates, added at their places (Fronts).  A front
+    [[F_OO, F_OB], [F_BO, F_BB]] on its own unknowns O and boundary B keeps
+    the inverse of F_OO, X = F_OO^-1 F_OB (solved, not applied through the
+    inverse) and L = F_BO, and passes F_BB - L X to its parent: the
+    inv_ii/X/L of the interiors, on every level, all on numpy's BLAS.  The
+    root's front, its separator's Schur complement, is dense, and is
+    factored alone, by SuperLU in its natural order with partial pivoting:
+    the benchmark's tracer counts factorisations as splu calls and reads
+    the L+U size from cn_factorization()[0], and SuperLU's solve runs
+    between numpy's products without contention, where scipy's getrf/getrs
+    would alternate the two bundled OpenBLAS pools again.  A numpy inverse
+    at the root measured faster (750 x 750: 0.054 against 0.093 s); it waits
+    for a benchmark that times it.
+
+    Interiors and fronts: the inverses keep the solve on numpy's BLAS.  scipy
+    bundles a second OpenBLAS, and alternating its getrs with numpy's
+    products doubled the 2-thread kuhn_cube(2) CN step.  An applied inverse
+    has forward error of order cond u, as LU has (Higham 2002, ch. 14), and
+    the equilibrated K_ii have cond <= 1.6e3 up to theta = 1 and 1.3e5 at
+    theta = 100 on kuhn_cube(2).
 
     Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
-    and so has each K_ii and the Schur complement (x^T Schur x = z^T K z with
-    z = (-K_ii^-1 K_iF x, x)).  Every symmetric permutation of it then has
-    nonsingular leading blocks, so LU on diagonal pivots exists in the
-    minimum-degree order of its (symmetric) pattern, and its growth is
-    bounded by the size of the skew part relative to the symmetric one
-    (Golub & Van Loan, "Unsymmetric positive definite linear systems", Linear
-    Algebra Appl. 1979).  So the pivot threshold is 0: no pivot leaves the
-    diagonal, and the ordering's fill estimate is the fill.  Past theta = 1
-    the largest multiplier grows like theta, but || |L| |U| || / || L U ||
-    does not (1.72 at theta = 1, 1.66 at 4, 1.63 at 10^4 on kuhn_cube(1)).
+    and so has each K_ii and every Schur complement taken from it
+    (x^T Schur x = z^T K z with z = (-K_ii^-1 K_iF x, x)): every F_OO and
+    the root front.  So each is nonsingular in any order of elimination,
+    and the tree's order needs no pivot to exist; LAPACK's and SuperLU's
+    partial pivoting bound the growth inside a front.  On kuhn_cube(1) the
+    componentwise backward error of a solve stays at rounding level,
+    below 1e-15, from theta = 0 to 100.
     """
 
     # classes whose lhs_r are formed at once: 10 MB of dense transients at k = 3
     CHUNK = 8
-    # interface unknowns whose Schur columns are summed at once: about 1600
-    # cell columns at k = 3 on Kuhn meshes, 4 MB of dense transients
-    BLOCK = 512
 
     def __init__(self, class_lhs, cell_class: np.ndarray, scale: np.ndarray,
-                 maps: np.ndarray, ni: int):
+                 fronts: Fronts):
         """class_lhs(classes) gives lhs_r of a slice of the translation
-        classes, stacked (classes, n, n) in the local order of maps
-        (ncells, n), the global numbers of each cell's unknowns, its ni
-        interior unknowns first; cell_class gives each cell's class."""
-        self.scale = scale
-        self.interior = maps[:, :ni]
-        self.iface = np.setdiff1d(np.arange(len(scale)), self.interior)
-        number = np.empty(len(scale), dtype=int)
-        number[self.iface] = np.arange(len(self.iface))
-        self.cell_iface = number[maps[:, ni:]]
-        ncells, nf = self.cell_iface.shape
+        classes, stacked (classes, n, n) in the local order of the fronts'
+        maps, the interior unknowns first; cell_class gives each cell's
+        class."""
+        self.scale, self.fronts = scale, fronts
+        self.interior, self.iface, self.cell_iface = fronts.interior, fronts.iface, fronts.cell_iface
+        ni, nf = self.interior.shape[1], self.cell_iface.shape[1]
         # the cells of each group of classes as columns: their interior
         # unknowns (classes, ni, cells) and interface numbers (classes, nf, cells)
         groups = class_groups(cell_class)
-        self.groups = [(sel, cls, self.interior[cells].transpose(0, 2, 1),
+        self.groups = [(sel, self.interior[cells].transpose(0, 2, 1),
                         self.cell_iface[cells].transpose(0, 2, 1))
-                       for sel, cls, cells in groups]
+                       for sel, _, cells in groups]
+        # the interface number of each entry of the groups' (classes, nf,
+        # cells) products, concatenated: where they add up
+        self.land = np.concatenate([f.ravel() for *_, f in self.groups])
         nclasses = cell_class.max() + 1
         d_i = scale[self.interior[np.unique(cell_class, return_index=True)[1]]]
         if not np.array_equal(scale[self.interior], d_i[cell_class]):
             raise ValueError("interior scales differ within a translation class")
         self.scale_F = scale[self.iface]
-        # the cells' interface unknowns stacked group by group as (classes,
-        # nf, cells), each as its place c nf + f in cell_iface; P, the
-        # interface incidence, adds vectors so stacked into one interface vector
-        stacked = np.concatenate([(cells[:, None, :] * nf + np.arange(nf)[:, None]).ravel()
-                                  for *_, cells in groups])
-        self.P = sp.csr_matrix((np.ones(ncells * nf),
-                                (self.cell_iface.ravel()[stacked], np.arange(ncells * nf))),
-                               shape=(len(self.iface), ncells * nf))
         self.inv_ii = np.empty((nclasses, ni, ni))
         self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
-        Tt = np.empty((nclasses, nf, nf))           # each class's T_r, transposed
+        T = np.empty((nclasses, nf, nf))
         for start in range(0, nclasses, self.CHUNK):
             r = slice(start, start + self.CHUNK)
             lhs = class_lhs(r)                                   # [interior | interface]
@@ -191,71 +261,95 @@ class CellInteriors:
             self.inv_ii[r] = np.linalg.inv(Kii)
             self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
             self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
-            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=Tt[r].transpose(0, 2, 1))
-        del lhs, Kii                 # the last chunk's, before the Schur complement
-        schur = self._schur(Tt, cell_class, stacked)
-        del Tt                       # freed before the LU: peak memory
-        self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
+        del lhs, Kii                 # the last chunk's, before the fronts
+        self._eliminate(T, cell_class)
 
-    def _schur(self, Tt: np.ndarray, cell_class: np.ndarray,
-               stacked: np.ndarray) -> sp.csc_matrix:
-        """The Schur complement D_F (sum_c P_c T_r P_c^T) D_F in compressed
-        columns, from Tt[r] = T_r^T, summed BLOCK columns at a time.
+    def _eliminate(self, T: np.ndarray, cell_class: np.ndarray):
+        """Factor the fronts children first from the class blocks T_r: the
+        (inverse, X, L) of each of the fronts' batches in front_factors, a
+        stack over its nodes, and the root's SuperLU in lu."""
+        fr, tree = self.fronts, self.fronts.tree
+        root = len(tree.lo) - 1
+        self.front_factors = [(np.empty((len(nodes), o, o)), np.empty((len(nodes), o, nb)),
+                               np.empty((len(nodes), nb, o)))
+                              for nodes, own, bnd in fr.batches
+                              for o, nb in [(own.shape[1], bnd.shape[1])]]
+        updates = {}
+        for n in range(root + 1):
+            if n in fr.perm:
+                p = fr.perm[n]
+                cell = tree.order[tree.lo[n]]
+                d = self.scale_F[self.cell_iface[cell, p]]
+                F = T[cell_class[cell]][p[:, None], p] * d[:, None] * d
+            else:
+                F = np.zeros((len(fr.own[n]) + len(fr.bnd[n]),) * 2)
+                for c in tree.kids[n]:
+                    F[fr.pos[c][:, None], fr.pos[c]] += updates.pop(c)
+            if n == root:
+                self.lu = spla.splu(sp.csc_matrix(F), permc_spec="NATURAL")
+                break
+            if n not in fr.slot:                    # owns nothing: pass it up
+                updates[n] = F
+                continue
+            no = len(fr.own[n])
+            b, j = fr.slot[n]
+            inv, X, L = (a[j] for a in self.front_factors[b])
+            Foo = F[:no, :no]
+            inv[...] = np.linalg.inv(Foo)
+            X[...] = np.linalg.solve(Foo, F[:no, no:])
+            L[...] = F[no:, :no]
+            updates[n] = F[no:, no:] - L @ X
+            del F, Foo                  # before the next front is assembled: peak memory
 
-        Column i is the sum of the cell columns D_F,c T_r[:, f] d_F,c[f] of
-        the cells c that hold i as their interface unknown f, taken in the
-        stacked order of P's columns.  Each block of columns is one sparse
-        product of those cell columns, written as rows, which sums the
-        duplicates without sorting them and drops exact zeros (the E-B
-        blocks at theta = 0); its compressed rows are the block's compressed
-        columns, and the blocks are concatenated."""
-        nf, n = self.cell_iface.shape[1], len(self.iface)
-        land = self.cell_iface.ravel()[stacked]             # stacked column -> i
-        order = np.argsort(land, kind="stable")
-        starts = np.searchsorted(land[order], np.arange(n + 1))
-        counts, indices, data = [], [], []
-        for lo in range(0, n, self.BLOCK):
-            hi = min(lo + self.BLOCK, n)
-            js = order[starts[lo]:starts[hi]]                   # columns lo:hi land
-            cell, f = np.divmod(stacked[js], nf)
-            rows = self.cell_iface[cell]                        # (m, nf)
-            vals = Tt[cell_class[cell], f] * self.scale_F[land[js]][:, None]
-            vals *= self.scale_F[rows]
-            runs = sp.csr_matrix((np.ones(len(cell)), np.arange(len(cell)),
-                                  starts[lo:hi + 1] - starts[lo]), shape=(hi - lo, len(cell)))
-            block = runs @ sp.csr_matrix((vals.ravel(), rows.ravel(),
-                                          np.arange(0, vals.size + 1, nf)), shape=(len(cell), n))
-            counts.append(np.diff(block.indptr))
-            indices.append(block.indices)
-            data.append(block.data)
-        # one array at a time: only that array's pieces coexist with its whole
-        data = np.concatenate(data)
-        indices = np.concatenate(indices)
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    def _interface_solve(self, r: np.ndarray) -> np.ndarray:
+        """Schur^-1 r for right-hand sides r (m, nF), one a row: forward
+        through the fronts' batches children first, w = F_OO^-1 r_O and
+        r_B -= L w, the root's separator by its LU, then back,
+        x_O = w - X x_B.  Every product runs on one right-hand side and one
+        front, batched along the leading axes."""
+        fr = self.fronts
+        m, nF = r.shape
+        rows = np.arange(m)[:, None, None] * nF
+        ws = []
+        for (_, own, bnd), (inv, X, L) in zip(fr.batches, self.front_factors):
+            w = inv @ np.take(r, own, axis=1)[..., None]              # (m, nodes, o, 1)
+            r -= np.bincount((rows + bnd).ravel(), (L @ w).ravel(),
+                             minlength=m * nF).reshape(m, nF)
+            ws.append(w)
+        x = np.empty_like(r)
+        root = fr.own[-1]
+        x[:, root] = np.stack([self.lu.solve(col) for col in r[:, root]])
+        for (_, own, bnd), (inv, X, L), w in zip(reversed(fr.batches),
+                                                 reversed(self.front_factors), reversed(ws)):
+            x[:, own] = (w - X @ np.take(x, bnd, axis=1)[..., None])[..., 0]
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """lhs^-1 b = D K^-1 D b for c = D b: per class, w = K_ii^-1 c_I on
         all its cells at once; then x_F = Schur^-1 (c_F - D_F P (L w)) and
         x_I = w - Xt (D_F x_F)_c, the products batched over each group of
-        classes.  b is one right-hand side (n,) or a block of them (n, m),
-        solved together."""
-        c = (self.scale * b.T).T
-        c2 = c.reshape(len(c), -1)                                  # (n, m)
-        m = c2.shape[1]
+        classes.  b is one right-hand side (n,) or a block of them (n, m);
+        each is solved on its own, batched along a leading axis, so that a
+        block's columns are its single solves, bit for bit."""
+        c = np.atleast_2d(b.T) * self.scale                         # (m, n)
+        m = len(c)
         ws, Lw = [], []
-        for sel, _, inner, _ in self.groups:
-            # (classes, ni, cells m)
-            w = self.inv_ii[sel] @ c2[inner].reshape(*inner.shape[:2], -1)
+        for sel, inner, _ in self.groups:
+            w = self.inv_ii[sel] @ np.take(c, inner, axis=1)        # (m, classes, ni, cells)
             ws.append(w)
-            Lw.append((self.L[sel] @ w).reshape(-1, m))             # (classes nf cells, m)
-        xF = self.lu.solve(c2[self.iface] - self.scale_F[:, None] * (self.P @ np.vstack(Lw)))
-        x = np.empty_like(c2)
-        x[self.iface] = xF
-        zF = self.scale_F[:, None] * xF
-        for (sel, _, inner, f), w in zip(self.groups, ws):
-            x[inner] = (w - self.X[sel] @ zF[f].reshape(*f.shape[:2], -1)).reshape(*inner.shape, m)
-        return (self.scale * x.reshape(c.shape).T).T
+            Lw.append((self.L[sel] @ w).reshape(m, -1))
+        nF = len(self.iface)
+        rows = np.arange(m)[:, None] * nF
+        PLw = np.bincount((rows + self.land).ravel(), np.hstack(Lw).ravel(),
+                          minlength=m * nF).reshape(m, nF)
+        xF = self._interface_solve(c[:, self.iface] - self.scale_F * PLw)
+        x = np.empty_like(c)
+        x[:, self.iface] = xF
+        zF = self.scale_F * xF
+        for (sel, inner, f), w in zip(self.groups, ws):
+            x[:, inner] = w - self.X[sel] @ np.take(zF, f, axis=1)
+        return (x * self.scale).T.reshape(b.shape)
 
 
 class EBSystem:
@@ -318,6 +412,8 @@ class EBSystem:
         self._cellq = None
         self._tabs: dict = {}
         self._cn = {}               # the CN factor of the latest dt alone
+        self._tree = None           # the cells' bisection tree, built on first use
+        self._fronts = {}
 
     # -- block structure -------------------------------------------------------
     def stack(self, sig, e, b) -> np.ndarray:
@@ -436,11 +532,22 @@ class EBSystem:
             K[:, E[:, None], B], K[:, B[:, None], E] = c2, -c2.transpose(0, 2, 1)
         return K
 
+    def fronts(self, key: str, maps: np.ndarray, ni: int) -> Fronts:
+        """The Fronts of the cell maps (ncells, n), their ni interior unknowns
+        first, over the cells' bisection tree: built on the first call with
+        key, and shared by every later factor on the same unknowns."""
+        if key not in self._fronts:
+            if self._tree is None:
+                self._tree = CellTree(self.mesh)
+            self._fronts[key] = Fronts(self._tree, maps, ni)
+        return self._fronts[key]
+
     def _factorize(self, theta: float) -> CellInteriors:
         """The condensed factor of A - theta S (theta = dt/2 for CN, 1 for the
         projection), from the class stacks alone."""
         return CellInteriors(lambda classes: self.class_lhs(classes, theta), self.cell_class,
-                             self.scale, self._maps[:, self._order], self._ni)
+                             self.scale, self.fronts("system", self._maps[:, self._order],
+                                                     self._ni))
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """The A-projection: (A - S) y = rhs, the CN solve at dt = 2."""
@@ -821,8 +928,8 @@ def infsup_estimate(sys: EBSystem) -> float:
         inner = space.elements[0].interior
         o = np.argsort(~inner, kind="stable")           # interior unknowns first
         return CellInteriors(lambda r: m[r][:, o[:, None], o], sys.cell_class,
-                             sys.scale[lo:lo + space.dim], space.cell_maps[:, o],
-                             int(inner.sum()))
+                             sys.scale[lo:lo + space.dim],
+                             sys.fronts(space.family, space.cell_maps[:, o], int(inner.sum())))
 
     # each assembled block is built when its pencil runs: MB and C2 only when
     # the symcurl pencil does

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem import complex_asm, fe3d, mesh, poly
+from divdivfem import complex_asm, eb_solver, fe3d, mesh, poly
 from divdivfem import tensor_calc as tc
 from divdivfem.complex_asm import (CellTree, GlobalSpace, assemble_diff,
                                    build_complex, cell_operators, complex_audit,
@@ -172,6 +172,46 @@ def test_cell_tree_splits_down_to_single_cells():
         for c in tree.kids[n]:
             mine = nodes == n
             assert not np.any((tree.lo[c] <= lo[mine]) & (hi[mine] <= tree.hi[c]))
+
+
+def _median_tree(m, monkeypatch):
+    """The tree of the median cut that the fewest-shared-vertices cut
+    replaced: every node split at n // 2 of its ordered cells."""
+    with monkeypatch.context() as p:
+        p.setattr(complex_asm, "_cut", lambda verts: len(verts) // 2)
+        return CellTree(m)
+
+
+@pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)", "kuhn_cube(2)", "kuhn_cube(4)"])
+def test_cell_tree_keeps_the_median_tree_where_it_cuts_between_layers(spec, monkeypatch):
+    """Where the median cut already falls between cells that share the
+    fewest vertices, the tree is array-identical to the median tree."""
+    m = mesh.load(spec)
+    tree, median = CellTree(m), _median_tree(m, monkeypatch)
+    for key in ("order", "lo", "hi", "anc"):
+        assert np.array_equal(getattr(tree, key), getattr(median, key))
+    assert tree.kids == median.kids
+
+
+def test_cell_tree_cuts_kuhn_cube_3_between_layers(monkeypatch):
+    """kuhn_cube(3)'s 162 cells lie in three layers of cubes, and the median
+    cut runs through the middle one.  The root cut falls between two layers
+    instead (54 and 108 cells on either side of the plane x = 1/3, sharing
+    the 16 vertices of that plane against 28), and the root separator of the
+    CN interface shrinks from 2686 to 1478 unknowns."""
+    m = mesh.load("kuhn_cube(3)")
+    tree, median = CellTree(m), _median_tree(m, monkeypatch)
+    cent = m.vertices[m.cells].mean(axis=1)
+    a, b = (tree.order[tree.lo[c]:tree.hi[c]] for c in tree.kids[-1])
+    assert (len(a), len(b)) == (54, 108)
+    assert cent[a, 0].max() < 1 / 3 < cent[b, 0].min()
+    assert len(np.intersect1d(m.cells[a], m.cells[b])) == 16
+    a, b = (median.order[median.lo[c]:median.hi[c]] for c in median.kids[-1])
+    assert len(np.intersect1d(m.cells[a], m.cells[b])) == 28
+    sys = eb_solver.EBSystem(m, 3)
+    maps, ni = sys._maps[:, sys._order], sys._ni
+    assert len(eb_solver.Fronts(tree, maps, ni).own[-1]) == 1478
+    assert len(eb_solver.Fronts(median, maps, ni).own[-1]) == 2686
 
 
 def test_compositions_zero_k4_two_tets():

@@ -1,7 +1,11 @@
 import copy
 import gc
+import os
+import subprocess
 import tracemalloc
 import weakref
+from pathlib import Path
+from sys import executable
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,70 +147,154 @@ def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("which", ["cn", "mass"])
-def test_block_solve_equals_column_solves(eb_systems, which, rng):
-    cells = eb_systems("kuhn_cube(1)")._factorize(_THETAS[which])
+# two cells meeting only at the edge (0, 1) that a third cell lists too, the
+# fourth sharing a face with the third: the tree pairs the first two in a
+# node that owns nothing
+_EDGE_MEETING = ([[0, 0, 0], [0, 0, 1], [-1, 1, 0], [-2, 1, 1], [-1, -1, 0], [-2, -1, 1],
+                  [1, 0, 0], [1, 1, 1], [2, 0, 1]],
+                 [[0, 1, 2, 3], [1, 0, 4, 5], [0, 1, 6, 7], [1, 6, 7, 8]])
+# two cells apart: the root owns nothing
+_APART = ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 0, 0], [6, 0, 0], [5, 1, 0], [5, 0, 1]],
+          [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+@pytest.mark.parametrize("which", ["cn", "projection", "mass"])
+@pytest.mark.parametrize("shape", ["edge_meeting", "apart"])
+def test_fronts_owning_nothing_pass_their_front_up(shape, which, rng):
+    """A front whose cells share only unknowns that other cells list, or
+    nothing at all, eliminates nothing and passes its front up whole; at
+    the root it leaves SuperLU an empty separator.  The solve matches the
+    full LU to what the conditioning allows (the equilibrated K has cond
+    2.6e8 to 5.5e8 on the edge-meeting cells; up to 9e-8 seen against 1e-6),
+    and its componentwise (Oettli-Prager) backward error is at rounding
+    level, as on kuhn_cube(1) (up to 3.5e-15 seen)."""
+    vertices, cells = _EDGE_MEETING if shape == "edge_meeting" else _APART
+    sys = eb_solver.EBSystem(mesh.TetMesh(vertices, cells), 3)
+    cells = sys._factorize(_THETAS[which])
+    fr, tree = cells.fronts, cells.fronts.tree
+    empty = [n for n in range(len(tree.lo)) if tree.kids[n] and not len(fr.own[n])]
+    if shape == "edge_meeting":
+        (n,) = empty
+        assert sorted(tree.order[tree.lo[n]:tree.hi[n]]) == [0, 1] and n not in fr.slot
+    else:
+        assert empty == [len(tree.lo) - 1] and cells.lu.shape == (0, 0)
+    lhs = _lhs(sys, _THETAS[which])
+    b = rng.standard_normal((sys.ntot, 8))
+    x = cells.solve(b)
+    ref = spla.splu(lhs.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+    err = np.abs(lhs @ x - b) / (abs(lhs) @ np.abs(x) + np.abs(b))
+    assert err.max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec, which", [("kuhn_cube(1)", "cn"), ("kuhn_cube(1)", "mass"),
+                                         ("two_tets", "cn"), ("two_tets", "mass")],
+                         ids=["cn", "mass", "two_tets-cn", "two_tets-mass"])
+def test_block_solve_equals_column_solves(eb_systems, spec, which, rng):
+    """solve takes the columns of a block one at a time along a leading axis,
+    never as extra GEMM columns: the block's solution is its single solves,
+    bit for bit (widened products differed by 2-3e-14)."""
+    cells = eb_systems(spec)._factorize(_THETAS[which])
     B = rng.standard_normal((len(cells.scale), 7))
     Y = cells.solve(B)
     cols = np.stack([cells.solve(b) for b in B.T], axis=1)
     assert Y.shape == B.shape
-    assert np.abs(Y - cols).max() <= 1e-14 * np.abs(cols).max()
+    assert np.array_equal(Y, cols)
 
 
 def test_condensed_interface_kuhn_cube_1(eb_systems):
     """Each cell has 80 interior unknowns (sigma 4, E 32, B 44); the interface
-    keeps the rest, and sigma (all interior) leaves the global solve."""
+    keeps the rest, and sigma (all interior) leaves the global solve.  The
+    fronts below the root eliminate all but the root separator's 270
+    unknowns, and SuperLU factors that dense block alone."""
     sys = eb_systems("kuhn_cube(1)")
     cells = sys._factorize(0.0)
     assert cells.interior.shape == (6, 80)
-    assert len(cells.iface) == cells.lu.shape[0] == 950 == sys.ntot - 6 * 80
+    assert len(cells.iface) == 950 == sys.ntot - 6 * 80
     assert cells.iface.min() >= sys.nq
+    assert cells.lu.shape == (270, 270) and len(cells.fronts.own[-1]) == 270
 
 
-def _factored_schur(sys, theta, monkeypatch):
-    """(CellInteriors factor of A - theta S, the Schur matrix it handed to
-    splu: compressed columns, assembled without a copy)."""
+def _factored_root(sys, theta, monkeypatch):
+    """(CellInteriors factor of A - theta S, the root front it handed to splu)."""
     factored = []
     splu = eb_solver.spla.splu
     with monkeypatch.context() as m:
         m.setattr(eb_solver.spla, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
         cells = sys._factorize(theta)
-    (schur,) = factored
-    assert schur.format == "csc"
-    return cells, schur
+    (root,) = factored
+    assert root.format == "csc"
+    return cells, root
 
 
-def _single_product_schur(cells, Tt):
-    """The Schur complement as it was scattered before the row blocks, kept
-    as their oracle: every scaled cell block in one dense (ncells nf, nf)
-    array, stacked as P's columns and summed by one product with P.  Fed the
-    transposed class blocks Tt, its rows are the Schur complement's columns."""
-    nf = cells.cell_iface.shape[1]
-    blocks, cols = [], []
-    for sel, _, _, f in cells.groups:
-        d = cells.scale_F[f]                                    # (classes, nf, cells)
-        out = Tt[sel][:, :, None, :] * d[..., None]             # (class, f, cell, f')
-        out *= d.transpose(0, 2, 1)[:, None]
-        blocks.append(out.reshape(-1, nf))
-        cols.append(np.broadcast_to(f.transpose(0, 2, 1)[:, None], out.shape).reshape(-1, nf))
-    blocks, cols = np.concatenate(blocks), np.concatenate(cols)
-    return cells.P @ sp.csr_matrix((blocks.ravel(), cols.ravel(),
-                                    np.arange(0, blocks.size + 1, nf)),
-                                   shape=(len(blocks), len(cells.iface)))
+def _class_schur(sys, cells, theta):
+    """Tt[r] = T_r^T, each class's condensed interface block
+    T_r = lhs_FF - lhs_Fi D_i K_ii^-1 D_i lhs_iF, from the class stacks."""
+    ni = cells.interior.shape[1]
+    d = sys.scale[cells.interior[np.unique(sys.cell_class, return_index=True)[1]]]
+    lhs = sys.class_lhs(slice(None), theta)
+    Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
+    T = lhs[:, ni:, ni:] - (lhs[:, ni:, :ni] * d[:, None, :]) @ np.linalg.solve(
+        Kii, lhs[:, :ni, ni:] * d[:, :, None])
+    return T.transpose(0, 2, 1)
+
+
+def _column_block_schur(cells, Tt, cell_class, block=512):
+    """The interface oracle: the Schur complement D_F (sum_c P_c T_r P_c^T) D_F
+    in compressed columns, from Tt[r] = T_r^T, summed block columns at a
+    time, as the factor assembled it before the fronts replaced it.  Column
+    i is the sum of the cell columns D_F,c T_r[:, f] d_F,c[f] of the cells c
+    that hold i as their interface unknown f; each block of columns is one
+    sparse product of those cell columns, written as rows, which sums the
+    duplicates and drops exact zeros."""
+    nf, n = cells.cell_iface.shape[1], len(cells.iface)
+    land = cells.cell_iface.ravel()                         # cell c nf + f -> i
+    order = np.argsort(land, kind="stable")
+    starts = np.searchsorted(land[order], np.arange(n + 1))
+    counts, indices, data = [], [], []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        cell, f = np.divmod(order[starts[lo]:starts[hi]], nf)
+        rows = cells.cell_iface[cell]                       # (m, nf)
+        vals = Tt[cell_class[cell], f] * cells.scale_F[land[order[starts[lo]:starts[hi]]]][:, None]
+        vals *= cells.scale_F[rows]
+        runs = sp.csr_matrix((np.ones(len(cell)), np.arange(len(cell)),
+                              starts[lo:hi + 1] - starts[lo]), shape=(hi - lo, len(cell)))
+        blk = runs @ sp.csr_matrix((vals.ravel(), rows.ravel(),
+                                    np.arange(0, vals.size + 1, nf)), shape=(len(cell), n))
+        counts.append(np.diff(blk.indptr))
+        indices.append(blk.indices)
+        data.append(blk.data)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csc_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
+
+
+def _single_product_schur(cells, Tt, cell_class):
+    """The Schur complement in one sparse product, every scaled cell block
+    in one dense (ncells nf, nf) array, summed by the interface incidence;
+    fed the transposed class blocks Tt, its rows are the Schur complement's
+    columns."""
+    ncells, nf = cells.cell_iface.shape
+    d = cells.scale_F[cells.cell_iface]                     # (cells, nf)
+    blocks = Tt[cell_class] * d[:, :, None] * d[:, None, :]
+    cols = np.broadcast_to(cells.cell_iface[:, None, :], blocks.shape)
+    P = sp.csr_matrix((np.ones(ncells * nf), (cells.cell_iface.ravel(), np.arange(ncells * nf))),
+                      shape=(len(cells.iface), ncells * nf))
+    return P @ sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, blocks.size + 1, nf)),
+                             shape=(ncells * nf, len(cells.iface)))
 
 
 @pytest.mark.parametrize("spec, theta", [
     (spec, theta) for spec in ("two_tets", "kuhn_cube(1)") for theta in (0.0, _THETAS["cn"], 1.0)])
-def test_schur_row_blocks_match_single_product(eb_systems, spec, theta, monkeypatch):
-    """The Schur complement summed in row blocks has the pattern of the
+def test_schur_row_blocks_match_single_product(eb_systems, spec, theta):
+    """The interface oracle summed in column blocks has the pattern of the
     single sparse product, exact zeros dropped alike, and its entries to
     1e-15 relative."""
-    seen = []
-    schur_of = eb_solver.CellInteriors._schur
-    monkeypatch.setattr(eb_solver.CellInteriors, "_schur",
-                        lambda self, Tt, *a: seen.append(Tt) or schur_of(self, Tt, *a))
-    cells, schur = _factored_schur(eb_systems(spec), theta, monkeypatch)
-    got, want = schur.T.tocsr(), _single_product_schur(cells, *seen)
+    sys = eb_systems(spec)
+    cells = sys._factorize(theta)
+    Tt = _class_schur(sys, cells, theta)
+    got = _column_block_schur(cells, Tt, sys.cell_class).T.tocsr()
+    want = _single_product_schur(cells, Tt, sys.cell_class)
     got.sort_indices()
     want.sort_indices()
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
@@ -215,9 +303,10 @@ def test_schur_row_blocks_match_single_product(eb_systems, spec, theta, monkeypa
 
 def test_factor_transients_stay_small(eb_systems):
     """The numpy allocations of a kuhn_cube(2) CN factorisation peak under
-    85 MB above what the system holds: 69 MB, of which 58 MB are the
-    Schur complement (35 MB) while its row blocks are concatenated.  The
-    single-product scatter and its CSC copy peaked at 122 MB.  SuperLU's own
+    85 MB above what the system holds: 67 MB, of which 36 MB are the fronts'
+    factors and 11 MB the root front and the compressed columns handed to
+    SuperLU.  The assembled Schur complement peaked at 69 MB, and its
+    single-product scatter and CSC copy at 122 MB.  SuperLU's own
     allocations are not traced."""
     sys = eb_systems("kuhn_cube(2)")
     tracemalloc.start()
@@ -230,14 +319,33 @@ def test_factor_transients_stay_small(eb_systems):
     assert peak < 85e6
 
 
-def test_schur_complement_one_cell_stencil(eb_systems, monkeypatch):
+def test_schur_complement_one_cell_stencil(eb_systems):
+    """Each front holds what its cells reach: a leaf's unknowns are its cell's
+    interface unknowns, its own ones first; another node's own unknowns are
+    those that cells of both its children list, and its boundary the
+    unknowns of its ancestors that cells of its subtree list.  Every front
+    passes its update to its parent's places of the same unknowns."""
     sys = eb_systems("kuhn_cube(1)")
-    cells, schur = _factored_schur(sys, _THETAS["cn"], monkeypatch)
-    ncells, nf = cells.cell_iface.shape
-    stencil = assemble_cells(cells.cell_iface, cells.cell_iface, np.ones((ncells, nf, nf)),
-                             schur.shape)
-    rows, cols = schur.nonzero()
-    assert len(rows) > 0 and np.all(stencil[rows, cols] > 0)
+    fr = sys._factorize(_THETAS["cn"]).fronts
+    tree = fr.tree
+    for n in range(len(tree.lo)):
+        cells = tree.order[tree.lo[n]:tree.hi[n]]
+        listed = np.unique(fr.cell_iface[cells])
+        outside = np.unique(fr.cell_iface[np.setdiff1d(tree.order, cells)])
+        if tree.kids[n]:
+            a, b = (np.unique(fr.cell_iface[tree.order[tree.lo[c]:tree.hi[c]]])
+                    for c in tree.kids[n])
+            own = np.setdiff1d(np.intersect1d(a, b), outside)
+        else:
+            own = np.setdiff1d(listed, outside)
+            assert np.array_equal(np.sort(fr.cell_iface[cells[0]][fr.perm[n]]),
+                                  np.sort(fr.cell_iface[cells[0]]))
+        assert np.array_equal(fr.own[n], own)
+        assert np.array_equal(fr.bnd[n], np.intersect1d(listed, outside))
+        front = np.concatenate([fr.own[n], fr.bnd[n]])
+        for c in tree.kids[n]:
+            assert np.array_equal(front[fr.pos[c]], fr.bnd[c])
+    assert len(fr.bnd[-1]) == 0
 
 
 def _global_schur(sys, cells, theta):
@@ -254,43 +362,40 @@ def _global_schur(sys, cells, theta):
     return (K[iface][:, iface] - update).tocsc()
 
 
-def _pattern(M):
-    """The entries of M above rounding level, as the sorted unique keys
-    row * ncols + column."""
-    M = M.tocoo()
-    big = np.abs(M.data) > 1e-14 * np.abs(M.data).max()
-    keys = np.sort(M.row[big].astype(np.int64) * M.shape[1] + M.col[big])
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
-
-
 @pytest.mark.parametrize("spec, theta", [
     (spec, theta) for spec in ("two_tets", "kuhn_cube(1)") for theta in (0.0, 0.5 * 0.0125, 1.0)
 ] + [("kuhn_cube(2)", 0.5 * 0.0125), ("kuhn_cube(2)", 1.0)])
 def test_cell_local_schur_matches_global_slicing(eb_systems, spec, theta, monkeypatch):
-    """The Schur complement scattered from the class stacks equals the one
-    sliced out of the global matrix: the same entries above rounding level,
-    and the same values to 1e-12 in the Frobenius norm.  The summation order
-    differs, so entries that cancel can differ at the rounding level.  On
-    kuhn_cube(2) eight cells share each class's factor and differ only in
-    their interface scales."""
+    """The root front that the fronts leave for SuperLU is the Schur
+    complement, onto the root separator R, of the interface Schur complement
+    sliced out of the global matrix: S_RR - S_RO S_OO^-1 S_OR over the other
+    interface unknowns O, to 1e-12 in the Frobenius norm.  On kuhn_cube(2)
+    eight cells share each class's blocks and differ only in their
+    interface scales."""
     sys = eb_systems(spec)
-    cells, schur = _factored_schur(sys, theta, monkeypatch)
-    ref = _global_schur(sys, cells, theta)
-    assert np.array_equal(_pattern(schur), _pattern(ref))
-    assert sp.linalg.norm(schur - ref) <= 1e-12 * sp.linalg.norm(ref)
+    cells, root = _factored_root(sys, theta, monkeypatch)
+    S = _global_schur(sys, cells, theta)
+    R = cells.fronts.own[-1]
+    O = np.setdiff1d(np.arange(len(cells.iface)), R)
+    S_OR = S[O][:, R].toarray()
+    ref = S[R][:, R].toarray() - S[R][:, O] @ spla.splu(S[O][:, O].tocsc()).solve(S_OR)
+    assert np.linalg.norm(root.toarray() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("theta", [*_THETAS.values(), 4.0], ids=[*_THETAS, "cn_dt8"])
-def test_schur_factor_pivots_on_the_diagonal_with_small_growth(eb_systems, theta):
-    """No pivot leaves the diagonal (perm_r = perm_c), and the growth
-    || |L| |U| ||_F / || L U ||_F stays below 2 (1.72 projection, 1.46 CN),
-    also past theta = 1, where the largest multiplier grows like theta (204
-    at dt = 8) but the growth does not (1.66)."""
-    lu = eb_systems("kuhn_cube(1)")._factorize(theta).lu
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    L, U = lu.L, lu.U
-    growth = sp.linalg.norm(abs(L) @ abs(U)) / sp.linalg.norm(L @ U)
-    assert growth <= 2.0
+@pytest.mark.parametrize("theta", [*_THETAS.values(), 4.0, 100.0],
+                         ids=[*_THETAS, "cn_dt8", "theta100"])
+def test_schur_factor_pivots_on_the_diagonal_with_small_growth(eb_systems, theta, rng):
+    """The factor is backward stable: on eight random right-hand sides the
+    componentwise (Oettli-Prager) backward error of the full solve,
+    max |lhs x - b| / (|lhs| |x| + |b|), is at most 1e-14 on kuhn_cube(1),
+    also past theta = 1 (6.6e-16 at theta = 100, where the assembled Schur
+    complement on diagonal pivots read 2.4e-12)."""
+    sys = eb_systems("kuhn_cube(1)")
+    lhs = _lhs(sys, theta)
+    b = rng.standard_normal((sys.ntot, 8))
+    x = sys._factorize(theta).solve(b)
+    err = np.abs(lhs @ x - b) / (abs(lhs) @ np.abs(x) + np.abs(b))
+    assert err.max() <= 1e-14
 
 
 def test_cn_factorization_keeps_the_latest_dt_only(rng):
@@ -317,13 +422,30 @@ def test_cn_step_at_large_dt_passes_its_residual_check(eb_systems, rng, dt):
     assert np.all(np.isfinite(y))
 
 
+# the entries that the kuhn_cube(2) projection factor stores, printed by a
+# fresh process with the BLAS thread count of its environment
+_STORED = """
+from divdivfem import eb_solver, mesh
+cells = eb_solver.EBSystem(mesh.load("kuhn_cube(2)"), 3)._factorize(1.0)
+print(sum(a.size for f in cells.front_factors for a in f) + cells.lu.L.nnz + cells.lu.U.nnz)
+"""
+
+
 def test_projection_factor_kuhn_cube_2_fill(eb_systems):
-    """The kuhn_cube(2) projection factor: diagonal pivots and at most 5.1 M
-    entries in L + U (7.47 M, with 889 off-diagonal pivots, at a threshold
-    of 0.01)."""
-    lu = eb_systems("kuhn_cube(2)")._factorize(1.0).lu
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert lu.L.nnz + lu.U.nnz <= 5_100_000
+    """The kuhn_cube(2) projection factor stores at most 5.1 M entries:
+    4,498,016 in the fronts below the root and 563,250 in the root's L + U
+    (SuperLU's L + U of the whole Schur complement held 5.01 M, a count that
+    moved with the thread count).  The count is the same with one BLAS
+    thread and with two."""
+    cells = eb_systems("kuhn_cube(2)")._factorize(1.0)
+    stored = sum(a.size for f in cells.front_factors for a in f) + cells.lu.L.nnz + cells.lu.U.nnz
+    assert stored <= 5_100_000
+    src = str(Path(eb_solver.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run([executable, "-c", _STORED], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert int(out.stdout) == stored
 
 
 def _unusable(*args, **kwargs):
@@ -369,9 +491,10 @@ def test_condensed_solves_call_no_scipy_dense_lapack(monkeypatch, rng):
 
 def _lu_condensed_solve(sys, cells, theta, b):
     """The condensed solve of cells for a block b (n, m), cell by cell, with
-    each K_ii applied by scipy's LU of its class's block: the oracle of the
-    inverse stack and of the batched products.  Of cells it reads X, L, the
-    Schur factor and the scales."""
+    each K_ii applied by scipy's LU of its class's block and the interface
+    by SuperLU's of the assembled Schur complement (_column_block_schur):
+    the oracle of the inverse stack, the fronts and the batched products.
+    Of cells it reads X, L and the scales."""
     ni = cells.interior.shape[1]
     d = sys.scale[cells.interior[np.unique(sys.cell_class, return_index=True)[1]]]
     Kii = sys.class_lhs(slice(None), theta)[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
@@ -381,7 +504,8 @@ def _lu_condensed_solve(sys, cells, theta, b):
     w = np.stack([sla.lu_solve(lu[r], c[i]) for r, i in zip(cls, cells.interior)])
     Lw = np.zeros((len(cells.iface), b.shape[1]))
     np.add.at(Lw, f, np.einsum("cfi,cim->cfm", cells.L[cls], w))
-    xF = cells.lu.solve(c[cells.iface] - cells.scale_F[:, None] * Lw)
+    schur = _column_block_schur(cells, _class_schur(sys, cells, theta), cls)
+    xF = spla.splu(schur).solve(c[cells.iface] - cells.scale_F[:, None] * Lw)
     x = np.empty_like(c)
     x[cells.iface] = xF
     x[cells.interior] = w - np.einsum("cif,cfm->cim", cells.X[cls],
@@ -392,9 +516,10 @@ def _lu_condensed_solve(sys, cells, theta, b):
 @pytest.mark.parametrize("theta", [0.0, 0.5 * 0.0125, 1.0, 100.0])
 @pytest.mark.parametrize("spec", ["two_tets", "kuhn_cube(1)"])
 def test_inverse_stack_solve_matches_scipy_lu(eb_systems, spec, theta, rng):
-    """solve applies each class's K_ii by its inverse: on eight random
-    right-hand sides its full-system residual is at most twice that of the
-    same condensed solve with scipy's LU of each K_ii, and the solutions
+    """solve applies each class's K_ii by its inverse and the interface by
+    the fronts: on eight random right-hand sides its full-system residual is
+    at most twice that of the same condensed solve with scipy's LU of each
+    K_ii and SuperLU's of the assembled Schur complement, and the solutions
     agree to 1e-9 relative, also at theta = 100, where cond(K_ii) reaches
     6.7e4 on kuhn_cube(1)."""
     sys = eb_systems(spec)
