@@ -17,8 +17,8 @@ from . import poly
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element
 from .fields import PolyField
-from .linalg import (block_svd_ranks, frobenius, front_rank, product_max, qr_rank,
-                     row_triangle, svd_rank)
+from .linalg import (block_svd_ranks, frobenius, front_rank, one_blas_thread, product_max,
+                     qr_rank, row_triangle, svd_rank)
 from .mesh import TetMesh
 
 _KINDS = ("v", "e", "f", "c")
@@ -376,6 +376,7 @@ def _formula_ker_divdiv(mesh: TetMesh, k: int) -> int:
             + (5 * k**3 + 12 * k**2 - 17 * k - 24) // 6 * mesh.num_cells)
 
 
+@one_blas_thread()
 def complex_audit(mesh: TetMesh, k: int) -> list[dict]:
     """Global exactness: inclusions, zero compositions, rank/nullity chain,
     surjectivity of divdiv, and the Euler-consistency of the dimension formulas."""

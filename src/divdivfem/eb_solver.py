@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .complex_asm import CellTree, GlobalSpace, assemble_cells, assemble_diff, cell_operators
 from .fe3d import EntityCache
+from .linalg import one_blas_thread
 from .mesh import TetMesh, load as load_mesh
 from .quadrature import REF_MEASURE, rule
 
@@ -97,6 +98,18 @@ def class_groups(cell_class: np.ndarray) -> list[tuple]:
     groups = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
     return [(slice(None) if len(groups) == 1 else cls, cls,
              np.stack([members[r] for r in cls])) for cls in groups]
+
+
+def dense_csc(F: np.ndarray) -> sp.csc_matrix:
+    """sp.csc_matrix(F) of a dense F, exact zeros dropped, read off the
+    nonzeros of a C-ordered copy of F^T rather than through COO."""
+    Ft = np.ascontiguousarray(F.T)                   # row j: column j of F
+    nz = Ft != 0
+    at = np.flatnonzero(nz)
+    indptr = np.zeros(F.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
+    return sp.csc_matrix((Ft.ravel()[at], (at % F.shape[0]).astype(np.int32), indptr),
+                         shape=F.shape)
 
 
 class Fronts:
@@ -287,7 +300,7 @@ class CellInteriors:
                 for c in tree.kids[n]:
                     F[fr.pos[c][:, None], fr.pos[c]] += updates.pop(c)
             if n == root:
-                self.lu = spla.splu(sp.csc_matrix(F), permc_spec="NATURAL")
+                self.lu = spla.splu(dense_csc(F), permc_spec="NATURAL")
                 break
             if n not in fr.slot:                    # owns nothing: pass it up
                 updates[n] = F
@@ -904,6 +917,7 @@ def _pencil_top(C: sp.csr_matrix, X: sp.csr_matrix, cells: CellInteriors,
     return float(sla.eigh(H, M.toarray(), eigvals_only=True)[-1])
 
 
+@one_blas_thread()
 def infsup_estimate(sys: EBSystem) -> float:
     """Smallest singular value of the coupled form in the graph norm.
 

@@ -7,6 +7,11 @@ elimination over Q certifies the ranks of the reference-cell operators.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +19,51 @@ import scipy.linalg
 import scipy.sparse as sp
 
 DEFAULT_RTOL = 1e-10
+
+
+@functools.cache
+def _blas_setters() -> tuple:
+    """openblas_set_num_threads_local of each OpenBLAS that numpy and scipy
+    bundle (numpy.libs/libscipy_openblas64_-*.so, scipy.libs/libscipy_openblas-*.so),
+    opened only if already loaded; empty where no such library or symbol is."""
+    setters = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+            try:
+                fn = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(fn)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, each call) on one BLAS thread in
+    every OpenBLAS that numpy and scipy bundle, and restore each library's
+    previous count on exit, also on an exception.
+
+    The audits' fronts and pencils are blocks of a few hundred rows, which
+    OpenBLAS runs about twice as fast on one thread as on two on a 2-core
+    host.  openblas_set_num_threads_local returns the count it replaces; in
+    these pthreads builds it acts process-wide, not per calling thread (a
+    worker thread's call changed the main thread's count), so the cap holds
+    for the whole process while the block runs, and caps entered from two
+    Python threads at once could restore each other's counts out of order
+    (the package starts no threads).  Where neither library is found the cap
+    does nothing.  No environment variable is read or written.
+    """
+    setters = _blas_setters()
+    before = []
+    try:
+        for setter in setters:
+            before.append(setter(1))
+        yield
+    finally:
+        for setter, n in zip(setters, before):
+            setter(n)
 
 
 def svd_rank(M, rtol: float = DEFAULT_RTOL, scale: float | None = None) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor_calc as tc
 from .fields import PolyField, Simplex, curl_from_grads, probe
-from .linalg import DEFAULT_RTOL, nullspace, rowspace, svd_rank
+from .linalg import DEFAULT_RTOL, nullspace, one_blas_thread, rowspace, svd_rank
 
 # ---------------------------------------------------------------------------
 # ranges
@@ -400,6 +400,7 @@ def _composition_residual(d1: DiffMatrix, d2: DiffMatrix) -> float:
     return float(np.abs(comp).max() / max(scale, 1e-300))
 
 
+@one_blas_thread()
 def poly_complex_audit(dim: int, k: int, exact_certify: bool = False) -> list[dict]:
     """Exactness audit of the 2-D polynomial complexes or the 3-D complex.
 

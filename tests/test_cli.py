@@ -17,16 +17,38 @@ def test_audit_poly_exit_zero(capsys):
     assert "0 failures" in out
 
 
+def _run_from_source(argv, **env):
+    """`python -m divdivfem argv` in a subprocess with the package's parent
+    directory first on PYTHONPATH and env added to the environment."""
+    src = str(Path(divdivfem.__file__).resolve().parent.parent)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "divdivfem", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
     """`python -m divdivfem` runs the CLI with only the package's parent
     directory on PYTHONPATH, as from a checkout without an install."""
-    src = str(Path(divdivfem.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "divdivfem", "audit", "poly", "--dim", "3",
-                           "--k", "3"], env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert "0 failures" in done.stdout
+    assert "0 failures" in _run_from_source(["audit", "poly", "--dim", "3", "--k", "3"]).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "complex", "--mesh", "kuhn_cube(1)", "--k", "3"],
+    ["infsup", "--mesh", "kuhn_cube(1)", "--k", "3"],
+    ["audit", "poly", "--dim", "3", "--k", "3", "--exact"],
+], ids=["audit-complex", "infsup", "audit-poly-exact"])
+def test_json_reports_independent_of_blas_threads(tmp_path, argv):
+    """The audits and the inf-sup estimate cap numpy's and scipy's OpenBLAS
+    at one thread, so their reports are the same at any OPENBLAS_NUM_THREADS
+    (uncapped, 2 threads moved audit complex's composition residual rows in
+    the last digits)."""
+    for threads in ("1", "2"):
+        _run_from_source(argv + ["--json", str(tmp_path / f"{threads}.json")],
+                         OPENBLAS_NUM_THREADS=threads)
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 def test_audit_poly_exact_in_2d_exit_two(capsys):

@@ -187,6 +187,25 @@ def test_fronts_owning_nothing_pass_their_front_up(shape, which, rng):
     assert err.max() <= 1e-14
 
 
+def test_root_csc_equals_scipy_conversion(rng, monkeypatch):
+    """dense_csc gives SuperLU the CSC that sp.csc_matrix builds through COO,
+    array for array, exact zeros dropped: on a random front with zeros and
+    on the 0 x 0 root of two cells apart."""
+    F = rng.standard_normal((40, 30))
+    F[rng.random(F.shape) < 0.3] = 0.0
+    fronts = [F]
+    dense_csc = eb_solver.dense_csc
+    monkeypatch.setattr(eb_solver, "dense_csc", lambda G: fronts.append(G) or dense_csc(G))
+    eb_solver.EBSystem(mesh.TetMesh(*_APART), 3)._factorize(_THETAS["mass"])
+    assert [G.shape for G in fronts] == [(40, 30), (0, 0)]
+    for G in fronts:
+        A, B = dense_csc(G), sp.csc_matrix(G)
+        assert A.shape == B.shape
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(A, part), getattr(B, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("spec, which", [("kuhn_cube(1)", "cn"), ("kuhn_cube(1)", "mass"),
                                          ("two_tets", "cn"), ("two_tets", "mass")],
                          ids=["cn", "mass", "two_tets-cn", "two_tets-mass"])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divdivfem.linalg import (block_svd_ranks, front_rank, product_max, qr_rank, rank_exact,
-                              svd_rank)
+from divdivfem import complex_asm, eb_solver, linalg, mesh, poly
+from divdivfem.linalg import (block_svd_ranks, front_rank, one_blas_thread, product_max, qr_rank,
+                              rank_exact, svd_rank)
 
 
 def _with_spectrum(rng, m, n, s):
@@ -216,3 +217,88 @@ def test_product_max_of_empty_products():
     assert product_max(A, B, np.arange(5)) == 0.0
     assert product_max(sp.csr_matrix((0, 4)), B, np.arange(0)) == 0.0
     assert product_max(B.T.tocsr(), sp.csr_matrix((4, 6)), np.zeros(3, dtype=int)) == 0.0
+
+
+class _FakeSetter:
+    """Stands in for one library's openblas_set_num_threads_local: sets the
+    count, returns the one it replaces, and records every call."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, []
+
+    def __call__(self, n):
+        self.calls.append(n)
+        prev, self.n = self.n, n
+        return prev
+
+
+@pytest.fixture
+def fake_setters(monkeypatch):
+    setters = (_FakeSetter(2), _FakeSetter(3))
+    monkeypatch.setattr(linalg, "_blas_setters", lambda: setters)
+    return setters
+
+
+_CAPPED = {
+    "complex_audit": (complex_asm, lambda systems: complex_asm.complex_audit(mesh.single_tet(), 3)),
+    "poly_complex_audit": (poly, lambda systems: poly.poly_complex_audit(2, 3)),
+    "infsup_estimate": (eb_solver,
+                        lambda systems: eb_solver.infsup_estimate(systems("single_tet"))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CAPPED))
+def test_entry_points_cap_blas_threads_and_restore(entry, fake_setters, eb_systems):
+    """Each audit entry point sets one thread in every library on entry and
+    gives each its previous count back on exit.  The decorated function keeps
+    its name, which the benchmark's tracer wraps it by."""
+    module, call = _CAPPED[entry]
+    assert getattr(module, entry).__name__ == entry
+    call(eb_systems)
+    assert [s.calls for s in fake_setters] == [[1, 2], [1, 3]]
+    assert [s.n for s in fake_setters] == [2, 3]
+
+
+def test_cap_restored_when_the_call_raises(fake_setters):
+    apart = mesh.TetMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                          [5, 0, 0], [6, 0, 0], [5, 1, 0], [5, 0, 1]],
+                         [[0, 1, 2, 3], [4, 5, 6, 7]])        # chi = 2
+    with pytest.raises(ValueError):
+        complex_asm.complex_audit(apart, 3)
+    assert [s.calls for s in fake_setters] == [[1, 2], [1, 3]]
+    assert [s.n for s in fake_setters] == [2, 3]
+
+
+def test_nested_caps_restore_each_level(fake_setters):
+    """A cap inside a cap, here by recursion, hands the inner exit the
+    outer cap's 1 and the outer exit the original counts."""
+    @one_blas_thread()
+    def depth(n):
+        return depth(n - 1) if n else [s.n for s in fake_setters]
+
+    assert depth(2) == [1, 1]
+    assert [s.calls for s in fake_setters] == [[1, 1, 1, 1, 1, 2], [1, 1, 1, 1, 1, 3]]
+    assert [s.n for s in fake_setters] == [2, 3]
+
+
+def test_cap_without_libraries_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(linalg, "_blas_setters", lambda: ())
+    rows = poly.poly_complex_audit(2, 3)
+    assert rows and all(r["pass"] for r in rows)
+
+
+def test_cap_on_the_loaded_libraries_restores_their_counts():
+    """On the OpenBLAS libraries found here (none: nothing to check), each
+    count reads 1 inside the cap and its old value after it."""
+    setters = linalg._blas_setters()
+
+    def counts():
+        out = [s(1) for s in setters]
+        for s, n in zip(setters, out):
+            s(n)
+        return out
+
+    before = counts()
+    with one_blas_thread():
+        assert counts() == [1] * len(setters)
+    assert counts() == before
