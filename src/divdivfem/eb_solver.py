@@ -12,6 +12,12 @@ level, which absorbs all boundary terms consistently.  See README.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import ctypes
+import functools
+import heapq
+import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -22,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .complex_asm import CellTree, GlobalSpace, assemble_cells, assemble_diff, cell_operators
 from .fe3d import EntityCache
-from .linalg import one_blas_thread
+from .linalg import blas_threads, one_blas_thread
 from .mesh import TetMesh, load as load_mesh
 from .quadrature import REF_MEASURE, rule
 
@@ -100,6 +106,32 @@ def class_groups(cell_class: np.ndarray) -> list[tuple]:
              np.stack([members[r] for r in cls])) for cls in groups]
 
 
+@functools.cache
+def _workers() -> concurrent.futures.ThreadPoolExecutor:
+    """The threads that eliminate fronts next to the caller's, started on
+    first use and kept for the process, so that each factor reuses their
+    malloc arenas: a process making four CN factors on kuhn_cube(3) peaked
+    at 456 MB RSS with a pool per factor and at 434 MB with these threads
+    kept, and one making two on kuhn_cube(4) at 1042 and 992 MB."""
+    return concurrent.futures.ThreadPoolExecutor(thread_name_prefix="divdivfem-fronts")
+
+
+# a forked child has none of the parent's threads: it starts its own
+os.register_at_fork(after_in_child=_workers.cache_clear)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, which returns the free pages of every malloc
+    arena to the system; None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except AttributeError:
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def dense_csc(F: np.ndarray) -> sp.csc_matrix:
     """sp.csc_matrix(F) of a dense F, exact zeros dropped, read off the
     nonzeros of a C-ordered copy of F^T rather than through COO."""
@@ -137,12 +169,20 @@ class Fronts:
     unknowns they own and reach: batches (nodes, own, bnd), each a stack
     over its nodes, by ascending height.  Nodes of one height are not each
     other's ancestors, so a batch is solved at once; slot[n] is node n's
-    (batch, place in it).
+    (batch, place in it).  Subtrees are contiguous in that numbering, and
+    each front's estimated cost (cost, work) deals them out to the workers
+    of a factor (shares).
 
     condensed_rank groups its rows and columns by the same dof_groups but
     takes a front's other columns from the rows it holds, a subset of what
     its cells list that depends on the matrix: a factor's front is the
     pattern of its cells' dense blocks, which reach every unknown they list."""
+
+    # the time of a front entry in flops: an entry is zeroed, gathered and
+    # added by fancy indexing, which does not reach BLAS.  A least-squares
+    # fit of the fronts' times on kuhn_cube(3), one BLAS thread, read
+    # 3.4e-11 s a flop and 8.3e-9 s an entry
+    ENTRY_COST = 240.0
 
     def __init__(self, tree: CellTree, maps: np.ndarray, ni: int):
         self.tree = tree
@@ -158,9 +198,11 @@ class Fronts:
         self.bnd, self.perm, self.pos = [None] * nnodes, {}, {}
         where = np.empty(len(self.iface), dtype=int)
         height = np.zeros(nnodes, dtype=int)
+        self.first = np.arange(nnodes)
         for i in range(nnodes):
             if tree.kids[i]:
                 height[i] = 1 + height[list(tree.kids[i])].max()
+                self.first[i] = self.first[tree.kids[i][0]]
                 reached = np.unique(np.concatenate([self.bnd[c] for c in tree.kids[i]]))
                 self.bnd[i] = reached[node[reached] != i]
                 where[self.own[i]] = np.arange(len(self.own[i]))
@@ -181,6 +223,48 @@ class Fronts:
                         for nodes in (batches[key] for key in sorted(batches))]
         self.slot = {n: (b, j) for b, (nodes, _, _) in enumerate(self.batches)
                      for j, n in enumerate(nodes)}
+        # nodes are numbered children first, so node n's subtree is the nodes
+        # first[n]..n; cost[n] is the estimated time of front n, the flops of
+        # its own block's inverse, solve and update and its entries, and
+        # work[n] that of its subtree
+        o, nb = (np.array([len(x) for x in sets], dtype=float) for sets in (self.own, self.bnd))
+        self.cost = 8 / 3 * o ** 3 + 2 * o * o * nb + 2 * o * nb * nb + self.ENTRY_COST * (o + nb) ** 2
+        total = np.concatenate([[0.0], np.cumsum(self.cost)])
+        self.work = total[1:] - total[self.first]
+
+    def shares(self, workers: int) -> tuple[list[list[int]], list[int]]:
+        """The subtrees below the root dealt to at most `workers` workers, and
+        the nodes above them: (shares, top).  Each share is a nonempty list
+        of subtree roots, ascending; top lists the other nodes below the
+        root, ascending, so that a node follows its children.
+
+        Proportional mapping (Pothen & Sun, SIAM J. Sci. Comput. 1993) with
+        LPT bins: starting from the root's children, the costliest subtree is
+        split into its children, its own front moving to top, until the cut
+        holds 8 subtrees per worker or only leaves; each cut is dealt
+        costliest first to the least loaded worker, and the cut whose top
+        plus busiest worker costs least is kept.  One worker gets the root's
+        children whole."""
+        kids = self.tree.kids
+        cut, top, top_cost = list(kids[-1]), [], 0.0
+        best = None
+        while True:
+            loads, bins = [(0.0, w) for w in range(workers)], [[] for _ in range(workers)]
+            for s in sorted(cut, key=lambda s: -self.work[s]):
+                load, w = heapq.heappop(loads)
+                bins[w].append(s)
+                heapq.heappush(loads, (load + self.work[s], w))
+            span = top_cost + max(loads)[0]
+            if best is None or span < best[0]:
+                best = span, [sorted(b) for b in bins if b], sorted(top)
+            inner = [s for s in cut if kids[s]]
+            if workers == 1 or not inner or len(cut) >= 8 * workers:
+                return best[1:]
+            s = max(inner, key=lambda s: self.work[s])
+            cut.remove(s)
+            cut += kids[s]
+            top.append(s)
+            top_cost += self.cost[s]
 
 
 class CellInteriors:
@@ -219,6 +303,21 @@ class CellInteriors:
     would alternate the two bundled OpenBLAS pools again.  A numpy inverse
     at the root measured faster (750 x 750: 0.054 against 0.093 s); it waits
     for a benchmark that times it.
+
+    Workers: the subtrees below the root are independent, so they are
+    eliminated on as many workers as numpy's OpenBLAS has threads
+    (linalg.blas_threads): the calling thread and the threads of
+    _workers(), each given whole subtrees by Fronts.shares.  Once glibc's
+    malloc_trim has returned the workers' freed fronts to the system, the
+    nodes above them and the root follow on the calling thread.  While
+    more than one worker runs, the whole factor, the interiors' chunks
+    included, runs under one_blas_thread: fronts of a few hundred rows run
+    about as fast on one OpenBLAS thread, and a front's factors are then
+    the same bits for any worker count.  One thread
+    (OPENBLAS_NUM_THREADS=1, or a caller inside one_blas_thread, as
+    infsup_estimate) means one worker, the same code.  On kuhn_cube(2),
+    2 cores, the CN factor took 0.43-0.45 s on one worker and 0.22-0.29 s
+    on two.
 
     Interiors and fronts: the inverses keep the solve on numpy's BLAS.  scipy
     bundles a second OpenBLAS, and alternating its getrs with numpy's
@@ -263,57 +362,107 @@ class CellInteriors:
         if not np.array_equal(scale[self.interior], d_i[cell_class]):
             raise ValueError("interior scales differ within a translation class")
         self.scale_F = scale[self.iface]
-        self.inv_ii = np.empty((nclasses, ni, ni))
-        self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
-        T = np.empty((nclasses, nf, nf))
-        for start in range(0, nclasses, self.CHUNK):
-            r = slice(start, start + self.CHUNK)
-            lhs = class_lhs(r)                                   # [interior | interface]
-            d = d_i[r]
-            Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
-            self.inv_ii[r] = np.linalg.inv(Kii)
-            self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
-            self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
-            np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
-        del lhs, Kii                 # the last chunk's, before the fronts
-        self._eliminate(T, cell_class)
+        shares, top = fronts.shares(blas_threads())
+        # every BLAS call on one thread while more than one worker runs: a
+        # front is a few hundred rows, and its factors then do not depend on
+        # the worker count
+        with one_blas_thread() if len(shares) > 1 else contextlib.nullcontext():
+            self.inv_ii = np.empty((nclasses, ni, ni))
+            self.X, self.L = np.empty((nclasses, ni, nf)), np.empty((nclasses, nf, ni))
+            T = np.empty((nclasses, nf, nf))
+            for start in range(0, nclasses, self.CHUNK):
+                r = slice(start, start + self.CHUNK)
+                lhs = class_lhs(r)                               # [interior | interface]
+                d = d_i[r]
+                Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
+                self.inv_ii[r] = np.linalg.inv(Kii)
+                self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
+                self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
+                np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
+            del lhs, Kii             # the last chunk's, before the fronts
+            self._eliminate(T, cell_class, shares, top)
 
-    def _eliminate(self, T: np.ndarray, cell_class: np.ndarray):
+    def _eliminate(self, T: np.ndarray, cell_class: np.ndarray, shares: list, top: list):
         """Factor the fronts children first from the class blocks T_r: the
         (inverse, X, L) of each of the fronts' batches in front_factors, a
-        stack over its nodes, and the root's SuperLU in lu."""
-        fr, tree = self.fronts, self.fronts.tree
-        root = len(tree.lo) - 1
+        stack over its nodes, and the root's SuperLU in lu.
+
+        The subtrees of each share run depth-first, children first, the
+        first share on the calling thread and each other one on a thread of
+        _workers(); then the nodes of top and the root run on the calling
+        thread.  A front's arithmetic is the same whichever thread runs it,
+        and each front adds its children's updates in the order of tree.kids,
+        so the factors do not depend on the shares."""
+        fr = self.fronts
         self.front_factors = [(np.empty((len(nodes), o, o)), np.empty((len(nodes), o, nb)),
                                np.empty((len(nodes), nb, o)))
                               for nodes, own, bnd in fr.batches
                               for o, nb in [(own.shape[1], bnd.shape[1])]]
-        updates = {}
-        for n in range(root + 1):
-            if n in fr.perm:
-                p = fr.perm[n]
-                cell = tree.order[tree.lo[n]]
-                d = self.scale_F[self.cell_iface[cell, p]]
-                F = T[cell_class[cell]][p[:, None], p] * d[:, None] * d
-            else:
-                F = np.zeros((len(fr.own[n]) + len(fr.bnd[n]),) * 2)
-                for c in tree.kids[n]:
-                    F[fr.pos[c][:, None], fr.pos[c]] += updates.pop(c)
-            if n == root:
-                self.lu = spla.splu(dense_csc(F), permc_spec="NATURAL")
-                break
-            if n not in fr.slot:                    # owns nothing: pass it up
-                updates[n] = F
-                continue
-            no = len(fr.own[n])
-            b, j = fr.slot[n]
-            inv, X, L = (a[j] for a in self.front_factors[b])
-            Foo = F[:no, :no]
-            inv[...] = np.linalg.inv(Foo)
-            X[...] = np.linalg.solve(Foo, F[:no, no:])
-            L[...] = F[no:, :no]
-            updates[n] = F[no:, no:] - L @ X
-            del F, Foo                  # before the next front is assembled: peak memory
+        updates = {}                # each front's update, until its parent takes it
+
+        def run(subtrees):
+            for s in subtrees:
+                for n in range(fr.first[s], s + 1):
+                    self._front(n, T, cell_class, updates)
+
+        mine, *others = shares or [[]]
+        futures = [_workers().submit(run, share) for share in others]
+        try:
+            run(mine)
+        finally:
+            concurrent.futures.wait(futures)    # every worker, also when run(mine) raises
+        for f in futures:
+            f.result()
+        if futures and _malloc_trim() is not None:
+            # the workers' freed fronts stay in their malloc arenas until
+            # trimmed: mms_convergence's peak RSS measured 13 % above the
+            # serial factor's without the trim, 5 % with it
+            _malloc_trim()(0)
+        for n in top:
+            self._front(n, T, cell_class, updates)
+        root = len(fr.own) - 1
+        self.lu = spla.splu(dense_csc(self._assemble(root, T, cell_class, updates)),
+                            permc_spec="NATURAL")
+
+    def _assemble(self, n: int, T: np.ndarray, cell_class: np.ndarray, updates: dict) -> np.ndarray:
+        """Front n: a leaf's D_F,c T_r D_F,c on its cell's interface unknowns,
+        another node's children's updates at their places, the first written
+        on zeros and the others added."""
+        fr, tree = self.fronts, self.fronts.tree
+        if n in fr.perm:
+            p = fr.perm[n]
+            cell = tree.order[tree.lo[n]]
+            d = self.scale_F[self.cell_iface[cell, p]]
+            F = T[cell_class[cell]][p[:, None], p]
+            F *= d[:, None]
+            F *= d
+            return F
+        F = np.zeros((len(fr.own[n]) + len(fr.bnd[n]),) * 2)
+        first, *rest = tree.kids[n]
+        F[fr.pos[first][:, None], fr.pos[first]] = updates.pop(first)
+        for c in rest:
+            F[fr.pos[c][:, None], fr.pos[c]] += updates.pop(c)
+        return F
+
+    def _front(self, n: int, T: np.ndarray, cell_class: np.ndarray, updates: dict):
+        """Assemble front n below the root and eliminate its own unknowns
+        into its batch's slot of front_factors; its update F_BB - L X goes to
+        updates[n], computed in place of L X.  A front that owns nothing
+        passes itself up whole."""
+        fr = self.fronts
+        F = self._assemble(n, T, cell_class, updates)
+        if n not in fr.slot:
+            updates[n] = F
+            return
+        no = len(fr.own[n])
+        b, j = fr.slot[n]
+        inv, X, L = (a[j] for a in self.front_factors[b])
+        Foo = F[:no, :no]
+        inv[...] = np.linalg.inv(Foo)
+        X[...] = np.linalg.solve(Foo, F[:no, no:])
+        L[...] = F[no:, :no]
+        LX = L @ X
+        updates[n] = np.subtract(F[no:, no:], LX, out=LX)
 
     def _interface_solve(self, r: np.ndarray) -> np.ndarray:
         """Schur^-1 r for right-hand sides r (m, nF), one a row: forward

@@ -21,22 +21,54 @@ import scipy.sparse as sp
 DEFAULT_RTOL = 1e-10
 
 
+def _loaded_openblas(pkg):
+    """The OpenBLAS libraries that pkg (numpy or scipy) bundles
+    (numpy.libs/libscipy_openblas64_-*.so, scipy.libs/libscipy_openblas-*.so),
+    opened only if already loaded."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            yield ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+
+
 @functools.cache
 def _blas_setters() -> tuple:
     """openblas_set_num_threads_local of each OpenBLAS that numpy and scipy
-    bundle (numpy.libs/libscipy_openblas64_-*.so, scipy.libs/libscipy_openblas-*.so),
-    opened only if already loaded; empty where no such library or symbol is."""
+    bundle; empty where no such library or symbol is."""
     setters = []
     for pkg in (np, scipy):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        for lib in _loaded_openblas(pkg):
             try:
-                fn = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
-            except (OSError, AttributeError):
+                fn = lib.openblas_set_num_threads_local
+            except AttributeError:
                 continue
             fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
             setters.append(fn)
     return tuple(setters)
+
+
+@functools.cache
+def _blas_getter():
+    """The thread-count getter of numpy's bundled OpenBLAS, None where there
+    is no such library or symbol."""
+    for lib in _loaded_openblas(np):
+        try:
+            fn = lib.scipy_openblas_get_num_threads64_
+        except AttributeError:
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        return fn
+    return None
+
+
+def blas_threads() -> int:
+    """The number of threads numpy's OpenBLAS runs a call on, read without
+    changing it: 1 inside one_blas_thread, and 1 where the library or its
+    getter is not found."""
+    get = _blas_getter()
+    return max(1, get()) if get is not None else 1
 
 
 @contextlib.contextmanager
@@ -51,8 +83,10 @@ def one_blas_thread():
     these pthreads builds it acts process-wide, not per calling thread (a
     worker thread's call changed the main thread's count), so the cap holds
     for the whole process while the block runs, and caps entered from two
-    Python threads at once could restore each other's counts out of order
-    (the package starts no threads).  Where neither library is found the cap
+    Python threads at once could restore each other's counts out of order.
+    The package's only threads are CellInteriors' front workers: they enter
+    no cap and read no count, and the thread that starts them holds the cap
+    until they have all stopped.  Where neither library is found the cap
     does nothing.  No environment variable is read or written.
     """
     setters = _blas_setters()

@@ -1,11 +1,13 @@
+import contextlib
 import copy
 import gc
 import os
 import subprocess
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
-from sys import executable
+from sys import executable, getswitchinterval, setswitchinterval
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from divdivfem import complex_asm, eb_solver, fe3d, mesh, mms, poly
+from divdivfem import complex_asm, eb_solver, fe3d, linalg, mesh, mms, poly
 from divdivfem.complex_asm import GlobalSpace, assemble_cells, assemble_diff
 from divdivfem.fields import PolyField
 
@@ -320,22 +322,160 @@ def test_schur_row_blocks_match_single_product(eb_systems, spec, theta):
     assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
-def test_factor_transients_stay_small(eb_systems):
-    """The numpy allocations of a kuhn_cube(2) CN factorisation peak under
-    85 MB above what the system holds: 67 MB, of which 36 MB are the fronts'
-    factors and 11 MB the root front and the compressed columns handed to
-    SuperLU.  The assembled Schur complement peaked at 69 MB, and its
-    single-product scatter and CSC copy at 122 MB.  SuperLU's own
-    allocations are not traced."""
-    sys = eb_systems("kuhn_cube(2)")
-    tracemalloc.start()
+@contextlib.contextmanager
+def _blas_count(n):
+    """numpy's and scipy's OpenBLAS at n threads, each library's count
+    restored after."""
+    setters = linalg._blas_setters()
+    if not setters:
+        pytest.skip("no bundled OpenBLAS found")
+    before = [setter(n) for setter in setters]
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        sys._factorize(_THETAS["cn"])
-        peak = tracemalloc.get_traced_memory()[1] - base
+        yield
     finally:
-        tracemalloc.stop()
+        for setter, m in zip(setters, before):
+            setter(m)
+
+
+@pytest.fixture
+def shares_dealt(monkeypatch):
+    """The shares of every factor made while the fixture is active."""
+    dealt, shares = [], eb_solver.Fronts.shares
+
+    def record(self, workers):
+        out = shares(self, workers)
+        dealt.append(out[0])
+        return out
+
+    monkeypatch.setattr(eb_solver.Fronts, "shares", record)
+    return dealt
+
+
+def test_factor_transients_stay_small(eb_systems, shares_dealt):
+    """The numpy allocations of a kuhn_cube(2) CN factorisation on two
+    workers peak under 85 MB above what the system holds: 73-82 MB, of
+    which 36 MB are the fronts' factors and 11 MB the root front and the
+    compressed columns handed to SuperLU; one worker peaks at 69.5 MB.  The
+    two workers' depth-first subtrees are in memory at once.  The assembled
+    Schur complement peaked at 69 MB, and its single-product scatter and
+    CSC copy at 122 MB.  SuperLU's own allocations are not traced."""
+    sys = eb_systems("kuhn_cube(2)")
+    with _blas_count(2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sys._factorize(_THETAS["cn"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert [len(shares) for shares in shares_dealt] == [2]
     assert peak < 85e6
+
+
+def _factor_at(sys, theta, threads):
+    with _blas_count(threads):
+        return sys._factorize(theta)
+
+
+def _assert_same_factors(a, b):
+    assert np.array_equal(a.inv_ii, b.inv_ii) and np.array_equal(a.X, b.X)
+    assert np.array_equal(a.L, b.L)
+    for fa, fb in zip(a.front_factors, b.front_factors, strict=True):
+        for x, y in zip(fa, fb, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_factor_is_the_same_on_one_two_and_four_workers(eb_systems, shares_dealt, rng):
+    """At one BLAS thread kuhn_cube(2) is factored on one worker, at two on
+    two, every BLAS call then on one thread: the interiors' and the fronts'
+    factors are the same bits, and so is a block solve with either factor.
+    Four workers, with the interpreter switching threads every
+    microsecond, split the root's children too and run them from top on
+    the calling thread: the same bits again."""
+    sys = eb_systems("kuhn_cube(2)")
+    one, two = (_factor_at(sys, _THETAS["cn"], n) for n in (1, 2))
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        four = _factor_at(sys, _THETAS["cn"], 4)
+    finally:
+        setswitchinterval(interval)
+    assert [len(shares) for shares in shares_dealt] == [1, 2, 4]
+    _assert_same_factors(one, two)
+    _assert_same_factors(one, four)
+    B = rng.standard_normal((sys.ntot, 3))
+    assert np.array_equal(one.solve(B), two.solve(B))
+
+
+@pytest.mark.parametrize("spec", ["single_tet", "two_tets", "kuhn_cube(1)", "kuhn_cube(2)"])
+def test_shares_partition_the_nodes_below_the_root(eb_systems, spec):
+    """For one to four workers, the shares' subtrees and top hold every node
+    below the root once; a node of top follows its children, each either in
+    top or a subtree root; one worker gets the root's children."""
+    sys = eb_systems(spec)
+    fr = sys.fronts("system", sys._maps[:, sys._order], sys._ni)
+    kids, root = fr.tree.kids, len(fr.own) - 1
+    for workers in range(1, 5):
+        shares, top = fr.shares(workers)
+        assert 1 <= len(shares) <= workers or (shares, top, kids[root]) == ([], [], ())
+        roots = [s for share in shares for s in share]
+        assert all(share == sorted(share) for share in shares) and top == sorted(top)
+        nodes = [n for s in roots for n in range(fr.first[s], s + 1)] + top
+        assert sorted(nodes) == list(range(root))
+        assert all(c in top or c in roots for n in top for c in kids[n])
+        if workers == 1:
+            assert shares in ([sorted(kids[root])], []) and top == []
+
+
+def test_single_cell_root_is_a_leaf(eb_systems, shares_dealt, rng, monkeypatch):
+    """single_tet's root is its one leaf: two threads deal no subtree, so no
+    worker starts and nothing waits; the root front goes to SuperLU, and the
+    solve's componentwise backward error is at rounding level."""
+    monkeypatch.setattr(eb_solver, "_workers", lambda: pytest.fail("a worker was started"))
+    sys = eb_systems("single_tet")
+    cells = _factor_at(sys, _THETAS["cn"], 2)
+    assert shares_dealt == [[]] and cells.front_factors == []
+    lhs = _lhs(sys, _THETAS["cn"])
+    b = rng.standard_normal(sys.ntot)
+    x = cells.solve(b)
+    assert (np.abs(lhs @ x - b) / (abs(lhs) @ np.abs(x) + np.abs(b))).max() <= 1e-14
+
+
+def test_fronts_owning_nothing_on_two_workers(shares_dealt):
+    """On the edge-meeting cells, whose node pairing two cells owns nothing,
+    two workers give the factors of one."""
+    sys = eb_solver.EBSystem(mesh.TetMesh(*_EDGE_MEETING), 3)
+    one, two = (_factor_at(sys, _THETAS["cn"], n) for n in (1, 2))
+    assert [len(shares) for shares in shares_dealt] == [1, 2]
+    _assert_same_factors(one, two)
+
+
+def test_worker_exception_propagates(eb_systems, monkeypatch):
+    """A front that raises on a worker thread makes _factorize raise it on
+    the calling thread, which does not hang, and the BLAS cap is left."""
+    sys = eb_systems("kuhn_cube(1)")
+    front = eb_solver.CellInteriors._front
+
+    def failing(self, n, *args):
+        if threading.current_thread().name.startswith("divdivfem-fronts"):
+            raise ArithmeticError(f"front {n}")
+        return front(self, n, *args)
+
+    monkeypatch.setattr(eb_solver.CellInteriors, "_front", failing)
+    raised = []
+
+    def factor():
+        with _blas_count(2):
+            try:
+                sys._factorize(_THETAS["cn"])
+            except ArithmeticError as exc:
+                raised.append((str(exc), linalg.blas_threads()))
+
+    caller = threading.Thread(target=factor)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(raised) == 1 and raised[0][0].startswith("front ") and raised[0][1] == 2
 
 
 def test_schur_complement_one_cell_stencil(eb_systems):

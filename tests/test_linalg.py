@@ -302,3 +302,22 @@ def test_cap_on_the_loaded_libraries_restores_their_counts():
     with one_blas_thread():
         assert counts() == [1] * len(setters)
     assert counts() == before
+
+
+def test_blas_threads_reads_the_count_without_setting_it(monkeypatch):
+    """blas_threads reads numpy's OpenBLAS count: 1 inside the cap, the
+    count set outside it, and 1 where no getter is found."""
+    setters = linalg._blas_setters()
+    if not setters:
+        pytest.skip("no bundled OpenBLAS found")
+    before = [s(2) for s in setters]
+    try:
+        assert linalg.blas_threads() == 2
+        with one_blas_thread():
+            assert linalg.blas_threads() == 1
+        assert linalg.blas_threads() == 2
+    finally:
+        for s, n in zip(setters, before):
+            s(n)
+    monkeypatch.setattr(linalg, "_blas_getter", lambda: None)
+    assert linalg.blas_threads() == 1
