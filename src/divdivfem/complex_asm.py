@@ -6,9 +6,19 @@ signs are +1 everywhere and assembly is a plain scatter.  Discrete operators
 are built by interpolating the differential of each source basis function into
 the target space (legitimate since the differentials land in the target space
 cellwise and conformingly).
+
+Every DOF is dimensionless: spaces are built on the mesh in units of its
+shortest edge h (TetMesh.unit), so a vertex derivative of order j reads
+h^j times the physical one and a moment the physical one over h^dim.  The
+class elements of every kuhn_cube(n) are then kuhn_cube(1)'s, and are built
+once per process; masses and operators come back physical, as h powers
+times the unit ones.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,12 +26,49 @@ import scipy.sparse as sp
 from . import poly
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element
-from .fields import PolyField
+from .fields import PolyField, Simplex
 from .linalg import (block_svd_ranks, frobenius, front_rank, one_blas_thread, product_max,
                      qr_rank, row_triangle, svd_rank)
 from .mesh import TetMesh
 
 _KINDS = ("v", "e", "f", "c")
+
+# The class data of every space in the process: the elements with and
+# without their DOF functionals, keyed by (what, family, k, exact unit class
+# key), and the stacks of unit masses and unit cell operators, keyed by
+# (what, family, k, every class key).  The values are weak references: an
+# entry lives while a space holds it (GlobalSpace.class_data, class_stack).
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(key, make):
+    """The process's object of key, made by make() unless a live space holds it."""
+    obj = _SHARED.get(key)
+    if obj is None:
+        obj = _SHARED[key] = make()
+    return obj
+
+
+@one_blas_thread()
+def _finalized(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache) -> Element:
+    """build_element on one BLAS thread, so its Vinv is the same at any
+    thread count."""
+    return build_element(family, k, mesh, ci, cache)
+
+
+@one_blas_thread()
+def _unit_mass(elem: Element) -> np.ndarray:
+    """The mass matrix of elem in its DOF order.  The generator Gram matrix
+    is kron(Gram, G G^T) (basis a, component c at a * C + c).  With
+    Gram = L L^T and G G^T = H H^T, the mass is W^T W for
+    W = (L kron H)^T Vinv, taken by two small contractions."""
+    gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
+    L = np.linalg.cholesky(elem.basis.gram())
+    H = np.linalg.cholesky(gens @ gens.T)
+    Vinv = elem.Vinv.reshape(elem.basis.N, len(gens), -1)          # (N, C, ndof)
+    W = H.T @ (L.T @ Vinv.reshape(elem.basis.N, -1)).reshape(Vinv.shape)
+    W = W.reshape(-1, W.shape[2])
+    return W.T @ W
 
 
 def assemble_cells(rmaps: np.ndarray, cmaps: np.ndarray, blocks: np.ndarray,
@@ -38,20 +85,27 @@ def assemble_cells(rmaps: np.ndarray, cmaps: np.ndarray, blocks: np.ndarray,
 
 
 class GlobalSpace:
-    """A global space: one finalized element per translation class, in class
-    order (cell c's is elements[cell_class[c]]), and the global numbers of
-    every cell's DOFs.  Every DOF is translation-covariant, so a cell is its
-    class's element moved by one vector."""
+    """A global space on the unit geometry mesh.unit: one finalized element
+    per translation class, in class order (cell c's is class cell_class[c]),
+    and the global numbers of every cell's DOFs.  Every DOF is
+    translation-covariant, so a cell is its class's element moved by one
+    vector; and dimensionless, so a class's element is the same on every
+    mesh whose unit cells have its exact key, and one element of each key
+    serves every space of the process.  mesh is the physical mesh, h its
+    length unit; cache is an EntityCache of mesh.unit."""
 
     def __init__(self, mesh: TetMesh, family: str, k: int,
                  cache: EntityCache | None = None):
         self.mesh = mesh
         self.family = family
         self.k = k
-        self.cache = cache if cache is not None else EntityCache(mesh, k)
+        self.h = mesh.h
+        self.cache = cache if cache is not None else EntityCache(mesh.unit, k)
+        if self.cache.mesh is not mesh.unit:
+            raise ValueError("a space's EntityCache is built on mesh.unit")
         self.cell_class, self.class_reps = self.cache.cell_class, self.cache.class_reps
-        self.elements: list[Element] = [build_element(family, k, mesh, ci, self.cache)
-                                        for ci in self.class_reps]
+        self.class_keys = self.cache.class_keys
+        self._held: dict[str, list | np.ndarray] = {}
         tags = self.elements[0].tags
         if any(elem.tags != tags for elem in self.elements[1:]):
             raise ValueError(f"{family}: translation classes order their DOFs differently")
@@ -79,24 +133,56 @@ class GlobalSpace:
     def dim(self) -> int:
         return self.ndof
 
+    # -- class data, shared across the process -----------------------------------
+    def class_data(self, what: str, make) -> list:
+        """Per class r, the process's object (what, family, k, class key r),
+        made by make(r) unless a live space holds it; from then on this
+        space holds the list too."""
+        if what not in self._held:
+            self._held[what] = [_shared((what, self.family, self.k, key), lambda r=r: make(r))
+                                for r, key in enumerate(self.class_keys)]
+        return self._held[what]
+
+    def class_stack(self, what: str, make) -> np.ndarray:
+        """make(r) of every class r, stacked and read-only: the process's
+        object (what, family, k, every class key), made unless a live space
+        holds it; from then on this space holds it too.  One array, so that
+        a mesh with h = 1 takes it as its physical stack without a copy."""
+        def stacked():
+            out = np.stack([make(r) for r in range(len(self.class_keys))])
+            out.flags.writeable = False
+            return out
+
+        if what not in self._held:
+            self._held[what] = _shared((what, self.family, self.k, tuple(self.class_keys)),
+                                       stacked)
+        return self._held[what]
+
+    @property
+    def functionals(self) -> list[Element]:
+        """Per class, the element with its DOF functionals (its groups and
+        Vandermonde V), built on the class's cell of mesh.unit."""
+        if self.cache is None:
+            raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
+                             "once its cell operators were built (drop_functionals); "
+                             "interpolate on a GlobalSpace built for it")
+        return self.class_data("functionals", lambda r: _finalized(
+            self.family, self.k, self.cache.mesh, int(self.class_reps[r]), self.cache))
+
+    @property
+    def elements(self) -> list[Element]:
+        """Per class, the element without its DOF functionals: the basis,
+        generators, Vinv and tags that masses, loads and evaluations read."""
+        return self.class_data("elements", lambda r: dataclasses.replace(
+            self.functionals[r], groups=None, V=None))
+
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
         """Mass matrix of each translation class in its cells' local DOF order:
-        (nclasses, ndof, ndof); cell c's is the entry cell_class[c].
-
-        The generator Gram matrix is kron(Gram, G G^T) (basis a, component c
-        at a * C + c).  With Gram = L L^T and G G^T = H H^T, the mass is
-        W^T W for W = (L kron H)^T Vinv, taken by two small contractions."""
-        out = []
-        for elem in self.elements:
-            gens = np.asarray(elem.comp_gens, dtype=float).reshape(len(elem.comp_gens), -1)
-            L = np.linalg.cholesky(elem.basis.gram())
-            H = np.linalg.cholesky(gens @ gens.T)
-            Vinv = elem.Vinv.reshape(elem.basis.N, len(gens), -1)          # (N, C, ndof)
-            W = H.T @ (L.T @ Vinv.reshape(elem.basis.N, -1)).reshape(Vinv.shape)
-            W = W.reshape(-1, W.shape[2])
-            out.append(W.T @ W)
-        return np.stack(out)
+        (nclasses, ndof, ndof); cell c's is the entry cell_class[c].  h^3
+        times the unit masses (read-only: the shared stack itself when h = 1)."""
+        unit = self.class_stack("mass", lambda r: _unit_mass(self.elements[r]))
+        return unit if self.h == 1.0 else self.h ** 3 * unit
 
     def mass(self, cell_masses: np.ndarray) -> sp.csr_matrix:
         """The global mass matrix, from the class stack of cell_masses()."""
@@ -104,35 +190,37 @@ class GlobalSpace:
                               (self.ndof, self.ndof))
 
     def drop_functionals(self):
-        """Release what only builds the elements and interpolates: each
-        element's DOF groups (and the test arrays they hold) and Vandermonde
-        V, and the entity cache.  The space keeps Vinv, the basis, the
-        generators, the tags and the maps, all that masses, loads and
-        evaluations read; interpolate then raises."""
-        for elem in self.elements:
-            elem.groups, elem.V = None, None
+        """Release what only builds the elements and interpolates: this
+        space's hold on the elements with their DOF functionals (their groups,
+        the test arrays they hold, and V), and the entity cache.  Shared
+        elements stay whole for the other spaces that hold them.  The space
+        keeps elements, the masses and operators it made, and the maps, all
+        that masses, loads and evaluations read; interpolate then raises."""
+        self._held.pop("functionals", None)
         self.cache = None
 
     def interpolate(self, field: PolyField) -> np.ndarray:
         """Canonical interpolation: each DOF evaluated on every cell that holds
         it, its owner cell's value taken, and the others checked against it.
-        A cell's DOFs are its class element's on the field translated by the
-        cell's offset t from the class's cell, x -> field(x + t); each class
-        evaluates all its cells' translates at once.  A batched field
+        The DOFs read the field in units of h, x -> field(h x) on mesh.unit.
+        A cell's DOFs are its class element's on that field translated by the
+        cell's offset t from the element's cell, x -> field(h (x + t)); each
+        class evaluates all its cells' translates at once.  A batched field
         (*batch) gives (*batch, ndof), each field checked on its own scale."""
-        if self.cache is None:
-            raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
-                             "once its cell operators were built (drop_functionals); "
-                             "interpolate on a GlobalSpace built for it")
         if not isinstance(field, PolyField):
             raise TypeError("interpolation needs a PolyField: the vertex DOFs "
                             "take exact point derivatives")
-        corner = self.mesh.vertices[self.mesh.cells[:, 0]]
-        offsets = corner - corner[self.class_reps][self.cell_class]
+        elements = self.functionals
+        if self.h != 1.0:           # the same Bernstein coefficients on the simplex / h
+            simplex = Simplex(field.basis.simplex.vertices / self.h)
+            field = PolyField(simplex.basis(field.degree), field.coeffs, field.vshape)
+        unit = self.cache.mesh
+        corner = unit.vertices[unit.cells[:, 0]]
         per_cell = np.empty((*field.batch, *self.cell_maps.shape))
-        for r, elem in enumerate(self.elements):
+        for r, elem in enumerate(elements):
             cells = np.flatnonzero(self.cell_class == r)
-            per_cell[..., cells, :] = elem.dof_values(field, offsets[cells])
+            offsets = corner[cells] - elem.simplex.vertices[0]
+            per_cell[..., cells, :] = elem.dof_values(field, offsets)
         out = per_cell[..., self.owner, self.owner_local]
         worst = np.abs(per_cell - out[..., self.cell_maps]).max(axis=(-2, -1), initial=0.0)
         scale = np.maximum(np.abs(out).max(axis=-1, initial=0.0), 1.0)
@@ -141,30 +229,38 @@ class GlobalSpace:
         return out
 
 
-# operator -> (source family, target family, source range); the operator
-# itself is poly.diff's
+# operator -> (source family, target family, source range, derivative
+# order); the operator itself is poly.diff's
 _OP_TABLE = {
-    "devgrad": ("h1_vec3", "hsymcurl_T", "V3"),
-    "symcurl": ("hsymcurl_T", "hdivdiv_S", "T"),
-    "divdiv": ("hdivdiv_S", "dg_scalar", "S"),
+    "devgrad": ("h1_vec3", "hsymcurl_T", "V3", 1),
+    "symcurl": ("hsymcurl_T", "hdivdiv_S", "T", 1),
+    "divdiv": ("hdivdiv_S", "dg_scalar", "S", 2),
 }
+
+
+@one_blas_thread()
+def _unit_operator(op: str, rng_src: str, es: Element, ed: Element) -> np.ndarray:
+    """The matrix of op from the DOFs of es to those of ed, one class's."""
+    gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
+    return ed.V @ gmat.T @ es.Vinv                          # (ndof_dst, ndof_src)
 
 
 def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
     """The matrix of op from the src to the dst DOFs of each translation
     class, stacked (nclasses, ndof_dst, ndof_src); cell c's is the entry
-    cell_class[c]."""
+    cell_class[c].  h^-order times the unit ones, which dst holds (read-only:
+    the shared stack itself when h = 1)."""
     if op not in _OP_TABLE:
         raise ValueError(f"unknown operator {op!r}")
-    fam_src, fam_dst, rng_src = _OP_TABLE[op]
+    fam_src, fam_dst, rng_src, order = _OP_TABLE[op]
     if src.family != fam_src or dst.family != fam_dst:
         raise ValueError(f"{op} maps {fam_src} -> {fam_dst}, "
                          f"got {src.family} -> {dst.family}")
-    out = []
-    for es, ed in zip(src.elements, dst.elements):
-        gmat = poly.diff(op, poly.space(es.simplex, es.basis.degree, rng_src)).mat
-        out.append(ed.V @ gmat.T @ es.Vinv)                 # (ndof_dst, ndof_src)
-    return np.stack(out)
+    if src.class_keys != dst.class_keys:
+        raise ValueError(f"{op}: the spaces' translation classes differ")
+    unit = dst.class_stack(op, lambda r: _unit_operator(
+        op, rng_src, src.elements[r], dst.functionals[r]))
+    return unit if dst.h == 1.0 else dst.h ** -order * unit
 
 
 def assemble_diff(ops: np.ndarray, src: GlobalSpace, dst: GlobalSpace) -> sp.csr_matrix:
@@ -353,7 +449,7 @@ def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
 
 def build_complex(mesh: TetMesh, k: int):
     """All four global spaces plus the three discrete differentials."""
-    cache = EntityCache(mesh, k)
+    cache = EntityCache(mesh.unit, k)
     V = GlobalSpace(mesh, "h1_vec3", k, cache)
     L = GlobalSpace(mesh, "hsymcurl_T", k, cache)
     S = GlobalSpace(mesh, "hdivdiv_S", k, cache)
@@ -382,7 +478,9 @@ def complex_audit(mesh: TetMesh, k: int) -> list[dict]:
     surjectivity of divdiv, and the Euler-consistency of the dimension formulas."""
     if mesh.euler_characteristic != 1:
         raise ValueError("audit expects a simply connected mesh (chi = 1)")
-    (V, L, S, Q), (d1, d2, d3) = build_complex(mesh, k)
+    # ranks and every check are relative, so scale-invariant: the audit
+    # reads the differentials on the unit geometry, in the dimensionless basis
+    (V, L, S, Q), (d1, d2, d3) = build_complex(mesh.unit, k)
     checks = []
 
     def add(name, expected, computed, source, tol=0):

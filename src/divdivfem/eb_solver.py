@@ -518,12 +518,17 @@ class EBSystem:
     """Spaces and the cell operators of one mesh: the differentials, masses
     and couplings are stored once per translation class, and A and S are
     applied and factored from those class stacks.  The system holds no
-    global matrix: each assembled form is built where it is read."""
+    global matrix: each assembled form is built where it is read.
+
+    The spaces are built on mesh.unit, with dimensionless DOFs; their class
+    data is shared with every other live system whose classes have the same
+    keys (every kuhn_cube(n)), and the stacks are the physical ones, from
+    powers of h.  mesh, the quadrature and the cells' tree stay physical."""
 
     def __init__(self, mesh: TetMesh, k: int):
         self.mesh = mesh
         self.k = k
-        cache = EntityCache(mesh, k)
+        cache = EntityCache(mesh.unit, k)
         self.space_q = GlobalSpace(mesh, "dg_scalar", k, cache)
         self.space_E = GlobalSpace(mesh, "hdivdiv_S", k, cache)
         self.space_B = GlobalSpace(mesh, "hsymcurl_T", k, cache)
@@ -538,9 +543,13 @@ class EBSystem:
         mq, mE, mB = (space.cell_masses() for space in spaces)
         self._cell_diff = (d3, d2)
         self._cell_mass = (mq, mE, mB)
-        self._cell_coupling = (mq @ d3, mE @ d2)
+        # on one BLAS thread, like the class data above, so that the stacks
+        # are the same at any thread count
+        with one_blas_thread():
+            self._cell_coupling = (mq @ d3, mE @ d2)
         # the stacks are all that the solvers read of the elements' DOF
-        # functionals: the build data goes (17 MB on kuhn_cube(2))
+        # functionals: the system lets go of the build data (17 MB on
+        # kuhn_cube(2)), which lives on only while another space holds it
         for space in spaces:
             space.drop_functionals()
         self.nq, self.nE, self.nB = (space.dim for space in spaces)

@@ -71,6 +71,7 @@ class EntityCache:
         self.cell_class = np.array([index.setdefault(self._cell_key(ci), len(index))
                                     for ci in range(mesh.num_cells)])
         self.class_reps = np.unique(self.cell_class, return_index=True)[1]
+        self.class_keys = list(index)    # class number -> key
 
     def _cell_key(self, ci: int) -> tuple:
         m, gids = self.mesh, self.mesh.cells[ci]

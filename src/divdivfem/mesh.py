@@ -11,6 +11,7 @@ lines "v0 v1 v2 v3" (0-based); only blank lines may follow.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 
@@ -39,6 +40,8 @@ class TetMesh:
         self._build_topology()
         self._build_frames()
         self.cell_simplices = [Simplex(self.vertices[c]) for c in self.cells]
+        self._h = None
+        self._unit = None
 
     # -- validation ---------------------------------------------------------
     def _validate_cells(self):
@@ -103,6 +106,32 @@ class TetMesh:
     @property
     def num_cells(self):
         return len(self.cells)
+
+    @property
+    def h(self) -> float:
+        """The length unit of the dimensionless DOFs: the shortest edge (1 on
+        the unit copy, by definition)."""
+        if self._h is None:
+            d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+            self._h = float(np.sqrt(np.einsum("ij,ij->i", d, d).min()))
+        return self._h
+
+    @property
+    def unit(self) -> "TetMesh":
+        """The mesh in units of h: its vertices divided by h, the same topology,
+        frames and simplices of the scaled vertices.  Itself when h is 1.  On
+        kuhn_cube(n) every vertex becomes an integer lattice point, so the
+        cells of every n fall into kuhn_cube(1)'s 6 classes."""
+        if self.h == 1.0:
+            return self
+        if self._unit is None:
+            unit = copy.copy(self)
+            unit.vertices = self.vertices / self.h
+            unit._build_frames()
+            unit.cell_simplices = [Simplex(unit.vertices[c]) for c in unit.cells]
+            unit._h, unit._unit = 1.0, None
+            self._unit = unit
+        return self._unit
 
     @property
     def euler_characteristic(self) -> int:

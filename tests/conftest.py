@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from divdivfem import eb_solver, mesh
+from divdivfem import complex_asm, eb_solver, mesh
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,12 @@ def complexes():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def fresh_class_data(monkeypatch):
+    """An empty process-wide class-data cache for one test, so that what the
+    test counts is built in it, whatever the other tests' spaces hold."""
+    shared = weakref.WeakValueDictionary()
+    monkeypatch.setattr(complex_asm, "_SHARED", shared)
+    return shared

@@ -1,4 +1,5 @@
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -112,11 +113,12 @@ def test_condensed_rank_rejects_interior_column_leaving_its_cell(where, complexe
 
 
 def test_condensed_rank_d1_drop_below_tighter_bound(complexes):
-    """devgrad's cell operators read their target coordinates exactly, so the
-    entries the bubble identity drops on kuhn_cube(2) stay below 1e-10 max|d|
-    (5.3e-11), a tenth of the default bound, and the rank is unchanged."""
+    """devgrad's cell operators read their target coordinates exactly, and
+    the DOFs are dimensionless, so the entries the bubble identity drops on
+    kuhn_cube(2) stay below 1e-11 max|d| (6.8e-12; 5.3e-11 with physical
+    DOFs), a hundredth of the default bound, and the rank is unchanged."""
     (V, L, _, _), (d1, _, _) = complexes("kuhn_cube(2)")
-    assert condensed_rank(d1, V, L, rtol=1e-10) == 2462
+    assert condensed_rank(d1, V, L, rtol=1e-11) == 2462
 
 
 def test_condensed_rank_keeps_an_entry_inside_its_cell(complexes):
@@ -400,7 +402,7 @@ def test_global_operator_restricts_to_every_cell_operator(spec, complexes):
             assert np.abs(local - d_c).max() <= 1e-10 * np.abs(d_c).max(), (op, c)
 
 
-def test_each_cell_operator_computed_once(monkeypatch):
+def test_each_cell_operator_computed_once(monkeypatch, fresh_class_data):
     """cell_operators differentiates each cell's generators once per operator."""
     calls = []
     diff = poly.diff
@@ -422,24 +424,27 @@ def test_each_cell_operator_computed_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec, builds", [("kuhn_cube(2)", 6), ("two_tets", 2)])
-def test_one_element_built_per_translation_class(spec, builds, monkeypatch):
+def test_one_element_built_per_translation_class(spec, builds, monkeypatch,
+                                                fresh_class_data):
     """kuhn_cube(2) has 48 cells in 6 translation classes; two_tets has one
-    class per cell.  Each family runs finalize once per class."""
+    class per cell.  Each family runs finalize once per class, on the class's
+    cell of the unit mesh."""
     calls = []
     finalize = Element.finalize
     monkeypatch.setattr(Element, "finalize",
                         lambda self: calls.append(self.family) or finalize(self))
     m = mesh.load(spec)
-    cache = EntityCache(m, 3)
+    cache = EntityCache(m.unit, 3)
     for family in FAMILIES:
         space = GlobalSpace(m, family, 3, cache)
         assert calls.count(family) == builds, family
         assert len(space.class_reps) == len(space.elements) == builds
         for elem, ci in zip(space.elements, space.class_reps):
-            assert elem.simplex is m.cell_simplices[ci]
+            assert elem.simplex is m.unit.cell_simplices[ci]
 
 
-def test_classes_numbering_their_dofs_differently_are_rejected(monkeypatch):
+def test_classes_numbering_their_dofs_differently_are_rejected(monkeypatch,
+                                                               fresh_class_data):
     """cell_maps gathers every cell's global numbers from one tag table, so a
     class element whose DOF tags differ from the first one's is an error."""
     build = complex_asm.build_element
@@ -454,7 +459,7 @@ def test_classes_numbering_their_dofs_differently_are_rejected(monkeypatch):
         GlobalSpace(mesh.two_tets(), "dg_scalar", 3)
 
 
-def test_eb_system_builds_one_element_per_class_and_family(monkeypatch):
+def test_eb_system_builds_one_element_per_class_and_family(monkeypatch, fresh_class_data):
     """EBSystem on kuhn_cube(2) builds 18 elements, 6 translation classes
     times 3 families, all on the classes' cells: none for the other 42."""
     built = []
@@ -467,6 +472,77 @@ def test_eb_system_builds_one_element_per_class_and_family(monkeypatch):
     assert {ci for _, ci in built} == set(sys.space_E.class_reps)
 
 
+def _class_stacks(sys) -> list[np.ndarray]:
+    return [np.stack([e.Vinv for e in space.elements])
+            for space in (sys.space_q, sys.space_E, sys.space_B)]
+
+
+def test_systems_share_class_data_across_kuhn_meshes(monkeypatch, fresh_class_data):
+    """The unit meshes of kuhn_cube(2) and (3) have kuhn_cube(1)'s 6 class
+    keys: built while kuhn_cube(1)'s system is alive, their systems call
+    build_element zero times and hold kuhn_cube(1)'s class Vinv, bit for bit.
+    kuhn_cube(2)'s physical stacks are the unit ones times powers of h = 1/2,
+    exact: masses h^3, symcurl h^-1, divdiv h^-2.  Once every system is
+    dropped, the process cache holds nothing."""
+    base = EBSystem(mesh.load("kuhn_cube(1)"), 3)
+    calls = []
+    build = complex_asm.build_element
+    monkeypatch.setattr(complex_asm, "build_element",
+                        lambda *args: calls.append(args[:2]) or build(*args))
+    finer = [EBSystem(mesh.load(spec), 3) for spec in ("kuhn_cube(2)", "kuhn_cube(3)")]
+    assert calls == []
+    want = _class_stacks(base)
+    for sys in finer:
+        assert all(np.array_equal(a, b) for a, b in zip(_class_stacks(sys), want))
+    (d3, d2), masses = finer[0]._cell_diff, finer[0]._cell_mass
+    assert np.array_equal(d3, 4.0 * base._cell_diff[0])
+    assert np.array_equal(d2, 2.0 * base._cell_diff[1])
+    assert all(np.array_equal(m, 0.125 * m1) for m, m1 in zip(masses, base._cell_mass))
+    assert len(fresh_class_data) > 0
+    del base, finer, sys, d3, d2, masses
+    gc.collect()
+    assert len(fresh_class_data) == 0
+
+
+def _d1_drop(spec: str) -> np.ndarray:
+    """The entries of devgrad on spec that condensed_rank drops (the rows
+    outside the subtree of their column's node), over max|d1|."""
+    (V, L, _, _), (d1, _, _) = build_complex(mesh.load(spec), 3)
+    tree = CellTree(V.mesh)
+    d = d1.tocsr()
+    d.sum_duplicates()
+    rows = np.repeat(tree.dof_nodes(L.cell_maps), np.diff(d.indptr))
+    kept = tree.within(rows, tree.dof_nodes(V.cell_maps)[d.indices])
+    return d.data[~kept] / np.abs(d.data).max()
+
+
+def test_refinement_does_not_degrade_the_basis(fresh_class_data):
+    """With dimensionless DOFs every class Vandermonde of kuhn_cube(2), built
+    on its own unit mesh, has kuhn_cube(1)'s condition number (with physical
+    DOFs h1_vec3's grew from 2.2e5 to 6.9e6), and the devgrad entries that
+    condensed_rank drops stay at kuhn_cube(1)'s size: the largest, and their
+    root mean square, at most twice kuhn_cube(1)'s.  Their Frobenius norm,
+    the check's measure, grows with their count (2.6e-12 to 6.8e-12 for 5.6
+    times as many) and stays far below the 1e-9 bound."""
+    conds = {}
+    for spec in ("kuhn_cube(1)", "kuhn_cube(2)"):
+        fresh_class_data.clear()
+        spaces = [GlobalSpace(mesh.load(spec), family, 3) for family in FAMILIES]
+        conds[spec] = [np.linalg.cond(e.V) for space in spaces for e in space.functionals]
+    assert len(conds["kuhn_cube(1)"]) == 4 * 6
+    assert conds["kuhn_cube(2)"] == conds["kuhn_cube(1)"]
+    coarse, fine = _d1_drop("kuhn_cube(1)"), _d1_drop("kuhn_cube(2)")
+    assert np.abs(fine).max() <= np.abs(coarse).max()
+    assert np.sqrt(np.mean(fine ** 2)) <= 2.0 * np.sqrt(np.mean(coarse ** 2))
+    assert np.sqrt(np.sum(fine ** 2)) <= 1e-10
+
+
+def scaled(f: PolyField, h: float) -> PolyField:
+    """The field x -> f(h x): the same coefficients on the simplex divided by h."""
+    simplex = Simplex(f.basis.simplex.vertices / h)
+    return PolyField(simplex.basis(f.degree), f.coeffs, f.vshape)
+
+
 def translated(f: PolyField, t) -> PolyField:
     """The field x -> f(x + t): the same coefficients on the simplex moved
     by -t, since Bernstein coefficients are barycentric."""
@@ -476,11 +552,13 @@ def translated(f: PolyField, t) -> PolyField:
 
 def _interpolate_per_cell(space, field: PolyField) -> np.ndarray:
     """Oracle of GlobalSpace.interpolate, one cell at a time: each cell's
-    class element's DOFs of the field translated by the cell's offset from
-    its class's cell, each DOF taken from its owner cell."""
-    corner = space.mesh.vertices[space.mesh.cells[:, 0]]
-    offsets = corner - corner[space.class_reps][space.cell_class]
-    per_cell = np.stack([space.elements[r].dof_values(translated(field, t) if t.any() else field)
+    class element's DOFs of the field in units of h, translated by the
+    cell's offset on the unit mesh from the element's cell, each DOF taken
+    from its owner cell."""
+    unit, field, elements = space.mesh.unit, scaled(field, space.h), space.functionals
+    corner = unit.vertices[unit.cells[:, 0]]
+    offsets = corner - np.array([elem.simplex.vertices[0] for elem in elements])[space.cell_class]
+    per_cell = np.stack([elements[r].dof_values(translated(field, t) if t.any() else field)
                          for r, t in zip(space.cell_class, offsets)])
     return per_cell[space.owner, space.owner_local]
 
@@ -501,11 +579,32 @@ def test_batched_interpolation_matches_the_per_cell_path(spec, rng):
     path translates the field and evaluates one cell at a time.  kuhn_cube(2)
     has 8 cells a class, kuhn_cube(3) 27."""
     m = mesh.load(spec)
-    cache = EntityCache(m, 3)
+    cache = EntityCache(m.unit, 3)
     for family, fld in _random_shape_fields(rng):
         space = GlobalSpace(m, family, 3, cache)
         got, want = space.interpolate(fld), _interpolate_per_cell(space, fld)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), family
+
+
+def test_interpolation_with_elements_built_on_another_mesh(rng, fresh_class_data):
+    """kuhn_cube(2) moved by (3, -2, 1) has kuhn_cube(1)'s unit class keys, so
+    its spaces take kuhn_cube(1)'s elements, built at the origin; each cell
+    is translated from the element's own cell, and the interpolant equals,
+    to rounding, the one of spaces built on the moved mesh alone and the
+    per-cell oracle."""
+    m = mesh.kuhn_cube(2)
+    moved = mesh.TetMesh(m.vertices + [3.0, -2.0, 1.0], m.cells)
+    fields = dict(_random_shape_fields(rng))
+    held = [GlobalSpace(mesh.kuhn_cube(1), family, 3) for family in FAMILIES]
+    shared = [GlobalSpace(moved, family, 3) for family in FAMILIES]
+    assert all(a is b for base, space in zip(held, shared)
+               for a, b in zip(base.functionals, space.functionals))
+    fresh_class_data.clear()
+    for space in shared:
+        fld = fields[space.family]
+        got, alone = space.interpolate(fld), GlobalSpace(moved, space.family, 3).interpolate(fld)
+        for want in (alone, _interpolate_per_cell(space, fld)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), space.family
 
 
 @pytest.mark.parametrize("spec", ["kuhn_cube(1)", "kuhn_cube(2)"])
@@ -551,10 +650,11 @@ def test_interpolate_rejects_disagreeing_shared_dofs(rng, complexes):
 
 
 def _check_classes_against_cells_alone(m: mesh.TetMesh, spaces, rng):
-    """For every cell of each space, the element built on that cell alone (its
-    own entity data, tests and points) has its class element's V to rounding,
-    and its DOFs of a random field equal the interpolated ones, its class
-    element's DOFs of the translated field, to 1e-12."""
+    """For every cell of each space, the element built on that cell of the
+    unit mesh alone (its own entity data, tests and points) has its class
+    element's V to rounding, and its DOFs of a random field in units of h
+    equal the interpolated ones, its class element's DOFs of the translated
+    field, to 1e-12."""
     cell = poly.reference_cell("tet")
     degree = {"h1_vec3": (5, "V3"), "hsymcurl_T": (4, "T"), "hdivdiv_S": (3, "S"),
               "dg_scalar": (1, "scalar")}
@@ -564,11 +664,11 @@ def _check_classes_against_cells_alone(m: mesh.TetMesh, spaces, rng):
         fld = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
         per_cell = space.interpolate(fld)[space.cell_maps]
         for ci, r in enumerate(space.cell_class):
-            alone = build_element(space.family, 3, m, ci, EntityCache(m, 3))
-            V = space.elements[r].V
+            alone = build_element(space.family, 3, m.unit, ci, EntityCache(m.unit, 3))
+            V = space.functionals[r].V
             assert np.abs(V - alone.V).max() <= 1e-12 * np.abs(alone.V).max(), \
                 (space.family, ci)
-            want = alone.dof_values(fld)
+            want = alone.dof_values(scaled(fld, m.h))
             assert np.abs(per_cell[ci] - want).max() <= 1e-12 * np.abs(want).max(), \
                 (space.family, ci)
 
@@ -661,5 +761,18 @@ def test_translated_field_is_the_field_shifted(rng):
     ft = translated(f, t)
     for got, want in ((ft, f), (ft.grad(), f.grad()), (ft.hess(), f.hess())):
         want = want.eval(pts + t)
+        assert np.abs(got.eval(pts) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_scaled_field_is_the_field_at_scaled_points(rng):
+    """scaled(f, h) is x -> f(h x): its derivatives of order j are h^j f's."""
+    cell = poly.reference_cell("tet")
+    basis, gens = cell.basis(4), poly.RANGE_GENERATORS["T"]
+    f = PolyField.from_coords(basis, rng.standard_normal(basis.N * len(gens)), gens)
+    h = 1.0 / 3.0
+    pts = rng.random((10, 3))
+    fs = scaled(f, h)
+    for j, (got, want) in enumerate(((fs, f), (fs.grad(), f.grad()), (fs.hess(), f.hess()))):
+        want = h ** j * want.eval(h * pts)
         assert np.abs(got.eval(pts) - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -838,11 +838,12 @@ def _held(obj, depth=0):
             yield from _held(item, depth + 1)
 
 
-def test_system_drops_the_build_data(monkeypatch, rng):
-    """Once its class stacks exist the system keeps no element's DOF groups
-    or Vandermonde V, and its entity cache is freed; the masses, the MMS
-    loads and cell_values equal, bit for bit, those of spaces built anew,
-    and interpolating on a solver space says why it cannot."""
+def test_system_drops_the_build_data(monkeypatch, rng, fresh_class_data):
+    """Once its class stacks exist the system holds no element's DOF groups
+    or Vandermonde V, and its entity cache is freed, but it blanks no shared
+    element: a space that shares its classes still interpolates.  The
+    masses, the MMS loads and cell_values equal, bit for bit, those of spaces
+    built anew, and interpolating on a solver space says why it cannot."""
     caches = []
 
     class Recorded(fe3d.EntityCache):
@@ -852,10 +853,17 @@ def test_system_drops_the_build_data(monkeypatch, rng):
 
     monkeypatch.setattr(eb_solver, "EntityCache", Recorded)
     m = mesh.load("kuhn_cube(1)")
+    other = GlobalSpace(m, "hdivdiv_S", 3)
     sys = eb_solver.EBSystem(m, 3)
     gc.collect()
     assert len(caches) == 1 and caches[0]() is None
+    alive = {key[:2] for key in fresh_class_data.keys() if key[0] == "functionals"}
+    assert alive == {("functionals", "hdivdiv_S")}
+    assert all(a is b for a, b in zip(sys.space_E.elements, other.elements))
+    const = poly.reference_cell("tet").basis(0)
+    other.interpolate(PolyField(const, np.eye(3)[None], (3, 3)))
     spaces = (sys.space_q, sys.space_E, sys.space_B)
+    fresh_class_data.clear()
     cache = fe3d.EntityCache(m, 3)
     fresh = [GlobalSpace(m, s.family, 3, cache) for s in spaces]
     twin = copy.copy(sys)
