@@ -16,7 +16,7 @@ import numpy as np
 from . import eb_solver, fe2d, fe3d, mesh, mms, poly
 from . import tensor_calc as tc
 from .fields import Simplex
-from .report import Report, write_run_csv
+from .report import Report, check, write_run_csv
 
 _TOTAL_DOFS = {
     "h1_scalar": lambda k: (k + 3) * (k + 4) // 2,
@@ -57,17 +57,13 @@ def element_audit(family: str, k: int, seed: int = 0, n_random: int = 5) -> list
     for i, cell in enumerate(cells):
         e = build(cell)
         label = "reference" if i == 0 else f"random {i}"
-        checks.append({"name": f"{family} k={k} #DOFs ({label})", "expected": expected,
-                       "computed": e.ndof, "source": "paper",
-                       "pass": e.ndof == expected})
         ratio = e.sv_ratio()
-        checks.append({"name": f"{family} k={k} unisolvent sv-ratio > 1e-9 ({label})",
-                       "expected": "> 1e-9", "computed": float(ratio),
-                       "source": "paper", "pass": bool(ratio > 1e-9)})
+        checks += [check(f"{family} k={k} #DOFs ({label})", expected, e.ndof, "paper"),
+                   check(f"{family} k={k} unisolvent sv-ratio > 1e-9 ({label})", "> 1e-9",
+                         float(ratio), "paper", ok=ratio > 1e-9)]
         if i == 0 and not is2d:
-            counts = fe3d.dof_counts(e)
-            checks.append({"name": f"{family} attachment tallies", "expected": "-",
-                           "computed": str(counts), "source": "paper", "pass": True})
+            checks.append(check(f"{family} attachment tallies", "-",
+                                str(fe3d.dof_counts(e)), "paper", ok=True))
     return checks
 
 
@@ -148,10 +144,9 @@ def main(argv=None) -> int:
         elif args.cmd == "audit" and args.what == "lemmas":
             checks = fe3d.trace_identity_audit(args.k, args.trials, args.seed)
             checks += tc.product_identity_audit(args.trials, args.seed)
-            ok = fe3d.frame_rotation_span_check(args.k, args.seed)
-            checks.append({"name": "edge DOF span invariant under frame rotation",
-                           "expected": True, "computed": bool(ok), "source": "paper",
-                           "pass": bool(ok)})
+            checks.append(check("edge DOF span invariant under frame rotation", True,
+                                bool(fe3d.frame_rotation_span_check(args.k, args.seed)),
+                                "paper"))
             rep = Report("audit lemmas", {"k": args.k, "trials": args.trials,
                                           "seed": args.seed}, checks)
         elif args.cmd == "audit" and args.what == "complex":
@@ -168,25 +163,18 @@ def main(argv=None) -> int:
             system = eb_solver.EBSystem(m, cfg.k)
             the_mms = mms.make_mms(cfg.mms, cfg.k) if cfg.mms != "none" else None
             rec, y, driver = eb_solver.run(system, cfg, the_mms)
-            checks = [{"name": "run completed", "expected": cfg.nsteps,
-                       "computed": len(rec.t) - 1, "source": "derived",
-                       "pass": len(rec.t) - 1 == cfg.nsteps},
-                      {"name": "space dimensions (sigma, E, B)", "expected": "-",
-                       "computed": [system.nq, system.nE, system.nB],
-                       "source": "derived", "pass": True}]
+            checks = [check("run completed", cfg.nsteps, len(rec.t) - 1, "derived"),
+                      check("space dimensions (sigma, E, B)", "-",
+                            [system.nq, system.nE, system.nB], "derived", ok=True)]
             if driver is None:
                 e0 = rec.energy[0]
                 drift = max(abs(e - e0) for e in rec.energy) / max(e0, 1e-300)
-                checks.append({"name": "energy drift (zero forcing)",
-                               "expected": "<= 1e-8", "computed": float(drift),
-                               "source": "derived", "pass": bool(drift <= 1e-8)})
-            if driver is not None:
-                es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
-                checks.append({"name": "final L2 errors finite",
-                               "expected": "finite",
-                               "computed": [float(es), float(eE), float(eB)],
-                               "source": "derived",
-                               "pass": bool(np.isfinite([es, eE, eB]).all())})
+                checks.append(check("energy drift (zero forcing)", "<= 1e-8", float(drift),
+                                    "derived", ok=drift <= 1e-8))
+            else:
+                errs = [float(e) for e in driver.pointwise_errors(y, rec.t[-1])]
+                checks.append(check("final L2 errors finite", "finite", errs, "derived",
+                                    ok=np.isfinite(errs).all()))
             rep = Report("eb run", {"config": args.config, **cfg.__dict__}, checks)
             if args.csv:
                 write_run_csv(args.csv, rec)
@@ -214,19 +202,14 @@ def main(argv=None) -> int:
                     "trig" if cfg.mms == "none" else cfg.mms, cfg.k),
                 t_final=cfg.t_final,
                 dt_for_level=lambda lvl: cfg.dt / 4**lvl, systems=systems)
-            checks = []
-            for r in rows:
-                checks.append({"name": f"errors on {r['mesh']}", "expected": "finite",
-                               "computed": [r["err_sigma"], r["err_E"], r["err_B"]],
-                               "source": "derived",
-                               "pass": bool(np.isfinite(r["err_total"]))})
+            checks = [check(f"errors on {r['mesh']}", "finite",
+                            [r["err_sigma"], r["err_E"], r["err_B"]], "derived",
+                            ok=np.isfinite(r["err_total"])) for r in rows]
             if len(rows) >= 2 and "order" in rows[-1]:
                 order = rows[-1]["order"]
-                lo, hi = cfg.k - 1 - 0.3, cfg.k - 1 + 0.3
-                checks.append({"name": "observed spatial order",
-                               "expected": f"{cfg.k - 1} +/- 0.3",
-                               "computed": float(order), "source": "paper",
-                               "pass": bool(lo <= order <= hi)})
+                checks.append(check("observed spatial order", f"{cfg.k - 1} +/- 0.3",
+                                    float(order), "paper",
+                                    ok=cfg.k - 1 - 0.3 <= order <= cfg.k - 1 + 0.3))
             if args.temporal:
                 dts = [cfg.dt / 2**i for i in range(args.temporal)]
                 trows = eb_solver.temporal_convergence(
@@ -234,10 +217,8 @@ def main(argv=None) -> int:
                     t_final=cfg.t_final, dts=dts, systems=systems)
                 if len(trows) >= 2 and "order" in trows[-1]:
                     order = trows[-1]["order"]
-                    checks.append({"name": "observed temporal order",
-                                   "expected": "2 +/- 0.2",
-                                   "computed": float(order), "source": "paper",
-                                   "pass": bool(1.8 <= order <= 2.2)})
+                    checks.append(check("observed temporal order", "2 +/- 0.2", float(order),
+                                        "paper", ok=1.8 <= order <= 2.2))
             rep = Report("eb convergence", {"config": args.config,
                                             "levels": args.levels,
                                             "temporal": args.temporal}, checks)
@@ -245,9 +226,8 @@ def main(argv=None) -> int:
             m = mesh.load(args.mesh)
             system = eb_solver.EBSystem(m, args.k)
             beta = eb_solver.infsup_estimate(system)
-            checks = [{"name": "inf-sup constant positive", "expected": "> 0",
-                       "computed": float(beta), "source": "paper",
-                       "pass": bool(beta > 0)}]
+            checks = [check("inf-sup constant positive", "> 0", float(beta), "paper",
+                            ok=beta > 0)]
             rep = Report("infsup", {"mesh": args.mesh, "k": args.k}, checks)
         else:  # pragma: no cover
             return _fail_io("unknown command")

@@ -30,6 +30,7 @@ from .fields import PolyField, Simplex
 from .linalg import (block_svd_ranks, frobenius, front_rank, one_blas_thread, product_max,
                      qr_rank, row_triangle, svd_rank)
 from .mesh import TetMesh
+from .report import check
 
 _KINDS = ("v", "e", "f", "c")
 
@@ -47,13 +48,6 @@ def _shared(key, make):
     if obj is None:
         obj = _SHARED[key] = make()
     return obj
-
-
-@one_blas_thread()
-def _finalized(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCache) -> Element:
-    """build_element on one BLAS thread, so its Vinv is the same at any
-    thread count."""
-    return build_element(family, k, mesh, ci, cache)
 
 
 @one_blas_thread()
@@ -166,7 +160,7 @@ class GlobalSpace:
             raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
                              "once its cell operators were built (drop_functionals); "
                              "interpolate on a GlobalSpace built for it")
-        return self.class_data("functionals", lambda r: _finalized(
+        return self.class_data("functionals", lambda r: build_element(
             self.family, self.k, self.cache.mesh, int(self.class_reps[r]), self.cache))
 
     @property
@@ -481,35 +475,24 @@ def complex_audit(mesh: TetMesh, k: int) -> list[dict]:
     # ranks and every check are relative, so scale-invariant: the audit
     # reads the differentials on the unit geometry, in the dimensionless basis
     (V, L, S, Q), (d1, d2, d3) = build_complex(mesh.unit, k)
-    checks = []
-
-    def add(name, expected, computed, source, tol=0):
-        ok = abs(computed - expected) <= tol if tol else computed == expected
-        checks.append({"name": name, "expected": expected, "computed": computed,
-                       "source": source, "pass": bool(ok)})
-
-    scale21 = max(abs(d1).max() * abs(d2).max(), 1e-300)
-    add("symcurl o devgrad = 0", 0.0, float(product_max(d2, d1, S.owner) / scale21),
-        "trivial", tol=1e-11)
-    scale32 = max(abs(d2).max() * abs(d3).max(), 1e-300)
-    add("divdiv o symcurl = 0", 0.0, float(product_max(d3, d2, Q.owner) / scale32),
-        "trivial", tol=1e-11)
-
+    comp21 = float(product_max(d2, d1, S.owner) / max(abs(d1).max() * abs(d2).max(), 1e-300))
+    comp32 = float(product_max(d3, d2, Q.owner) / max(abs(d2).max() * abs(d3).max(), 1e-300))
     r1 = condensed_rank(d1, V, L)
     r2 = condensed_rank(d2, L, S)
     r3 = condensed_rank(d3, S, Q)
-    add("rank devgrad = dim V - 4 (kernel RT)", V.dim - 4, r1, "paper")
-    add("exactness at symcurl space", r1, L.dim - r2, "derived")
-    add("exactness at divdiv space", r2, S.dim - r3, "derived")
-    add("divdiv onto P_{k-2}(T)", Q.dim, r3, "paper")
-    add("rank symcurl matches proof formula", _formula_rank_symcurl(mesh, k), r2, "paper")
-    add("ker divdiv matches proof formula", _formula_ker_divdiv(mesh, k), S.dim - r3, "paper")
-    add("formulas consistent iff Euler (integer identity)",
-        4 * (mesh.euler_characteristic - 1),
-        _formula_ker_divdiv(mesh, k) - _formula_rank_symcurl(mesh, k), "paper")
-
+    rank_formula, ker_formula = _formula_rank_symcurl(mesh, k), _formula_ker_divdiv(mesh, k)
     # RT fields interpolate into V and are killed by the discrete devgrad
     coeffs = V.interpolate(poly.rt_space("tet").fields())          # (4, ndof)
-    worst = float(np.abs(d1 @ coeffs.T).max())
-    add("devgrad of interpolated RT fields = 0", 0.0, worst, "trivial", tol=1e-10)
-    return checks
+    return [
+        check("symcurl o devgrad = 0", 0.0, comp21, "trivial", tol=1e-11),
+        check("divdiv o symcurl = 0", 0.0, comp32, "trivial", tol=1e-11),
+        check("rank devgrad = dim V - 4 (kernel RT)", V.dim - 4, r1, "paper"),
+        check("exactness at symcurl space", r1, L.dim - r2, "derived"),
+        check("exactness at divdiv space", r2, S.dim - r3, "derived"),
+        check("divdiv onto P_{k-2}(T)", Q.dim, r3, "paper"),
+        check("rank symcurl matches proof formula", rank_formula, r2, "paper"),
+        check("ker divdiv matches proof formula", ker_formula, S.dim - r3, "paper"),
+        check("formulas consistent iff Euler (integer identity)",
+              4 * (mesh.euler_characteristic - 1), ker_formula - rank_formula, "paper"),
+        check("devgrad of interpolated RT fields = 0", 0.0, float(np.abs(d1 @ coeffs.T).max()),
+              "trivial", tol=1e-10)]

@@ -798,7 +798,7 @@ def _check_residual(r: np.ndarray, b: np.ndarray, tol: float, what: str):
 class EBTerm:
     g: object           # g(t)
     gdot: object
-    shape: object       # shape(ci, pts) -> spatial factor values
+    shape: object       # shape(pts) -> spatial factor values at points (n, 3)
     dshape: object = None  # divdiv (E terms) / symcurl (B terms) of the shape
 
 
@@ -836,14 +836,15 @@ class MMSDriver:
         self.sys = sys
         self.mms = mms
         pts, _ = sys.cell_quadrature()
-        # every spatial factor at every cell's quadrature points, evaluated
-        # once: per test space, (term, loads, values); the shapes' values are
-        # also the exact fields of the errors, per field and term
+        # every spatial factor at every cell's quadrature points, in one call
+        # on all the points: per test space, (term, loads, values); the shapes'
+        # values are also the exact fields of the errors, per field and term
         tested, self._exact = [[], [], []], [[], [], []]
         for f, (terms, factors) in enumerate(_LOADS):
             for term in getattr(mms, terms):
                 for factor, space, loads in factors:
-                    vals = np.stack([getattr(term, factor)(ci, p) for ci, p in enumerate(pts)])
+                    vals = getattr(term, factor)(pts.reshape(-1, 3))
+                    vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
                     tested[space].append((term, loads, vals))
                     if factor == "shape":
                         self._exact[f].append(vals)

@@ -13,8 +13,9 @@ from . import poly
 from .dofcommon import (DofGroup, Element, Part, bernstein_tests, bubble_space,
                         componentwise, vertex_groups)
 from .fields import Simplex
-from .linalg import svd_rank
+from .linalg import one_blas_thread, svd_rank
 from .quadrature import rule
+from .report import check
 
 FAMILIES = ("h1_scalar", "hrot_vec", "l2_lagrange", "h1_vec", "hrotrot_s2")
 
@@ -44,7 +45,10 @@ def _rot(X):
     return X[..., 1, 0] - X[..., 0, 1]
 
 
+@one_blas_thread()
 def element_2d(family: str, k: int, simplex: Simplex | None = None) -> Element:
+    """The element on one triangle, built on one BLAS thread so that its Vinv
+    is the same at any thread count."""
     if family not in FAMILIES:
         raise ValueError(f"unknown 2-D family {family!r}")
     if k < 3:
@@ -127,49 +131,25 @@ def interior_test_space_hrotrot(tri: Simplex, k: int) -> poly.PolySpace:
 def bubble_audit_2d(k: int, simplex: Simplex | None = None) -> list[dict]:
     """Rank chains of the 2-D de Rham and strain bubble complexes."""
     tri = simplex if simplex is not None else poly.reference_cell("triangle")
-    checks = []
 
-    # de Rham: B_{k+2,grad} -> B_{k+1,rot} -> B_{k,0}/P0
-    e1 = element_2d("h1_scalar", k, tri)
-    e2 = element_2d("hrot_vec", k, tri)
-    e3 = element_2d("l2_lagrange", k, tri)
-    b1, b2, b3 = bubble_space(e1), bubble_space(e2), bubble_space(e3)
-    checks.append({"name": "dim B_{k+2,grad_f}", "expected": poly.dim_P(2, k - 1) - 3,
-                   "computed": len(b1), "source": "derived", "pass": len(b1) == poly.dim_P(2, k - 1) - 3})
-    checks.append({"name": "dim B_{k,0}", "expected": poly.dim_P(2, k - 3),
-                   "computed": len(b3), "source": "derived",
-                   "pass": len(b3) == poly.dim_P(2, k - 3)})
+    # de Rham: B_{k+2,grad} -> B_{k+1,rot} -> B_{k,0}/P0, and
+    # strain: B_{k+2,eps} -> B_{k+1,rotrot} -> P_{k-1}/P_1
+    b1, b2, b3, b4, b5 = (bubble_space(element_2d(family, k, tri)) for family in FAMILIES)
     # the images of the bubbles: their coordinates times poly.diff's matrices
     grad = poly.diff("grad_f", poly.space(tri, k + 2, "scalar")).mat
     rot = poly.diff("rot_f", poly.space(tri, k + 1, "V2")).mat
-    expected_rot = poly.dim_P(2, k - 3) - 1
     r = svd_rank(b2 @ rot, scale=np.linalg.norm(rot, 2))
-    checks.append({"name": "dim rot_f image of rot bubbles",
-                   "expected": max(expected_rot, 0), "computed": r,
-                   "source": "paper", "pass": r == max(expected_rot, 0)})
     # grad bubbles live inside rot bubbles and exhaust the kernel
     kernel_dim, grad_rank = len(b2) - r, svd_rank(b1 @ grad)
-    checks.append({"name": "ker(rot_f) in rot bubbles = grad bubbles",
-                   "expected": grad_rank, "computed": kernel_dim,
-                   "source": "derived", "pass": kernel_dim == grad_rank})
-
-    # strain: B_{k+2,eps} -> B_{k+1,rotrot} -> P_{k-1}/P_1
-    e4 = element_2d("h1_vec", k, tri)
-    e5 = element_2d("hrotrot_s2", k, tri)
-    b4, b5 = bubble_space(e4), bubble_space(e5)
-    checks.append({"name": "dim B_{k+2,eps_f}", "expected": k * (k + 1) - 6,
-                   "computed": len(b4), "source": "derived",
-                   "pass": len(b4) == k * (k + 1) - 6})
-    checks.append({"name": "dim B_{k+1,rotrot_f}", "expected": 3 * (k + 3) * (k - 2) // 2,
-                   "computed": len(b5), "source": "derived",
-                   "pass": len(b5) == 3 * (k + 3) * (k - 2) // 2})
     rotrot = poly.diff("rotrot_f", poly.space(tri, k + 1, "S2")).mat
     rr_rank = svd_rank(b5 @ rotrot, scale=np.linalg.norm(rotrot, 2))
-    expected_rr = k * (k + 1) // 2 - 3
-    checks.append({"name": "dim rotrot_f image of strain bubbles",
-                   "expected": expected_rr, "computed": rr_rank, "source": "paper",
-                   "pass": rr_rank == expected_rr})
-    checks.append({"name": "ker(rotrot_f) in strain bubbles = eps bubbles",
-                   "expected": len(b4), "computed": len(b5) - rr_rank,
-                   "source": "derived", "pass": len(b5) - rr_rank == len(b4)})
-    return checks
+    return [
+        check("dim B_{k+2,grad_f}", poly.dim_P(2, k - 1) - 3, len(b1), "derived"),
+        check("dim B_{k,0}", poly.dim_P(2, k - 3), len(b3), "derived"),
+        check("dim rot_f image of rot bubbles", max(poly.dim_P(2, k - 3) - 1, 0), r, "paper"),
+        check("ker(rot_f) in rot bubbles = grad bubbles", grad_rank, kernel_dim, "derived"),
+        check("dim B_{k+2,eps_f}", k * (k + 1) - 6, len(b4), "derived"),
+        check("dim B_{k+1,rotrot_f}", 3 * (k + 3) * (k - 2) // 2, len(b5), "derived"),
+        check("dim rotrot_f image of strain bubbles", k * (k + 1) // 2 - 3, rr_rank, "paper"),
+        check("ker(rotrot_f) in strain bubbles = eps bubbles", len(b4), len(b5) - rr_rank,
+              "derived")]

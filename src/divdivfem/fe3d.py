@@ -21,9 +21,10 @@ from . import tensor_calc as tc
 from .dofcommon import (DofGroup, Element, GeneratorEval, Part, bernstein_tests,
                         bubble_space, componentwise, functional_matrix, vertex_groups)
 from .fields import PolyField, Simplex, curl_from_grads
-from .linalg import rowspace, svd_rank
+from .linalg import one_blas_thread, rowspace, svd_rank
 from .mesh import LOCAL_FACES, TetMesh
 from .quadrature import rule
+from .report import check
 
 FAMILIES = ("hsymcurl_T", "hdivdiv_S", "h1_vec3", "dg_scalar")
 
@@ -265,11 +266,13 @@ def _build_groups(family: str, k: int, mesh: TetMesh, ci: int, cache: EntityCach
     return cell, groups
 
 
+@one_blas_thread()
 def build_element(family: str, k: int, mesh: TetMesh, ci: int,
                   cache: EntityCache) -> Element:
     """The finalized element of cell ci; a translate of it in the same
     translation class has the same Vandermonde, so a space builds one per
-    class."""
+    class.  It is built on one BLAS thread, so its Vinv is the same at any
+    thread count."""
     if family not in _SHAPE:
         raise ValueError(f"unknown 3-D family {family!r}")
     if k < 3:
@@ -309,11 +312,6 @@ def _rand_frame(rng):
     return t1, t2, n
 
 
-def _rel(lhs, rhs) -> float:
-    scale = max(np.abs(lhs).max(initial=0.0), np.abs(rhs).max(initial=0.0), 1.0)
-    return float(np.abs(lhs - rhs).max(initial=0.0) / scale)
-
-
 def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
     """Property tests of the face/edge trace identities and devgrad restrictions."""
     if trials < 1:
@@ -349,15 +347,15 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
 
         lhs = w.eval(pts) @ t2
         rhs = np.einsum("pij,i,j->p", tau.eval(pts), n, t2)
-        worst[names[0]] = max(worst[names[0]], _rel(lhs, rhs))
+        worst[names[0]] = max(worst[names[0]], tc.rel_discrepancy(lhs, rhs))
 
         lhs = tc.rot_f(w, n).eval(pts)
         rhs = np.einsum("pij,i,j->p", curl_tau.eval(pts), n, n)
-        worst[names[1]] = max(worst[names[1]], _rel(lhs, rhs))
+        worst[names[1]] = max(worst[names[1]], tc.rel_discrepancy(lhs, rhs))
 
         lhs = np.einsum("pij,i,j->p", zeta.eval(pts), t2, t2)
         rhs = -np.einsum("pij,i,j->p", tau.eval(pts), t1, t2)
-        worst[names[2]] = max(worst[names[2]], _rel(lhs, rhs))
+        worst[names[2]] = max(worst[names[2]], tc.rel_discrepancy(lhs, rhs))
 
         inner = zeta.map_components(lambda c: np.einsum("...ij,i,j->...", c, t1, t2))
         lhs = (-inner.directional(t2).eval(pts)
@@ -365,31 +363,31 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
         t_tau_t = tau.map_components(lambda c: np.einsum("...ij,i,j->...", c, t2, t2))
         rhs = (-np.einsum("pij,i,j->p", curl_tau.eval(pts), t1, n)
                - t_tau_t.directional(t2).eval(pts))
-        worst[names[3]] = max(worst[names[3]], _rel(lhs, rhs))
+        worst[names[3]] = max(worst[names[3]], tc.rel_discrepancy(lhs, rhs))
 
         xi = tc.field_sym(curl_tau)
         lhs = np.einsum("pij,i,j->p", xi.eval(pts), n, n)
         rhs = tc.rot_f(w, n).eval(pts)
-        worst[names[4]] = max(worst[names[4]], _rel(lhs, rhs))
+        worst[names[4]] = max(worst[names[4]], tc.rel_discrepancy(lhs, rhs))
 
         xin = xi.map_components(lambda c: np.einsum("...ij,j->...i", c, n))
         nxin = xi.map_components(lambda c: np.einsum("...ij,i,j->...", c, n, n))
         lhs = (2.0 * tc.div_f(xin, n).eval(pts)
                + nxin.directional(n).eval(pts))
         rhs = -tc.rot_f(tc.rot_f(zeta, n), n).eval(pts)
-        worst[names[5]] = max(worst[names[5]], _rel(lhs, rhs))
+        worst[names[5]] = max(worst[names[5]], tc.rel_discrepancy(lhs, rhs))
 
         dgv = tc.field_dev(v.grad())
         dgvn = dgv.map_components(lambda c: np.einsum("...ij,i->...j", c, n))
         lhs = tc.proj_f(dgvn, n).eval(pts)
         vn = v.map_components(lambda c: np.tensordot(c, n, axes=(-1, 0)))
         rhs = tc.grad_f(vn, n).eval(pts)
-        worst[names[6]] = max(worst[names[6]], _rel(lhs, rhs))
+        worst[names[6]] = max(worst[names[6]], tc.rel_discrepancy(lhs, rhs))
 
         lhs = tc.proj_f_sym(tc.right_cross(dgv, n), n).eval(pts)
         vxn = tc.left_cross(n, v) * (-1.0)
         rhs = tc.eps_f(vxn, n).eval(pts)
-        worst[names[7]] = max(worst[names[7]], _rel(lhs, rhs))
+        worst[names[7]] = max(worst[names[7]], tc.rel_discrepancy(lhs, rhs))
 
         # edge identities with (t, n1, n2) = (n, t1, t2) relabeled: t = n1 x n2
         te, n1e, n2e = n, t1, t2
@@ -405,10 +403,9 @@ def trace_identity_audit(k: int, trials: int, seed: int = 0) -> list[dict]:
                - ttt.directional(te).eval(pts))
         vt = v.map_components(lambda c: np.tensordot(c, te, axes=(-1, 0)))
         rhs = -vt.directional(te).directional(te).eval(pts)
-        worst[names[9]] = max(worst[names[9]], _rel(lhs, rhs))
+        worst[names[9]] = max(worst[names[9]], tc.rel_discrepancy(lhs, rhs))
 
-    return [{"name": nm, "expected": 0.0, "computed": worst[nm],
-             "source": "paper", "pass": worst[nm] <= 1e-10} for nm in names]
+    return [check(nm, 0.0, worst[nm], "paper", tol=1e-10) for nm in names]
 
 
 def _span_contains(span_rows: np.ndarray, vecs: np.ndarray, tol: float = 1e-8) -> bool:
@@ -465,87 +462,55 @@ def bubble_audit_3d(k: int, mesh: TetMesh | None = None) -> list[dict]:
     eL = build_element("hsymcurl_T", k, mesh, 0, cache)
     eS = build_element("hdivdiv_S", k, mesh, 0, cache)
     cell = eV.simplex
-    checks = []
-
     bV, bL, bS = bubble_space(eV), bubble_space(eL), bubble_space(eS)
-    dimV_expect = 3 * poly.dim_P(3, k - 2)
-    dimL_expect = 8 * poly.dim_P(3, k - 3) + 12 * poly.dim_P(2, k - 2)
     img_expect = k * (k - 1) * (5 * k + 14) // 6 + k * (k - 1) // 2
-    dimS_expect = img_expect + max(poly.dim_P(3, k - 2) - 4, 0)
-    checks.append({"name": "dim B_{k+2,devgrad}", "expected": dimV_expect,
-                   "computed": len(bV), "source": "derived",
-                   "pass": len(bV) == dimV_expect})
-    checks.append({"name": "dim B_{k+1,symcurl}", "expected": dimL_expect,
-                   "computed": len(bL), "source": "paper",
-                   "pass": len(bL) == dimL_expect})
-    checks.append({"name": "dim B_{k,divdiv}", "expected": dimS_expect,
-                   "computed": len(bS), "source": "paper",
-                   "pass": len(bS) == dimS_expect})
+    tail_km2 = max(poly.dim_P(3, k - 2) - 4, 0)
+    tail_km1 = max(poly.dim_P(3, k - 1) - 4, 0)
 
     # closed forms
     cf_dev = poly.to_range_coords(closed_form_devgrad_bubbles(cell, k), "V3")
-    ok = _span_contains(bV, cf_dev) and svd_rank(cf_dev) == len(bV)
-    checks.append({"name": "B_{k+2,devgrad} = bubble * P_{k-2}(R3)",
-                   "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
     cf_sc = closed_form_symcurl_bubbles(mesh, k)
-    ok = _span_contains(bL, cf_sc) and svd_rank(cf_sc) == len(bL)
-    checks.append({"name": "B_{k+1,symcurl} matches closed form",
-                   "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
 
     # chain ranks: the images of the bubbles are their coordinates times
     # poly.diff's matrices, and each scale is the norm of that matrix
     D1 = poly.diff("devgrad", poly.space(cell, k + 2, "V3")).mat
     D2 = poly.diff("symcurl", poly.space(cell, k + 1, "T")).mat
     D3 = poly.diff("divdiv", poly.space(cell, k, "S")).mat
-    dg_coords = bV @ D1
+    dg_coords, sc_coords, dd_coords = bV @ D1, bL @ D2, bS @ D3
     r_dg = svd_rank(dg_coords, scale=np.linalg.norm(D1, 2))
-    checks.append({"name": "devgrad injective on bubbles", "expected": len(bV),
-                   "computed": r_dg, "source": "derived", "pass": r_dg == len(bV)})
-    ok = _span_contains(bL, dg_coords)
-    checks.append({"name": "devgrad bubbles inside symcurl bubbles",
-                   "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
-
-    sc_coords = bL @ D2
     r_sc = svd_rank(sc_coords, scale=np.linalg.norm(D2, 2))
-    checks.append({"name": "dim symcurl B_{k+1,symcurl}", "expected": img_expect,
-                   "computed": r_sc, "source": "paper", "pass": r_sc == img_expect})
-    checks.append({"name": "exactness at symcurl bubbles", "expected": r_dg,
-                   "computed": len(bL) - r_sc, "source": "derived",
-                   "pass": len(bL) - r_sc == r_dg})
-    ok = _span_contains(bS, sc_coords)
-    checks.append({"name": "symcurl bubbles inside divdiv bubbles",
-                   "expected": True, "computed": bool(ok), "source": "paper", "pass": bool(ok)})
-
-    dd_coords = bS @ D3
     r_dd = svd_rank(dd_coords, scale=np.linalg.norm(D3, 2))
-    tail_km2 = max(poly.dim_P(3, k - 2) - 4, 0)
-    tail_km1 = max(poly.dim_P(3, k - 1) - 4, 0)
-    checks.append({"name": "measured rank divdiv on bubbles (tail resolution)",
-                   "expected": tail_km2, "computed": r_dd, "source": "derived",
-                   "pass": r_dd == tail_km2})
-    checks.append({"name": "tail is P_{k-2}/P_1 (not P_{k-1}/P_1)",
-                   "expected": f"dim {tail_km2}",
-                   "computed": f"dim {r_dd} (P_{{k-1}}/P_1 would be {tail_km1})",
-                   "source": "derived", "pass": r_dd == tail_km2 and r_dd != tail_km1})
-    checks.append({"name": "exactness at divdiv bubbles", "expected": r_sc,
-                   "computed": len(bS) - r_dd, "source": "derived",
-                   "pass": len(bS) - r_dd == r_sc})
 
     # divdiv of divdiv-bubbles is L2-orthogonal to P_1; the scalar range
     # coordinates are the Bernstein coefficients of degree k - 2
     p1 = poly.space(cell, 1, "scalar").fields().raise_to(k - 2)
     mom = dd_coords @ cell.basis(k - 2).gram() @ p1.coeffs.T
-    ok = np.abs(mom).max() <= 1e-10 * max(np.abs(bS).max(), 1.0)
-    checks.append({"name": "divdiv bubbles orthogonal to P_1",
-                   "expected": True, "computed": bool(ok), "source": "paper",
-                   "pass": bool(ok)})
-
     # composition on bubbles
     resid = np.abs(dg_coords @ D2).max() / max(np.abs(bV).max(), 1.0)
-    checks.append({"name": "symcurl o devgrad bubbles = 0", "expected": 0.0,
-                   "computed": float(resid), "source": "trivial",
-                   "pass": resid <= 1e-11})
-    return checks
+    return [
+        check("dim B_{k+2,devgrad}", 3 * poly.dim_P(3, k - 2), len(bV), "derived"),
+        check("dim B_{k+1,symcurl}", 8 * poly.dim_P(3, k - 3) + 12 * poly.dim_P(2, k - 2),
+              len(bL), "paper"),
+        check("dim B_{k,divdiv}", img_expect + tail_km2, len(bS), "paper"),
+        check("B_{k+2,devgrad} = bubble * P_{k-2}(R3)", True,
+              _span_contains(bV, cf_dev) and svd_rank(cf_dev) == len(bV), "paper"),
+        check("B_{k+1,symcurl} matches closed form", True,
+              _span_contains(bL, cf_sc) and svd_rank(cf_sc) == len(bL), "paper"),
+        check("devgrad injective on bubbles", len(bV), r_dg, "derived"),
+        check("devgrad bubbles inside symcurl bubbles", True, _span_contains(bL, dg_coords),
+              "paper"),
+        check("dim symcurl B_{k+1,symcurl}", img_expect, r_sc, "paper"),
+        check("exactness at symcurl bubbles", r_dg, len(bL) - r_sc, "derived"),
+        check("symcurl bubbles inside divdiv bubbles", True, _span_contains(bS, sc_coords),
+              "paper"),
+        check("measured rank divdiv on bubbles (tail resolution)", tail_km2, r_dd, "derived"),
+        check("tail is P_{k-2}/P_1 (not P_{k-1}/P_1)", f"dim {tail_km2}",
+              f"dim {r_dd} (P_{{k-1}}/P_1 would be {tail_km1})", "derived",
+              ok=r_dd == tail_km2 and r_dd != tail_km1),
+        check("exactness at divdiv bubbles", r_sc, len(bS) - r_dd, "derived"),
+        check("divdiv bubbles orthogonal to P_1", True,
+              bool(np.abs(mom).max() <= 1e-10 * max(np.abs(bS).max(), 1.0)), "paper"),
+        check("symcurl o devgrad bubbles = 0", 0.0, float(resid), "trivial", tol=1e-11)]
 
 
 def frame_rotation_span_check(k: int, seed: int = 0) -> bool:

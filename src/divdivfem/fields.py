@@ -93,9 +93,6 @@ class Simplex:
         lam[:, 0] += 1.0
         return lam
 
-    def facet(self, local_vertices) -> "Simplex":
-        return Simplex(self.vertices[list(local_vertices)])
-
 
 @lru_cache(maxsize=None)
 def _tables(nvert: int, degree: int):

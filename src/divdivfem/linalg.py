@@ -253,17 +253,17 @@ def row_triangle(T: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(T, mode="raw", overwrite_a=True, check_finite=False)[1]
 
 
-def nullspace(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def nullspace(M) -> np.ndarray:
     """Orthonormal rows spanning ker(M)."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return np.eye(M.shape[1])
     u, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > DEFAULT_RTOL * s[0])) if s.size and s[0] > 0 else 0
     return vt[rank:]
 
 
-def rowspace(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def rowspace(M) -> np.ndarray:
     """Orthonormal rows spanning the row space of M."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
@@ -271,7 +271,7 @@ def rowspace(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return M[:0]
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > DEFAULT_RTOL * s[0]))
     return vt[:rank]
 
 

@@ -20,10 +20,6 @@ from .eb_solver import EBTerm, ManufacturedEB
 from .fields import PolyField
 
 
-def _global_field(f: PolyField):
-    return lambda ci, pts: f.eval(pts)
-
-
 # ---------------------------------------------------------------------------
 # trigonometric solution
 # ---------------------------------------------------------------------------
@@ -69,25 +65,22 @@ def _cosprod_grad(pts):
 def trig_mms() -> ManufacturedEB:
     """sigma = cos(t) u, E = cos(1.3t) u A, B = sin(0.9t) v C."""
 
-    def sigma_shape(ci, pts):
-        return _sinprod(pts)
-
-    def e_shape(ci, pts):
+    def e_shape(pts):
         return _sinprod(pts)[:, None, None] * _A_SYM
 
-    def e_divdiv(ci, pts):
+    def e_divdiv(pts):
         return np.einsum("pij,ij->p", _sinprod_hess(pts), _A_SYM)
 
-    def b_shape(ci, pts):
+    def b_shape(pts):
         return _cosprod(pts)[:, None, None] * _C_TF
 
-    def b_symcurl(ci, pts):
+    def b_symcurl(pts):
         g = _cosprod_grad(pts)
         curl = np.cross(g[:, None, :], _C_TF[None, :, :])  # rows: grad v x c_i
         return 0.5 * (curl + np.swapaxes(curl, -1, -2))
 
     return ManufacturedEB(
-        sigma_terms=[EBTerm(np.cos, lambda t: -np.sin(t), sigma_shape)],
+        sigma_terms=[EBTerm(np.cos, lambda t: -np.sin(t), _sinprod)],
         E_terms=[EBTerm(lambda t: np.cos(1.3 * t), lambda t: -1.3 * np.sin(1.3 * t),
                         e_shape, e_divdiv)],
         B_terms=[EBTerm(lambda t: np.sin(0.9 * t), lambda t: 0.9 * np.cos(0.9 * t),
@@ -125,9 +118,9 @@ def poly_mms(k: int = 3, seed: int = 7, time_degree: int = 2) -> ManufacturedEB:
     gb, gbd = poly_time([0.5, 0.4, 0.6, 0.7])
 
     return ManufacturedEB(
-        sigma_terms=[EBTerm(gs, gsd, _global_field(s_f))],
-        E_terms=[EBTerm(ge, ged, _global_field(e_f), _global_field(e_dd))],
-        B_terms=[EBTerm(gb, gbd, _global_field(b_f), _global_field(b_sc))],
+        sigma_terms=[EBTerm(gs, gsd, s_f.eval)],
+        E_terms=[EBTerm(ge, ged, e_f.eval, e_dd.eval)],
+        B_terms=[EBTerm(gb, gbd, b_f.eval, b_sc.eval)],
         label="poly")
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensor_calc as tc
 from .fields import PolyField, Simplex, curl_from_grads, probe
-from .linalg import DEFAULT_RTOL, nullspace, one_blas_thread, rowspace, svd_rank
+from .linalg import nullspace, one_blas_thread, rowspace, svd_rank
+from .report import check
 
 # ---------------------------------------------------------------------------
 # ranges
@@ -112,23 +113,21 @@ def space(cell, k: int, rng: str) -> PolySpace:
     return PolySpace(cell, k, rng, np.eye(n))
 
 
-def to_range_coords(fields: PolyField, rng: str, check: bool = True) -> np.ndarray:
-    """Express a batched field in (generator x range) coordinates, exactly."""
+def to_range_coords(fields: PolyField, rng: str) -> np.ndarray:
+    """Express a batched field in (generator x range) coordinates, exactly;
+    ValueError if the field does not take values in the range."""
     gens = np.asarray(RANGE_GENERATORS[rng], dtype=float).reshape(len(RANGE_GENERATORS[rng]), -1)
     flat = fields.coeffs.reshape(*fields.batch, fields.basis.N, -1)
     coords = flat @ _DUALS[rng]
-    if check:
-        resid = flat - coords @ gens
-        scale = max(np.abs(flat).max(), 1.0)
-        if np.abs(resid).max() > 1e-10 * scale:
-            raise ValueError(f"field does not take values in range {rng!r}")
+    if np.abs(flat - coords @ gens).max() > 1e-10 * max(np.abs(flat).max(), 1.0):
+        raise ValueError(f"field does not take values in range {rng!r}")
     return coords.reshape(*fields.batch, -1)
 
 
-def from_fields(fields: PolyField, rng: str, rtol: float = DEFAULT_RTOL) -> PolySpace:
+def from_fields(fields: PolyField, rng: str) -> PolySpace:
     """Row-space of a batched field as a PolySpace (basis-filtered image)."""
     coords = to_range_coords(fields, rng)
-    return PolySpace(fields.basis.simplex, fields.basis.degree, rng, rowspace(coords, rtol))
+    return PolySpace(fields.basis.simplex, fields.basis.degree, rng, rowspace(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +341,14 @@ def hess_image(cell, deg: int) -> PolySpace:
     return from_fields(src.fields().hess(), rng)
 
 
-def union_fields(parts: list[PolyField], rng: str, rtol: float = DEFAULT_RTOL) -> PolySpace:
+def union_fields(parts: list[PolyField], rng: str) -> PolySpace:
     """Basis-filtered concatenation of batched fields (sums of test spaces)."""
     parts = [p for p in parts if p.batch and p.batch[0]]
     if not parts:
         raise ValueError("no fields to unite")
     deg = max(f.basis.degree for f in parts)
     coords = np.concatenate([to_range_coords(f.raise_to(deg), rng) for f in parts], axis=0)
-    return PolySpace(parts[0].basis.simplex, deg, rng, rowspace(coords, rtol))
+    return PolySpace(parts[0].basis.simplex, deg, rng, rowspace(coords))
 
 
 def range_dual(rng: str) -> np.ndarray:
@@ -388,12 +387,6 @@ def constrained_subspace(tag: str, cell, k: int) -> PolySpace:
 # polynomial complex audits
 # ---------------------------------------------------------------------------
 
-def _check(name, expected, computed, source, tol=0.0):
-    ok = (abs(computed - expected) <= tol) if tol else (computed == expected)
-    return {"name": name, "expected": expected, "computed": computed,
-            "source": source, "pass": bool(ok)}
-
-
 def _composition_residual(d1: DiffMatrix, d2: DiffMatrix) -> float:
     comp = d1.mat @ d2.mat
     scale = np.linalg.norm(d1.mat, 2) * np.linalg.norm(d2.mat, 2)
@@ -409,39 +402,31 @@ def poly_complex_audit(dim: int, k: int, exact_certify: bool = False) -> list[di
     """
     if k < 3:
         raise ValueError("audit requires k >= 3")
-    checks = []
     if dim == 3:
         cell = reference_cell("tet")
         V = space(cell, k + 2, "V3")
         d1 = diff("devgrad", V)
         d2 = diff("symcurl", d1.dst)
         d3 = diff("divdiv", d2.dst)
-        dims = {"V": V.dim, "T": d1.dst.dim, "S": d2.dst.dim, "L": d3.dst.dim}
-        checks.append(_check("dim P_{k+2}(K;R3)", (k + 3) * (k + 4) * (k + 5) // 2,
-                             dims["V"], "paper"))
-        checks.append(_check("dim P_{k+1}(K;T)", 4 * (k + 2) * (k + 3) * (k + 4) // 3,
-                             dims["T"], "paper"))
-        checks.append(_check("rank devgrad", dims["V"] - 4, d1.rank, "derived"))
-        checks.append(_check("kernel head = RT (dim 4)", 4, d1.nullity, "paper"))
-        rt = rt_space(cell)
-        rt_in_v = embed_coords(rt, V)
-        head_resid = np.abs(rt_in_v @ d1.mat).max()
-        checks.append(_check("devgrad RT = 0", 0.0, head_resid, "trivial", tol=1e-11))
-        checks.append(_check("rank symcurl", dims["T"] - d1.rank, d2.rank, "derived"))
-        checks.append(_check("rank divdiv", dim_P(3, k - 2), d3.rank, "derived"))
-        checks.append(_check("divdiv onto P_{k-2}", dims["L"], d3.rank, "paper"))
-        checks.append(_check("symcurl o devgrad = 0", 0.0,
-                             _composition_residual(d1, d2), "trivial", tol=1e-12))
-        checks.append(_check("divdiv o symcurl = 0", 0.0,
-                             _composition_residual(d2, d3), "trivial", tol=1e-12))
+        T, L = d1.dst.dim, d3.dst.dim
+        head_resid = np.abs(embed_coords(rt_space(cell), V) @ d1.mat).max()
+        checks = [
+            check("dim P_{k+2}(K;R3)", (k + 3) * (k + 4) * (k + 5) // 2, V.dim, "paper"),
+            check("dim P_{k+1}(K;T)", 4 * (k + 2) * (k + 3) * (k + 4) // 3, T, "paper"),
+            check("rank devgrad", V.dim - 4, d1.rank, "derived"),
+            check("kernel head = RT (dim 4)", 4, d1.nullity, "paper"),
+            check("devgrad RT = 0", 0.0, head_resid, "trivial", tol=1e-11),
+            check("rank symcurl", T - d1.rank, d2.rank, "derived"),
+            check("rank divdiv", dim_P(3, k - 2), d3.rank, "derived"),
+            check("divdiv onto P_{k-2}", L, d3.rank, "paper"),
+            check("symcurl o devgrad = 0", 0.0, _composition_residual(d1, d2), "trivial",
+                  tol=1e-12),
+            check("divdiv o symcurl = 0", 0.0, _composition_residual(d2, d3), "trivial",
+                  tol=1e-12)]
         if exact_certify:
             from . import exact
-            checks.append(_check("rank devgrad (exact Q)", d1.rank,
-                                 exact.rank_3d("devgrad", k), "derived"))
-            checks.append(_check("rank symcurl (exact Q)", d2.rank,
-                                 exact.rank_3d("symcurl", k), "derived"))
-            checks.append(_check("rank divdiv (exact Q)", d3.rank,
-                                 exact.rank_3d("divdiv", k), "derived"))
+            checks += [check(f"rank {d.op} (exact Q)", d.rank, exact.rank_3d(d.op, k), "derived")
+                       for d in (d1, d2, d3)]
     elif dim == 2:
         if exact_certify:
             raise ValueError("exact certificates exist for the 3-D complex only")
@@ -450,26 +435,24 @@ def poly_complex_audit(dim: int, k: int, exact_certify: bool = False) -> list[di
         H = space(cell, k + 2, "scalar")
         g = diff("grad_f", H)
         r = diff("rot_f", g.dst)
-        checks.append(_check("deRham rank grad_f", H.dim - 1, g.rank, "derived"))
-        checks.append(_check("deRham rank rot_f", dim_P(2, k), r.rank, "derived"))
-        checks.append(_check("deRham rot_f onto P_k", r.dst.dim, r.rank, "paper"))
-        checks.append(_check("deRham exactness at V2", g.rank, g.dst.dim - r.rank, "derived"))
-        checks.append(_check("rot_f o grad_f = 0", 0.0,
-                             _composition_residual(g, r), "trivial", tol=1e-12))
         # strain: P_{k+2}(R2) -> P_{k+1}(S2) -> P_{k-1}
         Hv = space(cell, k + 2, "V2")
         e = diff("eps_f", Hv)
         rr = diff("rotrot_f", e.dst)
-        checks.append(_check("strain head kernel dim (rigid motions)", 3, e.nullity, "paper"))
-        rm = rigid_motions_2d(cell)
-        rm_in = embed_coords(rm, Hv)
-        checks.append(_check("eps_f rigid motions = 0", 0.0,
-                             np.abs(rm_in @ e.mat).max(), "trivial", tol=1e-11))
-        checks.append(_check("strain rank eps_f", Hv.dim - 3, e.rank, "derived"))
-        checks.append(_check("strain rank rotrot_f", dim_P(2, k - 1), rr.rank, "derived"))
-        checks.append(_check("strain exactness at S2", e.rank, e.dst.dim - rr.rank, "derived"))
-        checks.append(_check("rotrot_f o eps_f = 0", 0.0,
-                             _composition_residual(e, rr), "trivial", tol=1e-12))
+        rm_resid = np.abs(embed_coords(rigid_motions_2d(cell), Hv) @ e.mat).max()
+        checks = [
+            check("deRham rank grad_f", H.dim - 1, g.rank, "derived"),
+            check("deRham rank rot_f", dim_P(2, k), r.rank, "derived"),
+            check("deRham rot_f onto P_k", r.dst.dim, r.rank, "paper"),
+            check("deRham exactness at V2", g.rank, g.dst.dim - r.rank, "derived"),
+            check("rot_f o grad_f = 0", 0.0, _composition_residual(g, r), "trivial", tol=1e-12),
+            check("strain head kernel dim (rigid motions)", 3, e.nullity, "paper"),
+            check("eps_f rigid motions = 0", 0.0, rm_resid, "trivial", tol=1e-11),
+            check("strain rank eps_f", Hv.dim - 3, e.rank, "derived"),
+            check("strain rank rotrot_f", dim_P(2, k - 1), rr.rank, "derived"),
+            check("strain exactness at S2", e.rank, e.dst.dim - rr.rank, "derived"),
+            check("rotrot_f o eps_f = 0", 0.0, _composition_residual(e, rr), "trivial",
+                  tol=1e-12)]
     else:
         raise ValueError("dim must be 2 or 3")
     return checks

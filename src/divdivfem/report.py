@@ -11,6 +11,16 @@ import json
 from dataclasses import dataclass, field
 
 
+def check(name, expected, computed, source, tol=0, ok=None) -> dict:
+    """One audit row.  It passes on the verdict ok when one is given, else
+    when |computed - expected| <= tol for a nonzero tol, else when computed
+    equals expected; computed and expected are kept as given."""
+    if ok is None:
+        ok = abs(computed - expected) <= tol if tol else computed == expected
+    return {"name": name, "expected": expected, "computed": computed,
+            "source": source, "pass": bool(ok)}
+
+
 @dataclass
 class Report:
     command: str

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PolyField
-
-FRAME_TOL = 1e-14
+from .report import check
 
 
 # --------------------------------------------------------------------------
@@ -61,13 +60,6 @@ class EdgeFrame:
     def __getitem__(self, i) -> "EdgeFrame":
         return EdgeFrame(self.t[i], self.n1[i], self.n2[i])
 
-    def validate(self):
-        for a, b in ((self.t, self.n1), (self.t, self.n2), (self.n1, self.n2)):
-            assert abs(np.dot(a, b)) < FRAME_TOL
-        for a in (self.t, self.n1, self.n2):
-            assert abs(np.linalg.norm(a) - 1.0) < FRAME_TOL
-        assert np.linalg.norm(np.cross(self.n1, self.n2) - self.t) < FRAME_TOL
-
 
 @dataclass(frozen=True)
 class FaceFrame:
@@ -78,10 +70,6 @@ class FaceFrame:
 
     def __getitem__(self, i) -> "FaceFrame":
         return FaceFrame(self.n[i], self.t1[i], self.t2[i])
-
-    def validate(self):
-        assert abs(np.linalg.norm(self.n) - 1.0) < FRAME_TOL
-        assert np.linalg.norm(np.cross(self.t1, self.t2) - self.n) < FRAME_TOL
 
 
 def _unit_rows(d, what, global_ids):
@@ -124,16 +112,6 @@ def face_frames(global_ids, coords) -> FaceFrame:
                    "face with global vertices", global_ids)
     t1 = _unit_rows(v[:, 1] - v[:, 0], "face with global vertices", global_ids)
     return FaceFrame(n=n, t1=t1, t2=np.cross(n, t1))
-
-
-def make_edge_frame(global_ids, coords) -> EdgeFrame:
-    """The frame of one edge: the one-edge batch of edge_frames."""
-    return edge_frames([global_ids], [coords])[0]
-
-
-def make_face_frame(global_ids, coords) -> FaceFrame:
-    """The frame of one face: the one-face batch of face_frames."""
-    return face_frames([global_ids], [coords])[0]
 
 
 # --------------------------------------------------------------------------
@@ -244,6 +222,12 @@ def curl2(f: PolyField) -> PolyField:
 # audits
 # --------------------------------------------------------------------------
 
+def rel_discrepancy(lhs, rhs) -> float:
+    """max |lhs - rhs| relative to the larger of max |lhs|, max |rhs| and 1."""
+    scale = max(np.abs(lhs).max(initial=0.0), np.abs(rhs).max(initial=0.0), 1.0)
+    return float(np.abs(lhs - rhs).max(initial=0.0) / scale)
+
+
 def product_identity_audit(trials: int = 50, seed: int = 0, degree: int = 5,
                            npts: int = 20) -> list[dict]:
     """Commutation of cross/dot products with differentiation, on random
@@ -264,24 +248,19 @@ def product_identity_audit(trials: int = 50, seed: int = 0, degree: int = 5,
         n /= np.linalg.norm(n)
         pts = rng.random((npts, 3))
 
-        def rel(lhs, rhs):
-            scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1.0)
-            return float(np.abs(lhs - rhs).max() / scale)
-
         lhs = v.grad().map_components(
             lambda c: np.einsum("...ij,i->...j", c, n)).eval(pts)
         rhs = v.map_components(
             lambda c: np.tensordot(c, n, axes=(-1, 0))).grad().eval(pts)
-        worst[names[0]] = max(worst[names[0]], rel(lhs, rhs))
+        worst[names[0]] = max(worst[names[0]], rel_discrepancy(lhs, rhs))
 
         lhs = right_cross(v.grad(), n).eval(pts)
         rhs = (left_cross(n, v) * (-1.0)).grad().eval(pts)
-        worst[names[1]] = max(worst[names[1]], rel(lhs, rhs))
+        worst[names[1]] = max(worst[names[1]], rel_discrepancy(lhs, rhs))
 
         lhs = A.curl().map_components(
             lambda c: np.einsum("...ij,i->...j", c, n)).eval(pts)
         rhs = field_transpose(A).map_components(
             lambda c: np.tensordot(c, n, axes=(-1, 0))).curl().eval(pts)
-        worst[names[2]] = max(worst[names[2]], rel(lhs, rhs))
-    return [{"name": nm, "expected": 0.0, "computed": worst[nm],
-             "source": "paper", "pass": worst[nm] <= 1e-11} for nm in names]
+        worst[names[2]] = max(worst[names[2]], rel_discrepancy(lhs, rhs))
+    return [check(nm, 0.0, worst[nm], "paper", tol=1e-11) for nm in names]

@@ -7,7 +7,7 @@ import numpy as np
 
 from divdivfem import tensor_calc as tc
 from divdivfem.dofcommon import Element
-from divdivfem.fields import PolyField
+from divdivfem.fields import PolyField, Simplex
 
 
 def rot2(f: PolyField) -> PolyField:
@@ -30,7 +30,7 @@ def restrict(f: PolyField, local_vertices) -> PolyField:
     Bernstein members supported away from the facet vanish there, so the
     restriction is a coefficient selection, exact by construction."""
     basis, lv = f.basis, list(local_vertices)
-    sub = basis.simplex.facet(lv).basis(basis.degree)
+    sub = Simplex(basis.simplex.vertices[lv]).basis(basis.degree)
     others = [j for j in range(basis.simplex.nvert) if j not in lv]
     R = np.zeros((sub.N, basis.N))
     for i, a in enumerate(basis.alphas):

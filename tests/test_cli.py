@@ -43,14 +43,18 @@ _RUN_CONFIG = "mesh = kuhn_cube(2)\nk = 3\nt_final = 0.1\ndt = 0.025\ninit = mms
     ["infsup", "--mesh", "kuhn_cube(1)", "--k", "3"],
     ["audit", "poly", "--dim", "3", "--k", "3", "--exact"],
     ["eb", "run", "--config", "run.cfg"],
-], ids=["audit-complex", "infsup", "audit-poly-exact", "eb-run"])
+    ["audit", "element", "--family", "hsymcurl_T", "--k", "3"],
+    ["audit", "element", "--family", "hdivdiv_S", "--k", "3"],
+], ids=["audit-complex", "infsup", "audit-poly-exact", "eb-run", "audit-element-hsymcurl_T",
+        "audit-element-hdivdiv_S"])
 def test_json_reports_independent_of_blas_threads(tmp_path, argv):
     """The audits and the inf-sup estimate cap numpy's and scipy's OpenBLAS
-    at one thread, and so does the build of a system's class data, so their
-    reports are the same at any OPENBLAS_NUM_THREADS (uncapped, 2 threads
-    moved audit complex's composition residual rows in the last digits, and
-    eb run's final E and B errors by 3e-13 and 4e-12 relative).  The CN
-    factor and step are bitwise the same at 1 and 2 threads already."""
+    at one thread, and so do the element constructors, so their reports are
+    the same at any OPENBLAS_NUM_THREADS (uncapped, 2 threads moved audit
+    complex's composition residual rows in the last digits, eb run's final E
+    and B errors by 3e-13 and 4e-12 relative, and audit element's sv-ratio
+    rows of hsymcurl_T and hdivdiv_S in the last digits).  The CN factor and
+    step are bitwise the same at 1 and 2 threads already."""
     (tmp_path / "run.cfg").write_text(_RUN_CONFIG)
     argv = [str(tmp_path / a) if a == "run.cfg" else a for a in argv]
     for threads in ("1", "2"):

@@ -1042,13 +1042,13 @@ def test_assemble_forms_matches_nodal_reference(eb_systems, spec):
         for out, (slot, fld) in zip(ref, reqs):
             space, op = slots[slot]
             tab = _nodal_reference(space, ci, pts, op)
-            vals = fld(ci, pts).reshape(len(w), -1)
+            vals = fld(pts).reshape(len(w), -1)
             out[space.cell_maps[ci]] += np.einsum(
                 "pv,pmv,p->m", vals, tab.reshape(*tab.shape[:2], -1), w)
     qpts, _ = sys.cell_quadrature()
 
     def at_points(*flds):
-        return np.stack([np.stack([f(ci, p) for ci, p in enumerate(qpts)]) for f in flds])
+        return np.stack([np.stack([f(p) for p in qpts]) for f in flds])
 
     aq, addq = sys.assemble_forms(sys.space_q, at_points(s.shape, e.dshape))
     axi, ascxi = sys.assemble_forms(sys.space_E, at_points(e.shape, b.dshape))
@@ -1075,15 +1075,16 @@ def test_assemble_forms_is_the_transpose_of_cell_values(eb_systems, rng):
 
 def test_mms_driver_evaluates_each_field_once_per_cell(eb_systems):
     """The shape values serve both the loads and the errors: MMSDriver calls
-    every shape and dshape once per cell."""
+    every shape and dshape once, on all the cells' quadrature points."""
     sys = eb_systems("kuhn_cube(1)")
     m = mms.trig_mms()
-    calls = {}
+    calls, npts = {}, sys.cell_quadrature()[0].size // 3
 
     def counted(name, fn):
-        def wrapped(ci, pts):
+        def wrapped(pts):
             calls[name] = calls.get(name, 0) + 1
-            return fn(ci, pts)
+            assert pts.shape == (npts, 3)
+            return fn(pts)
         return wrapped
 
     for terms in ("sigma_terms", "E_terms", "B_terms"):
@@ -1093,7 +1094,7 @@ def test_mms_driver_evaluates_each_field_once_per_cell(eb_systems):
                     setattr(term, factor, counted((terms, factor), getattr(term, factor)))
     eb_solver.MMSDriver(sys, m)
     assert len(calls) == 5
-    assert set(calls.values()) == {sys.mesh.num_cells}
+    assert set(calls.values()) == {1}
 
 
 def _eval_cells(space, coeffs, ci, pts):
@@ -1114,7 +1115,7 @@ def test_errors_match_cellwise_evaluation(eb_systems, rng):
                 (sys.space_q, sys.space_E, sys.space_B), sys.split(y),
                 (m.sigma_terms, m.E_terms, m.B_terms))):
             d = _eval_cells(space, coeffs, ci, pts) - sum(
-                tm.g(t) * tm.shape(ci, pts) for tm in terms)
+                tm.g(t) * tm.shape(pts) for tm in terms)
             ref[j] += np.sum(w * (d * d).reshape(len(w), -1).sum(axis=1))
     got = drv.errors(y, t)
     assert all(type(v) is float for v in got)
@@ -1133,8 +1134,8 @@ def test_trig_mms_derivative_factors_consistent(rng):
     m = mms.trig_mms()
     pts = 0.2 + 0.6 * rng.random((6, 3))
     h = 1e-5
-    E = lambda p: m.E_terms[0].shape(0, p)
-    dd_exact = m.E_terms[0].dshape(0, pts)
+    E = m.E_terms[0].shape
+    dd_exact = m.E_terms[0].dshape(pts)
 
     def divdiv_fd(p):
         out = np.zeros(len(p))
@@ -1151,8 +1152,8 @@ def test_trig_mms_derivative_factors_consistent(rng):
         return out
 
     assert np.abs(divdiv_fd(pts) - dd_exact).max() <= 2e-4
-    B = lambda p: m.B_terms[0].shape(0, p)
-    sc_exact = m.B_terms[0].dshape(0, pts)
+    B = m.B_terms[0].shape
+    sc_exact = m.B_terms[0].dshape(pts)
 
     def curl_fd(p):
         out = np.zeros((len(p), 3, 3))

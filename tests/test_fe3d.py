@@ -11,6 +11,8 @@ from divdivfem.linalg import svd_rank
 from divdivfem.mesh import two_tets
 from divdivfem.quadrature import rule
 
+from frames import make_face_frame
+
 
 def field_from_dofs(elem, dofvals) -> PolyField:
     """The shape function of elem with prescribed DOF values, as a PolyField."""
@@ -323,7 +325,7 @@ def test_in_plane_face_tests_equal_the_per_face_build():
         (faces,) = [group for group in elem.groups if group.kind == "f"]
         for lf, fid in enumerate(m.cell_faces[ci]):
             verts = m.vertices[m.faces[fid]]
-            fr = tc.make_face_frame(m.faces[fid], verts)
+            fr = make_face_frame(m.faces[fid], verts)
             TT = np.stack([fr.t1, fr.t2])
             tri2 = (verts - verts[0]) @ TT.T
             pts2 = q.bary @ tri2

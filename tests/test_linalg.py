@@ -247,8 +247,18 @@ _CAPPED = {
 }
 
 
+@pytest.fixture
+def warm_single_tet(eb_systems):
+    """single_tet's complex and system, built before the fake setters are in
+    place: while they live, the entry points find every class element built,
+    and build none under caps of their own."""
+    eb_systems("single_tet")
+    return complex_asm.build_complex(mesh.single_tet(), 3)
+
+
 @pytest.mark.parametrize("entry", sorted(_CAPPED))
-def test_entry_points_cap_blas_threads_and_restore(entry, fake_setters, eb_systems):
+def test_entry_points_cap_blas_threads_and_restore(entry, warm_single_tet, fake_setters,
+                                                   eb_systems):
     """Each audit entry point sets one thread in every library on entry and
     gives each its previous count back on exit.  The decorated function keeps
     its name, which the benchmark's tracer wraps it by."""
@@ -257,6 +267,17 @@ def test_entry_points_cap_blas_threads_and_restore(entry, fake_setters, eb_syste
     call(eb_systems)
     assert [s.calls for s in fake_setters] == [[1, 2], [1, 3]]
     assert [s.n for s in fake_setters] == [2, 3]
+
+
+def test_complex_audit_caps_when_building_its_elements(fresh_class_data, fake_setters):
+    """With no class data alive, complex_audit builds its elements under caps
+    of their own, nested in its cap: every call sets one thread but each
+    library's last, which gives its count back."""
+    complex_asm.complex_audit(mesh.single_tet(), 3)
+    for setter, n in zip(fake_setters, (2, 3)):
+        assert len(setter.calls) > 2
+        assert setter.calls[-1] == n and set(setter.calls[:-1]) == {1}
+        assert setter.n == n
 
 
 def test_cap_restored_when_the_call_raises(fake_setters):

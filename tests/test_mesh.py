@@ -4,6 +4,8 @@ import pytest
 from divdivfem import mesh
 from divdivfem.fe3d import EntityCache
 
+from frames import make_edge_frame, make_face_frame
+
 
 @pytest.mark.parametrize("name,counts", [
     ("single_tet", (4, 6, 4, 1)),
@@ -132,12 +134,10 @@ def test_shared_entity_frames_identical_across_cells():
     # incident cells' vantage points must give bitwise-equal frames
     for eid, e in enumerate(m.edges):
         fr = m.edge_frames[eid]
-        from divdivfem.tensor_calc import make_edge_frame
         again = make_edge_frame(e, m.vertices[e])
         assert np.array_equal(fr.t, again.t)
         assert np.array_equal(fr.n1, again.n1)
     for fid, f in enumerate(m.faces):
-        from divdivfem.tensor_calc import make_face_frame
         fr = m.face_frames[fid]
         for sh in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
             again = make_face_frame(f[sh], m.vertices[f][sh])

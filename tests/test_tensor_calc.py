@@ -6,6 +6,8 @@ import pytest
 from divdivfem import tensor_calc as tc
 from divdivfem.fields import PolyField, Simplex
 
+from frames import make_edge_frame, make_face_frame, validate
+
 REF_TET = Simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -45,18 +47,18 @@ def test_product_identity_audit():
 # ---------------------------------------------------------------------------
 
 def test_edge_frame_axis_rule():
-    fr = tc.make_edge_frame((0, 1), [[0, 0, 0], [1, 0, 0]])
+    fr = make_edge_frame((0, 1), [[0, 0, 0], [1, 0, 0]])
     assert np.allclose(fr.t, [1, 0, 0])
     # seed axis is the one least aligned with t: y (index 1 wins the tie)
     assert np.allclose(fr.n1, [0, 1, 0])
     assert np.allclose(fr.n2, np.cross(fr.t, fr.n1))
-    fr.validate()
+    validate(fr)
 
 
 def test_edge_frame_orientation_from_ids():
     coords = [[0.2, 0.4, 0.1], [0.9, -0.3, 0.5]]
-    a = tc.make_edge_frame((7, 3), coords)
-    b = tc.make_edge_frame((3, 7), coords[::-1])
+    a = make_edge_frame((7, 3), coords)
+    b = make_edge_frame((3, 7), coords[::-1])
     for x, y in ((a.t, b.t), (a.n1, b.n1), (a.n2, b.n2)):
         assert np.array_equal(x, y)  # bitwise identical
 
@@ -66,14 +68,14 @@ def test_face_frame_independent_of_ordering(rng):
     coords = rng.random((3, 3))
     frames = []
     for perm in itertools.permutations(range(3)):
-        fr = tc.make_face_frame([ids[p] for p in perm], coords[list(perm)])
+        fr = make_face_frame([ids[p] for p in perm], coords[list(perm)])
         frames.append(fr)
     for fr in frames[1:]:
         assert np.array_equal(fr.n, frames[0].n)
         assert np.array_equal(fr.t1, frames[0].t1)
         assert np.array_equal(fr.t2, frames[0].t2)
     for fr in frames:
-        fr.validate()
+        validate(fr)
 
 
 def _edge_frame_one(ids, coords):
@@ -107,14 +109,14 @@ def test_batched_frames_match_the_per_entity_formulas(rng):
         for got, want in ((edges[j], _edge_frame_one(ids[j, :2], coords[j, :2])),
                           (faces[j], _face_frame_one(ids[j], coords[j]))):
             assert np.abs(np.stack(list(vars(got).values())) - np.stack(want)).max() <= 4e-16
-            got.validate()
+            validate(got)
 
 
 def test_degenerate_entities_rejected():
     with pytest.raises(ValueError, match="edge"):
-        tc.make_edge_frame((0, 1), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        make_edge_frame((0, 1), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     with pytest.raises(ValueError, match="face"):
-        tc.make_face_frame((0, 1, 2), [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        make_face_frame((0, 1, 2), [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
 
 
 # ---------------------------------------------------------------------------
