@@ -35,7 +35,7 @@ from .report import check
 _KINDS = ("v", "e", "f", "c")
 
 # The class data of every space in the process: the elements with and
-# without their DOF functionals, keyed by (what, family, k, exact unit class
+# without their DOF groups, keyed by (what, family, k, exact unit class
 # key), and the stacks of unit masses and unit cell operators, keyed by
 # (what, family, k, every class key).  The values are weak references: an
 # entry lives while a space holds it (GlobalSpace.class_data, class_stack).
@@ -154,8 +154,8 @@ class GlobalSpace:
 
     @property
     def functionals(self) -> list[Element]:
-        """Per class, the element with its DOF functionals (its groups and
-        Vandermonde V), built on the class's cell of mesh.unit."""
+        """Per class, the element with its DOF functionals (its groups, which
+        interpolate reads), built on the class's cell of mesh.unit."""
         if self.cache is None:
             raise ValueError(f"{self.family}: this space's DOF functionals were dropped "
                              "once its cell operators were built (drop_functionals); "
@@ -165,10 +165,11 @@ class GlobalSpace:
 
     @property
     def elements(self) -> list[Element]:
-        """Per class, the element without its DOF functionals: the basis,
-        generators, Vinv and tags that masses, loads and evaluations read."""
+        """Per class, the element without its DOF groups: the basis,
+        generators, V, Vinv and tags that masses, cell operators, loads and
+        evaluations read.  V is the size of Vinv."""
         return self.class_data("elements", lambda r: dataclasses.replace(
-            self.functionals[r], groups=None, V=None))
+            self.functionals[r], groups=None))
 
     # -- linear algebra --------------------------------------------------------
     def cell_masses(self) -> np.ndarray:
@@ -185,11 +186,11 @@ class GlobalSpace:
 
     def drop_functionals(self):
         """Release what only builds the elements and interpolates: this
-        space's hold on the elements with their DOF functionals (their groups,
-        the test arrays they hold, and V), and the entity cache.  Shared
-        elements stay whole for the other spaces that hold them.  The space
-        keeps elements, the masses and operators it made, and the maps, all
-        that masses, loads and evaluations read; interpolate then raises."""
+        space's hold on the elements with their DOF groups (the test arrays
+        they hold), and the entity cache.  Shared elements stay whole for the
+        other spaces that hold them.  The space keeps elements, V included,
+        the masses and operators it made, and the maps, all that masses, cell
+        operators, loads and evaluations read; interpolate then raises."""
         self._held.pop("functionals", None)
         self.cache = None
 
@@ -253,7 +254,7 @@ def cell_operators(op: str, src: GlobalSpace, dst: GlobalSpace) -> np.ndarray:
     if src.class_keys != dst.class_keys:
         raise ValueError(f"{op}: the spaces' translation classes differ")
     unit = dst.class_stack(op, lambda r: _unit_operator(
-        op, rng_src, src.elements[r], dst.functionals[r]))
+        op, rng_src, src.elements[r], dst.elements[r]))
     return unit if dst.h == 1.0 else dst.h ** -order * unit
 
 

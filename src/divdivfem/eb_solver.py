@@ -300,9 +300,12 @@ class CellInteriors:
     the benchmark's tracer counts factorisations as splu calls and reads
     the L+U size from cn_factorization()[0], and SuperLU's solve runs
     between numpy's products without contention, where scipy's getrf/getrs
-    would alternate the two bundled OpenBLAS pools again.  A numpy inverse
-    at the root measured faster (750 x 750: 0.054 against 0.093 s); it waits
-    for a benchmark that times it.
+    would alternate the two bundled OpenBLAS pools again.  On a dense
+    750 x 750 matrix at one BLAS thread (2-core host, four runs) a numpy
+    inverse took 41-65 ms, SuperLU 35-55 ms plus 4-7 ms for dense_csc, and
+    LAPACK's getrf (scipy.linalg.lu_factor) 8-14 ms, about a quarter of
+    SuperLU's time in every run; a getrf root waits for a benchmark that
+    times its getrs solves between numpy's products.
 
     Workers: the subtrees below the root are independent, so they are
     eliminated on as many workers as numpy's OpenBLAS has threads
@@ -548,8 +551,9 @@ class EBSystem:
         with one_blas_thread():
             self._cell_coupling = (mq @ d3, mE @ d2)
         # the stacks are all that the solvers read of the elements' DOF
-        # functionals: the system lets go of the build data (17 MB on
-        # kuhn_cube(2)), which lives on only while another space holds it
+        # groups: the system lets go of them and of the entity cache, which
+        # live on only while another space holds them; it keeps each class
+        # element's V, which later cell operators on the same classes read
         for space in spaces:
             space.drop_functionals()
         self.nq, self.nE, self.nB = (space.dim for space in spaces)

@@ -10,6 +10,7 @@ vertex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,8 +207,9 @@ class DiffMatrix:
     dst: PolySpace
     mat: np.ndarray  # (src.dim, dst.dim): image_coords = member_coords @ mat
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
+        """The numerical rank of mat, computed at the first read only."""
         return svd_rank(self.mat)
 
     @property

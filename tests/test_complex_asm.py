@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -502,6 +503,33 @@ def test_systems_share_class_data_across_kuhn_meshes(monkeypatch, fresh_class_da
     del base, finer, sys, d3, d2, masses
     gc.collect()
     assert len(fresh_class_data) == 0
+
+
+def test_complex_audit_reuses_the_elements_a_system_holds(monkeypatch, fresh_class_data):
+    """A system keeps the Vandermonde V of its class elements, which is all
+    that a cell operator reads of its target.  While kuhn_cube(1)'s system
+    lives, the audits on kuhn_cube(1) and (2) build the h1_vec3 elements
+    only, which no live space holds: 6 per audit, none of the 18 the system
+    holds.  Their rows are those of the same audits with no system alive,
+    and the devgrad class stack from the kept V is the one from fresh
+    functionals, bit for bit."""
+    meshes = [mesh.load(spec) for spec in ("kuhn_cube(1)", "kuhn_cube(2)")]
+    alone = [json.dumps(complex_audit(m, 3)) for m in meshes]
+    sys = EBSystem(meshes[0], 3)
+    calls = []
+    build = complex_asm.build_element
+    monkeypatch.setattr(complex_asm, "build_element",
+                        lambda *args: calls.append(args[0]) or build(*args))
+    for m, want in zip(meshes, alone):
+        calls.clear()
+        assert json.dumps(complex_audit(m, 3)) == want
+        assert calls == ["h1_vec3"] * 6
+    kept = cell_operators("devgrad", GlobalSpace(meshes[0], "h1_vec3", 3), sys.space_B)
+    fresh_class_data.clear()
+    cache = EntityCache(meshes[0].unit, 3)
+    fresh = cell_operators("devgrad", GlobalSpace(meshes[0], "h1_vec3", 3, cache),
+                           GlobalSpace(meshes[0], "hsymcurl_T", 3, cache))
+    assert np.array_equal(kept, fresh)
 
 
 def _d1_drop(spec: str) -> np.ndarray:

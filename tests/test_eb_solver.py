@@ -840,10 +840,12 @@ def _held(obj, depth=0):
 
 def test_system_drops_the_build_data(monkeypatch, rng, fresh_class_data):
     """Once its class stacks exist the system holds no element's DOF groups
-    or Vandermonde V, and its entity cache is freed, but it blanks no shared
-    element: a space that shares its classes still interpolates.  The
-    masses, the MMS loads and cell_values equal, bit for bit, those of spaces
-    built anew, and interpolating on a solver space says why it cannot."""
+    (the test arrays) and its entity cache is freed; it keeps each element's
+    Vandermonde V, which later cell operators read, equal to a freshly built
+    element's.  It blanks no shared element: a space that shares its classes
+    still interpolates.  The masses, the MMS loads and cell_values equal, bit
+    for bit, those of spaces built anew, and interpolating on a solver space
+    says why it cannot."""
     caches = []
 
     class Recorded(fe3d.EntityCache):
@@ -870,7 +872,8 @@ def test_system_drops_the_build_data(monkeypatch, rng, fresh_class_data):
     twin.space_q, twin.space_E, twin.space_B = fresh
     twin._tabs = {}
     for space, new, mass in zip(spaces, fresh, sys._cell_mass):
-        assert all(e.groups is None and e.V is None for e in space.elements)
+        assert all(e.groups is None for e in space.elements)
+        assert all(np.array_equal(e.V, f.V) for e, f in zip(space.elements, new.functionals))
         assert space.cache is None
         assert np.array_equal(new.cell_masses(), mass)
         y = rng.standard_normal(space.dim)

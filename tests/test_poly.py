@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,23 @@ def test_poly_complex_audit_exact_certified():
     assert names["rank divdiv (exact Q)"]["computed"] == 4
     for r in rows:
         assert r["pass"], r
+
+
+def test_poly_complex_audit_ranks_each_matrix_once(monkeypatch):
+    """One SVD per differential in an audit that reads d1's rank four times,
+    d2's twice and d3's three times; the rows are those of a rank that is
+    recomputed at every read."""
+    calls = []
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return svd_rank(mat, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "svd_rank", counted)
+    rows = poly.poly_complex_audit(3, 3, exact_certify=True)
+    assert calls == [(168, 280), (280, 120), (120, 4)]
+    monkeypatch.setattr(poly.DiffMatrix, "rank", property(lambda d: svd_rank(d.mat)))
+    assert json.dumps(rows) == json.dumps(poly.poly_complex_audit(3, 3, exact_certify=True))
 
 
 def test_poly_complex_audit_exact_certified_k4():
