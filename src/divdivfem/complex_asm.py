@@ -18,6 +18,7 @@ times the unit ones.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import weakref
 
 import numpy as np
@@ -27,8 +28,7 @@ from . import poly
 from .dofcommon import Element
 from .fe3d import EntityCache, build_element
 from .fields import PolyField, Simplex
-from .linalg import (block_svd_ranks, frobenius, front_rank, one_blas_thread, product_max,
-                     qr_rank, row_triangle, svd_rank)
+from .linalg import frobenius, front_rank, one_blas_thread, product_max, qr_rank, svd_rank
 from .mesh import TetMesh
 from .report import check
 
@@ -364,30 +364,161 @@ class CellTree:
         return (self.lo[outer] <= self.lo[inner]) & (self.hi[inner] <= self.hi[outer])
 
 
+class Fronts:
+    """The symbolic elimination of the interface unknowns over the cells'
+    bisection tree: what each front holds and where it passes its update,
+    which depend on the tree and the cells' unknowns alone.  So one Fronts
+    serves every factor on the same unknowns (CN, the projection, the
+    inf-sup masses of eb_solver) and the rank of a differential
+    (condensed_rank, on its source unknowns with ni = 0).
+
+    maps (ncells, n) gives the global numbers of each cell's unknowns, its
+    ni interior ones first; every other unknown is interface, numbered in
+    iface order, and cell_iface gives each cell's interface numbers.  Each
+    interface unknown u belongs to its tree node node[u]
+    (CellTree.dof_groups): node n's own unknowns own[n] are those that
+    every cell listing them holds.  Its front holds own[n] and then bnd[n],
+    the unknowns of n's ancestors that its cells reach, each ascending: a
+    leaf's are its cell's interface unknowns, the cell's local slots
+    perm[n]; another node's are its children's boundaries, whose places in
+    its front are pos[child].  Nodes are numbered children first, the root
+    last, and the root has no boundary.  A node that owns nothing (its cells
+    share only unknowns that cells outside it list too, as two cells meeting
+    at an edge do) passes its front up whole.
+
+    The nodes below the root that own unknowns are batched by height (one
+    more than their children's greatest, 0 at a leaf) and by how many
+    unknowns they own and reach: batches (nodes, own, bnd), each a stack
+    over its nodes, by ascending height.  Nodes of one height are not each
+    other's ancestors, so a batch is solved at once; slot[n] is node n's
+    (batch, place in it).  Subtrees are contiguous in that numbering, and
+    each front's estimated cost (cost, work) deals them out to the workers
+    of a factor (shares)."""
+
+    # the time of a front entry in flops: an entry is zeroed, gathered and
+    # added by fancy indexing, which does not reach BLAS.  A least-squares
+    # fit of the fronts' times on kuhn_cube(3), one BLAS thread, read
+    # 3.4e-11 s a flop and 8.3e-9 s an entry
+    ENTRY_COST = 240.0
+
+    def __init__(self, tree: CellTree, maps: np.ndarray, ni: int):
+        self.tree = tree
+        self.interior = maps[:, :ni]
+        n = maps.max() + 1
+        self.iface = np.setdiff1d(np.arange(n), self.interior)
+        number = np.empty(n, dtype=int)
+        number[self.iface] = np.arange(len(self.iface))
+        self.cell_iface = number[maps[:, ni:]]
+        node, order, start = tree.dof_groups(self.cell_iface)
+        self.node, self.own = node, np.split(order, start[1:-1])
+        nnodes = len(tree.lo)
+        self.bnd, self.perm, self.pos = [None] * nnodes, {}, {}
+        where = np.empty(len(self.iface), dtype=int)
+        height = np.zeros(nnodes, dtype=int)
+        self.first = np.arange(nnodes)
+        for i in range(nnodes):
+            if tree.kids[i]:
+                height[i] = 1 + height[list(tree.kids[i])].max()
+                self.first[i] = self.first[tree.kids[i][0]]
+                reached = np.unique(np.concatenate([self.bnd[c] for c in tree.kids[i]]))
+                self.bnd[i] = reached[node[reached] != i]
+                where[self.own[i]] = np.arange(len(self.own[i]))
+                where[self.bnd[i]] = len(self.own[i]) + np.arange(len(self.bnd[i]))
+                for c in tree.kids[i]:
+                    self.pos[c] = where[self.bnd[c]]
+            else:
+                u = self.cell_iface[tree.order[tree.lo[i]]]
+                self.perm[i] = np.lexsort((u, node[u] != i))
+                self.bnd[i] = u[self.perm[i]][len(self.own[i]):]
+        batches = {}
+        for i in range(nnodes - 1):
+            if len(self.own[i]):
+                key = (height[i], len(self.own[i]), len(self.bnd[i]))
+                batches.setdefault(key, []).append(i)
+        self.batches = [(np.array(nodes), np.stack([self.own[i] for i in nodes]),
+                         np.stack([self.bnd[i] for i in nodes]))
+                        for nodes in (batches[key] for key in sorted(batches))]
+        self.slot = {n: (b, j) for b, (nodes, _, _) in enumerate(self.batches)
+                     for j, n in enumerate(nodes)}
+        # nodes are numbered children first, so node n's subtree is the nodes
+        # first[n]..n; cost[n] is the estimated time of front n, the flops of
+        # its own block's inverse, solve and update and its entries, and
+        # work[n] that of its subtree
+        o, nb = (np.array([len(x) for x in sets], dtype=float) for sets in (self.own, self.bnd))
+        self.cost = 8 / 3 * o ** 3 + 2 * o * o * nb + 2 * o * nb * nb + self.ENTRY_COST * (o + nb) ** 2
+        total = np.concatenate([[0.0], np.cumsum(self.cost)])
+        self.work = total[1:] - total[self.first]
+
+    def shares(self, workers: int) -> tuple[list[list[int]], list[int]]:
+        """The subtrees below the root dealt to at most `workers` workers, and
+        the nodes above them: (shares, top).  Each share is a nonempty list
+        of subtree roots, ascending; top lists the other nodes below the
+        root, ascending, so that a node follows its children.
+
+        Proportional mapping (Pothen & Sun, SIAM J. Sci. Comput. 1993) with
+        LPT bins: starting from the root's children, the costliest subtree is
+        split into its children, its own front moving to top, until the cut
+        holds 8 subtrees per worker or only leaves; each cut is dealt
+        costliest first to the least loaded worker, and the cut whose top
+        plus busiest worker costs least is kept.  One worker gets the root's
+        children whole."""
+        kids = self.tree.kids
+        cut, top, top_cost = list(kids[-1]), [], 0.0
+        best = None
+        while True:
+            loads, bins = [(0.0, w) for w in range(workers)], [[] for _ in range(workers)]
+            for s in sorted(cut, key=lambda s: -self.work[s]):
+                load, w = heapq.heappop(loads)
+                bins[w].append(s)
+                heapq.heappush(loads, (load + self.work[s], w))
+            span = top_cost + max(loads)[0]
+            if best is None or span < best[0]:
+                best = span, [sorted(b) for b in bins if b], sorted(top)
+            inner = [s for s in cut if kids[s]]
+            if workers == 1 or not inner or len(cut) >= 8 * workers:
+                return best[1:]
+            s = max(inner, key=lambda s: self.work[s])
+            cut.remove(s)
+            cut += kids[s]
+            top.append(s)
+            top_cost += self.cost[s]
+
+
 def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
                    rtol: float = 1e-9) -> int:
-    """rank d by orthogonal elimination over the cells' bisection tree.
+    """rank d by orthogonal elimination on the fronts of the cells'
+    bisection tree, those of the factors: Fronts(tree, src.cell_maps, 0).
 
     Each source column and target row belongs to its CellTree node.  The
     differential of a field supported in a node's cells is supported there,
     so a column vanishes outside the rows of its node's subtree: the bubble
     identity of the cells, on every level.  The entries it drops must be
     rounding: ValueError if their Frobenius norm exceeds rtol max|d|.
-    Bottom-up, each front stacks its own rows of d on its children's
-    contributions and eliminates its own columns; rank d is the sum of the
-    front ranks.  A leaf takes the SVD of its block (batched over leaves of
-    one shape), any other front a column-pivoted QR.  One threshold
-    tau = rtol max_j |d[:, j]|_2 decides every front, and each decision is
-    certified where it is made (linalg.front_rank, block_svd_ranks).
+    Bottom-up, front n stacks its own rows of d on its children's
+    contributions, each at its places pos[child], over the columns own[n]
+    and then bnd[n], and eliminates own[n] by a column-pivoted QR
+    (linalg.front_rank); rank d is the sum of the front ranks.  One
+    threshold tau = rtol max_j |d[:, j]|_2 decides every front, and each
+    decision is certified where it is made.
+
+    A front's columns hold every column its rows reach: a kept entry's
+    column is listed by its row's owner cell, a cell of n, and belongs to n
+    or an ancestor, so lies in own[n] or bnd[n].  They hold no other (one
+    would be a zero column, which changes no rank): each leaf's rows reach
+    its whole bnd, since its cell's interior target DOFs are among them
+    (the targets of devgrad, symcurl and divdiv have cell interiors at
+    k >= 3) and assemble_diff stores each row dense over its owner cell's
+    source DOFs, explicit zeros included; so each front's rows reach its
+    children's bnd.
     """
     tree = CellTree(src.mesh)
-    # rows and columns grouped by node: node n's are [start[n], start[n + 1])
-    cnode, corder, cstart = tree.dof_groups(src.cell_maps)
+    fronts = Fronts(tree, src.cell_maps, 0)
+    # rows grouped by node: node n's are [rstart[n], rstart[n + 1])
     rnode, rorder, rstart = tree.dof_groups(dst.cell_maps)
     if not d.has_canonical_format:              # rows sorted and summed
         d = d.copy()
         d.sum_duplicates()
-    kept = tree.within(np.repeat(rnode, np.diff(d.indptr)), cnode[d.indices])
+    kept = tree.within(np.repeat(rnode, np.diff(d.indptr)), fronts.node[d.indices])
     dropped, scale = frobenius(d.data[~kept]), np.abs(d.data).max(initial=0.0)
     if dropped > rtol * scale:
         raise ValueError(f"columns leave their cells: |E|_F = {dropped:.3e}, "
@@ -397,48 +528,24 @@ def condensed_rank(d: sp.csr_matrix, src: GlobalSpace, dst: GlobalSpace,
     # the kept entries, rows grouped by node
     A = sp.csr_matrix((d.data[kept], d.indices[kept], np.r_[0, np.cumsum(kept)][d.indptr]),
                       shape=d.shape)[rorder]
-    where = np.empty(src.ndof, dtype=int)
-    reached = np.zeros(src.ndof, dtype=bool)    # marks a front's other columns
-    contrib = {}                                # node -> (rows, their columns)
-
-    def front(n):
-        """Node n's front: its own rows of d over the children's contributions,
-        its own columns first; returns it, their count and the other columns."""
-        own = corder[cstart[n]:cstart[n + 1]]
-        ptr = A.indptr[rstart[n]:rstart[n + 1] + 1]
-        cols, vals = A.indices[ptr[0]:ptr[-1]], A.data[ptr[0]:ptr[-1]]
-        blocks = [contrib.pop(c) for c in tree.kids[n]]
-        for seen in [cols] + [bc for _, bc in blocks]:
-            reached[seen[cnode[seen] != n]] = True
-        rest = np.flatnonzero(reached)                  # ascending
-        reached[rest] = False
-        where[own], where[rest] = np.arange(len(own)), len(own) + np.arange(len(rest))
-        F = np.zeros((len(ptr) - 1 + sum(len(b) for b, _ in blocks),
-                      len(own) + len(rest)), order="F")
-        F[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), where[cols]] = vals
-        top = len(ptr) - 1
-        for b, bc in blocks:
-            F[top:top + len(b), where[bc]] = b
-            top += len(b)
-        return F, len(own), rest
-
+    where = np.empty(src.ndof, dtype=int)       # a column's place in the current front
+    contrib = {}                                # node -> the rows it passes up
     rank = 0
-    shapes = {}                                 # leaf fronts by shape
-    for n in np.flatnonzero(tree.hi - tree.lo == 1):
-        F, nown, rest = front(n)
-        shapes.setdefault((F.shape, nown), []).append((n, F, rest))
-    for (_, nown), group in shapes.items():
-        F = np.stack([F for _, F, _ in group])
-        ranks, U = block_svd_ranks(F[:, :, :nown], tau)
-        rank += int(ranks.sum())
-        W = U.transpose(0, 2, 1) @ F[:, :, nown:]
-        for (n, _, rest), r, w in zip(group, ranks, W):
-            contrib[n] = (row_triangle(w[r:]), rest)
-    for n in np.flatnonzero(tree.hi - tree.lo > 1):
-        F, nown, rest = front(n)
-        r, w = front_rank(F, nown, tau)
+    for n, kids in enumerate(tree.kids):        # children first
+        own, bnd = fronts.own[n], fronts.bnd[n]
+        where[own], where[bnd] = np.arange(len(own)), len(own) + np.arange(len(bnd))
+        ptr = A.indptr[rstart[n]:rstart[n + 1] + 1]
+        blocks = [contrib.pop(c) for c in kids]
+        F = np.zeros((len(ptr) - 1 + sum(len(b) for b in blocks), len(own) + len(bnd)),
+                     order="F")
+        F[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
+          where[A.indices[ptr[0]:ptr[-1]]]] = A.data[ptr[0]:ptr[-1]]
+        top = len(ptr) - 1
+        for c, b in zip(kids, blocks):
+            F[top:top + len(b), fronts.pos[c]] = b
+            top += len(b)
+        r, contrib[n] = front_rank(F, len(own), tau)
         rank += r
-        contrib[n] = (w, rest)
     return rank
 
 

@@ -16,7 +16,6 @@ import concurrent.futures
 import contextlib
 import ctypes
 import functools
-import heapq
 import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -26,7 +25,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complex_asm import CellTree, GlobalSpace, assemble_cells, assemble_diff, cell_operators
+from .complex_asm import (CellTree, Fronts, GlobalSpace, assemble_cells, assemble_diff,
+                          cell_operators)
 from .fe3d import EntityCache
 from .linalg import blas_threads, one_blas_thread
 from .mesh import TetMesh, load as load_mesh
@@ -142,129 +142,6 @@ def dense_csc(F: np.ndarray) -> sp.csc_matrix:
     np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
     return sp.csc_matrix((Ft.ravel()[at], (at % F.shape[0]).astype(np.int32), indptr),
                          shape=F.shape)
-
-
-class Fronts:
-    """The symbolic elimination of the interface unknowns over the cells'
-    bisection tree: what each front holds and where it passes its update,
-    which depend on the tree and the cells' unknowns alone.  So one Fronts
-    serves every factor on the same unknowns (CN, the projection).
-
-    maps (ncells, n) gives the global numbers of each cell's unknowns, its
-    ni interior ones first; every other unknown is interface, numbered in
-    iface order, and cell_iface gives each cell's interface numbers.  Each
-    interface unknown belongs to its tree node (CellTree.dof_groups): node
-    n's own unknowns own[n] are those that every cell listing them holds.
-    Its front holds own[n] and then bnd[n], the unknowns of n's ancestors
-    that its cells reach, each ascending: a leaf's are its cell's interface
-    unknowns, the cell's local slots perm[n]; another node's are its
-    children's boundaries, whose places in its front are pos[child].  Nodes
-    are numbered children first, the root last, and the root has no
-    boundary.  A node that owns nothing (its cells share only unknowns that
-    cells outside it list too, as two cells meeting at an edge do) passes
-    its front up whole.
-
-    The nodes below the root that own unknowns are batched by height (one
-    more than their children's greatest, 0 at a leaf) and by how many
-    unknowns they own and reach: batches (nodes, own, bnd), each a stack
-    over its nodes, by ascending height.  Nodes of one height are not each
-    other's ancestors, so a batch is solved at once; slot[n] is node n's
-    (batch, place in it).  Subtrees are contiguous in that numbering, and
-    each front's estimated cost (cost, work) deals them out to the workers
-    of a factor (shares).
-
-    condensed_rank groups its rows and columns by the same dof_groups but
-    takes a front's other columns from the rows it holds, a subset of what
-    its cells list that depends on the matrix: a factor's front is the
-    pattern of its cells' dense blocks, which reach every unknown they list."""
-
-    # the time of a front entry in flops: an entry is zeroed, gathered and
-    # added by fancy indexing, which does not reach BLAS.  A least-squares
-    # fit of the fronts' times on kuhn_cube(3), one BLAS thread, read
-    # 3.4e-11 s a flop and 8.3e-9 s an entry
-    ENTRY_COST = 240.0
-
-    def __init__(self, tree: CellTree, maps: np.ndarray, ni: int):
-        self.tree = tree
-        self.interior = maps[:, :ni]
-        n = maps.max() + 1
-        self.iface = np.setdiff1d(np.arange(n), self.interior)
-        number = np.empty(n, dtype=int)
-        number[self.iface] = np.arange(len(self.iface))
-        self.cell_iface = number[maps[:, ni:]]
-        node, order, start = tree.dof_groups(self.cell_iface)
-        self.own = np.split(order, start[1:-1])
-        nnodes = len(tree.lo)
-        self.bnd, self.perm, self.pos = [None] * nnodes, {}, {}
-        where = np.empty(len(self.iface), dtype=int)
-        height = np.zeros(nnodes, dtype=int)
-        self.first = np.arange(nnodes)
-        for i in range(nnodes):
-            if tree.kids[i]:
-                height[i] = 1 + height[list(tree.kids[i])].max()
-                self.first[i] = self.first[tree.kids[i][0]]
-                reached = np.unique(np.concatenate([self.bnd[c] for c in tree.kids[i]]))
-                self.bnd[i] = reached[node[reached] != i]
-                where[self.own[i]] = np.arange(len(self.own[i]))
-                where[self.bnd[i]] = len(self.own[i]) + np.arange(len(self.bnd[i]))
-                for c in tree.kids[i]:
-                    self.pos[c] = where[self.bnd[c]]
-            else:
-                u = self.cell_iface[tree.order[tree.lo[i]]]
-                self.perm[i] = np.lexsort((u, node[u] != i))
-                self.bnd[i] = u[self.perm[i]][len(self.own[i]):]
-        batches = {}
-        for i in range(nnodes - 1):
-            if len(self.own[i]):
-                key = (height[i], len(self.own[i]), len(self.bnd[i]))
-                batches.setdefault(key, []).append(i)
-        self.batches = [(np.array(nodes), np.stack([self.own[i] for i in nodes]),
-                         np.stack([self.bnd[i] for i in nodes]))
-                        for nodes in (batches[key] for key in sorted(batches))]
-        self.slot = {n: (b, j) for b, (nodes, _, _) in enumerate(self.batches)
-                     for j, n in enumerate(nodes)}
-        # nodes are numbered children first, so node n's subtree is the nodes
-        # first[n]..n; cost[n] is the estimated time of front n, the flops of
-        # its own block's inverse, solve and update and its entries, and
-        # work[n] that of its subtree
-        o, nb = (np.array([len(x) for x in sets], dtype=float) for sets in (self.own, self.bnd))
-        self.cost = 8 / 3 * o ** 3 + 2 * o * o * nb + 2 * o * nb * nb + self.ENTRY_COST * (o + nb) ** 2
-        total = np.concatenate([[0.0], np.cumsum(self.cost)])
-        self.work = total[1:] - total[self.first]
-
-    def shares(self, workers: int) -> tuple[list[list[int]], list[int]]:
-        """The subtrees below the root dealt to at most `workers` workers, and
-        the nodes above them: (shares, top).  Each share is a nonempty list
-        of subtree roots, ascending; top lists the other nodes below the
-        root, ascending, so that a node follows its children.
-
-        Proportional mapping (Pothen & Sun, SIAM J. Sci. Comput. 1993) with
-        LPT bins: starting from the root's children, the costliest subtree is
-        split into its children, its own front moving to top, until the cut
-        holds 8 subtrees per worker or only leaves; each cut is dealt
-        costliest first to the least loaded worker, and the cut whose top
-        plus busiest worker costs least is kept.  One worker gets the root's
-        children whole."""
-        kids = self.tree.kids
-        cut, top, top_cost = list(kids[-1]), [], 0.0
-        best = None
-        while True:
-            loads, bins = [(0.0, w) for w in range(workers)], [[] for _ in range(workers)]
-            for s in sorted(cut, key=lambda s: -self.work[s]):
-                load, w = heapq.heappop(loads)
-                bins[w].append(s)
-                heapq.heappush(loads, (load + self.work[s], w))
-            span = top_cost + max(loads)[0]
-            if best is None or span < best[0]:
-                best = span, [sorted(b) for b in bins if b], sorted(top)
-            inner = [s for s in cut if kids[s]]
-            if workers == 1 or not inner or len(cut) >= 8 * workers:
-                return best[1:]
-            s = max(inner, key=lambda s: self.work[s])
-            cut.remove(s)
-            cut += kids[s]
-            top.append(s)
-            top_cost += self.cost[s]
 
 
 class CellInteriors:
@@ -994,6 +871,8 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
     faster than h so the spatial term dominates).  Only the base level's
     system is stored in systems (the temporal study reuses it); a finer
     level's is taken from systems if it is there, else built, run and dropped.
+    A row's h is its mesh's shortest edge (TetMesh.h); a level whose h
+    equals the one before it has no order.
     """
     out = []
     prev = None
@@ -1007,16 +886,15 @@ def mms_convergence(mesh_specs: list[str], k: int, mms_factory, t_final: float,
         rec, y, driver = run(sys, cfg, mms)
         es, eE, eB = driver.pointwise_errors(y, rec.t[-1])
         err = es + eE + eB
-        v, edges = sys.mesh.vertices, sys.mesh.edges
-        h = float(np.max(np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)))
+        h = sys.mesh.h
         row = {"mesh": spec, "h": h, "dt": dt,
                "err_sigma": es, "err_E": eE, "err_B": eB, "err_total": err}
-        if prev is not None and err > 0:
+        if prev is not None and err > 0 and h != prev["h"]:
             row["order"] = float(np.log2(prev["err_total"] / err)
                                  / np.log2(prev["h"] / h))
         out.append(row)
         prev = row
-        del sys, rec, y, driver, v, edges   # so the next level is built without this one
+        del sys, rec, y, driver     # so the next level is built without this one
     return out
 
 

@@ -190,31 +190,6 @@ def _dense_rows(M: sp.csr_array, rows: np.ndarray, mark: np.ndarray):
     return block.toarray(), cols
 
 
-def _certify(kept, dropped, tau: float) -> None:
-    """A rank decision at the threshold tau stands only with a clear gap: the
-    kept part's smallest singular value, or a lower bound of it, above 2 tau,
-    and the dropped part's Frobenius norm at most tau/2.  So no singular value
-    of the block lies within a factor 2 of tau.  ValueError otherwise."""
-    kept, dropped = np.asarray(kept, dtype=float), np.asarray(dropped, dtype=float)
-    bad = (kept <= 2 * tau) | (dropped > tau / 2)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"rank decision at tau = {tau:.3e} not certified: kept "
-                         f"sigma_min >= {kept.flat[i]:.3e}, dropped |R22|_F = "
-                         f"{dropped.flat[i]:.3e}")
-
-
-def block_svd_ranks(B: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of a stack of blocks B (g, m, n) at the absolute threshold tau,
-    certified from the singular values, and each block's full left singular
-    vectors U (g, m, m): the columns from the rank on span range(B)^perp."""
-    U, s, _ = np.linalg.svd(B)
-    big = s > tau
-    _certify(np.min(np.where(big, s, np.inf), axis=-1, initial=np.inf),
-             np.linalg.norm(np.where(big, 0.0, s), axis=-1), tau)
-    return np.sum(big, axis=-1), U
-
-
 def front_rank(F: np.ndarray, nown: int, tau: float) -> tuple[int, np.ndarray]:
     """Eliminate a front's own columns F[:, :nown] at the absolute threshold tau.
 
@@ -234,9 +209,14 @@ def front_rank(F: np.ndarray, nown: int, tau: float) -> tuple[int, np.ndarray]:
                                        pivoting=True, overwrite_a=True,
                                        check_finite=False)
     r = int(np.sum(np.abs(np.diag(R)) > tau))
-    # |R_ii| > tau >= 0 for i < r, so R11 is invertible
+    # |R_ii| > tau >= 0 for i < r, so R11 is invertible.  The decision
+    # stands only with a clear gap, no singular value of the own columns
+    # within a factor 2 of tau: sigma_min(R11) > 2 tau, |R22|_F <= tau/2
     kept = 1.0 / frobenius(scipy.linalg.lapack.dtrtri(R[:r, :r])[0]) if r else np.inf
-    _certify(kept, frobenius(R[r:, r:]), tau)
+    dropped = frobenius(R[r:, r:])
+    if kept <= 2 * tau or dropped > tau / 2:
+        raise ValueError(f"rank decision at tau = {tau:.3e} not certified: kept "
+                         f"sigma_min >= {kept:.3e}, dropped |R22|_F = {dropped:.3e}")
     if rest.shape[1]:
         ormqr = scipy.linalg.lapack.dormqr
         qr = qr[:, :len(taus)]

@@ -137,9 +137,6 @@ class TetMesh:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces - self.num_cells
 
-    def barycentric(self, cell: int, point) -> np.ndarray:
-        return self.cell_simplices[cell].barycentric(point)[0]
-
     def save(self, path):
         with open(path, "w") as fh:
             fh.write(f"tetmesh {self.num_vertices} {self.num_cells}\n")

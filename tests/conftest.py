@@ -5,6 +5,17 @@ import pytest
 
 from divdivfem import complex_asm, eb_solver, mesh
 
+# meshes (vertices, cells) whose bisection trees have nodes that own nothing:
+# two cells meeting only at the edge (0, 1) that a third cell lists too, the
+# fourth sharing a face with the third, so that the tree pairs the first two
+# in a node that owns nothing
+EDGE_MEETING = ([[0, 0, 0], [0, 0, 1], [-1, 1, 0], [-2, 1, 1], [-1, -1, 0], [-2, -1, 1],
+                 [1, 0, 0], [1, 1, 1], [2, 0, 1]],
+                [[0, 1, 2, 3], [1, 0, 4, 5], [0, 1, 6, 7], [1, 6, 7, 8]])
+# two cells apart: the root owns nothing
+APART = ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 0, 0], [6, 0, 0], [5, 1, 0], [5, 0, 1]],
+         [[0, 1, 2, 3], [4, 5, 6, 7]])
+
 
 @pytest.fixture(scope="session")
 def eb_systems():

@@ -17,6 +17,8 @@ from divdivfem.fe3d import FAMILIES, EntityCache, build_element, element_3d
 from divdivfem.fields import PolyField, Simplex
 from divdivfem.linalg import product_max, qr_rank, svd_rank
 
+from conftest import APART, EDGE_MEETING
+
 
 def test_single_tet_dims(complexes):
     (V, L, S, Q), _ = complexes("single_tet")
@@ -74,11 +76,15 @@ def test_complex_audit_k4_two_tets():
     pytest.param("two_tets", 3, id="two_tets"),
     pytest.param("kuhn_cube(1)", 3, id="kuhn_cube(1)"),
     pytest.param("two_tets", 4, id="two_tets-k4"),
+    pytest.param(EDGE_MEETING, 3, id="edge_meeting"),
+    pytest.param(APART, 3, id="apart"),
 ])
 def test_condensed_ranks_match_dense_oracles(spec, k, complexes):
     """The fronts of the cells' bisection tree give the rank of the whole
-    matrix, as decided by dense QR and by dense SVD."""
-    (V, L, S, Q), (d1, d2, d3) = complexes(spec, k)
+    matrix, as decided by dense QR and by dense SVD: also where tree nodes
+    own nothing and pass their fronts up whole."""
+    (V, L, S, Q), (d1, d2, d3) = (complexes(spec, k) if isinstance(spec, str)
+                                  else build_complex(mesh.TetMesh(*spec), k))
     for d, src, dst in ((d1, V, L), (d2, L, S), (d3, S, Q)):
         dense = d.toarray()
         assert condensed_rank(d, src, dst) == qr_rank(dense) == svd_rank(dense)

@@ -20,6 +20,8 @@ from divdivfem import complex_asm, eb_solver, fe3d, linalg, mesh, mms, poly
 from divdivfem.complex_asm import GlobalSpace, assemble_cells, assemble_diff
 from divdivfem.fields import PolyField
 
+from conftest import APART, EDGE_MEETING
+
 
 def _cell_field(space, coeffs, ci) -> PolyField:
     """The discrete field coeffs of space on cell ci: its class element's
@@ -149,17 +151,6 @@ def test_condensed_factor_matches_full_lu(eb_systems, spec, which, rng):
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-# two cells meeting only at the edge (0, 1) that a third cell lists too, the
-# fourth sharing a face with the third: the tree pairs the first two in a
-# node that owns nothing
-_EDGE_MEETING = ([[0, 0, 0], [0, 0, 1], [-1, 1, 0], [-2, 1, 1], [-1, -1, 0], [-2, -1, 1],
-                  [1, 0, 0], [1, 1, 1], [2, 0, 1]],
-                 [[0, 1, 2, 3], [1, 0, 4, 5], [0, 1, 6, 7], [1, 6, 7, 8]])
-# two cells apart: the root owns nothing
-_APART = ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 0, 0], [6, 0, 0], [5, 1, 0], [5, 0, 1]],
-          [[0, 1, 2, 3], [4, 5, 6, 7]])
-
-
 @pytest.mark.parametrize("which", ["cn", "projection", "mass"])
 @pytest.mark.parametrize("shape", ["edge_meeting", "apart"])
 def test_fronts_owning_nothing_pass_their_front_up(shape, which, rng):
@@ -170,7 +161,7 @@ def test_fronts_owning_nothing_pass_their_front_up(shape, which, rng):
     2.6e8 to 5.5e8 on the edge-meeting cells; up to 9e-8 seen against 1e-6),
     and its componentwise (Oettli-Prager) backward error is at rounding
     level, as on kuhn_cube(1) (up to 3.5e-15 seen)."""
-    vertices, cells = _EDGE_MEETING if shape == "edge_meeting" else _APART
+    vertices, cells = EDGE_MEETING if shape == "edge_meeting" else APART
     sys = eb_solver.EBSystem(mesh.TetMesh(vertices, cells), 3)
     cells = sys._factorize(_THETAS[which])
     fr, tree = cells.fronts, cells.fronts.tree
@@ -198,7 +189,7 @@ def test_root_csc_equals_scipy_conversion(rng, monkeypatch):
     fronts = [F]
     dense_csc = eb_solver.dense_csc
     monkeypatch.setattr(eb_solver, "dense_csc", lambda G: fronts.append(G) or dense_csc(G))
-    eb_solver.EBSystem(mesh.TetMesh(*_APART), 3)._factorize(_THETAS["mass"])
+    eb_solver.EBSystem(mesh.TetMesh(*APART), 3)._factorize(_THETAS["mass"])
     assert [G.shape for G in fronts] == [(40, 30), (0, 0)]
     for G in fronts:
         A, B = dense_csc(G), sp.csc_matrix(G)
@@ -444,7 +435,7 @@ def test_single_cell_root_is_a_leaf(eb_systems, shares_dealt, rng, monkeypatch):
 def test_fronts_owning_nothing_on_two_workers(shares_dealt):
     """On the edge-meeting cells, whose node pairing two cells owns nothing,
     two workers give the factors of one."""
-    sys = eb_solver.EBSystem(mesh.TetMesh(*_EDGE_MEETING), 3)
+    sys = eb_solver.EBSystem(mesh.TetMesh(*EDGE_MEETING), 3)
     one, two = (_factor_at(sys, _THETAS["cn"], n) for n in (1, 2))
     assert [len(shares) for shares in shares_dealt] == [1, 2]
     _assert_same_factors(one, two)
@@ -1348,6 +1339,7 @@ def test_convergence_study_keeps_only_the_base_system(monkeypatch):
     rows = eb_solver.mms_convergence(specs, 3, mms.trig_mms, t_final=0.05,
                                      dt_for_level=lambda lvl: 0.05, systems=systems)
     assert len(rows) == 2 and len(built) == 2
+    assert "order" not in rows[1]       # both meshes' shortest edge is 1
     assert list(systems) == [("two_tets", 3)] and systems["two_tets", 3] is built[0]()
     gc.collect()
     assert built[1]() is None

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from divdivfem import complex_asm, eb_solver, linalg, mesh, poly
-from divdivfem.linalg import (block_svd_ranks, front_rank, one_blas_thread, product_max, qr_rank,
-                              rank_exact, svd_rank)
+from divdivfem.linalg import (front_rank, one_blas_thread, product_max, qr_rank, rank_exact,
+                              svd_rank)
 
 
 def _with_spectrum(rng, m, n, s):
@@ -46,24 +46,19 @@ TAU = 1e-9
 @pytest.mark.parametrize("rank", [0, 7, 40])
 def test_front_ranks_match_svd_rank_on_clear_gaps(rng, shape, rank):
     """Singular values from 1 down to 1e-6 and exact zeros, tau = 1e-9: the
-    front QR and the block SVD both certify svd_rank's rank."""
+    front QR certifies svd_rank's rank."""
     M = _with_spectrum(rng, *shape, np.logspace(0, -6, rank))
     assert front_rank(M, M.shape[1], TAU)[0] == svd_rank(M) == rank
-    ranks, U = block_svd_ranks(np.stack([M, M[::-1]]), TAU)
-    assert ranks.tolist() == [rank, rank]
-    assert U.shape == (2, shape[0], shape[0])
 
 
 @pytest.mark.parametrize("factor", [1.9, 1.5, 1 / 1.5, 1 / 1.9])
 @pytest.mark.parametrize("shape", [(60, 20), (20, 60)])
 def test_rank_decisions_within_factor_two_of_tau_rejected(rng, shape, factor):
     """A singular value within a factor 2 of tau, kept or dropped, leaves the
-    decision uncertified: ValueError from the front QR and the block SVD."""
+    decision uncertified: ValueError from the front QR."""
     M = _with_spectrum(rng, *shape, np.r_[np.logspace(0, -3, 5), factor * TAU])
     with pytest.raises(ValueError, match="not certified"):
         front_rank(M, M.shape[1], TAU)
-    with pytest.raises(ValueError, match="not certified"):
-        block_svd_ranks(M[None], TAU)
 
 
 @pytest.mark.parametrize("m", [30, 90])
