@@ -378,11 +378,17 @@ class Fronts:
     interface unknown u belongs to its tree node node[u]
     (CellTree.dof_groups): node n's own unknowns own[n] are those that
     every cell listing them holds.  Its front holds own[n] and then bnd[n],
-    the unknowns of n's ancestors that its cells reach, each ascending: a
-    leaf's are its cell's interface unknowns, the cell's local slots
-    perm[n]; another node's are its children's boundaries, whose places in
-    its front are pos[child].  Nodes are numbered children first, the root
-    last, and the root has no boundary.  A node that owns nothing (its cells
+    the unknowns of n's ancestors that its cells reach, in elimination
+    order: by node, children first, ascending within a node.  A leaf's are
+    its cell's interface unknowns, the cell's local slots perm[n]; another
+    node's are its children's boundaries, whose places in its front are
+    pos[child].  A node's own unknowns precede its ancestors', so every
+    pos[child] ascends, and runs[child] splits it into its runs of
+    consecutive places, as pairs of slices (slots of the child's boundary,
+    places in the parent's front): 8.9 runs on average and at most 20 on
+    kuhn_cube(2), none for a child with an empty boundary.  Nodes are
+    numbered children first, the root last, and the root has no boundary.
+    A node that owns nothing (its cells
     share only unknowns that cells outside it list too, as two cells meeting
     at an edge do) passes its front up whole.
 
@@ -395,11 +401,12 @@ class Fronts:
     each front's estimated cost (cost, work) deals them out to the workers
     of a factor (shares)."""
 
-    # the time of a front entry in flops: an entry is zeroed, gathered and
-    # added by fancy indexing, which does not reach BLAS.  A least-squares
-    # fit of the fronts' times on kuhn_cube(3), one BLAS thread, read
-    # 3.4e-11 s a flop and 8.3e-9 s an entry
-    ENTRY_COST = 240.0
+    # the time of a front entry in flops: an entry is zeroed and added run
+    # by run, or gathered at a leaf, outside BLAS.  Least-squares fits of
+    # the fronts' times (assembly and elimination, the least of 3-5
+    # factors) on kuhn_cube(3), one BLAS thread, read 1.6-1.75e-11 s a flop
+    # and 4.1-5.1e-9 s an entry, 247-315 flops an entry over six fits
+    ENTRY_COST = 260.0
 
     def __init__(self, tree: CellTree, maps: np.ndarray, ni: int):
         self.tree = tree
@@ -411,8 +418,10 @@ class Fronts:
         self.cell_iface = number[maps[:, ni:]]
         node, order, start = tree.dof_groups(self.cell_iface)
         self.node, self.own = node, np.split(order, start[1:-1])
+        elim = np.empty_like(order)             # each unknown's place in elimination order
+        elim[order] = np.arange(len(order))
         nnodes = len(tree.lo)
-        self.bnd, self.perm, self.pos = [None] * nnodes, {}, {}
+        self.bnd, self.perm, self.pos, self.runs = [None] * nnodes, {}, {}, {}
         where = np.empty(len(self.iface), dtype=int)
         height = np.zeros(nnodes, dtype=int)
         self.first = np.arange(nnodes)
@@ -420,15 +429,18 @@ class Fronts:
             if tree.kids[i]:
                 height[i] = 1 + height[list(tree.kids[i])].max()
                 self.first[i] = self.first[tree.kids[i][0]]
-                reached = np.unique(np.concatenate([self.bnd[c] for c in tree.kids[i]]))
-                self.bnd[i] = reached[node[reached] != i]
-                where[self.own[i]] = np.arange(len(self.own[i]))
-                where[self.bnd[i]] = len(self.own[i]) + np.arange(len(self.bnd[i]))
+                # the front: own[i] first, as node i precedes its ancestors
+                front = order[np.unique(elim[np.concatenate([self.bnd[c] for c in tree.kids[i]])])]
+                self.bnd[i] = front[len(self.own[i]):]
+                where[front] = np.arange(len(front))
                 for c in tree.kids[i]:
-                    self.pos[c] = where[self.bnd[c]]
+                    pos = self.pos[c] = where[self.bnd[c]]
+                    start = np.flatnonzero(np.diff(pos, prepend=-2) != 1).tolist()
+                    self.runs[c] = [(slice(a, b), slice(p, p + b - a)) for a, b, p in
+                                    zip(start, start[1:] + [len(pos)], pos[start].tolist())]
             else:
                 u = self.cell_iface[tree.order[tree.lo[i]]]
-                self.perm[i] = np.lexsort((u, node[u] != i))
+                self.perm[i] = np.argsort(elim[u])
                 self.bnd[i] = u[self.perm[i]][len(self.own[i]):]
         batches = {}
         for i in range(nnodes - 1):
@@ -442,10 +454,10 @@ class Fronts:
                      for j, n in enumerate(nodes)}
         # nodes are numbered children first, so node n's subtree is the nodes
         # first[n]..n; cost[n] is the estimated time of front n, the flops of
-        # its own block's inverse, solve and update and its entries, and
-        # work[n] that of its subtree
+        # its own block's inverse, X and its refinement, and update and its
+        # entries, and work[n] that of its subtree
         o, nb = (np.array([len(x) for x in sets], dtype=float) for sets in (self.own, self.bnd))
-        self.cost = 8 / 3 * o ** 3 + 2 * o * o * nb + 2 * o * nb * nb + self.ENTRY_COST * (o + nb) ** 2
+        self.cost = 8 / 3 * o ** 3 + 6 * o * o * nb + 2 * o * nb * nb + self.ENTRY_COST * (o + nb) ** 2
         total = np.concatenate([[0.0], np.cumsum(self.cost)])
         self.work = total[1:] - total[self.first]
 

@@ -144,6 +144,18 @@ def dense_csc(F: np.ndarray) -> sp.csc_matrix:
                          shape=F.shape)
 
 
+def refined_solve(inv: np.ndarray, A: np.ndarray, B: np.ndarray, X: np.ndarray):
+    """X = A^-1 B from inv, the computed inverse of A, with one step of
+    fixed-precision iterative refinement (Skeel, Math. Comp. 1980):
+    X = inv B, then X += inv (B - A X), three products.  B is overwritten
+    by the residual.  A, B and X may be stacks (..., n, n), (..., n, m).
+    inv B alone has componentwise backward error up to 0.6 on the fronts
+    of kuhn_cube(1); refined, it stays at LU's or below 5e-13 (tests)."""
+    np.matmul(inv, B, out=X)
+    B -= A @ X
+    X += inv @ B
+
+
 class CellInteriors:
     """The factor of a matrix lhs with a positive-definite symmetric part,
     assembled from the cell blocks of its translation classes: A - theta S of
@@ -158,24 +170,27 @@ class CellInteriors:
     so its rows and columns of K are those of K_c, and their scale D_i is its
     class's (the mass diagonal of its own cell); only the interface scale
     D_F,c differs from cell to cell.  So each class keeps the inverse of
-    K_ii = D_i lhs_ii D_i, Xt_r = K_ii^-1 D_i lhs_iF (solved, not applied
-    through the inverse) and L_r = lhs_Fi D_i: a cell's X_c = K_ii^-1 K_iF
-    is Xt_r D_F,c and its K_Fi is D_F,c L_r.  With T_r = lhs_FF - L_r Xt_r,
-    the Schur complement on the interface unknowns F is
-    D_F (sum_c P_c T_r P_c^T) D_F; no global matrix is formed.  The lhs_r
+    K_ii = D_i lhs_ii D_i, Xt_r = K_ii^-1 D_i lhs_iF (from the inverse,
+    refined once: refined_solve) and L_r = lhs_Fi D_i: a cell's
+    X_c = K_ii^-1 K_iF is Xt_r D_F,c and its K_Fi is D_F,c L_r.  With
+    T_r = lhs_FF - L_r Xt_r, the Schur complement on the interface unknowns
+    F is D_F (sum_c P_c T_r P_c^T) D_F; no global matrix is formed.  The lhs_r
     are built CHUNK classes at a time (class_lhs), so the dense transients
     stay small when every cell is its own class.
 
-    Fronts: the leaf front of cell c is D_F,c T_r D_F,c; every other front
-    is its children's updates, added at their places (Fronts).  A front
+    Fronts: the leaf front of cell c is D_F,c T_r D_F,c, gathered from
+    T_r by its permutation perm, rows then columns; every other front is
+    its children's updates, each added at its places as slices, run by
+    run (Fronts.runs).  A front
     [[F_OO, F_OB], [F_BO, F_BB]] on its own unknowns O and boundary B keeps
-    the inverse of F_OO, X = F_OO^-1 F_OB (solved, not applied through the
-    inverse) and L = F_BO, and passes F_BB - L X to its parent: the
-    inv_ii/X/L of the interiors, on every level, all on numpy's BLAS.  The
-    root's front, its separator's Schur complement, is dense, and is
-    factored alone, by SuperLU in its natural order with partial pivoting:
-    the benchmark's tracer counts factorisations as splu calls and reads
-    the L+U size from cn_factorization()[0], and SuperLU's solve runs
+    the inverse of F_OO, X = F_OO^-1 F_OB (from the inverse, refined once)
+    and L = F_BO, and passes F_BB - L X to its parent: the inv_ii/X/L of
+    the interiors, on every level, all on numpy's BLAS.  The root's front,
+    its separator's Schur complement, is dense, and is factored alone, by
+    SuperLU in its natural order with partial pivoting: the benchmark's
+    tracer counts factorisations as splu calls and reads the L+U size from
+    cn_factorization()[0], its smoke test pins one splu call per factor
+    and a CN step's solve flops at 2 L+U nnz, and SuperLU's solve runs
     between numpy's products without contention, where scipy's getrf/getrs
     would alternate the two bundled OpenBLAS pools again.  On a dense
     750 x 750 matrix at one BLAS thread (2-core host, four runs) a numpy
@@ -196,15 +211,17 @@ class CellInteriors:
     the same bits for any worker count.  One thread
     (OPENBLAS_NUM_THREADS=1, or a caller inside one_blas_thread, as
     infsup_estimate) means one worker, the same code.  On kuhn_cube(2),
-    2 cores, the CN factor took 0.43-0.45 s on one worker and 0.22-0.29 s
-    on two.
+    2 cores, the CN factor took 0.23-0.32 s on one worker and 0.19-0.25 s
+    on two (medians of 7 factors, two rounds).
 
     Interiors and fronts: the inverses keep the solve on numpy's BLAS.  scipy
     bundles a second OpenBLAS, and alternating its getrs with numpy's
     products doubled the 2-thread kuhn_cube(2) CN step.  An applied inverse
     has forward error of order cond u, as LU has (Higham 2002, ch. 14), and
     the equilibrated K_ii have cond <= 1.6e3 up to theta = 1 and 1.3e5 at
-    theta = 100 on kuhn_cube(2).
+    theta = 100 on kuhn_cube(2).  X and Xt_r take the inverse too, with one
+    step of refinement (refined_solve): three products, no triangular
+    solve and no second factorisation of a block that was just inverted.
 
     Pivots: K has a positive-definite symmetric part (A is SPD and S skew),
     and so has each K_ii and every Schur complement taken from it
@@ -256,10 +273,12 @@ class CellInteriors:
                 d = d_i[r]
                 Kii = lhs[:, :ni, :ni] * d[:, :, None] * d[:, None, :]
                 self.inv_ii[r] = np.linalg.inv(Kii)
-                self.X[r] = np.linalg.solve(Kii, lhs[:, :ni, ni:] * d[:, :, None])
+                KiF = lhs[:, :ni, ni:]              # scaled in place, read nowhere else
+                KiF *= d[:, :, None]
+                refined_solve(self.inv_ii[r], Kii, KiF, self.X[r])
                 self.L[r] = lhs[:, ni:, :ni] * d[:, None, :]
                 np.subtract(lhs[:, ni:, ni:], self.L[r] @ self.X[r], out=T[r])
-            del lhs, Kii             # the last chunk's, before the fronts
+            del lhs, Kii, KiF        # the last chunk's, before the fronts
             self._eliminate(T, cell_class, shares, top)
 
     def _eliminate(self, T: np.ndarray, cell_class: np.ndarray, shares: list, top: list):
@@ -313,15 +332,20 @@ class CellInteriors:
             p = fr.perm[n]
             cell = tree.order[tree.lo[n]]
             d = self.scale_F[self.cell_iface[cell, p]]
-            F = T[cell_class[cell]][p[:, None], p]
+            F = T[cell_class[cell]][p][:, p]
             F *= d[:, None]
             F *= d
             return F
         F = np.zeros((len(fr.own[n]) + len(fr.bnd[n]),) * 2)
-        first, *rest = tree.kids[n]
-        F[fr.pos[first][:, None], fr.pos[first]] = updates.pop(first)
-        for c in rest:
-            F[fr.pos[c][:, None], fr.pos[c]] += updates.pop(c)
+        first = tree.kids[n][0]
+        for c in tree.kids[n]:
+            U, runs = updates.pop(c), fr.runs[c]
+            for rows, at in runs:
+                for cols, to in runs:
+                    if c == first:
+                        F[at, to] = U[rows, cols]
+                    else:
+                        F[at, to] += U[rows, cols]
         return F
 
     def _front(self, n: int, T: np.ndarray, cell_class: np.ndarray, updates: dict):
@@ -339,7 +363,7 @@ class CellInteriors:
         inv, X, L = (a[j] for a in self.front_factors[b])
         Foo = F[:no, :no]
         inv[...] = np.linalg.inv(Foo)
-        X[...] = np.linalg.solve(Foo, F[:no, no:])
+        refined_solve(inv, Foo, F[:no, no:], X)
         L[...] = F[no:, :no]
         LX = L @ X
         updates[n] = np.subtract(F[no:, no:], LX, out=LX)
